@@ -3,8 +3,8 @@ medium equation u_t + (-Lap)^(sigma/2)(u^m) = 0, computed through its local
 extension problem on a truncated half-plane."""
 
 from . import core, errors, extension_op, harness, marcher, oracles, sigma_deriv
-from .core import (Constants, Field, Grid, InitialData, Region, SolverConfig,
-                   cfl_max_dt, effective_order, load_config, mu_sigma, nu_sigma,
+from .core import (Field, Grid, InitialData, SolverConfig, cfl_max_dt,
+                   effective_order, load_config, mu_sigma, nu_sigma,
                    riesz_constant)
 from .extension_op import assemble, solve_interior, verify_monotone_structure
 from .harness import (OPTIMAL, PRACTICAL, SchemeMode, run_convergence,

@@ -9,7 +9,6 @@ homogeneous Dirichlet.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -19,43 +18,11 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "gamma", "mu_sigma", "nu_sigma", "riesz_constant", "cfl_max_dt",
-    "effective_order", "Region", "Grid", "Field", "Constants", "SolverConfig",
+    "mu_sigma", "nu_sigma", "riesz_constant", "cfl_max_dt",
+    "effective_order", "Grid", "Field", "SolverConfig",
     "InitialData", "initial_data_preset", "parse_initial_data",
     "parse_config_text", "load_config",
 ]
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is below
-# 1e-13 on (0, 10), which covers every gamma argument the scheme produces.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(z: float) -> float:
-    """Gamma function via the Lanczos series with reflection below 1/2."""
-    z = float(z)
-    if z <= 0.0 and z == math.floor(z):
-        raise ValueError("gamma pole at non-positive integer argument")
-    if z < 0.5:
-        # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        return math.pi / (math.sin(math.pi * z) * gamma(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for n, coef in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += coef / (z + n)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
 
 def _check_sigma(sigma: float) -> float:
     sigma = float(sigma)
@@ -67,7 +34,7 @@ def _check_sigma(sigma: float) -> float:
 def mu_sigma(sigma: float) -> float:
     """Normalization constant of the sigma-derivative: 2^(s-1) G(s/2) / G(1-s/2)."""
     sigma = _check_sigma(sigma)
-    return 2.0 ** (sigma - 1.0) * gamma(sigma / 2.0) / gamma(1.0 - sigma / 2.0)
+    return 2.0 ** (sigma - 1.0) * math.gamma(sigma / 2.0) / math.gamma(1.0 - sigma / 2.0)
 
 
 def nu_sigma(sigma: float) -> float:
@@ -80,8 +47,8 @@ def riesz_constant(n_dim: int, sigma: float) -> float:
     if int(n_dim) != n_dim or n_dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {n_dim}")
     sigma = _check_sigma(sigma)
-    return (2.0 ** (sigma - 1.0) * sigma * gamma((n_dim + sigma) / 2.0)
-            / (math.pi ** (n_dim / 2.0) * gamma(1.0 - sigma / 2.0)))
+    return (2.0 ** (sigma - 1.0) * sigma * math.gamma((n_dim + sigma) / 2.0)
+            / (math.pi ** (n_dim / 2.0) * math.gamma(1.0 - sigma / 2.0)))
 
 
 def cfl_max_dt(m: float, b_max: float, sigma: float, dx: float) -> float:
@@ -125,23 +92,6 @@ def effective_order(sigma: float, c: int, d: int | None) -> float:
     return min(c + 1.0 - sigma, d - sigma)
 
 
-class Region(enum.Enum):
-    """Node classification on the truncated extended domain."""
-    INTERIOR = "interior"
-    TRACE = "trace"        # k = 0, 0 < i < I
-    LATERAL = "lateral"    # i in {0, I} or k = K (includes the 4 corners)
-
-
-def classify_node(i: int, k: int, I: int, K: int) -> Region:
-    if not (0 <= i <= I and 0 <= k <= K):
-        raise ValueError(f"node ({i}, {k}) outside mesh 0..{I} x 0..{K}")
-    if i == 0 or i == I or k == K:
-        return Region.LATERAL
-    if k == 0:
-        return Region.TRACE
-    return Region.INTERIOR
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform square mesh on [-X, X] x [0, Y] with I x-steps and K y-steps."""
@@ -171,16 +121,6 @@ class Grid:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    def region(self, i: int, k: int) -> Region:
-        return classify_node(i, k, self.I, self.K)
-
-    def region_counts(self) -> dict:
-        return {
-            Region.INTERIOR: (self.I - 1) * (self.K - 1),
-            Region.TRACE: self.I - 1,
-            Region.LATERAL: 2 * (self.K + 1) + (self.I - 1),
-        }
-
 
 @dataclass(frozen=True)
 class Field:
@@ -201,19 +141,6 @@ class Field:
     @property
     def trace(self) -> np.ndarray:
         return self.values[:, 0]
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Scalar constants of a run, bundled for reporting."""
-    mu_sigma: float
-    nu_sigma: float
-    riesz: float
-    b_max: float
-
-    @classmethod
-    def for_run(cls, sigma: float, b_max: float, n_dim: int = 1) -> "Constants":
-        return cls(mu_sigma(sigma), nu_sigma(sigma), riesz_constant(n_dim, sigma), float(b_max))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ manipulation under which the low-order scheme exhibits its M-structure.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,11 +18,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .core import Grid, Region, _check_sigma
+from .core import Grid, _check_sigma
 from .errors import SolverError, UnsupportedStencilError
 
 __all__ = [
-    "SUPPORTED_PAIRS", "fd_weights", "StencilSpec", "ExtensionOperator",
+    "SUPPORTED_PAIRS", "fd_weights", "ExtensionOperator",
     "assemble", "solve_interior", "full_grid_values", "MonotoneReport",
     "verify_monotone_structure", "discrete_max_location", "apply_operator",
     "dump_matrix",
@@ -120,27 +119,19 @@ def _check_pair(sigma: float, c: int, d: int | None, I: int, K: int) -> None:
             f"got I={I}, K={K}")
 
 
-@dataclass(frozen=True)
-class StencilSpec:
-    """Scaled-row weight generator for the pair (c, d)."""
-    c: int
-    d: int | None
+def _factor(offsets: list[tuple[int, ...]], deriv: int, n: int) -> sparse.csr_matrix:
+    """(n-1) x (n+1) matrix whose row j-1 holds the d^deriv weights at node j of 0..n.
 
-    def row_entries(self, i: int, k: int, I: int, K: int, sigma: float) -> dict:
-        """Weights {(di, dk): coef} of the scaled, sign-flipped row at node (i, k)."""
-        w: dict[tuple[int, int], float] = defaultdict(float)
-        xo = _second_deriv_offsets(i, I, self.c)
-        for off, wt in zip(xo, fd_weights(xo, 2)):
-            w[(off, 0)] -= wt
-        yo = _second_deriv_offsets(k, K, self.c)
-        for off, wt in zip(yo, fd_weights(yo, 2)):
-            w[(0, off)] -= wt
-        if self.d is not None and sigma != 1.0:
-            coef = (1.0 - sigma) / k
-            fo = _first_deriv_offsets(k, K, self.d)
-            for off, wt in zip(fo, fd_weights(fo, 1)):
-                w[(0, off)] -= coef * wt
-        return dict(w)
+    offsets[j-1] is the stencil window at node j; weights are computed once
+    per distinct window.
+    """
+    weights = {o: fd_weights(o, deriv) for o in set(offsets)}
+    cols = np.concatenate([np.add(j, o) for j, o in enumerate(offsets, start=1)])
+    if cols.min() < 0 or cols.max() > n:
+        raise SolverError(f"stencil leaves the mesh 0..{n}")
+    rows = np.repeat(np.arange(n - 1), [len(o) for o in offsets])
+    vals = np.concatenate([weights[o] for o in offsets])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n - 1, n + 1))
 
 
 @dataclass
@@ -150,7 +141,9 @@ class ExtensionOperator:
     Interior unknowns are ordered by (k, i); the boundary vector b enumerates
     all non-interior nodes sorted by (k, i).  B holds the stencil couplings to
     boundary nodes with the same sign convention as A, so the right-hand side
-    for boundary data b is -B @ b.
+    for boundary data b is -B @ b.  interior_mask, shape (K+1, I+1) and
+    indexed [k, i], is True at interior nodes: its row-major order is the
+    column order of [A | B] before the split.
     """
     grid: Grid
     sigma: float
@@ -158,15 +151,12 @@ class ExtensionOperator:
     d: int | None
     A: sparse.csr_matrix
     boundary_coupling: sparse.csr_matrix
-    boundary_nodes: tuple[tuple[int, int], ...]   # (i, k), sorted by (k, i)
+    interior_mask: np.ndarray
     _lu: object = field(repr=False, default=None)
 
     @property
     def n_interior(self) -> int:
         return (self.grid.I - 1) * (self.grid.K - 1)
-
-    def interior_index(self, i: int, k: int) -> int:
-        return (k - 1) * (self.grid.I - 1) + (i - 1)
 
     def condition_estimate(self) -> float:
         """1-norm condition estimate ||A||_1 * ||A^-1||_1 (uses the factorization)."""
@@ -177,40 +167,36 @@ class ExtensionOperator:
 
 
 def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
-    """Build and factorize the interior operator for a fixed grid and sigma."""
+    """Build and factorize the interior operator for a fixed grid and sigma.
+
+    The scaled row at (i, k) is -(x weights at i) - (y weights at k), so over
+    all nodes in (k, i) order the operator is the Kronecker sum
+    L = E_y (x) T_x + S_y (x) E_x, where E restricts to interior indices,
+    T_x holds the x second-derivative rows and S_y the y second-derivative
+    plus (1-sigma)/k first-derivative rows.
+    """
     sigma = _check_sigma(sigma)
     I, K = grid.I, grid.K
     _check_pair(sigma, c, d, I, K)
 
-    boundary_nodes = tuple(
-        (i, k) for k in range(K + 1) for i in range(I + 1)
-        if grid.region(i, k) is not Region.INTERIOR)
-    bindex = {node: n for n, node in enumerate(boundary_nodes)}
-    spec = StencilSpec(c, d)
+    T_x = -_factor([_second_deriv_offsets(i, I, c) for i in range(1, I)], 2, I)
+    S_y = -_factor([_second_deriv_offsets(k, K, c) for k in range(1, K)], 2, K)
+    if d is not None and sigma != 1.0:
+        drift = sparse.diags((1.0 - sigma) / np.arange(1, K))
+        S_y = S_y - drift @ _factor([_first_deriv_offsets(k, K, d) for k in range(1, K)], 1, K)
+    L = (sparse.kron(sparse.eye(K - 1, K + 1, k=1), T_x, format="csr")
+         + sparse.kron(S_y, sparse.eye(I - 1, I + 1, k=1), format="csr"))
 
-    rows_a, cols_a, vals_a = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    n_int = (I - 1) * (K - 1)
-    for k in range(1, K):
-        for i in range(1, I):
-            n = (k - 1) * (I - 1) + (i - 1)
-            for (di, dk), coef in spec.row_entries(i, k, I, K, sigma).items():
-                ii, kk = i + di, k + dk
-                if not (0 <= ii <= I and 0 <= kk <= K):
-                    raise SolverError(f"stencil leaves the mesh at node ({i}, {k})")
-                if grid.region(ii, kk) is Region.INTERIOR:
-                    rows_a.append(n)
-                    cols_a.append((kk - 1) * (I - 1) + (ii - 1))
-                    vals_a.append(coef)
-                else:
-                    rows_b.append(n)
-                    cols_b.append(bindex[(ii, kk)])
-                    vals_b.append(coef)
-
-    A = sparse.csr_matrix((vals_a, (rows_a, cols_a)), shape=(n_int, n_int))
-    B = sparse.csr_matrix((vals_b, (rows_b, cols_b)), shape=(n_int, len(boundary_nodes)))
+    mask = np.zeros((K + 1, I + 1), dtype=bool)
+    mask[1:K, 1:I] = True
+    mask.setflags(write=False)
+    inner = mask.ravel()
+    A = L[:, inner]
+    B = L[:, ~inner]
+    A.eliminate_zeros()
+    B.eliminate_zeros()
     op = ExtensionOperator(grid=grid, sigma=sigma, c=c, d=d, A=A,
-                           boundary_coupling=B, boundary_nodes=boundary_nodes)
+                           boundary_coupling=B, interior_mask=mask)
     try:
         # COLAMD keeps fill low; the factorization is reused for every rhs
         lu = spla.splu(A.tocsc(), permc_spec="COLAMD")
@@ -220,10 +206,10 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
     return op
 
 
-def _boundary_vector(op: ExtensionOperator, trace_row: np.ndarray,
+def _boundary_values(op: ExtensionOperator, trace_row: np.ndarray,
                      lateral: np.ndarray | None) -> np.ndarray:
-    grid = op.grid
-    I, K = grid.I, grid.K
+    """(I+1) x (K+1) node array holding the Dirichlet data, zero at interior nodes."""
+    I, K = op.grid.I, op.grid.K
     trace_row = np.asarray(trace_row, dtype=float)
     if trace_row.shape != (I - 1,):
         raise ValueError(f"trace_row must have length I-1 = {I - 1}, got {trace_row.shape}")
@@ -237,15 +223,13 @@ def _boundary_vector(op: ExtensionOperator, trace_row: np.ndarray,
     if not (np.isfinite(trace_row).all() and np.isfinite(lateral).all()):
         raise ValueError("boundary data must be finite")
 
-    bvec = np.empty(len(op.boundary_nodes))
-    lat_pos = 0
-    for n, (i, k) in enumerate(op.boundary_nodes):
-        if grid.region(i, k) is Region.TRACE:
-            bvec[n] = trace_row[i - 1]
-        else:
-            bvec[n] = lateral[lat_pos]
-            lat_pos += 1
-    return bvec
+    vals = np.zeros((I + 1, K + 1))
+    nodes = vals.T                      # [k, i] view: masks apply in (k, i) order
+    nodes[0, 1:I] = trace_row
+    is_lateral = ~op.interior_mask
+    is_lateral[0, 1:I] = False
+    nodes[is_lateral] = lateral
+    return vals
 
 
 def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
@@ -256,7 +240,7 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
     means homogeneous (the bounded-domain scheme).  The cached factorization
     is reused; the solution is residual-checked.
     """
-    bvec = _boundary_vector(op, trace_row, lateral)
+    bvec = _boundary_values(op, trace_row, lateral).T[~op.interior_mask]
     rhs = -op.boundary_coupling.dot(bvec)
     w = op._lu.solve(rhs)
     norm_rhs = float(np.abs(rhs).max()) if rhs.size else 0.0
@@ -272,13 +256,8 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
 def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,
                      interior: np.ndarray, lateral: np.ndarray | None = None) -> np.ndarray:
     """Assemble the (I+1) x (K+1) node array from its boundary and interior parts."""
-    grid = op.grid
-    I, K = grid.I, grid.K
-    vals = np.zeros((I + 1, K + 1))
-    vals[1:I, 1:K] = interior
-    bvec = _boundary_vector(op, trace_row, lateral)
-    for n, (i, k) in enumerate(op.boundary_nodes):
-        vals[i, k] = bvec[n]
+    vals = _boundary_values(op, trace_row, lateral)
+    vals[1:-1, 1:-1] = interior
     return vals
 
 
@@ -296,36 +275,24 @@ def verify_monotone_structure(op: ExtensionOperator, tol: float = 1e-12) -> Mono
     dominance in rows coupled to the boundary.  Diagnostic only; offenders
     are reported, never raised.
     """
-    A = op.A.tocsr()
-    B = op.boundary_coupling.tocsr()
-    offenders: list[int] = []
-    for r in range(A.shape[0]):
-        row = A.getrow(r)
-        diag = 0.0
-        off_sum = 0.0
-        ok = True
-        for c_, v in zip(row.indices, row.data):
-            if c_ == r:
-                diag = v
-            else:
-                off_sum += abs(v)
-                if v > tol:
-                    ok = False
-        brow = B.getrow(r)
-        b_sum = float(np.abs(brow.data).sum())
-        if np.any(brow.data > tol):
-            ok = False
-        scale = max(abs(diag), 1.0)
-        if diag <= tol * scale:
-            ok = False
-        # weak dominance always; strict when part of the stencil hit the boundary
-        if diag < off_sum - tol * scale:
-            ok = False
-        if b_sum > tol * scale and diag <= off_sum + tol * scale:
-            ok = False
-        if not ok:
-            offenders.append(r)
-    return MonotoneReport(is_m_structure=not offenders, offending_rows=tuple(offenders))
+    A = op.A.tocoo()
+    B = op.boundary_coupling.tocoo()
+    n = A.shape[0]
+    diag = op.A.diagonal()
+    off = A.row != A.col
+    off_sum = np.bincount(A.row[off], weights=np.abs(A.data[off]), minlength=n)
+    b_sum = np.bincount(B.row, weights=np.abs(B.data), minlength=n)
+    # largest stored off-diagonal entry of each row of A and of B
+    off_max = np.full(n, -np.inf)
+    np.maximum.at(off_max, A.row[off], A.data[off])
+    np.maximum.at(off_max, B.row, B.data)
+    scale = np.maximum(np.abs(diag), 1.0)
+    bad = ((off_max > tol) | (diag <= tol * scale)
+           # weak dominance always; strict when part of the stencil hit the boundary
+           | (diag < off_sum - tol * scale)
+           | ((b_sum > tol * scale) & (diag <= off_sum + tol * scale)))
+    offenders = tuple(int(r) for r in np.flatnonzero(bad))
+    return MonotoneReport(is_m_structure=not offenders, offending_rows=offenders)
 
 
 def discrete_max_location(values) -> tuple[int, int]:

@@ -11,10 +11,8 @@ the error.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,8 +22,8 @@ from . import core
 from .errors import QuadratureError
 
 __all__ = [
-    "SigmaDerivSample", "discrete_sigma_derivative", "normalized_sigma_derivative",
-    "sigma_deriv_sample", "kernel_mass_constant", "poisson_kernel",
+    "discrete_sigma_derivative", "normalized_sigma_derivative",
+    "kernel_mass_constant", "poisson_kernel",
     "poisson_extension", "OrderStudyRow", "deriv_order_study", "order_study_csv",
 ]
 
@@ -53,41 +51,17 @@ def normalized_sigma_derivative(v0, vy, y: float, sigma: float):
     return core.mu_sigma(sigma) * discrete_sigma_derivative(v0, vy, y, sigma)
 
 
-@dataclass(frozen=True)
-class SigmaDerivSample:
-    """One evaluation of the two-point quotient and its normalized form."""
-    y: float
-    F: float
-    normalized: float
-
-
-def sigma_deriv_sample(v0: float, vy: float, y: float, sigma: float) -> SigmaDerivSample:
-    F = float(discrete_sigma_derivative(v0, vy, y, sigma))
-    return SigmaDerivSample(y=float(y), F=F, normalized=core.mu_sigma(sigma) * F)
-
-
 # ---------------------------------------------------------------------------
 # Poisson kernel of the extension problem, unit-mass normalization
 
-_kernel_lock = threading.Lock()
-
-
-@lru_cache(maxsize=None)
 def kernel_mass_constant(sigma: float) -> float:
     """d_sigma such that the N = 1 kernel d * y^s / (x^2 + y^2)^((1+s)/2) has unit mass.
 
-    Fixed by quadrature of the mass integral at y = 1 (the mass is
-    y-independent by scaling) and cached per sigma.
+    The mass integral of (1 + x^2)^(-(1+s)/2) over the line is B(1/2, s/2),
+    so d_sigma = G((1+s)/2) / (sqrt(pi) G(s/2)).
     """
-    core._check_sigma(sigma)
-    with _kernel_lock:
-        mass, est = integrate.quad(
-            lambda x: (1.0 + x * x) ** (-(1.0 + sigma) / 2.0),
-            -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
-    if est > 1e-10:
-        raise QuadratureError(
-            f"kernel mass quadrature too loose at sigma={sigma}", achieved=est)
-    return 1.0 / mass
+    sigma = core._check_sigma(sigma)
+    return math.gamma((1.0 + sigma) / 2.0) / (math.sqrt(math.pi) * math.gamma(sigma / 2.0))
 
 
 def poisson_kernel(x: float, y: float, sigma: float, n_dim: int = 1) -> float:

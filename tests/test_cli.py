@@ -4,11 +4,14 @@ Exit-code contract: 0 success, 1 check/solver failure, 2 configuration error
 (including argparse rejections and CFL violations, whose fix is a config change).
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fracpme
 import fracpme.harness as harness
 from fracpme.cli import main
 
@@ -169,8 +172,12 @@ def test_validate_passes(capsys):
 
 
 def test_console_script_smoke():
+    # the child imports the same fracpme as this process, installed or not
+    src = str(Path(fracpme.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "fracpme.cli",
                            "sigma-table", "--sigmas", "0.5", "--ys", "0.5", "0.25"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("sigma,y,E,alpha,sigma_e")

@@ -1,8 +1,8 @@
 """Constants, mesh bookkeeping, configuration parsing.
 
-The scalar constants (gamma, mu_sigma, nu_sigma, riesz_constant) are checked
-against 50-digit mpmath evaluations of the same closed forms, so a bug in the
-Lanczos series or in the exponent bookkeeping cannot hide behind itself.
+The scalar constants (mu_sigma, nu_sigma, riesz_constant) are checked against
+50-digit mpmath evaluations of the same closed forms, so a bug in the exponent
+bookkeeping cannot hide behind itself.
 """
 
 import math
@@ -13,16 +13,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fracpme.core import (
-    Constants,
     Field,
     Grid,
     InitialData,
-    Region,
     SolverConfig,
     cfl_max_dt,
-    classify_node,
     effective_order,
-    gamma,
     initial_data_preset,
     load_config,
     mu_sigma,
@@ -38,10 +34,6 @@ mpmath.mp.dps = 50
 sigmas_open = st.floats(min_value=0.01, max_value=1.99, allow_nan=False)
 
 
-def mp_gamma(z):
-    return float(mpmath.gamma(z))
-
-
 def mp_mu(sigma):
     s = mpmath.mpf(sigma)
     return float(2 ** (s - 1) * mpmath.gamma(s / 2) / mpmath.gamma(1 - s / 2))
@@ -51,31 +43,6 @@ def mp_riesz(n, sigma):
     s = mpmath.mpf(sigma)
     return float(2 ** (s - 1) * s * mpmath.gamma((n + s) / 2)
                  / (mpmath.pi ** (mpmath.mpf(n) / 2) * mpmath.gamma(1 - s / 2)))
-
-
-# ---------------------------------------------------------------------------
-# gamma
-
-
-@pytest.mark.parametrize("z", [0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0, 1.5,
-                               2.5, 3.75, 5.5, 7.25, 9.5, -0.5, -1.5, -2.3])
-def test_gamma_matches_mpmath(z):
-    assert gamma(z) == pytest.approx(mp_gamma(z), rel=1e-12)
-
-
-def test_gamma_factorials():
-    for n in range(11):
-        assert gamma(n + 1) == pytest.approx(math.factorial(n), rel=1e-13)
-
-
-def test_gamma_half_is_sqrt_pi():
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-
-@pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -7.0])
-def test_gamma_pole_raises(z):
-    with pytest.raises(ValueError):
-        gamma(z)
 
 
 # ---------------------------------------------------------------------------
@@ -207,35 +174,7 @@ def test_effective_order_requires_d_away_from_one():
 
 
 # ---------------------------------------------------------------------------
-# node classification and the mesh
-
-
-def test_classify_examples():
-    I, K = 6, 4
-    assert classify_node(0, 0, I, K) is Region.LATERAL     # corner
-    assert classify_node(I, 0, I, K) is Region.LATERAL     # corner
-    assert classify_node(3, 0, I, K) is Region.TRACE
-    assert classify_node(3, K, I, K) is Region.LATERAL     # top
-    assert classify_node(0, 2, I, K) is Region.LATERAL     # side
-    assert classify_node(3, 2, I, K) is Region.INTERIOR
-
-
-def test_classify_out_of_range():
-    with pytest.raises(ValueError):
-        classify_node(7, 0, 6, 4)
-    with pytest.raises(ValueError):
-        classify_node(0, -1, 6, 4)
-
-
-@given(I=st.integers(2, 12), K=st.integers(1, 12))
-def test_regions_partition_the_mesh(I, K):
-    counts = {r: 0 for r in Region}
-    for i in range(I + 1):
-        for k in range(K + 1):
-            counts[classify_node(i, k, I, K)] += 1
-    assert sum(counts.values()) == (I + 1) * (K + 1)
-    grid = Grid(X=float(I), Y=2.0 * float(K), I=I, K=K)   # dx = dy = 2
-    assert counts == grid.region_counts()
+# the mesh
 
 
 def test_grid_coordinates():
@@ -296,14 +235,6 @@ def test_field_values_read_only():
     f = Field(np.ones((5, 3)))
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0
-
-
-def test_constants_for_run_bundles_the_scalars():
-    c = Constants.for_run(0.5, b_max=2.0)
-    assert c.mu_sigma == mu_sigma(0.5)
-    assert c.nu_sigma == nu_sigma(0.5)
-    assert c.riesz == riesz_constant(1, 0.5)
-    assert c.b_max == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from hypothesis import given, strategies as st
 from fracpme.core import Field, Grid, effective_order
 from fracpme.errors import SolverError, UnsupportedStencilError
 from fracpme.extension_op import (
+    _MIN_K_FIRST,
+    _MIN_N_SECOND,
     SUPPORTED_PAIRS,
     apply_operator,
     assemble,
@@ -94,26 +96,32 @@ def test_apply_operator_annihilates_constants(c, d):
     assert np.abs(out).max() < 1e-12
 
 
-@pytest.mark.parametrize("sigma", [0.4, 1.0, 1.6])
-@pytest.mark.parametrize("c,d", [(2, 1), (2, 2), (3, 4)])
-def test_assembled_rows_match_pointwise_application(sigma, c, d):
+# every supported pair at three sigmas, plus the pure Laplacian at sigma = 1
+_ROW_CASES = ([(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS) for sigma in (0.4, 1.0, 1.6)]
+              + [(c, None, 1.0) for c in sorted(_MIN_N_SECOND)])
+
+
+@pytest.mark.parametrize("c,d,sigma", _ROW_CASES)
+def test_assembled_rows_match_pointwise_application(c, d, sigma):
     # scaled row n = (k-1)(I-1)+(i-1) of [A | B] equals
-    # -dx^(1+sigma) k^(sigma-1) times the physical operator at node (i, k)
-    if d is not None and (c, d) not in SUPPORTED_PAIRS:
-        pytest.skip("unsupported pair")
-    grid = make_grid(I=9, K=5, dx=0.2)
-    op = assemble(grid, sigma, c=c, d=d)
-    rng = np.random.default_rng(20240814)
-    vals = rng.random((grid.I + 1, grid.K + 1))
-    interior = vals[1:-1, 1:-1]
-    w = interior.T.ravel()
-    bvec = np.array([vals[i, k] for (i, k) in op.boundary_nodes])
-    scaled = op.A.dot(w) + op.boundary_coupling.dot(bvec)
-    physical = apply_operator(vals, grid.dx, sigma, c=c, d=d)
-    for k in range(1, grid.K):
-        factor = -grid.dx ** (1.0 + sigma) * k ** (sigma - 1.0)
-        row = scaled[(k - 1) * (grid.I - 1):(k) * (grid.I - 1)]
-        assert row == pytest.approx(factor * physical[:, k - 1], rel=1e-10, abs=1e-12)
+    # -dx^(1+sigma) k^(sigma-1) times the physical operator at node (i, k);
+    # the smallest accepted mesh is where the one-sided windows of both
+    # sides meet (and, for c > 2, cover every node of a row)
+    I_min = _MIN_N_SECOND[c]
+    K_min = I_min if d is None else max(I_min, _MIN_K_FIRST[d])
+    for grid in (make_grid(I=9, K=5, dx=0.2), make_grid(I=I_min, K=K_min, dx=0.2)):
+        op = assemble(grid, sigma, c=c, d=d)
+        rng = np.random.default_rng(20240814)
+        vals = rng.random((grid.I + 1, grid.K + 1))
+        interior = vals[1:-1, 1:-1]
+        w = interior.T.ravel()
+        bvec = vals.T[~op.interior_mask]                # boundary nodes in (k, i) order
+        scaled = op.A.dot(w) + op.boundary_coupling.dot(bvec)
+        physical = apply_operator(vals, grid.dx, sigma, c=c, d=d)
+        for k in range(1, grid.K):
+            factor = -grid.dx ** (1.0 + sigma) * k ** (sigma - 1.0)
+            row = scaled[(k - 1) * (grid.I - 1):(k) * (grid.I - 1)]
+            assert row == pytest.approx(factor * physical[:, k - 1], rel=1e-10, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +135,9 @@ def test_linear_in_x_is_reproduced_exactly():
     for sigma, c, d in ((0.5, 2, 1), (1.0, 2, None), (1.5, 2, 3)):
         op = assemble(grid, sigma, c=c, d=d)
         trace = grid.xs[1:-1]
-        lateral = np.array([grid.xs[i] for (i, k) in op.boundary_nodes
-                            if not (k == 0 and 0 < i < grid.I)])
+        is_lateral = ~op.interior_mask                  # [k, i]; drop the trace row
+        is_lateral[0, 1:-1] = False
+        lateral = np.broadcast_to(grid.xs, is_lateral.shape)[is_lateral]
         interior = solve_interior(op, trace, lateral)
         want = np.tile(grid.xs[1:-1][:, None], (1, grid.K - 1))
         assert interior == pytest.approx(want, abs=1e-11)

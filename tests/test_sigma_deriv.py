@@ -1,8 +1,8 @@
 """Two-point sigma-derivative quotient and the Poisson extension kernel.
 
-The kernel normalization constant is a quadrature-fixed value; it is checked
-here against the independent closed form d = Gamma((1+s)/2) / (sqrt(pi) *
-Gamma(s/2)) evaluated with 50-digit mpmath.  The order-study table values are
+The kernel normalization constant d = Gamma((1+s)/2) / (sqrt(pi) Gamma(s/2))
+is checked against the same closed form evaluated with 50-digit mpmath, and
+the kernel's unit mass against an independent quadrature.  The order-study table values are
 frozen 4-decimal strings so formatting or constant drift cannot slip through.
 """
 
@@ -24,7 +24,6 @@ from fracpme.sigma_deriv import (
     order_study_csv,
     poisson_extension,
     poisson_kernel,
-    sigma_deriv_sample,
 )
 
 mpmath.mp.dps = 50
@@ -52,13 +51,6 @@ def test_normalized_is_mu_times_quotient():
         F = discrete_sigma_derivative(0.2, 0.9, 0.1, sigma)
         assert normalized_sigma_derivative(0.2, 0.9, 0.1, sigma) == pytest.approx(
             mu_sigma(sigma) * F, rel=1e-15)
-
-
-def test_sample_bundle():
-    s = sigma_deriv_sample(1.0, 2.0, 0.5, 1.0)
-    assert s.y == 0.5
-    assert s.F == pytest.approx(2.0)
-    assert s.normalized == pytest.approx(mu_sigma(1.0) * 2.0)
 
 
 @given(v0=st.floats(-5, 5), vy=st.floats(-5, 5), a=st.floats(-3, 3))
