@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 check/solver failure, 2 configuration error
-(argparse uses 2 natively for bad invocations).
+Exit codes: 0 success, 1 check/solver failure, 2 rejected input: a bad
+invocation (argparse), a config or option the program refuses, or a CFL
+violation.  Any other exception is an internal fault and propagates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import (CflViolationError, ConfigError, MaxPrincipleError,
                      UnsupportedStencilError)
 
 # CflViolationError counts as configuration: the fix is a larger J
-_CONFIG_ERRORS = (ConfigError, CflViolationError, UnsupportedStencilError, ValueError)
+_CONFIG_ERRORS = (ConfigError, CflViolationError, UnsupportedStencilError)
 _RUN_ERRORS = (MaxPrincipleError, NegativeBracketError, QuadratureError, SolverError)
 
 
@@ -41,7 +42,11 @@ def _cmd_solve(args) -> int:
     config, data = core.load_config(args.config)
     capture = None
     if args.snapshots:
-        capture = [float(tok) for tok in args.snapshots.split(",") if tok.strip()]
+        try:
+            capture = [float(tok) for tok in args.snapshots.split(",") if tok.strip()]
+        except ValueError:
+            raise ConfigError(f"--snapshots takes comma-separated times, "
+                              f"got {args.snapshots!r}") from None
     if args.dump_matrix:
         op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
         extension_op.dump_matrix(op, args.dump_matrix)

@@ -27,7 +27,7 @@ __all__ = [
 def _check_sigma(sigma: float) -> float:
     sigma = float(sigma)
     if not (0.0 < sigma < 2.0):
-        raise ValueError(f"sigma must lie in the open interval (0, 2), got {sigma}")
+        raise ConfigError(f"sigma must lie in the open interval (0, 2), got {sigma}")
     return sigma
 
 
@@ -56,10 +56,11 @@ def cfl_max_dt(m: float, b_max: float, sigma: float, dx: float) -> float:
 
     b_max is the discrete max of f^m over the trace nodes.  For m > 1 and
     identically zero data the bound is +inf (the update is trivially stable).
+    sigma and m are scheme parameters, so rejecting them is a ConfigError.
     """
     sigma = _check_sigma(sigma)
     if m < 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ConfigError(f"m must be >= 1, got {m}")
     if b_max < 0.0:
         raise ValueError(f"b_max must be nonnegative, got {b_max}")
     if dx <= 0.0:
@@ -159,10 +160,7 @@ class SolverConfig:
     cfl_safety: float = 0.95
 
     def __post_init__(self):
-        try:
-            _check_sigma(self.sigma)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        _check_sigma(self.sigma)
         if self.m < 1.0:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.T <= 0.0:

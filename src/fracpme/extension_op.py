@@ -154,10 +154,6 @@ class ExtensionOperator:
     interior_mask: np.ndarray
     _lu: object = field(repr=False, default=None)
 
-    @property
-    def n_interior(self) -> int:
-        return (self.grid.I - 1) * (self.grid.K - 1)
-
     def condition_estimate(self) -> float:
         """1-norm condition estimate ||A||_1 * ||A^-1||_1 (uses the factorization)."""
         n = self.A.shape[0]
@@ -206,9 +202,13 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
     return op
 
 
-def _boundary_values(op: ExtensionOperator, trace_row: np.ndarray,
+def _boundary_vector(op: ExtensionOperator, trace_row: np.ndarray,
                      lateral: np.ndarray | None) -> np.ndarray:
-    """(I+1) x (K+1) node array holding the Dirichlet data, zero at interior nodes."""
+    """Dirichlet data at the non-interior nodes in (k, i) order: the column order of B.
+
+    The trace nodes (0, 1..I-1) sit between the corner (0, 0) and the rest of
+    the lateral data, so the vector is lateral[:1], trace_row, lateral[1:].
+    """
     I, K = op.grid.I, op.grid.K
     trace_row = np.asarray(trace_row, dtype=float)
     if trace_row.shape != (I - 1,):
@@ -222,14 +222,7 @@ def _boundary_values(op: ExtensionOperator, trace_row: np.ndarray,
             raise ValueError(f"lateral must have length {n_lat}, got {lateral.shape}")
     if not (np.isfinite(trace_row).all() and np.isfinite(lateral).all()):
         raise ValueError("boundary data must be finite")
-
-    vals = np.zeros((I + 1, K + 1))
-    nodes = vals.T                      # [k, i] view: masks apply in (k, i) order
-    nodes[0, 1:I] = trace_row
-    is_lateral = ~op.interior_mask
-    is_lateral[0, 1:I] = False
-    nodes[is_lateral] = lateral
-    return vals
+    return np.concatenate([lateral[:1], trace_row, lateral[1:]])
 
 
 def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
@@ -240,8 +233,7 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
     means homogeneous (the bounded-domain scheme).  The cached factorization
     is reused; the solution is residual-checked.
     """
-    bvec = _boundary_values(op, trace_row, lateral).T[~op.interior_mask]
-    rhs = -op.boundary_coupling.dot(bvec)
+    rhs = -op.boundary_coupling.dot(_boundary_vector(op, trace_row, lateral))
     w = op._lu.solve(rhs)
     norm_rhs = float(np.abs(rhs).max()) if rhs.size else 0.0
     resid = float(np.abs(op.A.dot(w) - rhs).max()) if rhs.size else 0.0
@@ -256,7 +248,9 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
 def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,
                      interior: np.ndarray, lateral: np.ndarray | None = None) -> np.ndarray:
     """Assemble the (I+1) x (K+1) node array from its boundary and interior parts."""
-    vals = _boundary_values(op, trace_row, lateral)
+    I, K = op.grid.I, op.grid.K
+    vals = np.empty((I + 1, K + 1))
+    vals.T[~op.interior_mask] = _boundary_vector(op, trace_row, lateral)
     vals[1:-1, 1:-1] = interior
     return vals
 
@@ -298,9 +292,8 @@ def verify_monotone_structure(op: ExtensionOperator, tol: float = 1e-12) -> Mono
 def discrete_max_location(values) -> tuple[int, int]:
     """Argmax node (i, k); ties broken by smallest k, then smallest i."""
     vals = np.asarray(getattr(values, "values", values), dtype=float)
-    m = vals.max()
-    ks, is_ = np.nonzero(vals.T == m)
-    return int(is_[0]), int(ks[0])
+    k, i = divmod(int(np.argmax(vals.T)), vals.shape[0])
+    return i, k
 
 
 def apply_operator(values: np.ndarray, dx: float, sigma: float,

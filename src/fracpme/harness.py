@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -409,27 +409,31 @@ class ValidationResult:
         return "\n".join(lines)
 
 
+_BRIDGE_X = 0.3
 BRIDGE_YS = tuple(2.0 ** (-j) for j in range(3, 9))
+_BRIDGE_PV_TOL = 1e-9
 
 
-def bridge_order_fit(sigma: float, x: float = 0.3, ys: Sequence[float] = BRIDGE_YS,
-                     mu_scale: float = 1.0,
-                     g: Callable[[float], float] = lambda s: math.exp(-s * s),
-                     pv_tol: float = 1e-9) -> tuple[float, list[float]]:
+def _bridge_data(s: float) -> float:
+    return math.exp(-s * s)
+
+
+def bridge_order_fit(sigma: float, mu_scale: float = 1.0) -> tuple[float, list[float]]:
     """Fitted exponent of |mu_sigma F(x, y) + (-Lap)^(sigma/2) g(x)| vs y.
 
-    The theory gives slope 2 - sigma for C^2 data.  mu_scale is a fault
+    g is the gaussian exp(-s^2), x = 0.3 and y runs over BRIDGE_YS.  The
+    theory gives slope 2 - sigma for C^2 data.  mu_scale is a fault
     injection hook for the validation suite and must stay 1 in real use.
     """
-    ref = oracles.frac_laplacian_pv(g, x, sigma, tol=pv_tol)
-    v0 = g(x)
+    ref = oracles.frac_laplacian_pv(_bridge_data, _BRIDGE_X, sigma, tol=_BRIDGE_PV_TOL)
+    v0 = _bridge_data(_BRIDGE_X)
     errs = []
-    for y in ys:
-        vy = sigma_deriv.poisson_extension(g, x, y, sigma, tol=1e-11)
+    for y in BRIDGE_YS:
+        vy = sigma_deriv.poisson_extension(_bridge_data, _BRIDGE_X, y, sigma, tol=1e-11)
         F = float(sigma_deriv.discrete_sigma_derivative(v0, vy, y, sigma))
         normalized = mu_scale * core.mu_sigma(sigma) * F
         errs.append(max(abs(normalized + ref), 1e-300))
-    slope = float(np.polyfit(np.log(ys), np.log(errs), 1)[0])
+    slope = float(np.polyfit(np.log(BRIDGE_YS), np.log(errs), 1)[0])
     return slope, errs
 
 

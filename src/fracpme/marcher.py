@@ -15,33 +15,13 @@ import numpy as np
 
 from . import core, extension_op
 from .core import Field, InitialData, SolverConfig
-from .errors import CflViolationError, MaxPrincipleError, NegativeBracketError, SolverError
+from .errors import (CflViolationError, ConfigError, MaxPrincipleError,
+                     NegativeBracketError, SolverError)
 
 __all__ = [
     "StepDiagnostics", "Trajectory", "initialize", "boundary_update", "step",
     "march", "write_trace_csv", "write_snapshot_csv",
 ]
-
-
-def _root_m(w: np.ndarray, m: float) -> np.ndarray:
-    """w^(1/m) via exp(log/m); w = 0 short-circuits to 0 (degenerate point)."""
-    w = np.asarray(w, dtype=float)
-    if m == 1.0:
-        return w.copy()
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    out[pos] = np.exp(np.log(w[pos]) / m)
-    return out
-
-
-def _pow_m(u: np.ndarray, m: float) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if m == 1.0:
-        return u.copy()
-    out = np.zeros_like(u)
-    pos = u > 0.0
-    out[pos] = np.exp(m * np.log(u[pos]))
-    return out
 
 
 def _data_samples(f, grid) -> np.ndarray:
@@ -53,12 +33,12 @@ def _data_samples(f, grid) -> np.ndarray:
     else:
         samples = np.asarray(f, dtype=float)
         if samples.shape != grid.xs.shape:
-            raise ValueError(
+            raise ConfigError(
                 f"initial data must have {grid.xs.size} samples, got {samples.shape}")
     if not np.isfinite(samples).all():
-        raise ValueError("initial data must be finite")
+        raise ConfigError("initial data must be finite")
     if samples.min() < 0.0:
-        raise ValueError("nonnegative initial data required")
+        raise ConfigError("nonnegative initial data required")
     return samples
 
 
@@ -67,7 +47,7 @@ def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
     grid = config.grid()
     samples = _data_samples(f, grid)
     row = np.zeros(grid.I + 1)
-    row[1:-1] = _pow_m(samples[1:-1], config.m)
+    row[1:-1] = samples[1:-1] ** config.m
     return row
 
 
@@ -102,14 +82,14 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
     if m < 1.0:
         raise ValueError(f"m must be >= 1, got {m}")
     lam = core.nu_sigma(sigma) * dt / dx ** sigma
-    bracket = lam * (row1 - row0) + _root_m(np.maximum(row0, 0.0), m)
+    bracket = lam * (row1 - row0) + np.maximum(row0, 0.0) ** (1.0 / m)
     if bracket.size and bracket.min() < -1e-12:
         idx = int(np.argmin(bracket))
         raise NegativeBracketError(
             f"pressure bracket reached {bracket[idx]:.3e} at trace index {idx}; "
             f"time step too large for the data", index=idx, value=float(bracket[idx]))
     np.clip(bracket, 0.0, None, out=bracket)
-    return _pow_m(bracket, m)
+    return bracket ** m
 
 
 def step(state: Field, op: extension_op.ExtensionOperator, config: SolverConfig) -> Field:
@@ -158,13 +138,13 @@ def _capture_steps(capture, J: int, dt: float) -> set[int]:
         return set(range(J + 1))
     if isinstance(capture, int):
         if capture <= 0:
-            raise ValueError("capture stride must be positive")
+            raise ConfigError("capture stride must be positive")
         return set(range(0, J + 1, capture)) | {J}
     steps = set()
     for t in capture:
         j = int(round(float(t) / dt))
         if not (0 <= j <= J):
-            raise ValueError(f"snapshot time {t} outside [0, T]")
+            raise ConfigError(f"snapshot time {t} outside [0, T]")
         steps.add(j)
     return steps
 
@@ -175,10 +155,9 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     capture: None (trace history only), "all", an integer stride, or an
     iterable of times (rounded to the nearest step).
     """
-    grid = config.grid()
-    op = extension_op.assemble(grid, config.sigma, config.c, config.d)
-    row0 = initial_trace_w(config, f)
-    b_max = float(row0[1:-1].max()) if grid.I > 1 else 0.0
+    op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
+    state = initialize(config, f, op)
+    b_max = float(state.values[1:-1, 0].max())
 
     bound = core.cfl_max_dt(config.m, b_max, config.sigma, config.dx)
     dt = config.dt
@@ -189,12 +168,8 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
             f"{int(np.ceil(config.T / (config.cfl_safety * bound)))}")
 
     wanted = _capture_steps(capture, config.J, dt)
-    interior = extension_op.solve_interior(op, row0[1:-1])
-    state = Field(values=extension_op.full_grid_values(op, row0[1:-1], interior),
-                  time_index=0)
-
     hi = b_max + 1e-10
-    trace_hist = np.empty((config.J + 1, grid.I + 1))
+    w_hist = np.empty((config.J + 1, config.I + 1))
     times = np.arange(config.J + 1) * dt
     snapshots: list[tuple[float, Field]] = []
     diags: list[StepDiagnostics] = []
@@ -212,12 +187,13 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
             raise MaxPrincipleError(
                 f"solution left [0, b_max] band at step {j}: "
                 f"min = {w_min:.3e}, max = {w_max:.3e}, b_max = {b_max:.3e}")
-        trace_hist[j] = _root_m(np.maximum(vals[:, 0], 0.0), config.m)
+        w_hist[j] = vals[:, 0]
         diags.append(StepDiagnostics(j=j, t=float(times[j]), w_min=w_min, w_max=w_max,
                                      argmax=extension_op.discrete_max_location(vals)))
         if j in wanted:
             snapshots.append((float(times[j]), state))
 
+    trace_hist = np.maximum(w_hist, 0.0) ** (1.0 / config.m)
     times.setflags(write=False)
     trace_hist.setflags(write=False)
     return Trajectory(config=config, times=times, trace_history=trace_hist,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from . import core
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 
 __all__ = [
     "discrete_sigma_derivative", "normalized_sigma_derivative",
@@ -64,10 +64,8 @@ def kernel_mass_constant(sigma: float) -> float:
     return math.gamma((1.0 + sigma) / 2.0) / (math.sqrt(math.pi) * math.gamma(sigma / 2.0))
 
 
-def poisson_kernel(x: float, y: float, sigma: float, n_dim: int = 1) -> float:
-    """Extension kernel P(x, y); only N = 1 is supported."""
-    if n_dim != 1:
-        raise ValueError("only the one-dimensional kernel is implemented")
+def poisson_kernel(x: float, y: float, sigma: float) -> float:
+    """Extension kernel P(x, y) in one dimension."""
     core._check_sigma(sigma)
     if not (y > 0.0):
         raise ValueError(f"kernel height must be positive, got {y}")
@@ -116,37 +114,28 @@ class OrderStudyRow:
     sigma_e: float | None
 
 
-# test functions v(y) (x-independent): name -> (v0, vy callable)
-_STUDY_TESTS: dict[str, tuple[float, Callable[[float], float]]] = {
-    "expy2": (1.0, lambda y: math.exp(y * y)),
-}
-
 DEFAULT_STUDY_YS = (0.5, 0.25, 0.125, 0.0625)
 
 
-def deriv_order_study(sigma: float, ys: Sequence[float] = DEFAULT_STUDY_YS,
-                      test: str = "expy2") -> list[OrderStudyRow]:
+def deriv_order_study(sigma: float, ys: Sequence[float] = DEFAULT_STUDY_YS) -> list[OrderStudyRow]:
     """Error |F(x, y)| of the two-point quotient on a decreasing ladder of y.
 
-    The built-in test v = exp(y^2) has zero exact sigma-derivative at y = 0,
+    The test function v = exp(y^2) has zero exact sigma-derivative at y = 0,
     so E(y) = sigma * (exp(y^2) - 1) / y^sigma.  alpha is the two-point order
     fit between consecutive rows and sigma_e = 2 - alpha the implied exponent;
     both are None on the first row.
     """
     core._check_sigma(sigma)
-    if test not in _STUDY_TESTS:
-        raise ValueError(f"unknown study test {test!r}; known: {sorted(_STUDY_TESTS)}")
     ys = [float(y) for y in ys]
     if len(ys) < 2:
-        raise ValueError("need at least two heights")
+        raise ConfigError("need at least two heights")
     if any(y2 >= y1 for y1, y2 in zip(ys, ys[1:])) or ys[-1] <= 0.0:
-        raise ValueError("heights must be strictly decreasing and positive")
+        raise ConfigError("heights must be strictly decreasing and positive")
 
-    v0, vfn = _STUDY_TESTS[test]
     rows: list[OrderStudyRow] = []
     prev: OrderStudyRow | None = None
     for y in ys:
-        E = abs(float(discrete_sigma_derivative(v0, vfn(y), y, sigma)))
+        E = abs(float(discrete_sigma_derivative(1.0, math.exp(y * y), y, sigma)))
         if prev is None:
             rows.append(OrderStudyRow(y=y, E=E, alpha=None, sigma_e=None))
         else:

@@ -1,7 +1,8 @@
 """Command-line interface: subcommands, exit codes, file outputs.
 
-Exit-code contract: 0 success, 1 check/solver failure, 2 configuration error
-(including argparse rejections and CFL violations, whose fix is a config change).
+Exit-code contract: 0 success, 1 check/solver failure, 2 rejected input
+(including argparse rejections and CFL violations, whose fix is a config change);
+an internal fault propagates instead of being reported as a configuration error.
 """
 
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import fracpme
 import fracpme.harness as harness
+import fracpme.marcher as marcher
 from fracpme.cli import main
 
 
@@ -124,6 +126,37 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "increase J" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma-table", "--sigmas", "2.5"],
+    ["sigma-table", "--ys", "0.25", "0.5"],
+    ["sigma-table", "--ys", "0.5"],
+    ["solve", "--config", "{cfg}", "--snapshots", "5.0"],
+    ["solve", "--config", "{cfg}", "--snapshots", "0.0,soon"],
+    ["solve", "--config", "{negative}"],
+    ["convergence", "--sigma", "0", "--m", "1.0", "--mode", "practical"],
+    ["convergence", "--sigma", "1.0", "--m", "0.5", "--mode", "practical"],
+], ids=["sigma", "ys-increasing", "ys-single", "snapshot-after-T",
+        "snapshot-not-a-number", "negative-inline-data", "convergence-sigma",
+        "convergence-m"])
+def test_rejected_input_exits_2(tmp_path, capsys, argv):
+    paths = {"cfg": write_config(tmp_path),
+             "negative": write_config(
+                 tmp_path, GOOD_CONFIG.replace("bump", "inline:0,1,1,1,-1,1,1,1,0"),
+                 name="negative.cfg")}
+    assert main([tok.format(**paths) for tok in argv]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_configuration_error(tmp_path, monkeypatch, capsys):
+    def broken_march(*_args, **_kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(marcher, "march", broken_march)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["solve", "--config", write_config(tmp_path)])
+    assert "configuration error" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

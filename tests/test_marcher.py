@@ -231,11 +231,15 @@ def test_march_shapes_and_band():
 
 def test_march_initial_level_is_the_data():
     cfg = make_config(m=2.0, J=4)
-    traj = march(cfg, GAUSS)
     xs = cfg.grid().xs
-    want = np.exp(-xs ** 2)
+    samples = 1.3 * np.exp(-xs ** 2)
+    traj = march(cfg, samples, capture=(0.0,))
+    want = samples.copy()
     want[0] = want[-1] = 0.0
     assert traj.trace_history[0] == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(traj.snapshots[0][1].values, initialize(cfg, samples).values)
+    # the same power expression the study configs use for b_max
+    assert traj.b_max == (samples[1:-1] ** cfg.m).max()
 
 
 def test_march_artificial_boundary_stays_exactly_zero():
