@@ -319,5 +319,9 @@ def parse_config_text(text: str) -> tuple[SolverConfig, InitialData]:
 
 
 def load_config(path) -> tuple[SolverConfig, InitialData]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {e}") from None
+    return parse_config_text(text)

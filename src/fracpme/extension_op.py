@@ -7,6 +7,13 @@ height y_k = k*dx by dx^(1+sigma) * k^(sigma-1) and flipping its sign leaves
 coefficients that depend only on k and sigma, with an O(1) positive diagonal.
 That scaling keeps the matrix well conditioned across sigma and is exactly the
 manipulation under which the low-order scheme exhibits its M-structure.
+
+The interior operator is the Kronecker sum I (x) T_x + S_y (x) I of a 1-D
+x-block and a 1-D y-block, so it is solved by fast diagonalization (Lynch,
+Rice and Thomas 1964): T_x = V diag(lam) V^-1 once per operator, then one
+banded y-system (S_y + lam_n I) per x-mode.  Trace data enter only through
+S_y's k = 0 column, so each mode's response to the trace is a precomputed
+y-profile and a step costs two dense products.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.sparse import linalg as spla
 
 from .core import Grid, _check_sigma
@@ -135,15 +142,59 @@ def _factor(offsets: list[tuple[int, ...]], deriv: int, n: int) -> sparse.csr_ma
 
 
 @dataclass
+class _XModes:
+    """T_x's interior block as V diag(lam) V^-1, with S_y's interior block in
+    LAPACK band storage (bands = (lower, upper)).
+
+    G[:, n] is mode n's interior y-profile for unit trace data.
+    """
+    lam: np.ndarray
+    V: np.ndarray
+    V_inv: np.ndarray
+    bands: tuple[int, int]
+    y_band: np.ndarray
+    G: np.ndarray | None = None
+
+    def solve(self, rhs_hat: np.ndarray) -> np.ndarray:
+        """Column n solves (S_y + lam[n] I) x = rhs_hat[:, n]."""
+        out = np.empty_like(rhs_hat)
+        for n, shift in enumerate(self.lam):
+            ab = self.y_band.copy()
+            ab[self.bands[1]] += shift
+            out[:, n] = linalg.solve_banded(self.bands, ab, rhs_hat[:, n], overwrite_ab=True)
+        return out
+
+
+def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
+             s_trace: np.ndarray) -> _XModes:
+    """Diagonalize T_int, band S_int, and precompute the trace profiles.
+
+    s_trace is the interior rhs per unit trace value, -S_y[:, 0].
+    """
+    lam, V = linalg.eig(T_int.toarray())
+    if np.any(lam.imag != 0.0):
+        raise SolverError("x-block has complex eigenvalues; the x-mode solve needs a real spectrum")
+    S = S_int.tocoo()                       # the diagonal is stored, so both widths are >= 0
+    lower = int((S.row - S.col).max())
+    upper = int((S.col - S.row).max())
+    y_band = np.zeros((lower + upper + 1, S.shape[0]))
+    y_band[upper + S.row - S.col, S.col] = S.data
+    modes = _XModes(lam=lam.real, V=V, V_inv=linalg.inv(V), bands=(lower, upper), y_band=y_band)
+    modes.G = modes.solve(np.repeat(s_trace[:, None], len(lam), axis=1))
+    return modes
+
+
+@dataclass
 class ExtensionOperator:
-    """Assembled interior system A w = -B b with a reusable factorization.
+    """Assembled interior system A w = -B b, solved by x-modes.
 
     Interior unknowns are ordered by (k, i); the boundary vector b enumerates
     all non-interior nodes sorted by (k, i).  B holds the stencil couplings to
     boundary nodes with the same sign convention as A, so the right-hand side
     for boundary data b is -B @ b.  interior_mask, shape (K+1, I+1) and
     indexed [k, i], is True at interior nodes: its row-major order is the
-    column order of [A | B] before the split.
+    column order of [A | B] before the split.  A and B stay for the residual
+    check and diagnostics; solves go through the precomputed x-modes.
     """
     grid: Grid
     sigma: float
@@ -152,18 +203,19 @@ class ExtensionOperator:
     A: sparse.csr_matrix
     boundary_coupling: sparse.csr_matrix
     interior_mask: np.ndarray
-    _lu: object = field(repr=False, default=None)
+    _modes: _XModes = field(repr=False)
 
     def condition_estimate(self) -> float:
-        """1-norm condition estimate ||A||_1 * ||A^-1||_1 (uses the factorization)."""
+        """1-norm condition estimate ||A||_1 * ||A^-1||_1 (factorizes A on demand)."""
         n = self.A.shape[0]
-        inv = spla.LinearOperator((n, n), matvec=self._lu.solve,
-                                  rmatvec=lambda v: self._lu.solve(v, trans="T"))
+        lu = spla.splu(self.A.tocsc(), permc_spec="COLAMD")
+        inv = spla.LinearOperator((n, n), matvec=lu.solve,
+                                  rmatvec=lambda v: lu.solve(v, trans="T"))
         return spla.onenormest(self.A) * spla.onenormest(inv)
 
 
 def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
-    """Build and factorize the interior operator for a fixed grid and sigma.
+    """Build the interior operator and its x-mode solver for a fixed grid and sigma.
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k), so over
     all nodes in (k, i) order the operator is the Kronecker sum
@@ -191,15 +243,13 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
     B = L[:, ~inner]
     A.eliminate_zeros()
     B.eliminate_zeros()
-    op = ExtensionOperator(grid=grid, sigma=sigma, c=c, d=d, A=A,
-                           boundary_coupling=B, interior_mask=mask)
     try:
-        # COLAMD keeps fill low; the factorization is reused for every rhs
-        lu = spla.splu(A.tocsc(), permc_spec="COLAMD")
-    except RuntimeError as e:
-        raise SolverError(f"factorization failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
-    op._lu = lu
-    return op
+        # the trace reaches the interior only through S_y's k = 0 column
+        modes = _x_modes(T_x[:, 1:I], S_y[:, 1:K], -S_y[:, 0].toarray().ravel())
+    except linalg.LinAlgError as e:
+        raise SolverError(f"x-mode setup failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
+    return ExtensionOperator(grid=grid, sigma=sigma, c=c, d=d, A=A,
+                             boundary_coupling=B, interior_mask=mask, _modes=modes)
 
 
 def _boundary_vector(op: ExtensionOperator, trace_row: np.ndarray,
@@ -230,19 +280,29 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
     """Interior values, shape (I-1, K-1) indexed [i-1, k-1], for given Dirichlet data.
 
     lateral enumerates the non-trace boundary nodes in (k, i) order; None
-    means homogeneous (the bounded-domain scheme).  The cached factorization
-    is reused; the solution is residual-checked.
+    means homogeneous (the bounded-domain scheme).  The trace part is the
+    precomputed mode profiles scaled by V^-1 trace; lateral data add one
+    banded solve per mode.  The solution is residual-checked against A.
     """
-    rhs = -op.boundary_coupling.dot(_boundary_vector(op, trace_row, lateral))
-    w = op._lu.solve(rhs)
+    I, K = op.grid.I, op.grid.K
+    modes = op._modes
+    b = _boundary_vector(op, trace_row, lateral)
+    rhs = -op.boundary_coupling.dot(b)
+    # W[k-1, i-1] = interior value; A w = rhs reads W T_x^T + S_y W = R, and
+    # W = W_hat V^T turns it into one y-system per column of W_hat
+    w_hat = modes.G * (modes.V_inv @ b[1:I])
+    if lateral is not None:
+        b[1:I] = 0.0                        # lateral data alone, by superposition
+        rhs_lat = -op.boundary_coupling.dot(b).reshape(K - 1, I - 1)
+        w_hat += modes.solve(rhs_lat @ modes.V_inv.T)
+    w = w_hat @ modes.V.T
     norm_rhs = float(np.abs(rhs).max()) if rhs.size else 0.0
-    resid = float(np.abs(op.A.dot(w) - rhs).max()) if rhs.size else 0.0
+    resid = float(np.abs(op.A.dot(w.ravel()) - rhs).max()) if rhs.size else 0.0
     if resid > 1e-10 * max(norm_rhs, 1e-300):
         raise SolverError(
             f"solve residual {resid:.3e} exceeds 1e-10 * ||rhs||_inf = {1e-10 * norm_rhs:.3e}; "
             f"condition estimate {op.condition_estimate():.3e}")
-    I, K = op.grid.I, op.grid.K
-    return w.reshape(K - 1, I - 1).T
+    return w.T
 
 
 def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,

@@ -162,6 +162,14 @@ class StudySetup:
     data: InitialData = field(default_factory=lambda: initial_data_preset("gaussian"))
     cfl_safety: float = 0.95
 
+    def __post_init__(self):
+        if not (self.X > 0.0 and self.Y > 0.0):
+            raise ConfigError(f"domain extents X, Y must be positive, got X={self.X}, Y={self.Y}")
+        if int(self.base_i) != self.base_i or self.base_i < 1:
+            raise ConfigError(f"base_i must be a positive integer, got {self.base_i}")
+        if not self.cfl_safety > 0.0:
+            raise ConfigError(f"cfl_safety must be positive, got {self.cfl_safety}")
+
 
 @dataclass(frozen=True)
 class LevelRow:

@@ -136,6 +136,9 @@ def deriv_order_study(sigma: float, ys: Sequence[float] = DEFAULT_STUDY_YS) -> l
     prev: OrderStudyRow | None = None
     for y in ys:
         E = abs(float(discrete_sigma_derivative(1.0, math.exp(y * y), y, sigma)))
+        if E == 0.0:
+            raise ConfigError(f"height y = {y:g} is too small: E(y) rounds to 0, "
+                              f"so no order can be fitted")
         if prev is None:
             rows.append(OrderStudyRow(y=y, E=E, alpha=None, sigma_e=None))
         else:

@@ -137,14 +137,27 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     ["solve", "--config", "{negative}"],
     ["convergence", "--sigma", "0", "--m", "1.0", "--mode", "practical"],
     ["convergence", "--sigma", "1.0", "--m", "0.5", "--mode", "practical"],
+    ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--base-i", "0"],
+    ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--cfl-safety", "0"],
+    ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--x", "0"],
+    ["solve", "--config", "{missing}"],
+    ["solve", "--config", "{directory}"],
+    ["solve", "--config", "{binary}"],
+    ["sigma-table", "--ys", "0.5", "1e-9"],
 ], ids=["sigma", "ys-increasing", "ys-single", "snapshot-after-T",
         "snapshot-not-a-number", "negative-inline-data", "convergence-sigma",
-        "convergence-m"])
+        "convergence-m", "convergence-base-i", "convergence-cfl-safety", "convergence-x",
+        "config-missing", "config-directory", "config-not-utf8", "ys-too-fine"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"sigma = 0.5\n\xff\xfe\n")
     paths = {"cfg": write_config(tmp_path),
              "negative": write_config(
                  tmp_path, GOOD_CONFIG.replace("bump", "inline:0,1,1,1,-1,1,1,1,0"),
-                 name="negative.cfg")}
+                 name="negative.cfg"),
+             "missing": str(tmp_path / "absent.cfg"),
+             "directory": str(tmp_path),
+             "binary": str(binary)}
     assert main([tok.format(**paths) for tok in argv]) == 2
     assert "configuration error" in capsys.readouterr().err
 

@@ -6,6 +6,7 @@ Independent checks used here:
     exactness (a degree-(n-1) polynomial must be differentiated exactly);
   * the assembled sparse system against a dense, separately coded assembly
     of the same equations (different node ordering, no scaling tricks);
+  * the x-mode solve against scipy's sparse direct solve of the assembled A;
   * the assembled rows against the matrix-free pointwise application via the
     known row scaling;
   * measured truncation order on a smooth product field against the formal
@@ -17,6 +18,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from fracpme.core import Field, Grid, effective_order
 from fracpme.errors import SolverError, UnsupportedStencilError
@@ -24,6 +27,7 @@ from fracpme.extension_op import (
     _MIN_K_FIRST,
     _MIN_N_SECOND,
     SUPPORTED_PAIRS,
+    _x_modes,
     apply_operator,
     assemble,
     discrete_max_location,
@@ -177,6 +181,56 @@ def test_sparse_solve_matches_dense_oracle_with_lateral_data():
     got = solve_interior(op, trace, lateral=np.full(n_lat, 0.3))
     full = dense_extension_solve(I, K, dx, 0.8, trace, c=2, d=1, lateral_value=0.3)
     assert got == pytest.approx(full[1:-1, 1:-1], rel=1e-9)
+
+
+# every supported pair at four sigmas, plus the pure Laplacian at sigma = 1
+_SOLVE_CASES = ([(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS)
+                 for sigma in (0.3, 1.0, 1.5, 1.9)]
+                + [(c, None, 1.0) for c in sorted(_MIN_N_SECOND)])
+
+
+@pytest.mark.parametrize("c,d,sigma", _SOLVE_CASES)
+def test_mode_solve_matches_sparse_direct_solve(c, d, sigma):
+    # the x-mode solve against scipy's sparse direct solve of the same A w = -B b,
+    # on the smallest accepted mesh and on one with I != K, with and without
+    # lateral data
+    I_min = _MIN_N_SECOND[c]
+    K_min = I_min if d is None else max(I_min, _MIN_K_FIRST[d])
+    rng = np.random.default_rng(20261018)
+    for grid in (make_grid(I=I_min, K=K_min, dx=0.2), make_grid(I=13, K=7, dx=0.2)):
+        op = assemble(grid, sigma, c=c, d=d)
+        n_lat = 2 * (grid.K + 1) + (grid.I - 1)
+        trace = rng.random(grid.I - 1)
+        for lateral in (None, rng.uniform(-2.0, 2.0, n_lat)):
+            got = solve_interior(op, trace, lateral)
+            lat = np.zeros(n_lat) if lateral is None else lateral
+            bvec = np.concatenate([lat[:1], trace, lat[1:]])
+            want = spsolve(op.A.tocsc(), -op.boundary_coupling.dot(bvec))
+            scale = max(np.abs(trace).max(), np.abs(lat).max())
+            assert got.shape == (grid.I - 1, grid.K - 1)
+            assert np.abs(got - want.reshape(grid.K - 1, grid.I - 1).T).max() <= 1e-12 * scale
+
+
+def test_residual_check_catches_corrupted_profiles():
+    # a solve that no longer satisfies A w = -B b must be refused, and the
+    # message must carry a usable condition estimate
+    grid = make_grid(I=12, K=6, dx=0.125)
+    op = assemble(grid, 0.6)
+    trace = np.sin(np.linspace(0, math.pi, 11))
+    solve_interior(op, trace)
+    op._modes.G *= 1.0 + 1e-6
+    with pytest.raises(SolverError, match="condition estimate") as ei:
+        solve_interior(op, trace)
+    est = float(str(ei.value).rsplit("condition estimate", 1)[1])
+    assert math.isfinite(est) and est >= 1.0
+
+
+def test_x_modes_refuse_a_complex_spectrum():
+    # a rotation block has eigenvalues +-i: the x-mode solve must refuse it
+    # rather than drop the imaginary parts
+    rotation = sparse.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    with pytest.raises(SolverError, match="complex eigenvalues"):
+        _x_modes(rotation, sparse.identity(3, format="csr"), np.ones(3))
 
 
 def test_solve_is_deterministic():
