@@ -6,9 +6,9 @@ For every combination of m in {1, 2, 3}, sigma in {0.3, 0.5, 1.0, 1.5, 1.9}
 and three seeded bumps with amplitude in [1, 2], marches to T = 0.1 on a
 65 x 65 node mesh with a CFL-compliant step and reports the worst band excess
 (how far any node left [0, b_max]) and the worst argmax height (which must be
-the trace row, k = 0).  Amplitudes start at 1 because the CFL constant
-[m b_max^(m-1) nu_sigma]^(-1) certifies the band only for b_max >= 1 when
-m > 1; see tests/test_marcher.py for a sub-unit counterexample.
+the trace row, k = 0).  The step follows the CFL constant
+[m b_max^((m-1)/m) nu_sigma]^(-1), which certifies the band for every
+amplitude; the amplitudes match the acceptance-3 matrix.
 
 Usage: python3 scripts/run_max_principle_sweep.py
 """

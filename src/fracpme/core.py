@@ -52,11 +52,15 @@ def riesz_constant(n_dim: int, sigma: float) -> float:
 
 
 def cfl_max_dt(m: float, b_max: float, sigma: float, dx: float) -> float:
-    """Largest stable time step: dx^sigma / (m * b_max^(m-1) * nu_sigma).
+    """Largest stable time step: dx^sigma / (m * b_max^((m-1)/m) * nu_sigma).
 
-    b_max is the discrete max of f^m over the trace nodes.  For m > 1 and
-    identically zero data the bound is +inf (the update is trivially stable).
-    sigma and m are scheme parameters, so rejecting them is a ConfigError.
+    b_max is the discrete max of f^m over the trace nodes, so
+    b_max^((m-1)/m) = (max f)^(m-1).  The update w -> w^(1/m) - lambda w is
+    nondecreasing on [0, b_max] exactly when lambda <= 1 / (m (max f)^(m-1)),
+    with lambda = nu_sigma dt / dx^sigma; that monotonicity keeps every step
+    inside [0, b_max] for any b_max.  For m > 1 and identically zero data the
+    bound is +inf (the update is trivially stable).  sigma and m are scheme
+    parameters, so rejecting them is a ConfigError.
     """
     sigma = _check_sigma(sigma)
     if m < 1.0:
@@ -67,7 +71,7 @@ def cfl_max_dt(m: float, b_max: float, sigma: float, dx: float) -> float:
         raise ValueError(f"dx must be positive, got {dx}")
     if b_max == 0.0 and m > 1.0:
         return math.inf
-    return dx ** sigma / (m * b_max ** (m - 1.0) * nu_sigma(sigma))
+    return dx ** sigma / (m * b_max ** ((m - 1.0) / m) * nu_sigma(sigma))
 
 
 def effective_order(sigma: float, c: int, d: int | None) -> float:

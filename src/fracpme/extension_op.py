@@ -41,6 +41,8 @@ SUPPORTED_PAIRS = frozenset({(2, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)})
 _MIN_N_SECOND = {2: 2, 3: 4, 4: 5}
 _MIN_K_FIRST = {1: 2, 2: 2, 3: 3, 4: 4}
 
+_DUMP_BLOCK = 4096                      # dump_matrix lines per format call
+
 
 def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
     """Finite-difference weights for d^deriv/ds^deriv at 0 on the given offsets.
@@ -362,39 +364,61 @@ def apply_operator(values: np.ndarray, dx: float, sigma: float,
 
     Returns L v with physical units on the (I-1) x (K-1) interior block; meant
     for truncation-error studies against analytically sampled fields, not for
-    production solves.
+    production solves.  Stencil sums are taken over array slices: the x sums
+    once per distinct x window (at most 3), the y sums once per row k.
     """
     sigma = _check_sigma(sigma)
     vals = np.asarray(values, dtype=float)
     I = vals.shape[0] - 1
     K = vals.shape[1] - 1
     _check_pair(sigma, c, d, I, K)
-    out = np.empty((I - 1, K - 1))
+    drift = d is not None and sigma != 1.0
     inv_dx2 = 1.0 / (dx * dx)
+    # x sums at every interior node, grouped by stencil window
+    windows: dict[tuple[int, ...], list[int]] = {}
+    for i in range(1, I):
+        windows.setdefault(_second_deriv_offsets(i, I, c), []).append(i)
+    lap_x = np.empty((I - 1, K - 1))
+    for xo, nodes in windows.items():
+        ii = np.asarray(nodes)
+        lap_x[ii - 1] = _stencil_sum(vals[:, 1:K], ii, xo, fd_weights(xo, 2))
+    out = np.empty((I - 1, K - 1))
     for k in range(1, K):
         y = k * dx
         yo = _second_deriv_offsets(k, K, c)
-        wy = fd_weights(yo, 2)
-        if d is not None and sigma != 1.0:
+        lap_y = _stencil_sum(vals[1:I].T, k, yo, fd_weights(yo, 2))
+        res = y ** (1.0 - sigma) * ((lap_x[:, k - 1] + lap_y) * inv_dx2)
+        if drift:
             fo = _first_deriv_offsets(k, K, d)
-            wf = fd_weights(fo, 1)
-        for i in range(1, I):
-            xo = _second_deriv_offsets(i, I, c)
-            wx = fd_weights(xo, 2)
-            lap = (sum(w * vals[i + o, k] for o, w in zip(xo, wx))
-                   + sum(w * vals[i, k + o] for o, w in zip(yo, wy))) * inv_dx2
-            res = y ** (1.0 - sigma) * lap
-            if d is not None and sigma != 1.0:
-                dy = sum(w * vals[i, k + o] for o, w in zip(fo, wf)) / dx
-                res += (1.0 - sigma) * y ** (-sigma) * dy
-            out[i - 1, k - 1] = res
+            dy = _stencil_sum(vals[1:I].T, k, fo, fd_weights(fo, 1)) / dx
+            res += (1.0 - sigma) * y ** (-sigma) * dy
+        out[:, k - 1] = res
     return out
 
 
+def _stencil_sum(vals: np.ndarray, at, offsets: tuple[int, ...], weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * vals[at + offsets[j]] over the first axis, in stencil order."""
+    acc = weights[0] * vals[at + offsets[0]]
+    for o, w in zip(offsets[1:], weights[1:]):
+        acc = acc + w * vals[at + o]
+    return acc
+
+
 def dump_matrix(op: ExtensionOperator, path) -> None:
-    """Write A as `row col value` triplets, 0-based, sorted row-major."""
+    """Write A as `row col value` triplets, 0-based, sorted row-major.
+
+    One %-format per block of _DUMP_BLOCK lines, over the block's triplets
+    interleaved into one list; the text is that of f"{r} {c} {v:.17e}".
+    """
     coo = op.A.tocoo()
     order = np.lexsort((coo.col, coo.row))
+    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for idx in order:
-            fh.write(f"{coo.row[idx]} {coo.col[idx]} {coo.data[idx]:.17e}\n")
+        for start in range(0, len(order), _DUMP_BLOCK):
+            block = slice(start, start + _DUMP_BLOCK)
+            n = len(vals[block])
+            fields = [None] * (3 * n)
+            fields[0::3] = rows[block].tolist()
+            fields[1::3] = cols[block].tolist()
+            fields[2::3] = vals[block].tolist()
+            fh.write(("%d %d %.17e\n" * n) % tuple(fields))

@@ -203,25 +203,36 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # CSV emission (17 significant digits for bit-stable round trips)
+#
+# Every field is "%.16e" text, the same as f"{v:.16e}".  The columns that do
+# not change within a block are formatted once; a block (one time level of
+# the trace, one x-column of a snapshot) is then a single %-format of a
+# template with one "%.16e" per row over the block's values, so each data
+# value costs one float-to-text conversion in C.  Blocks are written as they
+# are formatted, so no more than one block of text is held at a time.
+
+def _block_template(prefix: str, suffixes: list[str]) -> str:
+    """prefix + suffixes[0] + prefix + suffixes[1] + ... as one string."""
+    return prefix.join(["", *suffixes])
+
 
 def write_trace_csv(traj: Trajectory, path) -> None:
     """Rows t,x,u for every time level and trace node, time-major."""
-    xs = traj.config.grid().xs
+    x_rows = [f",{x:.16e},%.16e\n" for x in traj.config.grid().xs.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,u\n")
-        for j, t in enumerate(traj.times):
-            row = traj.trace_history[j]
-            for x, u in zip(xs, row):
-                fh.write(f"{t:.16e},{x:.16e},{u:.16e}\n")
+        for t, row in zip(traj.times.tolist(), traj.trace_history):
+            fh.write(_block_template(f"{t:.16e}", x_rows) % tuple(row.tolist()))
 
 
 def write_snapshot_csv(traj: Trajectory, path) -> None:
     """Rows t,x,y,w for every captured snapshot, ordered by (t, x, y)."""
     grid = traj.config.grid()
+    xs = [f"{x:.16e}" for x in grid.xs.tolist()]
+    y_rows = [f",{y:.16e},%.16e\n" for y in grid.ys.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,y,w\n")
         for t, fld in traj.snapshots:
-            vals = fld.values
-            for i, x in enumerate(grid.xs):
-                for k, y in enumerate(grid.ys):
-                    fh.write(f"{t:.16e},{x:.16e},{y:.16e},{vals[i, k]:.16e}\n")
+            t_str = f"{t:.16e},"
+            for x, column in zip(xs, fld.values):
+                fh.write(_block_template(t_str + x, y_rows) % tuple(column.tolist()))

@@ -69,9 +69,9 @@ def test_acceptance_2_quotient_order():
 # ---------------------------------------------------------------------------
 # 3 + 4. maximum-principle band and max-on-trace over the full test matrix
 #
-# Amplitudes are drawn from [1, 2]: the CFL constant [m b_max^(m-1) nu]^(-1)
-# certifies the band for b_max >= 1 (for b_max < 1 and m > 1 it does not; see
-# the counterexample test in test_marcher.py).
+# Amplitudes are drawn from [1, 2].  Each march takes the step count of the
+# CFL constant [m b_max^((m-1)/m) nu]^(-1), which certifies the band for
+# every b_max (see the sub-unit test in test_marcher.py).
 
 
 MATRIX_MS = (1.0, 2.0, 3.0)

@@ -8,7 +8,7 @@ Independent checks used here:
     of the same equations (different node ordering, no scaling tricks);
   * the x-mode solve against scipy's sparse direct solve of the assembled A;
   * the assembled rows against the matrix-free pointwise application via the
-    known row scaling;
+    known row scaling, and that application against a node-by-node loop;
   * measured truncation order on a smooth product field against the formal
     order formula.
 """
@@ -27,6 +27,8 @@ from fracpme.extension_op import (
     _MIN_K_FIRST,
     _MIN_N_SECOND,
     SUPPORTED_PAIRS,
+    _first_deriv_offsets,
+    _second_deriv_offsets,
     _x_modes,
     apply_operator,
     assemble,
@@ -408,6 +410,40 @@ def test_full_grid_assembly_layout():
     assert np.array_equal(vals[1:-1, 1:-1], interior)
 
 
+def _pointwise_operator(vals, dx, sigma, c, d):
+    # one node at a time, each stencil sum in stencil order
+    I, K = vals.shape[0] - 1, vals.shape[1] - 1
+    out = np.empty((I - 1, K - 1))
+    for k in range(1, K):
+        y = k * dx
+        yo = _second_deriv_offsets(k, K, c)
+        wy = fd_weights(yo, 2)
+        for i in range(1, I):
+            xo = _second_deriv_offsets(i, I, c)
+            wx = fd_weights(xo, 2)
+            lap = (sum(w * vals[i + o, k] for o, w in zip(xo, wx))
+                   + sum(w * vals[i, k + o] for o, w in zip(yo, wy))) * (1.0 / (dx * dx))
+            res = y ** (1.0 - sigma) * lap
+            if d is not None and sigma != 1.0:
+                fo = _first_deriv_offsets(k, K, d)
+                dy = sum(w * vals[i, k + o] for o, w in zip(fo, fd_weights(fo, 1))) / dx
+                res += (1.0 - sigma) * y ** (-sigma) * dy
+            out[i - 1, k - 1] = res
+    return out
+
+
+@pytest.mark.parametrize("c,d,sigma", _ROW_CASES)
+def test_apply_operator_matches_pointwise_loop(c, d, sigma):
+    # same sums in the same order, so the arrays agree to the last bit
+    I_min = _MIN_N_SECOND[c]
+    K_min = I_min if d is None else max(I_min, _MIN_K_FIRST[d])
+    rng = np.random.default_rng(7)
+    for I, K in ((I_min, K_min), (11, 6), (12, 9)):
+        vals = rng.standard_normal((I + 1, K + 1))
+        got = apply_operator(vals, 0.2, sigma, c=c, d=d)
+        assert np.array_equal(got, _pointwise_operator(vals, 0.2, sigma, c, d))
+
+
 def test_condition_estimate_is_finite_and_positive():
     op = assemble(make_grid(), 1.0, c=2, d=None)
     est = op.condition_estimate()
@@ -431,3 +467,18 @@ def test_dump_matrix_round_trip(tmp_path):
     rebuilt[rows, cols] = vals
     assert rebuilt == pytest.approx(op.A.toarray(), rel=1e-15)
     assert rows == sorted(rows)                                # row-major order
+
+
+def _reference_dump(op):
+    coo = op.A.tocoo()
+    entries = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    return "".join(f"{r} {c_} {v:.17e}\n" for r, c_, v in entries).encode("utf-8")
+
+
+@pytest.mark.parametrize("c,d,sigma,I,K", [(2, 1, 0.5, 64, 32), (3, 4, 1.5, 13, 7)])
+def test_dump_matrix_matches_per_line_formatting(tmp_path, c, d, sigma, I, K):
+    # the (2, 1) operator has 9577 nonzeros: several format blocks, the last partial
+    op = assemble(make_grid(I=I, K=K), sigma, c=c, d=d)
+    path = tmp_path / "A.txt"
+    dump_matrix(op, path)
+    assert path.read_bytes() == _reference_dump(op)

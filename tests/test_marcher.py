@@ -21,6 +21,7 @@ from fracpme.core import (
 )
 from fracpme.errors import CflViolationError, NegativeBracketError
 from fracpme.marcher import (
+    Trajectory,
     boundary_update,
     initial_trace_w,
     initialize,
@@ -76,14 +77,12 @@ def test_linear_case_is_convex_combination():
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
 def test_update_preserves_range_under_cfl(m, sigma):
     # 500 seeded random row pairs in [0, b_max]: the update must stay in the
-    # band whenever dt respects the CFL bound.  For m > 1 the bound's
-    # guarantee requires b_max >= 1 (see the sub-unit counterexample below);
-    # m = 1 is a plain convex combination for every b_max.
+    # band whenever dt respects the CFL bound, for b_max below 1 as well as
+    # above (the bound is evaluated at max f = b_max^(1/m), not at b_max)
     rng = np.random.default_rng(int(10 * m + 100 * sigma))
     dx = 0.25
-    lo = 0.05 if m == 1.0 else 1.0
     for _ in range(500):
-        b_max = float(rng.uniform(lo, 3.0))
+        b_max = float(rng.uniform(0.05, 3.0))
         dt = 0.95 * cfl_max_dt(m, b_max, sigma, dx)
         row0 = rng.uniform(0.0, b_max, size=9)
         row1 = rng.uniform(0.0, b_max, size=9)
@@ -92,18 +91,20 @@ def test_update_preserves_range_under_cfl(m, sigma):
         assert new.max() <= b_max * (1.0 + 1e-12)
 
 
-def test_cfl_constant_is_not_sufficient_below_unit_band():
-    # Documented edge: with b_max < 1 and m > 1 the stability constant
-    # [m b_max^(m-1) nu]^(-1) admits row pairs inside [0, b_max] whose update
-    # leaves the band; the guarantee is only proven for b_max >= 1 and the
-    # marcher's runtime band check is the safety net in that regime
+def test_cfl_constant_keeps_the_band_below_unit_b_max():
+    # With b_max < 1 and m > 1 the bound must come from max f = b_max^(1/m):
+    # evaluated at b_max itself, [m b_max^(m-1) nu]^(-1), it admits this row
+    # pair, whose update then overshoots to 0.49 > b_max.  Row0 = b_max^2
+    # is where the update's slack is smallest.
     m, sigma, dx = 2.0, 1.0, 0.25
     b_max = 0.4
     dt = cfl_max_dt(m, b_max, sigma, dx)
-    row0 = np.array([b_max ** 2])          # the interior maximizer of the bound
+    assert dt == pytest.approx(dx / (m * math.sqrt(b_max)), rel=1e-14)   # nu_1 = 1
+    row0 = np.array([b_max ** 2])
     row1 = np.array([b_max])
     new = boundary_update(row0, row1, dt, dx, sigma, m)
-    assert new[0] > b_max
+    assert 0.0 <= new[0] <= b_max
+    assert new[0] == pytest.approx(0.348, abs=1e-3)
 
 
 def test_update_monotone_in_upper_row():
@@ -346,3 +347,53 @@ def test_snapshot_csv_layout(tmp_path):
     t, x, y, w = (float(tok) for tok in lines[1].split(","))
     assert (t, x, y) == (0.5, -2.0, 0.0)
     assert w == vals[0, 0]
+
+
+# values whose text is easy to get wrong: signed zero, a tiny negative w left
+# by rounding, a subnormal, the smallest/largest decades and a 3-digit exponent
+_HARD_VALUES = (0.0, -0.0, -3e-17, 5e-324, 2.2e-308, 1e-300, 1e100, 1.0 / 3.0, 0.1)
+
+
+def _reference_trace_csv(traj):
+    xs = traj.config.grid().xs
+    lines = ["t,x,u\n"]
+    for j, t in enumerate(traj.times):
+        for x, u in zip(xs, traj.trace_history[j]):
+            lines.append(f"{t:.16e},{x:.16e},{u:.16e}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def _reference_snapshot_csv(traj):
+    grid = traj.config.grid()
+    lines = ["t,x,y,w\n"]
+    for t, fld in traj.snapshots:
+        for i, x in enumerate(grid.xs):
+            for k, y in enumerate(grid.ys):
+                lines.append(f"{t:.16e},{x:.16e},{y:.16e},{fld.values[i, k]:.16e}\n")
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("I,n_snapshots", [(5, 1), (5, 3), (6, 1), (6, 4)])
+def test_csv_writers_match_per_line_formatting(tmp_path, I, n_snapshots):
+    # square mesh dx = 0.3 with I odd or even; t = j * 0.1 is not a binary fraction
+    K, J = 3, 4
+    cfg = SolverConfig(sigma=0.5, m=2.0, X=0.15 * I, Y=0.3 * K, T=0.1 * J, I=I, K=K, J=J)
+    rng = np.random.default_rng(I + 10 * n_snapshots)
+
+    def values(shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        flat = out.reshape(-1)
+        flat[:len(_HARD_VALUES)] = _HARD_VALUES
+        return rng.permutation(flat).reshape(shape)
+
+    times = np.arange(J + 1) * 0.1
+    snapshots = tuple((float(times[j]), Field(values=values((I + 1, K + 1)), time_index=j))
+                      for j in range(n_snapshots))
+    traj = Trajectory(config=cfg, times=times, trace_history=values((J + 1, I + 1)),
+                      snapshots=snapshots, diagnostics=(), b_max=1.0, cfl_ratio=0.5)
+    trace_path, snap_path = tmp_path / "trace.csv", tmp_path / "snap.csv"
+    write_trace_csv(traj, trace_path)
+    write_snapshot_csv(traj, snap_path)
+    assert trace_path.read_bytes() == _reference_trace_csv(traj)
+    assert snap_path.read_bytes() == _reference_snapshot_csv(traj)
+    assert b"-0.0000000000000000e+00" in trace_path.read_bytes() + snap_path.read_bytes()
