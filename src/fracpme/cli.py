@@ -47,10 +47,10 @@ def _cmd_solve(args) -> int:
         except ValueError:
             raise ConfigError(f"--snapshots takes comma-separated times, "
                               f"got {args.snapshots!r}") from None
+    op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     if args.dump_matrix:
-        op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
         extension_op.dump_matrix(op, args.dump_matrix)
-    traj = marcher.march(config, data, capture=capture)
+    traj = marcher.march(config, data, capture=capture, op=op)
     prefix = args.out_prefix
     marcher.write_trace_csv(traj, f"{prefix}_trace.csv")
     if traj.snapshots:

@@ -63,8 +63,8 @@ def cfl_max_dt(m: float, b_max: float, sigma: float, dx: float) -> float:
     parameters, so rejecting them is a ConfigError.
     """
     sigma = _check_sigma(sigma)
-    if m < 1.0:
-        raise ConfigError(f"m must be >= 1, got {m}")
+    if not 1.0 <= m < math.inf:
+        raise ConfigError(f"m must be finite and >= 1, got {m}")
     if b_max < 0.0:
         raise ValueError(f"b_max must be nonnegative, got {b_max}")
     if dx <= 0.0:
@@ -109,8 +109,8 @@ class Grid:
     ys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.X <= 0 or self.Y <= 0:
-            raise ConfigError("domain extents X, Y must be positive")
+        if not (0.0 < self.X < math.inf and 0.0 < self.Y < math.inf):
+            raise ConfigError("domain extents X, Y must be positive and finite")
         if int(self.I) != self.I or self.I < 2 or int(self.K) != self.K or self.K < 1:
             raise ConfigError(f"need integer I >= 2 and K >= 1, got I={self.I}, K={self.K}")
         dx = 2.0 * self.X / self.I
@@ -165,10 +165,10 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        if self.m < 1.0:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.T <= 0.0:
-            raise ConfigError(f"horizon T must be positive, got {self.T}")
+        if not 1.0 <= self.m < math.inf:
+            raise ConfigError(f"m must be finite and >= 1, got {self.m}")
+        if not 0.0 < self.T < math.inf:
+            raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
         if int(self.J) != self.J or self.J < 1:
             raise ConfigError(f"J must be a positive integer, got {self.J}")
         if not (0.0 < self.cfl_safety <= 1.0):

@@ -1,7 +1,8 @@
 """Assembly and solution of the discrete weighted elliptic extension problem.
 
 Interior nodes satisfy L v = y^(1-sigma) Lap_c v + (1-sigma) y^(-sigma) Dy_d v = 0
-with Dirichlet data on the trace row k = 0 and the lateral/top boundary.  Rows
+with Dirichlet data on the trace row k = 0 and homogeneous Dirichlet data on
+the lateral and top boundary (the truncated half-plane of the scheme).  Rows
 are assembled in a scaled form: multiplying the raw finite-difference row at
 height y_k = k*dx by dx^(1+sigma) * k^(sigma-1) and flipping its sign leaves
 coefficients that depend only on k and sigma, with an O(1) positive diagonal.
@@ -145,31 +146,17 @@ def _factor(offsets: list[tuple[int, ...]], deriv: int, n: int) -> sparse.csr_ma
 
 @dataclass
 class _XModes:
-    """T_x's interior block as V diag(lam) V^-1, with S_y's interior block in
-    LAPACK band storage (bands = (lower, upper)).
-
-    G[:, n] is mode n's interior y-profile for unit trace data.
-    """
-    lam: np.ndarray
+    """T_x's interior block as V diag(lam) V^-1, and the trace profiles:
+    G[:, n] is mode n's interior y-profile for unit trace data."""
     V: np.ndarray
     V_inv: np.ndarray
-    bands: tuple[int, int]
-    y_band: np.ndarray
-    G: np.ndarray | None = None
-
-    def solve(self, rhs_hat: np.ndarray) -> np.ndarray:
-        """Column n solves (S_y + lam[n] I) x = rhs_hat[:, n]."""
-        out = np.empty_like(rhs_hat)
-        for n, shift in enumerate(self.lam):
-            ab = self.y_band.copy()
-            ab[self.bands[1]] += shift
-            out[:, n] = linalg.solve_banded(self.bands, ab, rhs_hat[:, n], overwrite_ab=True)
-        return out
+    G: np.ndarray
 
 
 def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
              s_trace: np.ndarray) -> _XModes:
-    """Diagonalize T_int, band S_int, and precompute the trace profiles.
+    """Diagonalize T_int and solve the banded y-system (S_int + lam_n I) G[:, n] = s_trace
+    of every mode n.
 
     s_trace is the interior rhs per unit trace value, -S_y[:, 0].
     """
@@ -179,11 +166,14 @@ def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
     S = S_int.tocoo()                       # the diagonal is stored, so both widths are >= 0
     lower = int((S.row - S.col).max())
     upper = int((S.col - S.row).max())
-    y_band = np.zeros((lower + upper + 1, S.shape[0]))
+    y_band = np.zeros((lower + upper + 1, S.shape[0]))     # LAPACK band storage
     y_band[upper + S.row - S.col, S.col] = S.data
-    modes = _XModes(lam=lam.real, V=V, V_inv=linalg.inv(V), bands=(lower, upper), y_band=y_band)
-    modes.G = modes.solve(np.repeat(s_trace[:, None], len(lam), axis=1))
-    return modes
+    G = np.empty((S.shape[0], len(lam)))
+    for n, shift in enumerate(lam.real):
+        ab = y_band.copy()
+        ab[upper] += shift
+        G[:, n] = linalg.solve_banded((lower, upper), ab, s_trace, overwrite_ab=True)
+    return _XModes(V=V, V_inv=linalg.inv(V), G=G)
 
 
 @dataclass
@@ -254,53 +244,37 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
                              boundary_coupling=B, interior_mask=mask, _modes=modes)
 
 
-def _boundary_vector(op: ExtensionOperator, trace_row: np.ndarray,
-                     lateral: np.ndarray | None) -> np.ndarray:
-    """Dirichlet data at the non-interior nodes in (k, i) order: the column order of B.
-
-    The trace nodes (0, 1..I-1) sit between the corner (0, 0) and the rest of
-    the lateral data, so the vector is lateral[:1], trace_row, lateral[1:].
-    """
-    I, K = op.grid.I, op.grid.K
+def _boundary_vector(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
+    """Dirichlet data at the non-interior nodes in (k, i) order, the column order
+    of B: the trace nodes (0, 1..I-1) are entries 1..I-1, every other entry is 0."""
+    I = op.grid.I
     trace_row = np.asarray(trace_row, dtype=float)
     if trace_row.shape != (I - 1,):
         raise ValueError(f"trace_row must have length I-1 = {I - 1}, got {trace_row.shape}")
-    n_lat = 2 * (K + 1) + (I - 1)
-    if lateral is None:
-        lateral = np.zeros(n_lat)
-    else:
-        lateral = np.asarray(lateral, dtype=float)
-        if lateral.shape != (n_lat,):
-            raise ValueError(f"lateral must have length {n_lat}, got {lateral.shape}")
-    if not (np.isfinite(trace_row).all() and np.isfinite(lateral).all()):
+    if not np.isfinite(trace_row).all():
         raise ValueError("boundary data must be finite")
-    return np.concatenate([lateral[:1], trace_row, lateral[1:]])
+    b = np.zeros(op.boundary_coupling.shape[1])
+    b[1:I] = trace_row
+    return b
 
 
-def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
-                   lateral: np.ndarray | None = None) -> np.ndarray:
-    """Interior values, shape (I-1, K-1) indexed [i-1, k-1], for given Dirichlet data.
+def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
+    """Interior values, shape (I-1, K-1) indexed [i-1, k-1], for the trace data
+    trace_row and homogeneous lateral/top data.
 
-    lateral enumerates the non-trace boundary nodes in (k, i) order; None
-    means homogeneous (the bounded-domain scheme).  The trace part is the
-    precomputed mode profiles scaled by V^-1 trace; lateral data add one
-    banded solve per mode.  The solution is residual-checked against A.
+    The solution is the precomputed mode profiles scaled by V^-1 trace, mapped
+    back through V; it is residual-checked against A, so a non-finite or
+    inaccurate solve raises SolverError.
     """
-    I, K = op.grid.I, op.grid.K
     modes = op._modes
-    b = _boundary_vector(op, trace_row, lateral)
+    b = _boundary_vector(op, trace_row)
     rhs = -op.boundary_coupling.dot(b)
     # W[k-1, i-1] = interior value; A w = rhs reads W T_x^T + S_y W = R, and
     # W = W_hat V^T turns it into one y-system per column of W_hat
-    w_hat = modes.G * (modes.V_inv @ b[1:I])
-    if lateral is not None:
-        b[1:I] = 0.0                        # lateral data alone, by superposition
-        rhs_lat = -op.boundary_coupling.dot(b).reshape(K - 1, I - 1)
-        w_hat += modes.solve(rhs_lat @ modes.V_inv.T)
-    w = w_hat @ modes.V.T
-    norm_rhs = float(np.abs(rhs).max()) if rhs.size else 0.0
-    resid = float(np.abs(op.A.dot(w.ravel()) - rhs).max()) if rhs.size else 0.0
-    if resid > 1e-10 * max(norm_rhs, 1e-300):
+    w = (modes.G * (modes.V_inv @ b[1:op.grid.I])) @ modes.V.T
+    norm_rhs = float(np.abs(rhs).max())
+    resid = float(np.abs(op.A.dot(w.ravel()) - rhs).max())
+    if not resid <= 1e-10 * max(norm_rhs, 1e-300):
         raise SolverError(
             f"solve residual {resid:.3e} exceeds 1e-10 * ||rhs||_inf = {1e-10 * norm_rhs:.3e}; "
             f"condition estimate {op.condition_estimate():.3e}")
@@ -308,11 +282,11 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
 
 
 def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,
-                     interior: np.ndarray, lateral: np.ndarray | None = None) -> np.ndarray:
-    """Assemble the (I+1) x (K+1) node array from its boundary and interior parts."""
-    I, K = op.grid.I, op.grid.K
-    vals = np.empty((I + 1, K + 1))
-    vals.T[~op.interior_mask] = _boundary_vector(op, trace_row, lateral)
+                     interior: np.ndarray) -> np.ndarray:
+    """The (I+1) x (K+1) node array: trace_row at k = 0, interior inside, 0 on
+    the lateral and top boundary."""
+    vals = np.zeros((op.grid.I + 1, op.grid.K + 1))
+    vals[1:-1, 0] = trace_row
     vals[1:-1, 1:-1] = interior
     return vals
 

@@ -163,8 +163,11 @@ class StudySetup:
     cfl_safety: float = 0.95
 
     def __post_init__(self):
-        if not (self.X > 0.0 and self.Y > 0.0):
-            raise ConfigError(f"domain extents X, Y must be positive, got X={self.X}, Y={self.Y}")
+        if not (0.0 < self.X < math.inf and 0.0 < self.Y < math.inf):
+            raise ConfigError(f"domain extents X, Y must be positive and finite, "
+                              f"got X={self.X}, Y={self.Y}")
+        if not 0.0 < self.T < math.inf:
+            raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
         if int(self.base_i) != self.base_i or self.base_i < 1:
             raise ConfigError(f"base_i must be a positive integer, got {self.base_i}")
         if not self.cfl_safety > 0.0:
@@ -420,18 +423,18 @@ class ValidationResult:
 _BRIDGE_X = 0.3
 BRIDGE_YS = tuple(2.0 ** (-j) for j in range(3, 9))
 _BRIDGE_PV_TOL = 1e-9
+_SYMBOL_PV_TOL = 1e-8
 
 
 def _bridge_data(s: float) -> float:
     return math.exp(-s * s)
 
 
-def bridge_order_fit(sigma: float, mu_scale: float = 1.0) -> tuple[float, list[float]]:
+def bridge_order_fit(sigma: float) -> tuple[float, list[float]]:
     """Fitted exponent of |mu_sigma F(x, y) + (-Lap)^(sigma/2) g(x)| vs y.
 
     g is the gaussian exp(-s^2), x = 0.3 and y runs over BRIDGE_YS.  The
-    theory gives slope 2 - sigma for C^2 data.  mu_scale is a fault
-    injection hook for the validation suite and must stay 1 in real use.
+    theory gives slope 2 - sigma for C^2 data.
     """
     ref = oracles.frac_laplacian_pv(_bridge_data, _BRIDGE_X, sigma, tol=_BRIDGE_PV_TOL)
     v0 = _bridge_data(_BRIDGE_X)
@@ -439,18 +442,18 @@ def bridge_order_fit(sigma: float, mu_scale: float = 1.0) -> tuple[float, list[f
     for y in BRIDGE_YS:
         vy = sigma_deriv.poisson_extension(_bridge_data, _BRIDGE_X, y, sigma, tol=1e-11)
         F = float(sigma_deriv.discrete_sigma_derivative(v0, vy, y, sigma))
-        normalized = mu_scale * core.mu_sigma(sigma) * F
+        normalized = core.mu_sigma(sigma) * F
         errs.append(max(abs(normalized + ref), 1e-300))
     slope = float(np.polyfit(np.log(BRIDGE_YS), np.log(errs), 1)[0])
     return slope, errs
 
 
-def run_validate(mu_scale: float = 1.0, pv_tol: float = 1e-8) -> ValidationResult:
+def run_validate() -> ValidationResult:
     """Cross-module oracle consistency: Fourier symbol, trace bridge, dense solve.
 
-    The two keyword arguments are fault-injection hooks (scaled normalization
-    constant; loosened quadrature tolerance) used to prove the checks can
-    fail; defaults run the genuine suite.
+    Calls go through the module attributes (core.mu_sigma,
+    oracles.frac_laplacian_pv, ...), so a test can inject a fault there and
+    see the matching check fail.
     """
     checks: list[ValidationCheck] = []
 
@@ -461,7 +464,7 @@ def run_validate(mu_scale: float = 1.0, pv_tol: float = 1e-8) -> ValidationResul
             for x in (0.0, 0.3):
                 try:
                     val = oracles.frac_laplacian_pv(
-                        lambda s, w=omega: math.cos(w * s), x, sigma, tol=pv_tol)
+                        lambda s, w=omega: math.cos(w * s), x, sigma, tol=_SYMBOL_PV_TOL)
                     err = abs(val - omega ** sigma * math.cos(omega * x))
                 except QuadratureError as e:
                     err = float(e.achieved) if e.achieved is not None else math.inf
@@ -471,7 +474,7 @@ def run_validate(mu_scale: float = 1.0, pv_tol: float = 1e-8) -> ValidationResul
     checks.append(ValidationCheck("fourier-symbol", worst <= 1e-6, worst, 1e-6, detail))
 
     for sigma in (0.5, 1.0, 1.5):
-        slope, _ = bridge_order_fit(sigma, mu_scale=mu_scale)
+        slope, _ = bridge_order_fit(sigma)
         dev = abs(slope - (2.0 - sigma))
         checks.append(ValidationCheck(
             f"trace-bridge sigma={sigma}", dev <= 0.15, dev, 0.15,

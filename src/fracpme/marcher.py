@@ -15,8 +15,7 @@ import numpy as np
 
 from . import core, extension_op
 from .core import Field, InitialData, SolverConfig
-from .errors import (CflViolationError, ConfigError, MaxPrincipleError,
-                     NegativeBracketError, SolverError)
+from .errors import CflViolationError, ConfigError, MaxPrincipleError, NegativeBracketError
 
 __all__ = [
     "StepDiagnostics", "Trajectory", "initialize", "boundary_update", "step",
@@ -52,9 +51,15 @@ def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
 
 
 def initialize(config: SolverConfig, f, op: extension_op.ExtensionOperator | None = None) -> Field:
-    """Starting field: trace row f^m, homogeneous lateral data, interior solved."""
+    """Starting field: trace row f^m, homogeneous lateral data, interior solved.
+
+    op, if given, must be the operator assembled for config's grid, sigma, c and d.
+    """
     if op is None:
         op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
+    elif ((op.grid.X, op.grid.Y, op.grid.I, op.grid.K, op.sigma, op.c, op.d)
+          != (config.X, config.Y, config.I, config.K, config.sigma, config.c, config.d)):
+        raise ValueError("op was assembled for another grid, sigma or stencil pair than config")
     row0 = initial_trace_w(config, f)
     interior = extension_op.solve_interior(op, row0[1:-1])
     vals = extension_op.full_grid_values(op, row0[1:-1], interior)
@@ -99,10 +104,6 @@ def step(state: Field, op: extension_op.ExtensionOperator, config: SolverConfig)
                                 config.dt, config.dx, config.sigma, config.m)
     interior = extension_op.solve_interior(op, new_trace)
     new_vals = extension_op.full_grid_values(op, new_trace, interior)
-    if not np.isfinite(new_vals).all():
-        i, k = np.argwhere(~np.isfinite(new_vals))[0]
-        raise SolverError(f"non-finite value at node (i={i}, k={k}), "
-                          f"step {state.time_index + 1}")
     return Field(values=new_vals, time_index=state.time_index + 1)
 
 
@@ -142,20 +143,25 @@ def _capture_steps(capture, J: int, dt: float) -> set[int]:
         return set(range(0, J + 1, capture)) | {J}
     steps = set()
     for t in capture:
-        j = int(round(float(t) / dt))
+        t = float(t)
+        j = int(round(t / dt)) if np.isfinite(t) else -1
         if not (0 <= j <= J):
             raise ConfigError(f"snapshot time {t} outside [0, T]")
         steps.add(j)
     return steps
 
 
-def march(config: SolverConfig, f, capture=None) -> Trajectory:
+def march(config: SolverConfig, f, capture=None,
+          op: extension_op.ExtensionOperator | None = None) -> Trajectory:
     """Run all J steps, enforcing the CFL bound and the maximum-principle band.
 
     capture: None (trace history only), "all", an integer stride, or an
-    iterable of times (rounded to the nearest step).
+    iterable of times (rounded to the nearest step).  op: the operator for
+    config's grid, sigma, c and d, assembled here if None (a mismatch raises
+    ValueError).
     """
-    op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
+    if op is None:
+        op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     state = initialize(config, f, op)
     b_max = float(state.values[1:-1, 0].max())
 

@@ -129,8 +129,9 @@ def deriv_order_study(sigma: float, ys: Sequence[float] = DEFAULT_STUDY_YS) -> l
     ys = [float(y) for y in ys]
     if len(ys) < 2:
         raise ConfigError("need at least two heights")
-    if any(y2 >= y1 for y1, y2 in zip(ys, ys[1:])) or ys[-1] <= 0.0:
-        raise ConfigError("heights must be strictly decreasing and positive")
+    if (not all(map(math.isfinite, ys)) or ys[-1] <= 0.0
+            or any(y2 >= y1 for y1, y2 in zip(ys, ys[1:]))):
+        raise ConfigError("heights must be finite, strictly decreasing and positive")
 
     rows: list[OrderStudyRow] = []
     prev: OrderStudyRow | None = None

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import fracpme
+import fracpme.core as core
+import fracpme.extension_op as extension_op
 import fracpme.harness as harness
 import fracpme.marcher as marcher
 from fracpme.cli import main
@@ -105,6 +107,27 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert "ran 4 steps" in out and "out_trace.csv" in out and "out_snapshots.csv" in out
 
 
+def test_solve_assembles_the_operator_once(tmp_path, monkeypatch):
+    # --dump-matrix writes the operator that march then steps with
+    calls = []
+    real_assemble = extension_op.assemble
+
+    def counting_assemble(*args, **kwargs):
+        calls.append(args)
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(extension_op, "assemble", counting_assemble)
+    cfg, dump = write_config(tmp_path), tmp_path / "op.txt"
+    assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
+                 "--dump-matrix", str(dump)]) == 0
+    assert len(calls) == 1
+    config, _ = core.load_config(cfg)
+    ref = tmp_path / "ref.txt"
+    extension_op.dump_matrix(
+        real_assemble(config.grid(), config.sigma, config.c, config.d), ref)
+    assert dump.read_bytes() == ref.read_bytes()
+
+
 def test_solve_without_snapshots_writes_trace_only(tmp_path, capsys):
     cfg = write_config(tmp_path)
     prefix = str(tmp_path / "bare")
@@ -144,10 +167,25 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     ["solve", "--config", "{directory}"],
     ["solve", "--config", "{binary}"],
     ["sigma-table", "--ys", "0.5", "1e-9"],
+    ["solve", "--config", "{T_nan}"],
+    ["solve", "--config", "{T_inf}"],
+    ["solve", "--config", "{m_nan}"],
+    ["solve", "--config", "{m_inf}"],
+    ["solve", "--config", "{cfg}", "--snapshots", "nan"],
+    ["solve", "--config", "{cfg}", "--snapshots", "inf"],
+    ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--t", "nan"],
+    ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--t", "inf"],
+    ["convergence", "--sigma", "1.0", "--m", "nan", "--mode", "practical"],
+    ["convergence", "--sigma", "1.0", "--m", "inf", "--mode", "practical"],
+    ["sigma-table", "--ys", "inf", "0.5"],
+    ["sigma-table", "--ys", "0.5", "nan"],
 ], ids=["sigma", "ys-increasing", "ys-single", "snapshot-after-T",
         "snapshot-not-a-number", "negative-inline-data", "convergence-sigma",
         "convergence-m", "convergence-base-i", "convergence-cfl-safety", "convergence-x",
-        "config-missing", "config-directory", "config-not-utf8", "ys-too-fine"])
+        "config-missing", "config-directory", "config-not-utf8", "ys-too-fine",
+        "config-T-nan", "config-T-inf", "config-m-nan", "config-m-inf",
+        "snapshot-nan", "snapshot-inf", "convergence-t-nan", "convergence-t-inf",
+        "convergence-m-nan", "convergence-m-inf", "ys-inf", "ys-nan"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"sigma = 0.5\n\xff\xfe\n")
@@ -155,6 +193,9 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv):
              "negative": write_config(
                  tmp_path, GOOD_CONFIG.replace("bump", "inline:0,1,1,1,-1,1,1,1,0"),
                  name="negative.cfg"),
+             **{f"{key}_{val}": write_config(
+                 tmp_path, GOOD_CONFIG.replace(line, f"{key} = {val}"), name=f"{key}_{val}.cfg")
+                for key, line in (("T", "T = 0.1"), ("m", "m = 2.0")) for val in ("nan", "inf")},
              "missing": str(tmp_path / "absent.cfg"),
              "directory": str(tmp_path),
              "binary": str(binary)}

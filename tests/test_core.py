@@ -263,6 +263,8 @@ def test_config_d_none_only_at_sigma_one():
 @pytest.mark.parametrize("over", [
     dict(sigma=2.5), dict(sigma=0.0), dict(m=0.5), dict(T=0.0), dict(T=-1.0),
     dict(J=0), dict(cfl_safety=0.0), dict(cfl_safety=1.5), dict(K=3),
+    dict(m=math.nan), dict(m=math.inf), dict(T=math.nan), dict(T=math.inf),
+    dict(X=math.inf), dict(Y=math.nan),
 ])
 def test_config_rejects_invalid(over):
     with pytest.raises(ConfigError):

@@ -7,6 +7,8 @@ Independent checks used here:
   * the assembled sparse system against a dense, separately coded assembly
     of the same equations (different node ordering, no scaling tricks);
   * the x-mode solve against scipy's sparse direct solve of the assembled A;
+    that direct solve also carries the checks with nonzero lateral data,
+    which the solver itself never takes;
   * the assembled rows against the matrix-free pointwise application via the
     known row scaling, and that application against a node-by-node loop;
   * measured truncation order on a smooth product field against the formal
@@ -134,19 +136,23 @@ def test_assembled_rows_match_pointwise_application(c, d, sigma):
 # exact solutions
 
 
+def _direct_solve(op, b):
+    # scipy's sparse direct solve of A w = -B b, for boundary data b in B's
+    # column order, as an (I-1, K-1) array indexed [i-1, k-1]
+    w = spsolve(op.A.tocsc(), -op.boundary_coupling.dot(b))
+    return w.reshape(op.grid.K - 1, op.grid.I - 1).T
+
+
 def test_linear_in_x_is_reproduced_exactly():
     # v(x, y) = x kills both terms of the operator, so the discrete solve with
-    # matching boundary data must return it to solver precision
+    # matching boundary data (lateral and top included) must return it to
+    # solver precision
     grid = make_grid(I=8, K=4)
     for sigma, c, d in ((0.5, 2, 1), (1.0, 2, None), (1.5, 2, 3)):
         op = assemble(grid, sigma, c=c, d=d)
-        trace = grid.xs[1:-1]
-        is_lateral = ~op.interior_mask                  # [k, i]; drop the trace row
-        is_lateral[0, 1:-1] = False
-        lateral = np.broadcast_to(grid.xs, is_lateral.shape)[is_lateral]
-        interior = solve_interior(op, trace, lateral)
+        b = np.broadcast_to(grid.xs, op.interior_mask.shape)[~op.interior_mask]
         want = np.tile(grid.xs[1:-1][:, None], (1, grid.K - 1))
-        assert interior == pytest.approx(want, abs=1e-11)
+        assert _direct_solve(op, b) == pytest.approx(want, abs=1e-11)
 
 
 def test_zero_data_gives_zero_solution():
@@ -179,8 +185,9 @@ def test_sparse_solve_matches_dense_oracle_with_lateral_data():
     trace = rng.random(I - 1)
     grid = Grid(X=I * dx / 2.0, Y=K * dx, I=I, K=K)
     op = assemble(grid, 0.8, c=2, d=1)
-    n_lat = 2 * (K + 1) + (I - 1)
-    got = solve_interior(op, trace, lateral=np.full(n_lat, 0.3))
+    b = np.full(op.boundary_coupling.shape[1], 0.3)
+    b[1:I] = trace                          # the trace nodes (0, 1..I-1)
+    got = _direct_solve(op, b)
     full = dense_extension_solve(I, K, dx, 0.8, trace, c=2, d=1, lateral_value=0.3)
     assert got == pytest.approx(full[1:-1, 1:-1], rel=1e-9)
 
@@ -194,23 +201,18 @@ _SOLVE_CASES = ([(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS)
 @pytest.mark.parametrize("c,d,sigma", _SOLVE_CASES)
 def test_mode_solve_matches_sparse_direct_solve(c, d, sigma):
     # the x-mode solve against scipy's sparse direct solve of the same A w = -B b,
-    # on the smallest accepted mesh and on one with I != K, with and without
-    # lateral data
+    # on the smallest accepted mesh and on one with I != K
     I_min = _MIN_N_SECOND[c]
     K_min = I_min if d is None else max(I_min, _MIN_K_FIRST[d])
     rng = np.random.default_rng(20261018)
     for grid in (make_grid(I=I_min, K=K_min, dx=0.2), make_grid(I=13, K=7, dx=0.2)):
         op = assemble(grid, sigma, c=c, d=d)
-        n_lat = 2 * (grid.K + 1) + (grid.I - 1)
         trace = rng.random(grid.I - 1)
-        for lateral in (None, rng.uniform(-2.0, 2.0, n_lat)):
-            got = solve_interior(op, trace, lateral)
-            lat = np.zeros(n_lat) if lateral is None else lateral
-            bvec = np.concatenate([lat[:1], trace, lat[1:]])
-            want = spsolve(op.A.tocsc(), -op.boundary_coupling.dot(bvec))
-            scale = max(np.abs(trace).max(), np.abs(lat).max())
-            assert got.shape == (grid.I - 1, grid.K - 1)
-            assert np.abs(got - want.reshape(grid.K - 1, grid.I - 1).T).max() <= 1e-12 * scale
+        b = np.zeros(op.boundary_coupling.shape[1])
+        b[1:grid.I] = trace
+        got = solve_interior(op, trace)
+        assert got.shape == (grid.I - 1, grid.K - 1)
+        assert np.abs(got - _direct_solve(op, b)).max() <= 1e-12 * np.abs(trace).max()
 
 
 def test_residual_check_catches_corrupted_profiles():
@@ -225,6 +227,14 @@ def test_residual_check_catches_corrupted_profiles():
         solve_interior(op, trace)
     est = float(str(ei.value).rsplit("condition estimate", 1)[1])
     assert math.isfinite(est) and est >= 1.0
+
+
+def test_residual_check_catches_a_nan_solve():
+    # a NaN residual fails no "resid > tol" test; the check must refuse it too
+    op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6)
+    op._modes.G[0, 0] = np.nan
+    with pytest.raises(SolverError, match="solve residual nan"):
+        solve_interior(op, np.sin(np.linspace(0, math.pi, 11)))
 
 
 def test_x_modes_refuse_a_complex_spectrum():
@@ -390,9 +400,7 @@ def test_mesh_too_small_rejected():
 def test_solve_validates_boundary_data():
     op = assemble(make_grid(), 0.5)
     with pytest.raises(ValueError):
-        solve_interior(op, np.zeros(3))                        # wrong trace length
-    with pytest.raises(ValueError):
-        solve_interior(op, np.zeros(7), lateral=np.zeros(4))   # wrong lateral length
+        solve_interior(op, np.zeros(3))                 # wrong trace length
     with pytest.raises(ValueError):
         solve_interior(op, np.full(7, np.nan))
 

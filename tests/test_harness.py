@@ -1,6 +1,7 @@
 """Experiment layer: scheme-parameter tables, order estimation, refinement
 studies, the embedded quotient-error table, and the cross-module validation
-suite (including its fault-injection hooks, which prove the checks can fail).
+suite (with faults injected through the module attributes it calls, which
+prove the checks can fail).
 """
 
 import math
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fracpme.core as core
 import fracpme.harness as harness
+import fracpme.oracles as oracles
 from fracpme.core import ConfigError, initial_data_preset
 from fracpme.harness import (
     OPTIMAL,
@@ -190,7 +193,7 @@ def test_sigma_table_detects_a_planted_mismatch(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# validation suite and its fault hooks
+# validation suite and injected faults
 
 
 def test_bridge_order_fit_sees_two_minus_sigma():
@@ -210,18 +213,23 @@ def test_validate_passes_clean():
     assert text.count("PASS") >= 5 and "validation PASSED" in text
 
 
-def test_validate_catches_a_scaled_normalization_constant():
+def test_validate_catches_a_scaled_normalization_constant(monkeypatch):
     # a 1% error in mu_sigma leaves a signal that does not vanish with y, so
     # the fitted bridge slope flattens where the genuine residual decays fastest
-    res = run_validate(mu_scale=1.01)
+    mu_sigma = core.mu_sigma
+    monkeypatch.setattr(core, "mu_sigma", lambda sigma: 1.01 * mu_sigma(sigma))
+    res = run_validate()
     assert not res.ok
     failed = [c.name for c in res.checks if not c.passed]
     assert failed == ["trace-bridge sigma=0.5"]
     assert "validation FAILED" in res.summary()
 
 
-def test_validate_catches_a_loosened_quadrature():
-    res = run_validate(pv_tol=1e-2)
+def test_validate_catches_a_loosened_quadrature(monkeypatch):
+    pv = oracles.frac_laplacian_pv
+    monkeypatch.setattr(oracles, "frac_laplacian_pv",
+                        lambda fn, x, sigma, tol: pv(fn, x, sigma, tol=1e-2))
+    res = run_validate()
     failed = [c.name for c in res.checks if not c.passed]
     assert "fourier-symbol" in failed
 

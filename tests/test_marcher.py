@@ -260,6 +260,21 @@ def test_march_is_deterministic():
     assert np.array_equal(a.trace_history, b.trace_history)
 
 
+def test_march_on_a_prebuilt_operator():
+    # the operator passed in is the one march would assemble; one built for
+    # another sigma, stencil pair or grid is refused, not stepped with
+    cfg = make_config(m=3.0, sigma=1.5, J=4, d=3, K=3, Y=1.5)
+    a = march(cfg, GAUSS, capture="all")
+    b = march(cfg, GAUSS, capture="all", op=assemble(cfg.grid(), 1.5, c=2, d=3))
+    assert np.array_equal(a.trace_history, b.trace_history)
+    assert all(np.array_equal(fa.values, fb.values)
+               for (_, fa), (_, fb) in zip(a.snapshots, b.snapshots))
+    for other in (assemble(cfg.grid(), 0.5, c=2, d=3), assemble(cfg.grid(), 1.5, c=2, d=2),
+                  assemble(make_config(X=4.0, Y=3.0, K=3).grid(), 1.5, c=2, d=3)):
+        with pytest.raises(ValueError, match="another grid"):
+            march(cfg, GAUSS, op=other)
+
+
 def test_march_enforces_cfl():
     cfg = make_config(J=1, T=5.0)          # dt = 5 is far beyond the bound
     with pytest.raises(CflViolationError) as ei:
