@@ -10,7 +10,7 @@ The linear study uses cfl_safety = 0.25 so the step-count ladder halves dt
 cleanly level to level; with the bound nearly saturated the coarse levels sit
 in a preasymptotic regime and the two-point fits wander.
 
-Usage: python3 scripts/run_convergence_study.py [outdir]
+Usage: PYTHONPATH=src python3 scripts/run_convergence_study.py [outdir]
 """
 
 import pathlib

@@ -10,7 +10,7 @@ the trace row, k = 0).  The step follows the CFL constant
 [m b_max^((m-1)/m) nu_sigma]^(-1), which certifies the band for every
 amplitude; the amplitudes match the acceptance-3 matrix.
 
-Usage: python3 scripts/run_max_principle_sweep.py
+Usage: PYTHONPATH=src python3 scripts/run_max_principle_sweep.py
 """
 
 import math

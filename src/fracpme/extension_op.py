@@ -9,12 +9,13 @@ coefficients that depend only on k and sigma, with an O(1) positive diagonal.
 That scaling keeps the matrix well conditioned across sigma and is exactly the
 manipulation under which the low-order scheme exhibits its M-structure.
 
-The interior operator is the Kronecker sum I (x) T_x + S_y (x) I of a 1-D
-x-block and a 1-D y-block, so it is solved by fast diagonalization (Lynch,
-Rice and Thomas 1964): T_x = V diag(lam) V^-1 once per operator, then one
-banded y-system (S_y + lam_n I) per x-mode.  Trace data enter only through
-S_y's k = 0 column, so each mode's response to the trace is a precomputed
-y-profile and a step costs two dense products.
+The interior operator A is the Kronecker sum I (x) T_x + S_y (x) I of a 1-D
+x-factor and a 1-D y-factor; beside A only the two factors are kept.  A is
+solved by fast diagonalization (Lynch, Rice and Thomas 1964): T_x =
+V diag(lam) V^-1 once per operator, then one banded y-system (S_y + lam_n I)
+per x-mode.  Trace data enter only through S_y's k = 0 column, so each mode's
+response to the trace is a precomputed y-profile and a step costs two dense
+products.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ _MIN_N_SECOND = {2: 2, 3: 4, 4: 5}
 _MIN_K_FIRST = {1: 2, 2: 2, 3: 3, 4: 4}
 
 _DUMP_BLOCK = 4096                      # dump_matrix lines per format call
+_MONOTONE_TOL = 1e-12                   # verify_monotone_structure's sign/dominance margin
 
 
 def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
@@ -146,11 +148,13 @@ def _factor(offsets: list[tuple[int, ...]], deriv: int, n: int) -> sparse.csr_ma
 
 @dataclass
 class _XModes:
-    """T_x's interior block as V diag(lam) V^-1, and the trace profiles:
-    G[:, n] is mode n's interior y-profile for unit trace data."""
+    """T_x's interior block as V diag(lam) V^-1, the interior rhs per unit trace
+    value s = -S_y[:, 0], and the trace profiles: G[:, n] is mode n's interior
+    y-profile for unit trace data."""
     V: np.ndarray
     V_inv: np.ndarray
     G: np.ndarray
+    s: np.ndarray
 
 
 def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
@@ -173,28 +177,27 @@ def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
         ab = y_band.copy()
         ab[upper] += shift
         G[:, n] = linalg.solve_banded((lower, upper), ab, s_trace, overwrite_ab=True)
-    return _XModes(V=V, V_inv=linalg.inv(V), G=G)
+    return _XModes(V=V, V_inv=linalg.inv(V), G=G, s=s_trace)
 
 
 @dataclass
 class ExtensionOperator:
-    """Assembled interior system A w = -B b, solved by x-modes.
+    """Assembled interior system A w = rhs for trace data, solved by x-modes.
 
-    Interior unknowns are ordered by (k, i); the boundary vector b enumerates
-    all non-interior nodes sorted by (k, i).  B holds the stencil couplings to
-    boundary nodes with the same sign convention as A, so the right-hand side
-    for boundary data b is -B @ b.  interior_mask, shape (K+1, I+1) and
-    indexed [k, i], is True at interior nodes: its row-major order is the
-    column order of [A | B] before the split.  A and B stay for the residual
-    check and diagnostics; solves go through the precomputed x-modes.
+    Interior unknowns are ordered by (k, i).  T_x, (I-1) x (I+1), and S_y,
+    (K-1) x (K+1), are the scaled 1-D factors over all x-nodes 0..I and all
+    y-nodes 0..K; row n = (k-1)(I-1) + (i-1) of the operator is row i-1 of
+    T_x at height k plus row k-1 of S_y at abscissa i.  A keeps their
+    interior columns for the residual check and diagnostics; solves go
+    through the precomputed x-modes.
     """
     grid: Grid
     sigma: float
     c: int
     d: int | None
     A: sparse.csr_matrix
-    boundary_coupling: sparse.csr_matrix
-    interior_mask: np.ndarray
+    T_x: sparse.csr_matrix
+    S_y: sparse.csr_matrix
     _modes: _XModes = field(repr=False)
 
     def condition_estimate(self) -> float:
@@ -207,13 +210,12 @@ class ExtensionOperator:
 
 
 def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
-    """Build the interior operator and its x-mode solver for a fixed grid and sigma.
+    """Build the 1-D factors, A and the x-mode solver for a fixed grid and sigma.
 
-    The scaled row at (i, k) is -(x weights at i) - (y weights at k), so over
-    all nodes in (k, i) order the operator is the Kronecker sum
-    L = E_y (x) T_x + S_y (x) E_x, where E restricts to interior indices,
-    T_x holds the x second-derivative rows and S_y the y second-derivative
-    plus (1-sigma)/k first-derivative rows.
+    The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
+    the x second-derivative rows, S_y the y second-derivative plus
+    (1-sigma)/k first-derivative rows, and over the interior nodes in (k, i)
+    order A = I (x) T_x,int + S_y,int (x) I.
     """
     sigma = _check_sigma(sigma)
     I, K = grid.I, grid.K
@@ -224,38 +226,16 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
     if d is not None and sigma != 1.0:
         drift = sparse.diags((1.0 - sigma) / np.arange(1, K))
         S_y = S_y - drift @ _factor([_first_deriv_offsets(k, K, d) for k in range(1, K)], 1, K)
-    L = (sparse.kron(sparse.eye(K - 1, K + 1, k=1), T_x, format="csr")
-         + sparse.kron(S_y, sparse.eye(I - 1, I + 1, k=1), format="csr"))
-
-    mask = np.zeros((K + 1, I + 1), dtype=bool)
-    mask[1:K, 1:I] = True
-    mask.setflags(write=False)
-    inner = mask.ravel()
-    A = L[:, inner]
-    B = L[:, ~inner]
+    A = (sparse.kron(sparse.eye(K - 1), T_x[:, 1:I], format="csr")
+         + sparse.kron(S_y[:, 1:K], sparse.eye(I - 1), format="csr"))
     A.eliminate_zeros()
-    B.eliminate_zeros()
     try:
         # the trace reaches the interior only through S_y's k = 0 column
         modes = _x_modes(T_x[:, 1:I], S_y[:, 1:K], -S_y[:, 0].toarray().ravel())
     except linalg.LinAlgError as e:
         raise SolverError(f"x-mode setup failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
     return ExtensionOperator(grid=grid, sigma=sigma, c=c, d=d, A=A,
-                             boundary_coupling=B, interior_mask=mask, _modes=modes)
-
-
-def _boundary_vector(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
-    """Dirichlet data at the non-interior nodes in (k, i) order, the column order
-    of B: the trace nodes (0, 1..I-1) are entries 1..I-1, every other entry is 0."""
-    I = op.grid.I
-    trace_row = np.asarray(trace_row, dtype=float)
-    if trace_row.shape != (I - 1,):
-        raise ValueError(f"trace_row must have length I-1 = {I - 1}, got {trace_row.shape}")
-    if not np.isfinite(trace_row).all():
-        raise ValueError("boundary data must be finite")
-    b = np.zeros(op.boundary_coupling.shape[1])
-    b[1:I] = trace_row
-    return b
+                             T_x=T_x, S_y=S_y, _modes=modes)
 
 
 def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
@@ -263,16 +243,22 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
     trace_row and homogeneous lateral/top data.
 
     The solution is the precomputed mode profiles scaled by V^-1 trace, mapped
-    back through V; it is residual-checked against A, so a non-finite or
-    inaccurate solve raises SolverError.
+    back through V; it is residual-checked against A with the rhs
+    outer(-S_y[:, 0], trace), so a non-finite or inaccurate solve raises SolverError.
     """
+    I = op.grid.I
+    trace_row = np.asarray(trace_row, dtype=float)
+    if trace_row.shape != (I - 1,):
+        raise ValueError(f"trace_row must have length I-1 = {I - 1}, got {trace_row.shape}")
+    if not np.isfinite(trace_row).all():
+        raise ValueError("boundary data must be finite")
     modes = op._modes
-    b = _boundary_vector(op, trace_row)
-    rhs = -op.boundary_coupling.dot(b)
     # W[k-1, i-1] = interior value; A w = rhs reads W T_x^T + S_y W = R, and
     # W = W_hat V^T turns it into one y-system per column of W_hat
-    w = (modes.G * (modes.V_inv @ b[1:op.grid.I])) @ modes.V.T
-    norm_rhs = float(np.abs(rhs).max())
+    w = (modes.G * (modes.V_inv @ trace_row)) @ modes.V.T
+    rhs = np.outer(modes.s, trace_row).ravel()
+    # max|s_k t_i| = max|s| max|t| exactly: rounding is monotone
+    norm_rhs = float(np.abs(modes.s).max() * np.abs(trace_row).max())
     resid = float(np.abs(op.A.dot(w.ravel()) - rhs).max())
     if not resid <= 1e-10 * max(norm_rhs, 1e-300):
         raise SolverError(
@@ -297,25 +283,36 @@ class MonotoneReport:
     offending_rows: tuple[int, ...]
 
 
-def verify_monotone_structure(op: ExtensionOperator, tol: float = 1e-12) -> MonotoneReport:
+def _row_parts(F: sparse.csr_matrix) -> np.ndarray:
+    """Rows [diagonal, largest stored off-diagonal entry, sum of |off-diagonal|
+    over interior columns, the same over boundary columns] of a 1-D factor
+    over nodes 0..n, one column per factor row j-1 (diagonal at column j)."""
+    rows = F.shape[0]
+    coo = F.tocoo()
+    off = coo.col != coo.row + 1
+    r, col, v = coo.row[off], coo.col[off], coo.data[off]
+    inner = (col >= 1) & (col <= rows)
+    off_max = np.full(rows, -np.inf)
+    np.maximum.at(off_max, r, v)
+    return np.array([F.diagonal(k=1), off_max,
+                     np.bincount(r[inner], weights=np.abs(v[inner]), minlength=rows),
+                     np.bincount(r[~inner], weights=np.abs(v[~inner]), minlength=rows)])
+
+
+def verify_monotone_structure(op: ExtensionOperator) -> MonotoneReport:
     """Check the sign/dominance pattern sufficient for the discrete maximum principle.
 
-    Requires positive diagonal, nonpositive off-diagonal entries (in A and in
-    the boundary coupling), weak diagonal dominance everywhere, and strict
-    dominance in rows coupled to the boundary.  Diagnostic only; offenders
-    are reported, never raised.
+    Requires positive diagonal, nonpositive off-diagonal entries (towards
+    interior and boundary nodes alike), weak diagonal dominance everywhere,
+    and strict dominance in rows coupled to the boundary.  Each quantity of
+    row n = (k-1)(I-1) + (i-1) is T_x's row i-1 part plus (for the largest
+    entry: max with) S_y's row k-1 part.  Diagnostic only; offenders are
+    reported, never raised.
     """
-    A = op.A.tocoo()
-    B = op.boundary_coupling.tocoo()
-    n = A.shape[0]
-    diag = op.A.diagonal()
-    off = A.row != A.col
-    off_sum = np.bincount(A.row[off], weights=np.abs(A.data[off]), minlength=n)
-    b_sum = np.bincount(B.row, weights=np.abs(B.data), minlength=n)
-    # largest stored off-diagonal entry of each row of A and of B
-    off_max = np.full(n, -np.inf)
-    np.maximum.at(off_max, A.row[off], A.data[off])
-    np.maximum.at(off_max, B.row, B.data)
+    tol = _MONOTONE_TOL
+    x, y = _row_parts(op.T_x), _row_parts(op.S_y)
+    diag, off_sum, b_sum = ((y[j][:, None] + x[j]).ravel() for j in (0, 2, 3))
+    off_max = np.maximum(y[1][:, None], x[1]).ravel()
     scale = np.maximum(np.abs(diag), 1.0)
     bad = ((off_max > tol) | (diag <= tol * scale)
            # weak dominance always; strict when part of the stencil hit the boundary

@@ -224,7 +224,7 @@ def _study_config(sigma: float, m: float, params: SchemeParams,
     samples = setup.data.sample(grid.xs)
     if samples.min() < 0.0:
         raise ConfigError("study data must be nonnegative")
-    b_max = float(np.max(samples[1:-1] ** m)) if I > 1 else 0.0
+    b_max = float(np.max(samples[1:-1] ** m))
     c_mf_dt = core.cfl_max_dt(m, b_max, sigma, dx)          # C(m,f) * dx^sigma
     dt_target = setup.cfl_safety * min(
         c_mf_dt, c_mf_dt * dx ** params.p / dx ** sigma)    # accuracy rule capped by CFL
@@ -266,6 +266,8 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
         raise UnsupportedStencilError(
             f"mode {mode.label()} selects (c={params.c}, d={params.d}) at sigma={sigma}, "
             f"which the extension operator does not assemble")
+    if m == 1.0 and setup.data.name != "gaussian":
+        raise ConfigError("the m = 1 spectral reference supports gaussian data only")
 
     sizes = [setup.base_i * 2 ** lev for lev in range(levels)]
     runs = []
@@ -274,8 +276,6 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
         runs.append((cfg, marcher.march(cfg, setup.data, capture=(setup.T,))))
 
     if m == 1.0:
-        if setup.data.name != "gaussian":
-            raise ConfigError("the m = 1 spectral reference supports gaussian data only")
         reference = "spectral"
         cache: dict[float, float] = {}
         errs_trace = []
@@ -381,7 +381,7 @@ def run_sigma_table(sigmas: Sequence[float] | None = None,
             pos = TABLE_YS.index(row.y)
             for col in ("E", "alpha", "sigma_e"):
                 want = expected[col][pos]
-                got = getattr(row, col if col != "E" else "E")
+                got = getattr(row, col)
                 if want is None or got is None:
                     continue
                 if abs(got - want) >= TABLE_TOLERANCE:

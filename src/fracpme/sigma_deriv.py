@@ -115,6 +115,7 @@ class OrderStudyRow:
 
 
 DEFAULT_STUDY_YS = (0.5, 0.25, 0.125, 0.0625)
+_MAX_STUDY_Y = math.sqrt(math.log(np.finfo(float).max) - 1.0)   # sigma * exp(y^2) < inf
 
 
 def deriv_order_study(sigma: float, ys: Sequence[float] = DEFAULT_STUDY_YS) -> list[OrderStudyRow]:
@@ -129,9 +130,10 @@ def deriv_order_study(sigma: float, ys: Sequence[float] = DEFAULT_STUDY_YS) -> l
     ys = [float(y) for y in ys]
     if len(ys) < 2:
         raise ConfigError("need at least two heights")
-    if (not all(map(math.isfinite, ys)) or ys[-1] <= 0.0
+    if (not all(map(math.isfinite, ys)) or ys[-1] <= 0.0 or ys[0] > _MAX_STUDY_Y
             or any(y2 >= y1 for y1, y2 in zip(ys, ys[1:]))):
-        raise ConfigError("heights must be finite, strictly decreasing and positive")
+        raise ConfigError(f"heights must be finite, strictly decreasing, positive and at "
+                          f"most {_MAX_STUDY_Y:.4g} (exp(y^2) overflows above)")
 
     rows: list[OrderStudyRow] = []
     prev: OrderStudyRow | None = None

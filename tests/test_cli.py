@@ -179,13 +179,14 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     ["convergence", "--sigma", "1.0", "--m", "inf", "--mode", "practical"],
     ["sigma-table", "--ys", "inf", "0.5"],
     ["sigma-table", "--ys", "0.5", "nan"],
+    ["sigma-table", "--ys", "100", "50"],
 ], ids=["sigma", "ys-increasing", "ys-single", "snapshot-after-T",
         "snapshot-not-a-number", "negative-inline-data", "convergence-sigma",
         "convergence-m", "convergence-base-i", "convergence-cfl-safety", "convergence-x",
         "config-missing", "config-directory", "config-not-utf8", "ys-too-fine",
         "config-T-nan", "config-T-inf", "config-m-nan", "config-m-inf",
         "snapshot-nan", "snapshot-inf", "convergence-t-nan", "convergence-t-inf",
-        "convergence-m-nan", "convergence-m-inf", "ys-inf", "ys-nan"])
+        "convergence-m-nan", "convergence-m-inf", "ys-inf", "ys-nan", "ys-overflow"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"sigma = 0.5\n\xff\xfe\n")

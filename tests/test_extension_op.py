@@ -8,7 +8,10 @@ Independent checks used here:
     of the same equations (different node ordering, no scaling tricks);
   * the x-mode solve against scipy's sparse direct solve of the assembled A;
     that direct solve also carries the checks with nonzero lateral data,
-    which the solver itself never takes;
+    which the solver itself never takes: lateral and top data enter through
+    the boundary columns of the operator's 1-D factors T_x and S_y;
+  * the monotone-structure report against a dense scan of the full-node
+    operator built from the matrix-free application;
   * the assembled rows against the matrix-free pointwise application via the
     known row scaling, and that application against a node-by-node loop;
   * measured truncation order on a smooth product field against the formal
@@ -28,6 +31,7 @@ from fracpme.errors import SolverError, UnsupportedStencilError
 from fracpme.extension_op import (
     _MIN_K_FIRST,
     _MIN_N_SECOND,
+    _MONOTONE_TOL,
     SUPPORTED_PAIRS,
     _first_deriv_offsets,
     _second_deriv_offsets,
@@ -46,6 +50,16 @@ from fracpme.oracles import dense_extension_solve
 
 def make_grid(I=8, K=4, dx=0.25):
     return Grid(X=I * dx / 2.0, Y=K * dx, I=I, K=K)
+
+
+def _boundary_part(op, vals):
+    # the scaled operator applied to the node field vals, shape (I+1, K+1),
+    # with its interior zeroed: the boundary contribution, in (k, i) row order,
+    # taken from the boundary columns of the factors T_x and S_y
+    I, K = op.grid.I, op.grid.K
+    edge = np.array(vals, dtype=float)
+    edge[1:I, 1:K] = 0.0
+    return (edge.T[1:K] @ op.T_x.T + op.S_y @ edge.T[:, 1:I]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +103,10 @@ def test_fd_weights_needs_enough_points():
 @pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS))
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
 def test_row_sums_vanish_on_constants(c, d, sigma):
-    # [A | B] applied to the all-ones vector must vanish: the operator has no
-    # zeroth-order term, so constants are in its kernel for every stencil
+    # the full-node operator applied to the all-ones field must vanish: it has
+    # no zeroth-order term, so constants are in its kernel for every stencil
     op = assemble(make_grid(I=10, K=6), sigma, c=c, d=d)
-    total = np.asarray(op.A.sum(axis=1)).ravel() + np.asarray(
-        op.boundary_coupling.sum(axis=1)).ravel()
+    total = np.asarray(op.A.sum(axis=1)).ravel() + _boundary_part(op, np.ones((11, 7)))
     assert np.abs(total).max() < 1e-10
 
 
@@ -111,7 +124,7 @@ _ROW_CASES = ([(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS) for sigma in (0
 
 @pytest.mark.parametrize("c,d,sigma", _ROW_CASES)
 def test_assembled_rows_match_pointwise_application(c, d, sigma):
-    # scaled row n = (k-1)(I-1)+(i-1) of [A | B] equals
+    # scaled row n = (k-1)(I-1)+(i-1) of the full-node operator equals
     # -dx^(1+sigma) k^(sigma-1) times the physical operator at node (i, k);
     # the smallest accepted mesh is where the one-sided windows of both
     # sides meet (and, for c > 2, cover every node of a row)
@@ -121,10 +134,8 @@ def test_assembled_rows_match_pointwise_application(c, d, sigma):
         op = assemble(grid, sigma, c=c, d=d)
         rng = np.random.default_rng(20240814)
         vals = rng.random((grid.I + 1, grid.K + 1))
-        interior = vals[1:-1, 1:-1]
-        w = interior.T.ravel()
-        bvec = vals.T[~op.interior_mask]                # boundary nodes in (k, i) order
-        scaled = op.A.dot(w) + op.boundary_coupling.dot(bvec)
+        w = vals[1:-1, 1:-1].T.ravel()
+        scaled = op.A.dot(w) + _boundary_part(op, vals)
         physical = apply_operator(vals, grid.dx, sigma, c=c, d=d)
         for k in range(1, grid.K):
             factor = -grid.dx ** (1.0 + sigma) * k ** (sigma - 1.0)
@@ -136,10 +147,11 @@ def test_assembled_rows_match_pointwise_application(c, d, sigma):
 # exact solutions
 
 
-def _direct_solve(op, b):
-    # scipy's sparse direct solve of A w = -B b, for boundary data b in B's
-    # column order, as an (I-1, K-1) array indexed [i-1, k-1]
-    w = spsolve(op.A.tocsc(), -op.boundary_coupling.dot(b))
+def _direct_solve(op, vals):
+    # scipy's sparse direct solve of the interior system for the Dirichlet data
+    # on the boundary nodes of vals, shape (I+1, K+1), as an (I-1, K-1) array
+    # indexed [i-1, k-1]
+    w = spsolve(op.A.tocsc(), -_boundary_part(op, vals))
     return w.reshape(op.grid.K - 1, op.grid.I - 1).T
 
 
@@ -150,9 +162,9 @@ def test_linear_in_x_is_reproduced_exactly():
     grid = make_grid(I=8, K=4)
     for sigma, c, d in ((0.5, 2, 1), (1.0, 2, None), (1.5, 2, 3)):
         op = assemble(grid, sigma, c=c, d=d)
-        b = np.broadcast_to(grid.xs, op.interior_mask.shape)[~op.interior_mask]
+        vals = np.broadcast_to(grid.xs[:, None], (grid.I + 1, grid.K + 1))
         want = np.tile(grid.xs[1:-1][:, None], (1, grid.K - 1))
-        assert _direct_solve(op, b) == pytest.approx(want, abs=1e-11)
+        assert _direct_solve(op, vals) == pytest.approx(want, abs=1e-11)
 
 
 def test_zero_data_gives_zero_solution():
@@ -185,9 +197,9 @@ def test_sparse_solve_matches_dense_oracle_with_lateral_data():
     trace = rng.random(I - 1)
     grid = Grid(X=I * dx / 2.0, Y=K * dx, I=I, K=K)
     op = assemble(grid, 0.8, c=2, d=1)
-    b = np.full(op.boundary_coupling.shape[1], 0.3)
-    b[1:I] = trace                          # the trace nodes (0, 1..I-1)
-    got = _direct_solve(op, b)
+    vals = np.full((I + 1, K + 1), 0.3)
+    vals[1:I, 0] = trace                    # the trace nodes (1..I-1, 0)
+    got = _direct_solve(op, vals)
     full = dense_extension_solve(I, K, dx, 0.8, trace, c=2, d=1, lateral_value=0.3)
     assert got == pytest.approx(full[1:-1, 1:-1], rel=1e-9)
 
@@ -200,7 +212,7 @@ _SOLVE_CASES = ([(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS)
 
 @pytest.mark.parametrize("c,d,sigma", _SOLVE_CASES)
 def test_mode_solve_matches_sparse_direct_solve(c, d, sigma):
-    # the x-mode solve against scipy's sparse direct solve of the same A w = -B b,
+    # the x-mode solve against scipy's sparse direct solve of the same system,
     # on the smallest accepted mesh and on one with I != K
     I_min = _MIN_N_SECOND[c]
     K_min = I_min if d is None else max(I_min, _MIN_K_FIRST[d])
@@ -208,11 +220,11 @@ def test_mode_solve_matches_sparse_direct_solve(c, d, sigma):
     for grid in (make_grid(I=I_min, K=K_min, dx=0.2), make_grid(I=13, K=7, dx=0.2)):
         op = assemble(grid, sigma, c=c, d=d)
         trace = rng.random(grid.I - 1)
-        b = np.zeros(op.boundary_coupling.shape[1])
-        b[1:grid.I] = trace
+        vals = np.zeros((grid.I + 1, grid.K + 1))
+        vals[1:grid.I, 0] = trace
         got = solve_interior(op, trace)
         assert got.shape == (grid.I - 1, grid.K - 1)
-        assert np.abs(got - _direct_solve(op, b)).max() <= 1e-12 * np.abs(trace).max()
+        assert np.abs(got - _direct_solve(op, vals)).max() <= 1e-12 * np.abs(trace).max()
 
 
 def test_residual_check_catches_corrupted_profiles():
@@ -274,6 +286,43 @@ def test_high_order_pair_lacks_m_structure():
     rep = verify_monotone_structure(assemble(make_grid(I=12, K=8), 0.5, c=4, d=4))
     assert not rep.is_m_structure
     assert len(rep.offending_rows) > 0
+
+
+def _dense_offending_rows(grid, sigma, c, d):
+    # the monotone criterion scanned row by row over the dense full-node
+    # operator: column (i, k) is the matrix-free application to the unit field
+    # at node (i, k), each row scaled by -dx^(1+sigma) k^(sigma-1)
+    I, K, tol = grid.I, grid.K, _MONOTONE_TOL
+    scale = np.repeat(-grid.dx ** (1.0 + sigma) * np.arange(1.0, K) ** (sigma - 1.0), I - 1)
+    full = np.empty(((K - 1) * (I - 1), I + 1, K + 1))
+    for i in range(I + 1):
+        for k in range(K + 1):
+            unit = np.zeros((I + 1, K + 1))
+            unit[i, k] = 1.0
+            full[:, i, k] = scale * apply_operator(unit, grid.dx, sigma, c=c, d=d).T.ravel()
+    inner = np.zeros((I + 1, K + 1), dtype=bool)
+    inner[1:I, 1:K] = True
+    offenders = []
+    for n, row in enumerate(full):
+        k, i = divmod(n, I - 1)
+        diag = row[i + 1, k + 1]
+        row = row.copy()
+        row[i + 1, k + 1] = 0.0
+        off_sum, b_sum = np.abs(row[inner]).sum(), np.abs(row[~inner]).sum()
+        s = max(abs(diag), 1.0)
+        if (row.max() > tol or diag <= tol * s or diag < off_sum - tol * s
+                or (b_sum > tol * s and diag <= off_sum + tol * s)):
+            offenders.append(n)
+    return tuple(offenders)
+
+
+@pytest.mark.parametrize("c,d,sigma", [(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS)
+                                       for sigma in (0.3, 0.7, 1.3, 1.9)]
+                         + [(c, None, 1.0) for c in sorted(_MIN_N_SECOND)])
+def test_monotone_report_matches_a_dense_scan(c, d, sigma):
+    for grid in (make_grid(I=10, K=6), make_grid(I=7, K=5)):
+        rep = verify_monotone_structure(assemble(grid, sigma, c=c, d=d))
+        assert rep.offending_rows == _dense_offending_rows(grid, sigma, c, d)
 
 
 def test_unit_trace_solution_lies_in_unit_interval():

@@ -284,6 +284,17 @@ def test_convergence_guards():
         run_convergence(1.0, 1.0, PRACTICAL, levels=2, setup=bad_geometry)
 
 
+def test_convergence_refuses_spectral_reference_data_before_marching(monkeypatch):
+    calls = []
+    march = harness.marcher.march
+    monkeypatch.setattr(harness.marcher, "march",
+                        lambda *args, **kwargs: calls.append(args) or march(*args, **kwargs))
+    setup = StudySetup(X=2.0, Y=2.0, T=0.25, base_i=8, data=initial_data_preset("bump"))
+    with pytest.raises(ConfigError, match="gaussian"):
+        run_convergence(0.5, 1.0, PRACTICAL, levels=2, setup=setup)
+    assert calls == []
+
+
 def test_convergence_csv_is_deterministic_and_parseable():
     rep = run_convergence(1.0, 1.0, PRACTICAL, levels=2, setup=small_linear_setup())
     text = rep.to_csv()

@@ -225,6 +225,11 @@ def test_order_study_input_validation():
         deriv_order_study(1.0, ys=[0.25, 0.5])
     with pytest.raises(ValueError):
         deriv_order_study(1.0, ys=[0.5, 0.0])
+    with pytest.raises(ValueError, match="overflows"):
+        deriv_order_study(1.0, ys=[100.0, 50.0])        # exp(y^2) is not a double
+    # the largest accepted height still gives a finite error at sigma near 2
+    rows = deriv_order_study(1.999, ys=[26.6, 26.0])
+    assert all(math.isfinite(r.E) for r in rows)
 
 
 def test_order_study_csv_layout():
