@@ -12,10 +12,10 @@ manipulation under which the low-order scheme exhibits its M-structure.
 The interior operator A is the Kronecker sum I (x) T_x + S_y (x) I of a 1-D
 x-factor and a 1-D y-factor; beside A only the two factors are kept.  A is
 solved by fast diagonalization (Lynch, Rice and Thomas 1964): T_x =
-V diag(lam) V^-1 once per operator, then one banded y-system (S_y + lam_n I)
-per x-mode.  Trace data enter only through S_y's k = 0 column, so each mode's
-response to the trace is a precomputed y-profile and a step costs two dense
-products.
+V diag(lam) V^-1 once per operator, then the banded y-systems (S_y + lam_n I)
+of all x-modes as the diagonal blocks of one banded solve.  Trace data enter
+only through S_y's k = 0 column, so each mode's response to the trace is a
+precomputed y-profile and a step costs two dense products.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _MIN_N_SECOND = {2: 2, 3: 4, 4: 5}
 _MIN_K_FIRST = {1: 2, 2: 2, 3: 3, 4: 4}
 
 _DUMP_BLOCK = 4096                      # dump_matrix lines per format call
-_MONOTONE_TOL = 1e-12                   # verify_monotone_structure's sign/dominance margin
+_MONOTONE_TOL = 1e-12                   # verify_monotone_structure's sign margin
 
 
 def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
@@ -159,8 +159,8 @@ class _XModes:
 
 def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
              s_trace: np.ndarray) -> _XModes:
-    """Diagonalize T_int and solve the banded y-system (S_int + lam_n I) G[:, n] = s_trace
-    of every mode n.
+    """Diagonalize T_int and solve the y-systems (S_int + lam_n I) G[:, n] = s_trace
+    of all modes n as the diagonal blocks of one banded system.
 
     s_trace is the interior rhs per unit trace value, -S_y[:, 0].
     """
@@ -170,14 +170,15 @@ def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
     S = S_int.tocoo()                       # the diagonal is stored, so both widths are >= 0
     lower = int((S.row - S.col).max())
     upper = int((S.col - S.row).max())
-    y_band = np.zeros((lower + upper + 1, S.shape[0]))     # LAPACK band storage
+    n_y = S.shape[0]
+    y_band = np.zeros((lower + upper + 1, n_y))             # LAPACK band storage
     y_band[upper + S.row - S.col, S.col] = S.data
-    G = np.empty((S.shape[0], len(lam)))
-    for n, shift in enumerate(lam.real):
-        ab = y_band.copy()
-        ab[upper] += shift
-        G[:, n] = linalg.solve_banded((lower, upper), ab, s_trace, overwrite_ab=True)
-    return _XModes(V=V, V_inv=linalg.inv(V), G=G, s=s_trace)
+    # tiling is exact: y_band's slots that fall outside a block are zero, so no
+    # two modes are coupled
+    ab = np.tile(y_band, len(lam))
+    ab[upper] += np.repeat(lam.real, n_y)
+    g = linalg.solve_banded((lower, upper), ab, np.tile(s_trace, len(lam)), overwrite_ab=True)
+    return _XModes(V=V, V_inv=linalg.inv(V), G=g.reshape(len(lam), n_y).T.copy(), s=s_trace)
 
 
 @dataclass
@@ -283,41 +284,27 @@ class MonotoneReport:
     offending_rows: tuple[int, ...]
 
 
-def _row_parts(F: sparse.csr_matrix) -> np.ndarray:
-    """Rows [diagonal, largest stored off-diagonal entry, sum of |off-diagonal|
-    over interior columns, the same over boundary columns] of a 1-D factor
-    over nodes 0..n, one column per factor row j-1 (diagonal at column j)."""
-    rows = F.shape[0]
+def _positive_off_diagonal(F: sparse.csr_matrix) -> np.ndarray:
+    """Per row j-1 of a 1-D factor over nodes 0..n (diagonal at column j): does
+    it hold an off-diagonal entry above _MONOTONE_TOL?"""
     coo = F.tocoo()
-    off = coo.col != coo.row + 1
-    r, col, v = coo.row[off], coo.col[off], coo.data[off]
-    inner = (col >= 1) & (col <= rows)
-    off_max = np.full(rows, -np.inf)
-    np.maximum.at(off_max, r, v)
-    return np.array([F.diagonal(k=1), off_max,
-                     np.bincount(r[inner], weights=np.abs(v[inner]), minlength=rows),
-                     np.bincount(r[~inner], weights=np.abs(v[~inner]), minlength=rows)])
+    flag = np.zeros(F.shape[0], dtype=bool)
+    flag[coo.row[(coo.col != coo.row + 1) & (coo.data > _MONOTONE_TOL)]] = True
+    return flag
 
 
 def verify_monotone_structure(op: ExtensionOperator) -> MonotoneReport:
-    """Check the sign/dominance pattern sufficient for the discrete maximum principle.
+    """Check the sign pattern sufficient for the discrete maximum principle.
 
-    Requires positive diagonal, nonpositive off-diagonal entries (towards
-    interior and boundary nodes alike), weak diagonal dominance everywhere,
-    and strict dominance in rows coupled to the boundary.  Each quantity of
-    row n = (k-1)(I-1) + (i-1) is T_x's row i-1 part plus (for the largest
-    entry: max with) S_y's row k-1 part.  Diagnostic only; offenders are
-    reported, never raised.
+    Every scaled row sums to zero, so a row whose off-diagonal entries
+    (towards interior and boundary nodes alike) are <= 0 has diagonal
+    sum |off-diagonal| > 0: it is weakly diagonally dominant, and strictly so
+    where its stencil reaches the boundary (Varga's M-matrix conditions).  The
+    sign pattern alone therefore decides the check.  Row n = (k-1)(I-1) + (i-1)
+    offends when T_x's row i-1 or S_y's row k-1 holds an off-diagonal entry
+    above _MONOTONE_TOL.  Diagnostic only; offenders are reported, never raised.
     """
-    tol = _MONOTONE_TOL
-    x, y = _row_parts(op.T_x), _row_parts(op.S_y)
-    diag, off_sum, b_sum = ((y[j][:, None] + x[j]).ravel() for j in (0, 2, 3))
-    off_max = np.maximum(y[1][:, None], x[1]).ravel()
-    scale = np.maximum(np.abs(diag), 1.0)
-    bad = ((off_max > tol) | (diag <= tol * scale)
-           # weak dominance always; strict when part of the stencil hit the boundary
-           | (diag < off_sum - tol * scale)
-           | ((b_sum > tol * scale) & (diag <= off_sum + tol * scale)))
+    bad = _positive_off_diagonal(op.S_y)[:, None] | _positive_off_diagonal(op.T_x)
     offenders = tuple(int(r) for r in np.flatnonzero(bad))
     return MonotoneReport(is_m_structure=not offenders, offending_rows=offenders)
 

@@ -224,7 +224,10 @@ def _study_config(sigma: float, m: float, params: SchemeParams,
     samples = setup.data.sample(grid.xs)
     if samples.min() < 0.0:
         raise ConfigError("study data must be nonnegative")
-    b_max = float(np.max(samples[1:-1] ** m))
+    with np.errstate(over="ignore"):
+        b_max = float(np.max(samples[1:-1] ** m))
+    if not math.isfinite(b_max):
+        raise ConfigError(f"study data too large: f^m overflows at m = {m:g}")
     c_mf_dt = core.cfl_max_dt(m, b_max, sigma, dx)          # C(m,f) * dx^sigma
     dt_target = setup.cfl_safety * min(
         c_mf_dt, c_mf_dt * dx ** params.p / dx ** sigma)    # accuracy rule capped by CFL

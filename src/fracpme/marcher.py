@@ -46,7 +46,10 @@ def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
     grid = config.grid()
     samples = _data_samples(f, grid)
     row = np.zeros(grid.I + 1)
-    row[1:-1] = samples[1:-1] ** config.m
+    with np.errstate(over="ignore"):
+        row[1:-1] = samples[1:-1] ** config.m
+    if not np.isfinite(row).all():
+        raise ConfigError(f"initial data too large: f^m overflows at m = {config.m:g}")
     return row
 
 

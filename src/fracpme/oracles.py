@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 
+_TAIL_BLOCKS = 48                       # _tail_integral's summed blocks before extrapolation
+_TAIL_H = 1.0                           # and their width
+
+
 def _quad(f, a, b, epsabs, epsrel=1e-13, limit=400):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -58,7 +62,7 @@ def _wynn_epsilon(seq):
     return seq[-1], abs(seq[-1])
 
 
-def _tail_integral(f, start: float, sigma: float, nblocks: int = 48, h: float = 1.0):
+def _tail_integral(f, start: float, sigma: float):
     """Integral of f over [start, inf) for f decaying like z^(-1-sigma).
 
     Unit blocks are summed exactly; the algebraic remainder of the partial
@@ -69,15 +73,15 @@ def _tail_integral(f, start: float, sigma: float, nblocks: int = 48, h: float = 
     vals = []
     qerr = 0.0
     a = start
-    for _ in range(nblocks):
-        v, e = _quad(f, a, a + h, epsabs=1e-14, epsrel=1e-12, limit=60)
+    for _ in range(_TAIL_BLOCKS):
+        v, e = _quad(f, a, a + _TAIL_H, epsabs=1e-14, epsrel=1e-12, limit=60)
         vals.append(v)
         qerr += e
-        a += h
+        a += _TAIL_H
     if all(v == 0.0 for v in vals):
         return 0.0, qerr
     partial = np.cumsum(vals)
-    Z = start + h * np.arange(1, nblocks + 1)
+    Z = start + _TAIL_H * np.arange(1, _TAIL_BLOCKS + 1)
     t = partial.astype(float)
     for q in range(2):
         zp = Z ** (sigma + q)

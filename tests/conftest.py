@@ -1,6 +1,13 @@
-"""Shared test configuration: a bounded, deterministic hypothesis profile."""
+"""Shared test configuration: a bounded, deterministic hypothesis profile, and
+the environment of a child Python process."""
 
+import os
+from pathlib import Path
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+import fracpme
 
 settings.register_profile(
     "suite",
@@ -10,3 +17,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def child_env():
+    """os.environ with PYTHONPATH led by the directory of the fracpme this
+    process imported, so a child imports the same package, installed or not."""
+    src = str(Path(fracpme.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -5,14 +5,11 @@ Exit-code contract: 0 success, 1 check/solver failure, 2 rejected input
 an internal fault propagates instead of being reported as a configuration error.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import fracpme
 import fracpme.core as core
 import fracpme.extension_op as extension_op
 import fracpme.harness as harness
@@ -180,13 +177,17 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     ["sigma-table", "--ys", "inf", "0.5"],
     ["sigma-table", "--ys", "0.5", "nan"],
     ["sigma-table", "--ys", "100", "50"],
+    ["solve", "--config", "{huge}"],
+    ["convergence", "--sigma", "0.5", "--m", "2", "--mode", "practical", "--levels", "2",
+     "--data", "constant:1e160"],
 ], ids=["sigma", "ys-increasing", "ys-single", "snapshot-after-T",
         "snapshot-not-a-number", "negative-inline-data", "convergence-sigma",
         "convergence-m", "convergence-base-i", "convergence-cfl-safety", "convergence-x",
         "config-missing", "config-directory", "config-not-utf8", "ys-too-fine",
         "config-T-nan", "config-T-inf", "config-m-nan", "config-m-inf",
         "snapshot-nan", "snapshot-inf", "convergence-t-nan", "convergence-t-inf",
-        "convergence-m-nan", "convergence-m-inf", "ys-inf", "ys-nan", "ys-overflow"])
+        "convergence-m-nan", "convergence-m-inf", "ys-inf", "ys-nan", "ys-overflow",
+        "data-power-overflow", "convergence-data-power-overflow"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"sigma = 0.5\n\xff\xfe\n")
@@ -194,6 +195,8 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv):
              "negative": write_config(
                  tmp_path, GOOD_CONFIG.replace("bump", "inline:0,1,1,1,-1,1,1,1,0"),
                  name="negative.cfg"),
+             "huge": write_config(tmp_path, GOOD_CONFIG.replace("bump", "constant:1e160"),
+                                  name="huge.cfg"),
              **{f"{key}_{val}": write_config(
                  tmp_path, GOOD_CONFIG.replace(line, f"{key} = {val}"), name=f"{key}_{val}.cfg")
                 for key, line in (("T", "T = 0.1"), ("m", "m = 2.0")) for val in ("nan", "inf")},
@@ -259,13 +262,9 @@ def test_validate_passes(capsys):
 # installed entry point
 
 
-def test_console_script_smoke():
-    # the child imports the same fracpme as this process, installed or not
-    src = str(Path(fracpme.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def test_console_script_smoke(child_env):
     proc = subprocess.run([sys.executable, "-m", "fracpme.cli",
                            "sigma-table", "--sigmas", "0.5", "--ys", "0.5", "0.25"],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("sigma,y,E,alpha,sigma_e")

@@ -18,6 +18,7 @@ Independent checks used here:
     order formula.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -323,6 +324,21 @@ def test_monotone_report_matches_a_dense_scan(c, d, sigma):
     for grid in (make_grid(I=10, K=6), make_grid(I=7, K=5)):
         rep = verify_monotone_structure(assemble(grid, sigma, c=c, d=d))
         assert rep.offending_rows == _dense_offending_rows(grid, sigma, c, d)
+
+
+@pytest.mark.parametrize("factor", ["T_x", "S_y"])
+def test_monotone_margin_admits_entries_up_to_the_tolerance(factor):
+    # an off-diagonal factor entry counts as positive only above the margin,
+    # and then it flags every operator row that contains its factor row
+    op = assemble(make_grid(I=10, K=6), 0.5, c=2, d=1)
+    I, K = op.grid.I, op.grid.K
+    rows = (tuple((k - 1) * (I - 1) + 2 for k in range(1, K)) if factor == "T_x"
+            else tuple(range(2 * (I - 1), 3 * (I - 1))))
+    for value, offenders in ((_MONOTONE_TOL, ()), (np.nextafter(_MONOTONE_TOL, 1.0), rows)):
+        F = getattr(op, factor).tolil()
+        F[2, 2] = value                     # left neighbour of factor row 2 (diagonal: column 3)
+        rep = verify_monotone_structure(dataclasses.replace(op, **{factor: F.tocsr()}))
+        assert rep.offending_rows == offenders
 
 
 def test_unit_trace_solution_lies_in_unit_interval():

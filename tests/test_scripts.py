@@ -1,0 +1,27 @@
+"""Smoke tests: the two scripts run the way README.md runs them, from the repo root
+with the package on PYTHONPATH."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(env, name, *args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+                          capture_output=True, text=True, timeout=300, env=env, cwd=ROOT)
+
+
+def test_max_principle_sweep_script(child_env):
+    proc = run_script(child_env, "run_max_principle_sweep.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "maximum principle and max-on-trace verified over the full sweep" in proc.stdout
+
+
+def test_convergence_study_script(child_env, tmp_path):
+    proc = run_script(child_env, "run_convergence_study.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    tags = ("linear_sigma1_optimal", "m2_sigma0p5_practical", "m2_sigma1p5_practical")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{tag}.{ext}" for tag in tags for ext in ("csv", "svg"))
