@@ -176,6 +176,9 @@ class SolverConfig:
         if self.d is None and self.sigma != 1.0:
             raise ConfigError("d may be omitted only at sigma = 1")
         self.grid()  # validates extents, mesh counts, dx = dy
+        if (self.J + 1) * (self.I + 1) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"J = {self.J} too large: the (J+1) x (I+1) trace history must "
+                              f"hold at most {np.iinfo(np.intp).max // 8} float64 values")
 
     def grid(self) -> Grid:
         return Grid(self.X, self.Y, self.I, self.K)

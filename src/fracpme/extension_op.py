@@ -15,12 +15,14 @@ solved by fast diagonalization (Lynch, Rice and Thomas 1964): T_x =
 V diag(lam) V^-1 once per operator, then the banded y-systems (S_y + lam_n I)
 of all x-modes as the diagonal blocks of one banded solve.  Trace data enter
 only through S_y's k = 0 column, so each mode's response to the trace is a
-precomputed y-profile and a step costs two dense products.
+precomputed y-profile and a step costs two dense products.  All of this
+depends on (I, K, sigma, c, d) only, so assemble builds it once per key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +47,8 @@ _MIN_K_FIRST = {1: 2, 2: 2, 3: 3, 4: 4}
 
 _DUMP_BLOCK = 4096                      # dump_matrix lines per format call
 _MONOTONE_TOL = 1e-12                   # verify_monotone_structure's sign margin
+_CACHE_BYTES = 64 * 2**20               # budget of the operator cache, in array bytes
+_cache: OrderedDict = OrderedDict()     # (I, K, sigma, c, d) -> _build's result
 
 
 def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
@@ -210,18 +214,14 @@ class ExtensionOperator:
         return spla.onenormest(self.A) * spla.onenormest(inv)
 
 
-def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
-    """Build the 1-D factors, A and the x-mode solver for a fixed grid and sigma.
+def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
+    """(A, T_x, S_y, x-modes), all arrays read-only, and their total nbytes.
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus
     (1-sigma)/k first-derivative rows, and over the interior nodes in (k, i)
     order A = I (x) T_x,int + S_y,int (x) I.
     """
-    sigma = _check_sigma(sigma)
-    I, K = grid.I, grid.K
-    _check_pair(sigma, c, d, I, K)
-
     T_x = -_factor([_second_deriv_offsets(i, I, c) for i in range(1, I)], 2, I)
     S_y = -_factor([_second_deriv_offsets(k, K, c) for k in range(1, K)], 2, K)
     if d is not None and sigma != 1.0:
@@ -235,8 +235,33 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
         modes = _x_modes(T_x[:, 1:I], S_y[:, 1:K], -S_y[:, 0].toarray().ravel())
     except linalg.LinAlgError as e:
         raise SolverError(f"x-mode setup failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
-    return ExtensionOperator(grid=grid, sigma=sigma, c=c, d=d, A=A,
-                             T_x=T_x, S_y=S_y, _modes=modes)
+    arrays = [modes.V, modes.V_inv, modes.G, modes.s]
+    for M in (A, T_x, S_y):
+        M.sum_duplicates()          # canonical: scipy never re-sorts a frozen matrix in place
+        arrays += [M.data, M.indices, M.indptr]
+    for a in arrays:
+        a.setflags(write=False)
+    return (A, T_x, S_y, modes), sum(a.nbytes for a in arrays)
+
+
+def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
+    """The operator of _build for a fixed grid, sigma and stencil pair.
+
+    Parts are built once per (I, K, sigma, c, d) and shared read-only; G is the
+    caller's own copy.  An LRU keeps them while their arrays total at most
+    _CACHE_BYTES = 64 MiB; a larger operator is returned but not kept.
+    """
+    sigma = _check_sigma(sigma)
+    _check_pair(sigma, c, d, grid.I, grid.K)
+    key = (grid.I, grid.K, sigma, c, d)
+    entry = _cache.pop(key, None) or _build(*key)
+    if entry[1] <= _CACHE_BYTES:
+        _cache[key] = entry                 # (re)inserted as the most recently used
+        while sum(n for _, n in _cache.values()) > _CACHE_BYTES:
+            _cache.popitem(last=False)
+    (A, T_x, S_y, modes), _ = entry
+    return ExtensionOperator(grid=grid, sigma=sigma, c=c, d=d, A=A, T_x=T_x, S_y=S_y,
+                             _modes=replace(modes, G=modes.G.copy()))
 
 
 def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:

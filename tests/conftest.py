@@ -1,5 +1,6 @@
-"""Shared test configuration: a bounded, deterministic hypothesis profile, and
-the environment of a child Python process."""
+"""Shared test configuration: a bounded, deterministic hypothesis profile, an
+empty operator cache for every test, and the environment of a child Python
+process."""
 
 import os
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import fracpme
+from fracpme import extension_op
 
 settings.register_profile(
     "suite",
@@ -26,3 +28,9 @@ def child_env():
     src = str(Path(fracpme.__file__).resolve().parents[1])
     return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture(autouse=True)
+def _empty_operator_cache():
+    """No test sees an operator an earlier test assembled."""
+    extension_op._cache.clear()

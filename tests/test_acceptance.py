@@ -162,6 +162,7 @@ def test_acceptance_5_uniqueness_and_determinism(tmp_path):
     data = initial_data_preset("bump")
     paths = []
     for run in range(2):
+        extension_op._cache.clear()         # two independent builds, not one shared operator
         traj = marcher.march(cfg, data, capture="all")
         path = tmp_path / f"run{run}.csv"
         marcher.write_trace_csv(traj, path)

@@ -180,6 +180,9 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     ["solve", "--config", "{huge}"],
     ["convergence", "--sigma", "0.5", "--m", "2", "--mode", "practical", "--levels", "2",
      "--data", "constant:1e160"],
+    ["solve", "--config", "{huge_J}"],
+    ["convergence", "--sigma", "0.5", "--m", "2", "--mode", "practical", "--levels", "2",
+     "--data", "constant:1e100"],
 ], ids=["sigma", "ys-increasing", "ys-single", "snapshot-after-T",
         "snapshot-not-a-number", "negative-inline-data", "convergence-sigma",
         "convergence-m", "convergence-base-i", "convergence-cfl-safety", "convergence-x",
@@ -187,7 +190,8 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
         "config-T-nan", "config-T-inf", "config-m-nan", "config-m-inf",
         "snapshot-nan", "snapshot-inf", "convergence-t-nan", "convergence-t-inf",
         "convergence-m-nan", "convergence-m-inf", "ys-inf", "ys-nan", "ys-overflow",
-        "data-power-overflow", "convergence-data-power-overflow"])
+        "data-power-overflow", "convergence-data-power-overflow", "config-J-huge",
+        "convergence-J-huge"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"sigma = 0.5\n\xff\xfe\n")
@@ -197,6 +201,8 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv):
                  name="negative.cfg"),
              "huge": write_config(tmp_path, GOOD_CONFIG.replace("bump", "constant:1e160"),
                                   name="huge.cfg"),
+             "huge_J": write_config(tmp_path, GOOD_CONFIG.replace("J = 4", f"J = {10**30}"),
+                                    name="huge_J.cfg"),
              **{f"{key}_{val}": write_config(
                  tmp_path, GOOD_CONFIG.replace(line, f"{key} = {val}"), name=f"{key}_{val}.cfg")
                 for key, line in (("T", "T = 0.1"), ("m", "m = 2.0")) for val in ("nan", "inf")},

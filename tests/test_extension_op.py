@@ -15,7 +15,8 @@ Independent checks used here:
   * the assembled rows against the matrix-free pointwise application via the
     known row scaling, and that application against a node-by-node loop;
   * measured truncation order on a smooth product field against the formal
-    order formula.
+    order formula;
+  * a cached operator against a fresh build of the same key.
 """
 
 import dataclasses
@@ -24,16 +25,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.sparse.linalg import spsolve
 
-from fracpme.core import Field, Grid, effective_order
+from fracpme import extension_op
+from fracpme.core import Field, Grid, SolverConfig, effective_order, initial_data_preset
 from fracpme.errors import SolverError, UnsupportedStencilError
 from fracpme.extension_op import (
     _MIN_K_FIRST,
     _MIN_N_SECOND,
     _MONOTONE_TOL,
+    _build,
+    _cache,
     SUPPORTED_PAIRS,
+    ExtensionOperator,
     _first_deriv_offsets,
     _second_deriv_offsets,
     _x_modes,
@@ -46,6 +51,7 @@ from fracpme.extension_op import (
     solve_interior,
     verify_monotone_structure,
 )
+from fracpme.marcher import march
 from fracpme.oracles import dense_extension_solve
 
 
@@ -262,8 +268,116 @@ def test_solve_is_deterministic():
     grid = make_grid(I=12, K=6, dx=0.125)
     trace = np.sin(np.linspace(0, math.pi, 11))
     a = solve_interior(assemble(grid, 0.6), trace)
+    _cache.clear()                          # two independent builds, not one shared operator
     b = solve_interior(assemble(grid, 0.6), trace)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the operator cache
+
+
+def _parts(op):
+    m = op._modes
+    return [a for M in (op.A, op.T_x, op.S_y) for a in (M.data, M.indices, M.indptr)] + [
+        m.V, m.V_inv, m.G, m.s]
+
+
+def test_cache_hit_equals_a_fresh_build():
+    # every key is cached side by side, so a key that dropped c, d or sigma
+    # would hand one of them another's parts
+    grid = make_grid(I=12, K=6)
+    cases = ([(c, d, s) for c, d in sorted(SUPPORTED_PAIRS) for s in (0.3, 1.0, 1.6)]
+             + [(c, None, 1.0) for c in (2, 3, 4)])
+    first = [assemble(grid, s, c=c, d=d) for c, d, s in cases]
+    assert len(_cache) == len(cases)
+    for (c, d, sigma), op in zip(cases, first):
+        hit = assemble(grid, sigma, c=c, d=d)
+        assert hit is not op and hit.A is op.A and hit._modes.G is not op._modes.G
+        (A, T_x, S_y, modes), _ = _build(12, 6, sigma, c, d)
+        fresh = ExtensionOperator(grid, sigma, c, d, A, T_x, S_y, modes)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(_parts(hit), _parts(fresh), strict=True)), (c, d, sigma)
+
+
+def test_corrupting_one_operator_leaves_another_of_the_same_key_intact():
+    grid = make_grid(I=12, K=6, dx=0.125)
+    trace = np.sin(np.linspace(0, math.pi, 11))
+    bad, good = assemble(grid, 0.6), assemble(grid, 0.6)
+    want = solve_interior(good, trace)
+    bad._modes.G *= 1.0 + 1e-6
+    with pytest.raises(SolverError, match="solve residual"):
+        solve_interior(bad, trace)
+    assert np.array_equal(solve_interior(good, trace), want)
+    assert np.array_equal(solve_interior(assemble(grid, 0.6), trace), want)
+
+
+def test_shared_parts_are_read_only():
+    op = assemble(make_grid(), 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        op._modes.V[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        op.A.data[0] = 1.0
+
+
+def test_grids_of_one_shape_share_parts_but_keep_their_own_grid():
+    gauss = initial_data_preset("gaussian")
+    cfgs = [SolverConfig(sigma=0.5, m=2.0, X=X, Y=X, T=0.01, I=8, K=4, J=2)
+            for X in (1.0, 2.0)]
+    grids = [cfg.grid() for cfg in cfgs]
+    ops = [assemble(grid, 0.5) for grid in grids]
+    assert ops[0].A is ops[1].A and ops[0]._modes.V is ops[1]._modes.V
+    assert all(op.grid is grid for op, grid in zip(ops, grids))
+    for cfg, own, other in zip(cfgs, ops, ops[::-1]):
+        assert np.array_equal(march(cfg, gauss, op=own).trace_history,
+                              march(cfg, gauss).trace_history)
+        with pytest.raises(ValueError, match="another grid"):
+            march(cfg, gauss, op=other)
+
+
+def _count_builds(monkeypatch):
+    calls = []
+    real = extension_op._x_modes
+    monkeypatch.setattr(extension_op, "_x_modes", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_cache_evicts_the_least_recently_used(monkeypatch):
+    grid = make_grid()
+    keys = [(grid.I, grid.K, sigma, 2, 1) for sigma in (0.3, 0.5, 0.7)]
+    size = _build(*keys[0])[1]
+    assert all(_build(*k)[1] == size for k in keys)
+    monkeypatch.setattr(extension_op, "_CACHE_BYTES", 2 * size)
+    builds = _count_builds(monkeypatch)
+    for sigma in (0.3, 0.5, 0.3, 0.7):      # 0.3 is used again, so 0.5 goes first
+        assemble(grid, sigma)
+    assert list(_cache) == [keys[0], keys[2]] and len(builds) == 3
+    assemble(grid, 0.5)
+    assert list(_cache) == [keys[2], keys[1]] and len(builds) == 4
+
+
+def test_over_budget_operator_is_returned_built_once_and_not_kept(monkeypatch):
+    small = make_grid()
+    monkeypatch.setattr(extension_op, "_CACHE_BYTES", _build(small.I, small.K, 0.5, 2, 1)[1])
+    assemble(small, 0.5)
+    builds = _count_builds(monkeypatch)
+    big = make_grid(I=16, K=8)
+    op = assemble(big, 0.5)
+    assert len(builds) == 1 and list(_cache) == [(small.I, small.K, 0.5, 2, 1)]
+    trace = np.linspace(0.0, 1.0, big.I - 1)
+    assert np.array_equal(solve_interior(op, trace),
+                          solve_interior(assemble(big, 0.5), trace))
+    assert len(builds) == 2
+
+
+def test_failed_build_is_not_kept(monkeypatch):
+    def broken(*_args):
+        raise linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(extension_op, "_x_modes", broken)
+    with pytest.raises(SolverError, match="injected"):
+        assemble(make_grid(), 0.5)
+    assert not _cache
 
 
 # ---------------------------------------------------------------------------

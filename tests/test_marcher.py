@@ -30,6 +30,7 @@ from fracpme.marcher import (
     write_snapshot_csv,
     write_trace_csv,
 )
+from fracpme import extension_op
 from fracpme.extension_op import assemble
 
 
@@ -256,6 +257,7 @@ def test_march_artificial_boundary_stays_exactly_zero():
 def test_march_is_deterministic():
     cfg = make_config(m=3.0, sigma=1.5, J=4, d=3, K=3, Y=1.5)
     a = march(cfg, GAUSS)
+    extension_op._cache.clear()             # two independent builds, not one shared operator
     b = march(cfg, GAUSS)
     assert np.array_equal(a.trace_history, b.trace_history)
 
