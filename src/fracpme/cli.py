@@ -8,6 +8,7 @@ violation.  Any other exception is an internal fault and propagates.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -22,7 +23,17 @@ _CONFIG_ERRORS = (ConfigError, CflViolationError, UnsupportedStencilError)
 _RUN_ERRORS = (MaxPrincipleError, NegativeBracketError, QuadratureError, SolverError)
 
 
+def _check_writable(*paths) -> None:
+    """ConfigError for an output path that cannot be written; None entries are skipped."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        if (os.path.isdir(path) or not os.path.isdir(parent)
+                or not os.access(path if os.path.exists(path) else parent, os.W_OK)):
+            raise ConfigError(f"cannot write output file {path!r}")
+
+
 def _cmd_sigma_table(args) -> int:
+    _check_writable(args.out)
     result = harness.run_sigma_table(args.sigmas, args.ys)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -47,11 +58,13 @@ def _cmd_solve(args) -> int:
         except ValueError:
             raise ConfigError(f"--snapshots takes comma-separated times, "
                               f"got {args.snapshots!r}") from None
+    prefix = args.out_prefix
+    _check_writable(args.dump_matrix, f"{prefix}_trace.csv",
+                    f"{prefix}_snapshots.csv" if capture else None)
     op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     if args.dump_matrix:
         extension_op.dump_matrix(op, args.dump_matrix)
     traj = marcher.march(config, data, capture=capture, op=op)
-    prefix = args.out_prefix
     marcher.write_trace_csv(traj, f"{prefix}_trace.csv")
     if traj.snapshots:
         marcher.write_snapshot_csv(traj, f"{prefix}_snapshots.csv")
@@ -66,6 +79,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    _check_writable(args.out, args.plot)
     mode = harness.SchemeMode.parse(args.mode)
     data = core.parse_initial_data(args.data)
     setup = harness.StudySetup(X=args.x, Y=args.y, T=args.t, base_i=args.base_i,

@@ -10,19 +10,20 @@ That scaling keeps the matrix well conditioned across sigma and is exactly the
 manipulation under which the low-order scheme exhibits its M-structure.
 
 The interior operator A is the Kronecker sum I (x) T_x + S_y (x) I of a 1-D
-x-factor and a 1-D y-factor; beside A only the two factors are kept.  A is
-solved by fast diagonalization (Lynch, Rice and Thomas 1964): T_x =
-V diag(lam) V^-1 once per operator, then the banded y-systems (S_y + lam_n I)
-of all x-modes as the diagonal blocks of one banded solve.  Trace data enter
-only through S_y's k = 0 column, so each mode's response to the trace is a
-precomputed y-profile and a step costs two dense products.  All of this
-depends on (I, K, sigma, c, d) only, so assemble builds it once per key.
+x-factor and a 1-D y-factor; only the two factors are kept, and A is derived
+on demand.  A is solved by fast diagonalization (Lynch, Rice and Thomas 1964):
+T_x = V diag(lam) V^-1 once per operator, then the banded y-systems
+(S_y + lam_n I) of all x-modes as the diagonal blocks of one banded solve.
+Trace data enter only through S_y's k = 0 column, so each mode's response to
+the trace is a precomputed y-profile; a step costs two dense products and a
+residual product with each factor.  assemble builds this once per key.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -150,24 +151,12 @@ def _factor(offsets: list[tuple[int, ...]], deriv: int, n: int) -> sparse.csr_ma
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n - 1, n + 1))
 
 
-@dataclass
-class _XModes:
-    """T_x's interior block as V diag(lam) V^-1, the interior rhs per unit trace
-    value s = -S_y[:, 0], and the trace profiles: G[:, n] is mode n's interior
-    y-profile for unit trace data."""
-    V: np.ndarray
-    V_inv: np.ndarray
-    G: np.ndarray
-    s: np.ndarray
-
-
 def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
-             s_trace: np.ndarray) -> _XModes:
-    """Diagonalize T_int and solve the y-systems (S_int + lam_n I) G[:, n] = s_trace
-    of all modes n as the diagonal blocks of one banded system.
-
-    s_trace is the interior rhs per unit trace value, -S_y[:, 0].
-    """
+             s_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """V, V^-1, G and s_trace for T_int = V diag(lam) V^-1 and the y-systems
+    (S_int + lam_n I) G[:, n] = s_trace of all modes n, solved as the diagonal
+    blocks of one banded system; s_trace is the interior rhs per unit trace
+    value, -S_y[:, 0], and G[:, n] mode n's interior y-profile for it."""
     lam, V = linalg.eig(T_int.toarray())
     if np.any(lam.imag != 0.0):
         raise SolverError("x-block has complex eigenvalues; the x-mode solve needs a real spectrum")
@@ -182,70 +171,73 @@ def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
     ab = np.tile(y_band, len(lam))
     ab[upper] += np.repeat(lam.real, n_y)
     g = linalg.solve_banded((lower, upper), ab, np.tile(s_trace, len(lam)), overwrite_ab=True)
-    return _XModes(V=V, V_inv=linalg.inv(V), G=g.reshape(len(lam), n_y).T.copy(), s=s_trace)
+    return V, linalg.inv(V), g.reshape(len(lam), n_y).T.copy(), s_trace
 
 
 @dataclass
 class ExtensionOperator:
-    """Assembled interior system A w = rhs for trace data, solved by x-modes.
+    """The interior system for trace data: its two 1-D factors and x-modes.
 
     Interior unknowns are ordered by (k, i).  T_x, (I-1) x (I+1), and S_y,
     (K-1) x (K+1), are the scaled 1-D factors over all x-nodes 0..I and all
-    y-nodes 0..K; row n = (k-1)(I-1) + (i-1) of the operator is row i-1 of
-    T_x at height k plus row k-1 of S_y at abscissa i.  A keeps their
-    interior columns for the residual check and diagnostics; solves go
-    through the precomputed x-modes.
+    y-nodes 0..K; row n = (k-1)(I-1) + (i-1) of the interior matrix A is row
+    i-1 of T_x at height k plus row k-1 of S_y at abscissa i.  V, V^-1, G and
+    s are _x_modes' arrays.  Solves use only these; A is derived on demand.
     """
     grid: Grid
     sigma: float
     c: int
     d: int | None
-    A: sparse.csr_matrix
     T_x: sparse.csr_matrix
     S_y: sparse.csr_matrix
-    _modes: _XModes = field(repr=False)
+    V: np.ndarray = field(repr=False)
+    V_inv: np.ndarray = field(repr=False)
+    G: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)
+
+    @cached_property
+    def A(self) -> sparse.csr_matrix:
+        """I (x) T_x,int + S_y,int (x) I, built from the factors on first use."""
+        I, K = self.grid.I, self.grid.K
+        return (sparse.kron(sparse.eye(K - 1), self.T_x[:, 1:I], format="csr")
+                + sparse.kron(self.S_y[:, 1:K], sparse.eye(I - 1), format="csr"))
 
     def condition_estimate(self) -> float:
         """1-norm condition estimate ||A||_1 * ||A^-1||_1 (factorizes A on demand)."""
-        n = self.A.shape[0]
         lu = spla.splu(self.A.tocsc(), permc_spec="COLAMD")
-        inv = spla.LinearOperator((n, n), matvec=lu.solve,
+        inv = spla.LinearOperator(self.A.shape, matvec=lu.solve,
                                   rmatvec=lambda v: lu.solve(v, trans="T"))
         return spla.onenormest(self.A) * spla.onenormest(inv)
 
 
 def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
-    """(A, T_x, S_y, x-modes), all arrays read-only, and their total nbytes.
+    """(T_x, S_y, V, V^-1, G, s), all arrays read-only, and their total nbytes.
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus
-    (1-sigma)/k first-derivative rows, and over the interior nodes in (k, i)
-    order A = I (x) T_x,int + S_y,int (x) I.
+    (1-sigma)/k first-derivative rows.  No interior matrix is formed.
     """
     T_x = -_factor([_second_deriv_offsets(i, I, c) for i in range(1, I)], 2, I)
     S_y = -_factor([_second_deriv_offsets(k, K, c) for k in range(1, K)], 2, K)
     if d is not None and sigma != 1.0:
         drift = sparse.diags((1.0 - sigma) / np.arange(1, K))
         S_y = S_y - drift @ _factor([_first_deriv_offsets(k, K, d) for k in range(1, K)], 1, K)
-    A = (sparse.kron(sparse.eye(K - 1), T_x[:, 1:I], format="csr")
-         + sparse.kron(S_y[:, 1:K], sparse.eye(I - 1), format="csr"))
-    A.eliminate_zeros()
     try:
         # the trace reaches the interior only through S_y's k = 0 column
         modes = _x_modes(T_x[:, 1:I], S_y[:, 1:K], -S_y[:, 0].toarray().ravel())
     except linalg.LinAlgError as e:
         raise SolverError(f"x-mode setup failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
-    arrays = [modes.V, modes.V_inv, modes.G, modes.s]
-    for M in (A, T_x, S_y):
+    arrays = list(modes)
+    for M in (T_x, S_y):
         M.sum_duplicates()          # canonical: scipy never re-sorts a frozen matrix in place
         arrays += [M.data, M.indices, M.indptr]
     for a in arrays:
         a.setflags(write=False)
-    return (A, T_x, S_y, modes), sum(a.nbytes for a in arrays)
+    return (T_x, S_y, *modes), sum(a.nbytes for a in arrays)
 
 
 def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
-    """The operator of _build for a fixed grid, sigma and stencil pair.
+    """The operator of _build's parts for a fixed grid, sigma and stencil pair.
 
     Parts are built once per (I, K, sigma, c, d) and shared read-only; G is the
     caller's own copy.  An LRU keeps them while their arrays total at most
@@ -259,9 +251,8 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
         _cache[key] = entry                 # (re)inserted as the most recently used
         while sum(n for _, n in _cache.values()) > _CACHE_BYTES:
             _cache.popitem(last=False)
-    (A, T_x, S_y, modes), _ = entry
-    return ExtensionOperator(grid=grid, sigma=sigma, c=c, d=d, A=A, T_x=T_x, S_y=S_y,
-                             _modes=replace(modes, G=modes.G.copy()))
+    T_x, S_y, V, V_inv, G, s = entry[0]
+    return ExtensionOperator(grid, sigma, c, d, T_x, S_y, V, V_inv, G.copy(), s)
 
 
 def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
@@ -269,23 +260,26 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
     trace_row and homogeneous lateral/top data.
 
     The solution is the precomputed mode profiles scaled by V^-1 trace, mapped
-    back through V; it is residual-checked against A with the rhs
-    outer(-S_y[:, 0], trace), so a non-finite or inaccurate solve raises SolverError.
+    back through V; it is residual-checked through the two 1-D factors on the
+    node array, so a non-finite or inaccurate solve raises SolverError.
     """
-    I = op.grid.I
+    I, K = op.grid.I, op.grid.K
     trace_row = np.asarray(trace_row, dtype=float)
     if trace_row.shape != (I - 1,):
         raise ValueError(f"trace_row must have length I-1 = {I - 1}, got {trace_row.shape}")
     if not np.isfinite(trace_row).all():
         raise ValueError("boundary data must be finite")
-    modes = op._modes
-    # W[k-1, i-1] = interior value; A w = rhs reads W T_x^T + S_y W = R, and
-    # W = W_hat V^T turns it into one y-system per column of W_hat
-    w = (modes.G * (modes.V_inv @ trace_row)) @ modes.V.T
-    rhs = np.outer(modes.s, trace_row).ravel()
-    # max|s_k t_i| = max|s| max|t| exactly: rounding is monotone
-    norm_rhs = float(np.abs(modes.s).max() * np.abs(trace_row).max())
-    resid = float(np.abs(op.A.dot(w.ravel()) - rhs).max())
+    # W[k-1, i-1] = interior value solves W T_x,int^T + S_y,int W = outer(s, trace),
+    # and W = W_hat V^T turns that into one y-system per column of W_hat
+    w = (op.G * (op.V_inv @ trace_row)) @ op.V.T
+    # residual on the node array P[k, i]: trace at k = 0, 0 on the lateral and top boundary
+    P = np.zeros((K + 1, I + 1))
+    P[0, 1:I] = trace_row
+    P[1:K, 1:I] = w
+    R = op.S_y @ P[:, 1:I] + (op.T_x @ P[1:K].T).T
+    # ||outer(s, trace)||_inf = max|s| max|t| exactly: rounding is monotone
+    norm_rhs = float(np.abs(op.s).max() * np.abs(trace_row).max())
+    resid = float(np.abs(R, out=R).max())
     if not resid <= 1e-10 * max(norm_rhs, 1e-300):
         raise SolverError(
             f"solve residual {resid:.3e} exceeds 1e-10 * ||rhs||_inf = {1e-10 * norm_rhs:.3e}; "

@@ -219,25 +219,14 @@ def _study_config(sigma: float, m: float, params: SchemeParams,
     if abs(K - round(K)) > 1e-9:
         raise ConfigError(
             f"study geometry not meshable: Y/dx = {K} must be an integer at I = {I}")
-    K = int(round(K))
-    grid = core.Grid(setup.X, setup.Y, I, K)
-    samples = setup.data.sample(grid.xs)
-    if samples.min() < 0.0:
-        raise ConfigError("study data must be nonnegative")
-    with np.errstate(over="ignore"):
-        b_max = float(np.max(samples[1:-1] ** m))
-    if not math.isfinite(b_max):
-        raise ConfigError(f"study data too large: f^m overflows at m = {m:g}")
+    cfg = SolverConfig(sigma=sigma, m=m, X=setup.X, Y=setup.Y, T=setup.T, I=I,
+                       K=int(round(K)), J=1, c=params.c, d=params.d, cfl_safety=setup.cfl_safety)
+    b_max = float(marcher.initial_trace_w(cfg, setup.data).max())
     c_mf_dt = core.cfl_max_dt(m, b_max, sigma, dx)          # C(m,f) * dx^sigma
     dt_target = setup.cfl_safety * min(
         c_mf_dt, c_mf_dt * dx ** params.p / dx ** sigma)    # accuracy rule capped by CFL
-    if math.isinf(dt_target):
-        J = 1
-    else:
-        J = max(1, int(math.ceil(setup.T / dt_target - 1e-12)))
-    return SolverConfig(sigma=sigma, m=m, X=setup.X, Y=setup.Y, T=setup.T,
-                        I=I, K=K, J=J, c=params.c, d=params.d,
-                        cfl_safety=setup.cfl_safety)
+    J = 1 if math.isinf(dt_target) else max(1, int(math.ceil(setup.T / dt_target - 1e-12)))
+    return replace(cfg, J=J)
 
 
 def _spectral_trace(xs: np.ndarray, T: float, sigma: float,

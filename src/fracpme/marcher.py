@@ -9,7 +9,6 @@ the pressure variable, which is what makes every bound below hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -176,10 +175,13 @@ def march(config: SolverConfig, f, capture=None,
             f"{config.cfl_safety * bound:.6e}; increase J to at least "
             f"{int(np.ceil(config.T / (config.cfl_safety * bound)))}")
 
+    try:
+        w_hist = np.empty((config.J + 1, config.I + 1))
+        times = np.arange(config.J + 1) * dt
+    except MemoryError:
+        raise ConfigError(f"J = {config.J} too large at I = {config.I}: the (J+1) x (I+1) trace "
+                          f"history needs {8 * (config.J + 1) * (config.I + 1)} bytes") from None
     wanted = _capture_steps(capture, config.J, dt)
-    hi = b_max + 1e-10
-    w_hist = np.empty((config.J + 1, config.I + 1))
-    times = np.arange(config.J + 1) * dt
     snapshots: list[tuple[float, Field]] = []
     diags: list[StepDiagnostics] = []
 
@@ -192,7 +194,7 @@ def march(config: SolverConfig, f, capture=None,
                 raise
         vals = state.values
         w_min, w_max = float(vals.min()), float(vals.max())
-        if w_min < -1e-10 or w_max > hi:
+        if w_min < -1e-10 or w_max > b_max + 1e-10:
             raise MaxPrincipleError(
                 f"solution left [0, b_max] band at step {j}: "
                 f"min = {w_min:.3e}, max = {w_max:.3e}, b_max = {b_max:.3e}")

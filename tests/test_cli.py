@@ -183,6 +183,11 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     ["solve", "--config", "{huge_J}"],
     ["convergence", "--sigma", "0.5", "--m", "2", "--mode", "practical", "--levels", "2",
      "--data", "constant:1e100"],
+    ["solve", "--config", "{J_unallocatable}"],
+    ["sigma-table", "--sigmas", "1.0", "--out", "{nodir}/t.csv"],
+    ["solve", "--config", "{cfg}", "--out-prefix", "{nodir}/run"],
+    ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--levels", "2",
+     "--plot", "{nodir}/study.svg"],
 ], ids=["sigma", "ys-increasing", "ys-single", "snapshot-after-T",
         "snapshot-not-a-number", "negative-inline-data", "convergence-sigma",
         "convergence-m", "convergence-base-i", "convergence-cfl-safety", "convergence-x",
@@ -191,7 +196,8 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
         "snapshot-nan", "snapshot-inf", "convergence-t-nan", "convergence-t-inf",
         "convergence-m-nan", "convergence-m-inf", "ys-inf", "ys-nan", "ys-overflow",
         "data-power-overflow", "convergence-data-power-overflow", "config-J-huge",
-        "convergence-J-huge"])
+        "convergence-J-huge", "config-J-unallocatable", "sigma-table-out-unwritable",
+        "solve-out-prefix-unwritable", "convergence-plot-unwritable"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"sigma = 0.5\n\xff\xfe\n")
@@ -203,6 +209,11 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv):
                                   name="huge.cfg"),
              "huge_J": write_config(tmp_path, GOOD_CONFIG.replace("J = 4", f"J = {10**30}"),
                                     name="huge_J.cfg"),
+             # a 640 PiB trace history: numpy refuses it without touching memory
+             "J_unallocatable": write_config(
+                 tmp_path, GOOD_CONFIG.replace("J = 4", f"J = {10**16}"),
+                 name="J_unallocatable.cfg"),
+             "nodir": str(tmp_path / "missing"),
              **{f"{key}_{val}": write_config(
                  tmp_path, GOOD_CONFIG.replace(line, f"{key} = {val}"), name=f"{key}_{val}.cfg")
                 for key, line in (("T", "T = 0.1"), ("m", "m = 2.0")) for val in ("nan", "inf")},

@@ -241,7 +241,7 @@ def test_residual_check_catches_corrupted_profiles():
     op = assemble(grid, 0.6)
     trace = np.sin(np.linspace(0, math.pi, 11))
     solve_interior(op, trace)
-    op._modes.G *= 1.0 + 1e-6
+    op.G *= 1.0 + 1e-6
     with pytest.raises(SolverError, match="condition estimate") as ei:
         solve_interior(op, trace)
     est = float(str(ei.value).rsplit("condition estimate", 1)[1])
@@ -251,7 +251,7 @@ def test_residual_check_catches_corrupted_profiles():
 def test_residual_check_catches_a_nan_solve():
     # a NaN residual fails no "resid > tol" test; the check must refuse it too
     op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6)
-    op._modes.G[0, 0] = np.nan
+    op.G[0, 0] = np.nan
     with pytest.raises(SolverError, match="solve residual nan"):
         solve_interior(op, np.sin(np.linspace(0, math.pi, 11)))
 
@@ -277,10 +277,17 @@ def test_solve_is_deterministic():
 # the operator cache
 
 
+def _csr_parts(*matrices):
+    return [a for M in matrices for a in (M.data, M.indices, M.indptr)]
+
+
 def _parts(op):
-    m = op._modes
-    return [a for M in (op.A, op.T_x, op.S_y) for a in (M.data, M.indices, M.indptr)] + [
-        m.V, m.V_inv, m.G, m.s]
+    return _csr_parts(op.T_x, op.S_y) + [op.V, op.V_inv, op.G, op.s]
+
+
+def _bitwise_equal(left, right):
+    return all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(left, right, strict=True))
 
 
 def test_cache_hit_equals_a_fresh_build():
@@ -293,11 +300,10 @@ def test_cache_hit_equals_a_fresh_build():
     assert len(_cache) == len(cases)
     for (c, d, sigma), op in zip(cases, first):
         hit = assemble(grid, sigma, c=c, d=d)
-        assert hit is not op and hit.A is op.A and hit._modes.G is not op._modes.G
-        (A, T_x, S_y, modes), _ = _build(12, 6, sigma, c, d)
-        fresh = ExtensionOperator(grid, sigma, c, d, A, T_x, S_y, modes)
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype
-                   for a, b in zip(_parts(hit), _parts(fresh), strict=True)), (c, d, sigma)
+        assert hit is not op and hit.G is not op.G
+        assert _bitwise_equal(_csr_parts(hit.A), _csr_parts(op.A)), (c, d, sigma)
+        fresh = ExtensionOperator(grid, sigma, c, d, *_build(12, 6, sigma, c, d)[0])
+        assert _bitwise_equal(_parts(hit), _parts(fresh)), (c, d, sigma)
 
 
 def test_corrupting_one_operator_leaves_another_of_the_same_key_intact():
@@ -305,7 +311,7 @@ def test_corrupting_one_operator_leaves_another_of_the_same_key_intact():
     trace = np.sin(np.linspace(0, math.pi, 11))
     bad, good = assemble(grid, 0.6), assemble(grid, 0.6)
     want = solve_interior(good, trace)
-    bad._modes.G *= 1.0 + 1e-6
+    bad.G *= 1.0 + 1e-6
     with pytest.raises(SolverError, match="solve residual"):
         solve_interior(bad, trace)
     assert np.array_equal(solve_interior(good, trace), want)
@@ -315,9 +321,9 @@ def test_corrupting_one_operator_leaves_another_of_the_same_key_intact():
 def test_shared_parts_are_read_only():
     op = assemble(make_grid(), 0.5)
     with pytest.raises(ValueError, match="read-only"):
-        op._modes.V[0, 0] = 1.0
+        op.V[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        op.A.data[0] = 1.0
+        op.T_x.data[0] = 1.0
 
 
 def test_grids_of_one_shape_share_parts_but_keep_their_own_grid():
@@ -326,13 +332,21 @@ def test_grids_of_one_shape_share_parts_but_keep_their_own_grid():
             for X in (1.0, 2.0)]
     grids = [cfg.grid() for cfg in cfgs]
     ops = [assemble(grid, 0.5) for grid in grids]
-    assert ops[0].A is ops[1].A and ops[0]._modes.V is ops[1]._modes.V
+    assert ops[0].T_x is ops[1].T_x and ops[0].V is ops[1].V
     assert all(op.grid is grid for op, grid in zip(ops, grids))
     for cfg, own, other in zip(cfgs, ops, ops[::-1]):
         assert np.array_equal(march(cfg, gauss, op=own).trace_history,
                               march(cfg, gauss).trace_history)
         with pytest.raises(ValueError, match="another grid"):
             march(cfg, gauss, op=other)
+
+
+def test_march_never_builds_the_interior_matrix():
+    # A is derived on demand for diagnostics; no solve or residual check reads it
+    cfg = SolverConfig(sigma=0.5, m=2.0, X=2.0, Y=2.0, T=0.01, I=8, K=4, J=2)
+    op = assemble(cfg.grid(), 0.5)
+    march(cfg, initial_data_preset("gaussian"), op=op)
+    assert "A" not in vars(op)
 
 
 def _count_builds(monkeypatch):
