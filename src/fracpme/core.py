@@ -118,8 +118,12 @@ class Grid:
         if abs(dx - dy) > 1e-12 * max(1.0, dx):
             raise ConfigError(
                 f"mesh must be square: dx = 2X/I = {dx!r} but dy = Y/K = {dy!r}")
-        xs = np.arange(self.I + 1) * dx - self.X
-        ys = np.arange(self.K + 1) * dx
+        try:
+            xs = np.arange(self.I + 1) * dx - self.X
+            ys = np.arange(self.K + 1) * dx
+        except MemoryError:
+            raise ConfigError(f"mesh I={self.I}, K={self.K} too large: "
+                              "its node coordinates cannot be allocated") from None
         xs.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "dx", dx)

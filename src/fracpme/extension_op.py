@@ -10,10 +10,11 @@ That scaling keeps the matrix well conditioned across sigma and is exactly the
 manipulation under which the low-order scheme exhibits its M-structure.
 
 The interior operator A is the Kronecker sum I (x) T_x + S_y (x) I of a 1-D
-x-factor and a 1-D y-factor; only the two factors are kept, and A is derived
-on demand.  A is solved by fast diagonalization (Lynch, Rice and Thomas 1964):
-T_x = V diag(lam) V^-1 once per operator, then the banded y-systems
-(S_y + lam_n I) of all x-modes as the diagonal blocks of one banded solve.
+x-factor and a 1-D y-factor; only the two factors are kept, and A itself is
+formed only for dump_matrix (solve --dump-matrix) and tests.  A is solved by
+fast diagonalization (Lynch, Rice and Thomas 1964): T_x = V diag(lam) V^-1
+once per operator, then the banded y-systems (S_y + lam_n I) of all x-modes
+as the diagonal blocks of one banded solve.
 Trace data enter only through S_y's k = 0 column, so each mode's response to
 the trace is a precomputed y-profile; a step costs two dense products and a
 residual product with each factor.  assemble builds this once per key.
@@ -28,16 +29,14 @@ from typing import Sequence
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.sparse import linalg as spla
 
 from .core import Grid, _check_sigma
-from .errors import SolverError, UnsupportedStencilError
+from .errors import ConfigError, SolverError, UnsupportedStencilError
 
 __all__ = [
     "SUPPORTED_PAIRS", "fd_weights", "ExtensionOperator",
     "assemble", "solve_interior", "full_grid_values", "MonotoneReport",
-    "verify_monotone_structure", "discrete_max_location", "apply_operator",
-    "dump_matrix",
+    "verify_monotone_structure", "discrete_max_location", "dump_matrix",
 ]
 
 SUPPORTED_PAIRS = frozenset({(2, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)})
@@ -197,17 +196,15 @@ class ExtensionOperator:
 
     @cached_property
     def A(self) -> sparse.csr_matrix:
-        """I (x) T_x,int + S_y,int (x) I, built from the factors on first use."""
+        """I (x) T_x,int + S_y,int (x) I from the factors, for dump_matrix and tests."""
         I, K = self.grid.I, self.grid.K
         return (sparse.kron(sparse.eye(K - 1), self.T_x[:, 1:I], format="csr")
                 + sparse.kron(self.S_y[:, 1:K], sparse.eye(I - 1), format="csr"))
 
     def condition_estimate(self) -> float:
-        """1-norm condition estimate ||A||_1 * ||A^-1||_1 (factorizes A on demand)."""
-        lu = spla.splu(self.A.tocsc(), permc_spec="COLAMD")
-        inv = spla.LinearOperator(self.A.shape, matvec=lu.solve,
-                                  rmatvec=lambda v: lu.solve(v, trans="T"))
-        return spla.onenormest(self.A) * spla.onenormest(inv)
+        """kappa_1(V) = ||V||_1 * ||V^-1||_1 >= 1 of the x-mode basis: the factor by
+        which a solve's change to x-modes and back can amplify rounding."""
+        return float(np.linalg.norm(self.V, 1) * np.linalg.norm(self.V_inv, 1))
 
 
 def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
@@ -227,6 +224,8 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, 
         modes = _x_modes(T_x[:, 1:I], S_y[:, 1:K], -S_y[:, 0].toarray().ravel())
     except linalg.LinAlgError as e:
         raise SolverError(f"x-mode setup failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
+    except MemoryError as e:
+        raise ConfigError(f"mesh I={I}, K={K} too large: x-mode setup cannot be allocated") from e
     arrays = list(modes)
     for M in (T_x, S_y):
         M.sum_duplicates()          # canonical: scipy never re-sorts a frozen matrix in place
@@ -283,7 +282,7 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
     if not resid <= 1e-10 * max(norm_rhs, 1e-300):
         raise SolverError(
             f"solve residual {resid:.3e} exceeds 1e-10 * ||rhs||_inf = {1e-10 * norm_rhs:.3e}; "
-            f"condition estimate {op.condition_estimate():.3e}")
+            f"x-mode basis condition estimate {op.condition_estimate():.3e}")
     return w.T
 
 
@@ -333,52 +332,6 @@ def discrete_max_location(values) -> tuple[int, int]:
     vals = np.asarray(getattr(values, "values", values), dtype=float)
     k, i = divmod(int(np.argmax(vals.T)), vals.shape[0])
     return i, k
-
-
-def apply_operator(values: np.ndarray, dx: float, sigma: float,
-                   c: int = 2, d: int | None = 1) -> np.ndarray:
-    """Matrix-free pointwise application of the unscaled operator at interior nodes.
-
-    Returns L v with physical units on the (I-1) x (K-1) interior block; meant
-    for truncation-error studies against analytically sampled fields, not for
-    production solves.  Stencil sums are taken over array slices: the x sums
-    once per distinct x window (at most 3), the y sums once per row k.
-    """
-    sigma = _check_sigma(sigma)
-    vals = np.asarray(values, dtype=float)
-    I = vals.shape[0] - 1
-    K = vals.shape[1] - 1
-    _check_pair(sigma, c, d, I, K)
-    drift = d is not None and sigma != 1.0
-    inv_dx2 = 1.0 / (dx * dx)
-    # x sums at every interior node, grouped by stencil window
-    windows: dict[tuple[int, ...], list[int]] = {}
-    for i in range(1, I):
-        windows.setdefault(_second_deriv_offsets(i, I, c), []).append(i)
-    lap_x = np.empty((I - 1, K - 1))
-    for xo, nodes in windows.items():
-        ii = np.asarray(nodes)
-        lap_x[ii - 1] = _stencil_sum(vals[:, 1:K], ii, xo, fd_weights(xo, 2))
-    out = np.empty((I - 1, K - 1))
-    for k in range(1, K):
-        y = k * dx
-        yo = _second_deriv_offsets(k, K, c)
-        lap_y = _stencil_sum(vals[1:I].T, k, yo, fd_weights(yo, 2))
-        res = y ** (1.0 - sigma) * ((lap_x[:, k - 1] + lap_y) * inv_dx2)
-        if drift:
-            fo = _first_deriv_offsets(k, K, d)
-            dy = _stencil_sum(vals[1:I].T, k, fo, fd_weights(fo, 1)) / dx
-            res += (1.0 - sigma) * y ** (-sigma) * dy
-        out[:, k - 1] = res
-    return out
-
-
-def _stencil_sum(vals: np.ndarray, at, offsets: tuple[int, ...], weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] * vals[at + offsets[j]] over the first axis, in stencil order."""
-    acc = weights[0] * vals[at + offsets[0]]
-    for o, w in zip(offsets[1:], weights[1:]):
-        acc = acc + w * vals[at + o]
-    return acc
 
 
 def dump_matrix(op: ExtensionOperator, path) -> None:

@@ -184,6 +184,7 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     ["convergence", "--sigma", "0.5", "--m", "2", "--mode", "practical", "--levels", "2",
      "--data", "constant:1e100"],
     ["solve", "--config", "{J_unallocatable}"],
+    ["solve", "--config", "{mesh_unallocatable}"],
     ["sigma-table", "--sigmas", "1.0", "--out", "{nodir}/t.csv"],
     ["solve", "--config", "{cfg}", "--out-prefix", "{nodir}/run"],
     ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--levels", "2",
@@ -196,7 +197,8 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
         "snapshot-nan", "snapshot-inf", "convergence-t-nan", "convergence-t-inf",
         "convergence-m-nan", "convergence-m-inf", "ys-inf", "ys-nan", "ys-overflow",
         "data-power-overflow", "convergence-data-power-overflow", "config-J-huge",
-        "convergence-J-huge", "config-J-unallocatable", "sigma-table-out-unwritable",
+        "convergence-J-huge", "config-J-unallocatable", "config-mesh-unallocatable",
+        "sigma-table-out-unwritable",
         "solve-out-prefix-unwritable", "convergence-plot-unwritable"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
     binary = tmp_path / "binary.cfg"
@@ -213,6 +215,10 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv):
              "J_unallocatable": write_config(
                  tmp_path, GOOD_CONFIG.replace("J = 4", f"J = {10**16}"),
                  name="J_unallocatable.cfg"),
+             # 256 TiB of x-coordinates, beyond the 128 TiB user address space
+             "mesh_unallocatable": write_config(
+                 tmp_path, GOOD_CONFIG.replace("I = 8", f"I = {2**45}")
+                 .replace("K = 2", f"K = {2**43}"), name="mesh_unallocatable.cfg"),
              "nodir": str(tmp_path / "missing"),
              **{f"{key}_{val}": write_config(
                  tmp_path, GOOD_CONFIG.replace(line, f"{key} = {val}"), name=f"{key}_{val}.cfg")

@@ -30,7 +30,7 @@ from scipy.sparse.linalg import spsolve
 
 from fracpme import extension_op
 from fracpme.core import Field, Grid, SolverConfig, effective_order, initial_data_preset
-from fracpme.errors import SolverError, UnsupportedStencilError
+from fracpme.errors import ConfigError, SolverError, UnsupportedStencilError
 from fracpme.extension_op import (
     _MIN_K_FIRST,
     _MIN_N_SECOND,
@@ -42,7 +42,6 @@ from fracpme.extension_op import (
     _first_deriv_offsets,
     _second_deriv_offsets,
     _x_modes,
-    apply_operator,
     assemble,
     discrete_max_location,
     dump_matrix,
@@ -53,6 +52,7 @@ from fracpme.extension_op import (
 )
 from fracpme.marcher import march
 from fracpme.oracles import dense_extension_solve
+from pointwise import apply_operator
 
 
 def make_grid(I=8, K=4, dx=0.25):
@@ -248,6 +248,16 @@ def test_residual_check_catches_corrupted_profiles():
     assert math.isfinite(est) and est >= 1.0
 
 
+def test_failed_solve_never_builds_the_interior_matrix():
+    # the refusal's condition estimate comes from the x-mode basis the
+    # operator holds, not from a factorization of A
+    op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6)
+    op.G *= 1.0 + 1e-6
+    with pytest.raises(SolverError, match="condition estimate"):
+        solve_interior(op, np.sin(np.linspace(0, math.pi, 11)))
+    assert "A" not in vars(op)
+
+
 def test_residual_check_catches_a_nan_solve():
     # a NaN residual fails no "resid > tol" test; the check must refuse it too
     op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6)
@@ -390,6 +400,16 @@ def test_failed_build_is_not_kept(monkeypatch):
 
     monkeypatch.setattr(extension_op, "_x_modes", broken)
     with pytest.raises(SolverError, match="injected"):
+        assemble(make_grid(), 0.5)
+    assert not _cache
+
+
+def test_unallocatable_x_modes_are_a_config_error(monkeypatch):
+    def unallocatable(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr(extension_op, "_x_modes", unallocatable)
+    with pytest.raises(ConfigError, match="I=8, K=4"):
         assemble(make_grid(), 0.5)
     assert not _cache
 
@@ -650,6 +670,14 @@ def test_condition_estimate_is_finite_and_positive():
     est = op.condition_estimate()
     assert math.isfinite(est)
     assert est >= 1.0
+
+
+@pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS) + [(c, None) for c in (2, 3, 4)])
+def test_condition_estimate_is_the_x_basis_one_norm_condition(c, d):
+    op = assemble(make_grid(I=12, K=6), 1.0 if d is None else 0.7, c=c, d=d)
+    ref = np.linalg.norm(op.V, 1) * np.linalg.norm(np.linalg.inv(op.V), 1)
+    assert op.condition_estimate() == pytest.approx(ref, rel=1e-12)
+    assert op.condition_estimate() >= 1.0
 
 
 def test_dump_matrix_round_trip(tmp_path):

@@ -3,7 +3,8 @@
 The scheme is `extension_op` and `marcher`; the independent references are
 `oracles` and `sigma_deriv`.  Each side may import `core` and `errors`, never
 a module of the other side, or a fault in shared code could pass the checks
-that compare the two.
+that compare the two.  Nor does the package carry a sparse direct solver:
+every solve goes through the x-modes of the operator's two 1-D factors.
 """
 
 import ast
@@ -47,3 +48,41 @@ def test_import_scan_sees_the_package_imports():
     # the scan itself must find what each module does import
     assert _package_imports("marcher") >= {"core", "extension_op", "errors"}
     assert _package_imports("harness") >= SCHEME | ORACLES
+
+
+def _sparse_linalg_uses(source):
+    # every import of scipy.sparse.linalg, or of a name from it, and every
+    # attribute path through it (sparse.linalg after `from scipy import sparse`)
+    def inside(name):
+        return name == "scipy.sparse.linalg" or name.startswith("scipy.sparse.linalg.")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if inside(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if inside(f"{node.module}.{a.name}")]
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            path = ast.unparse(node)
+            if path == "sparse.linalg" or path.endswith(".sparse.linalg"):
+                found.append(path)
+    return found
+
+
+@pytest.mark.parametrize("source,hit", [
+    ("import scipy.sparse.linalg", True), ("import scipy.sparse.linalg as spla", True),
+    ("from scipy.sparse.linalg import splu", True), ("from scipy.sparse import linalg", True),
+    ("from scipy.sparse import linalg as spla", True),
+    ("from scipy import sparse\nsparse.linalg.splu", True),
+    ("import scipy\nscipy.sparse.linalg.onenormest", True),
+    ("from scipy import linalg, sparse\nlinalg.eig(sparse.eye(2).toarray())", False),
+    ("from scipy.sparse import linalg_helpers", False)])
+def test_sparse_linalg_scan_sees_every_form(source, hit):
+    assert bool(_sparse_linalg_uses(source)) == hit
+
+
+@pytest.mark.parametrize("path", sorted(Path(fracpme.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_uses_no_sparse_direct_solver(path):
+    assert _sparse_linalg_uses(path.read_text()) == []

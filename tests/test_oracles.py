@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from fracpme.errors import QuadratureError
-from fracpme.extension_op import apply_operator
 from fracpme.oracles import (
     barenblatt_exponents,
     dense_extension_solve,
@@ -25,6 +24,7 @@ from fracpme.oracles import (
     lateral_bound,
     min_domain_half_width,
 )
+from pointwise import apply_operator
 
 
 # ---------------------------------------------------------------------------
