@@ -115,13 +115,13 @@ class Grid:
             raise ConfigError(f"need integer I >= 2 and K >= 1, got I={self.I}, K={self.K}")
         dx = 2.0 * self.X / self.I
         dy = self.Y / self.K
-        if abs(dx - dy) > 1e-12 * max(1.0, dx):
-            raise ConfigError(
-                f"mesh must be square: dx = 2X/I = {dx!r} but dy = Y/K = {dy!r}")
+        if not 0.0 < dx < math.inf or abs(dx - dy) > 1e-12 * max(dx, dy):
+            raise ConfigError(f"mesh must be square with a finite width dx > 0: "
+                              f"dx = 2X/I = {dx!r}, dy = Y/K = {dy!r}")
         try:
             xs = np.arange(self.I + 1) * dx - self.X
             ys = np.arange(self.K + 1) * dx
-        except MemoryError:
+        except (MemoryError, ValueError):   # ValueError: numpy's "array is too big"
             raise ConfigError(f"mesh I={self.I}, K={self.K} too large: "
                               "its node coordinates cannot be allocated") from None
         xs.setflags(write=False)
@@ -133,7 +133,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Values of the extended variable w on all (I+1) x (K+1) nodes, [i, k] indexed."""
+    """Values of the extended variable w on all (I+1) x (K+1) nodes, [i, k] indexed: a
+    copy that keeps the memory order of its input, height-major for initialize and step."""
     values: np.ndarray
     time_index: int = 0
 

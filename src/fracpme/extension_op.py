@@ -258,9 +258,9 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
     """Interior values, shape (I-1, K-1) indexed [i-1, k-1], for the trace data
     trace_row and homogeneous lateral/top data.
 
-    The solution is the precomputed mode profiles scaled by V^-1 trace, mapped
-    back through V; it is residual-checked through the two 1-D factors on the
-    node array, so a non-finite or inaccurate solve raises SolverError.
+    The mode profiles scaled by V^-1 trace and mapped back through V fill the node
+    array P[k, i]; its residual through the two 1-D factors catches a non-finite or
+    inaccurate solve (SolverError).  Returns P's interior transposed, not a copy.
     """
     I, K = op.grid.I, op.grid.K
     trace_row = np.asarray(trace_row, dtype=float)
@@ -268,13 +268,11 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
         raise ValueError(f"trace_row must have length I-1 = {I - 1}, got {trace_row.shape}")
     if not np.isfinite(trace_row).all():
         raise ValueError("boundary data must be finite")
-    # W[k-1, i-1] = interior value solves W T_x,int^T + S_y,int W = outer(s, trace),
-    # and W = W_hat V^T turns that into one y-system per column of W_hat
-    w = (op.G * (op.V_inv @ trace_row)) @ op.V.T
-    # residual on the node array P[k, i]: trace at k = 0, 0 on the lateral and top boundary
+    # P: trace at k = 0, 0 on the lateral and top boundary; its interior W solves
+    # W T_x,int^T + S_y,int W = outer(s, trace), one y-system per column of W V^-T
     P = np.zeros((K + 1, I + 1))
     P[0, 1:I] = trace_row
-    P[1:K, 1:I] = w
+    np.matmul(op.G * (op.V_inv @ trace_row), op.V.T, out=P[1:K, 1:I])
     R = op.S_y @ P[:, 1:I] + (op.T_x @ P[1:K].T).T
     # ||outer(s, trace)||_inf = max|s| max|t| exactly: rounding is monotone
     norm_rhs = float(np.abs(op.s).max() * np.abs(trace_row).max())
@@ -283,17 +281,17 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
         raise SolverError(
             f"solve residual {resid:.3e} exceeds 1e-10 * ||rhs||_inf = {1e-10 * norm_rhs:.3e}; "
             f"x-mode basis condition estimate {op.condition_estimate():.3e}")
-    return w.T
+    return P[1:K, 1:I].T
 
 
 def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,
                      interior: np.ndarray) -> np.ndarray:
-    """The (I+1) x (K+1) node array: trace_row at k = 0, interior inside, 0 on
-    the lateral and top boundary."""
-    vals = np.zeros((op.grid.I + 1, op.grid.K + 1))
-    vals[1:-1, 0] = trace_row
-    vals[1:-1, 1:-1] = interior
-    return vals
+    """The (I+1) x (K+1) node array [i, k], trace_row at k = 0, interior inside, 0 on
+    the lateral and top boundary: the transpose, not a copy, of a new height-major array."""
+    vals = np.zeros((op.grid.K + 1, op.grid.I + 1))
+    vals[0, 1:-1] = trace_row
+    vals[1:-1, 1:-1] = interior.T
+    return vals.T
 
 
 @dataclass(frozen=True)

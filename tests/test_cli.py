@@ -37,6 +37,13 @@ def write_config(tmp_path, text=GOOD_CONFIG, name="run.cfg"):
     return str(path)
 
 
+def write_mesh_config(tmp_path, name, X, Y, I, K):
+    """GOOD_CONFIG on another mesh."""
+    text = (GOOD_CONFIG.replace("X = 2.0", f"X = {X!r}").replace("Y = 1.0", f"Y = {Y!r}")
+            .replace("I = 8", f"I = {I}").replace("K = 2", f"K = {K}"))
+    return write_config(tmp_path, text, name=f"{name}.cfg")
+
+
 # ---------------------------------------------------------------------------
 # argparse level
 
@@ -185,6 +192,10 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
      "--data", "constant:1e100"],
     ["solve", "--config", "{J_unallocatable}"],
     ["solve", "--config", "{mesh_unallocatable}"],
+    ["solve", "--config", "{mesh_overflow}"],
+    ["solve", "--config", "{mesh_underflow}"],
+    ["solve", "--config", "{mesh_too_big}"],
+    ["solve", "--config", "{mesh_not_square}"],
     ["sigma-table", "--sigmas", "1.0", "--out", "{nodir}/t.csv"],
     ["solve", "--config", "{cfg}", "--out-prefix", "{nodir}/run"],
     ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--levels", "2",
@@ -198,6 +209,8 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
         "convergence-m-nan", "convergence-m-inf", "ys-inf", "ys-nan", "ys-overflow",
         "data-power-overflow", "convergence-data-power-overflow", "config-J-huge",
         "convergence-J-huge", "config-J-unallocatable", "config-mesh-unallocatable",
+        "config-mesh-overflow", "config-mesh-underflow", "config-mesh-too-big",
+        "config-mesh-not-square-unallocatable",
         "sigma-table-out-unwritable",
         "solve-out-prefix-unwritable", "convergence-plot-unwritable"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
@@ -219,6 +232,13 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv):
              "mesh_unallocatable": write_config(
                  tmp_path, GOOD_CONFIG.replace("I = 8", f"I = {2**45}")
                  .replace("K = 2", f"K = {2**43}"), name="mesh_unallocatable.cfg"),
+             # 2X overflows; dx underflows to 0; numpy calls 2^60 coordinates too big;
+             # dx = 2 dy, refused as not square before its coordinates are tried
+             **{name: write_mesh_config(tmp_path, name, *mesh) for name, mesh in (
+                 ("mesh_overflow", (1e308, 1e308, 4, 2)),
+                 ("mesh_underflow", (5e-324, 5e-324, 4, 2)),
+                 ("mesh_too_big", (1.0, 1.0, 2**60, 2**59)),
+                 ("mesh_not_square", (2.0, 1.0, 2**45, 2**44)))},
              "nodir": str(tmp_path / "missing"),
              **{f"{key}_{val}": write_config(
                  tmp_path, GOOD_CONFIG.replace(line, f"{key} = {val}"), name=f"{key}_{val}.cfg")
@@ -228,6 +248,13 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv):
              "binary": str(binary)}
     assert main([tok.format(**paths) for tok in argv]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_unallocatable_mesh_that_is_not_square_is_refused_as_not_square(tmp_path, capsys):
+    # dx = 2^-44 is twice dy = 2^-45: the squareness check must catch it, not the allocator
+    assert main(["solve", "--config", write_mesh_config(
+        tmp_path, "not_square", 2.0, 1.0, 2**45, 2**44)]) == 2
+    assert "mesh must be square" in capsys.readouterr().err
 
 
 def test_internal_value_error_is_not_a_configuration_error(tmp_path, monkeypatch, capsys):

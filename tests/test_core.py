@@ -193,6 +193,13 @@ def test_grid_requires_square_mesh():
         Grid(X=2.0, Y=1.0, I=8, K=3)
 
 
+def test_grid_squareness_is_relative_below_unit_width():
+    # dx = 1e-13 is four times dy = 2.5e-14; an absolute 1e-12 margin passed it
+    with pytest.raises(ConfigError, match="mesh must be square"):
+        Grid(X=1e-13, Y=1e-13, I=2, K=4)
+    assert Grid(X=1e-13, Y=2e-13, I=2, K=2).dx == 1e-13
+
+
 def test_grid_rejects_bad_extents_and_counts():
     with pytest.raises(ConfigError):
         Grid(X=-1.0, Y=1.0, I=4, K=2)

@@ -516,8 +516,10 @@ def test_discrete_max_location_tie_break():
     vals[2, 0] = 1.0
     vals[1, 1] = 1.0
     assert discrete_max_location(vals) == (2, 0)      # smallest k wins
+    assert discrete_max_location(np.asfortranarray(vals)) == (2, 0)
     vals[1, 0] = 1.0
     assert discrete_max_location(vals) == (1, 0)      # then smallest i
+    assert discrete_max_location(np.asfortranarray(vals)) == (1, 0)
     assert discrete_max_location(Field(vals)) == (1, 0)
 
 

@@ -214,6 +214,15 @@ def test_step_attaches_no_step_number_outside_march():
         step(Field(vals), op, cfg)
 
 
+def test_initialize_and_step_store_fields_height_major():
+    # row k of the field (the trace, row 1) is contiguous, and argmax scans in place
+    cfg = make_config(m=2.0)
+    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
+    state = initialize(cfg, GAUSS, op)
+    assert state.values.T.flags.c_contiguous
+    assert step(state, op, cfg).values.T.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # full march
 
