@@ -22,6 +22,7 @@ residual product with each factor.  assemble builds this once per key.
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -207,13 +208,42 @@ class ExtensionOperator:
         return float(np.linalg.norm(self.V, 1) * np.linalg.norm(self.V_inv, 1))
 
 
+def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
+    """An upper bound on the bytes _build holds at once.
+
+    With n = I-1 x-modes, m = K-1 y-nodes and r the widest stencil reach: the
+    dense x-block, eig's copy, V and V^-1 (n^2 floats each), and per mode and
+    y-node the tiled band (2r+1), LAPACK's band with r extra rows (3r+1) and its
+    Fortran-order copy (3r+1), the tiled rhs, the shifts, LAPACK's rhs copy, the
+    solution and G (one each); 1 MiB covers the O(n + m) rest.
+    """
+    window = _second_deriv_offsets(1, I, c) + (() if d is None else _first_deriv_offsets(1, K, d))
+    r = max(abs(o) for o in window)
+    n, m = I - 1, K - 1
+    return 8 * (4 * n * n + n * m * (8 * r + 8)) + 2**20
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the OS does not report them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
 def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
     """(T_x, S_y, V, V^-1, G, s), all arrays read-only, and their total nbytes.
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus
-    (1-sigma)/k first-derivative rows.  No interior matrix is formed.
+    (1-sigma)/k first-derivative rows.  No interior matrix is formed.  A mesh
+    whose _build_bytes exceed the physical memory is refused before any of it
+    is allocated (ConfigError).
     """
+    need, have = _build_bytes(I, K, c, d), _physical_memory()
+    if need > have:
+        raise ConfigError(f"mesh I={I}, K={K} too large: its operator needs up to {need} "
+                          f"bytes, more than the {have} bytes of physical memory")
     T_x = -_factor([_second_deriv_offsets(i, I, c) for i in range(1, I)], 2, I)
     S_y = -_factor([_second_deriv_offsets(k, K, c) for k in range(1, K)], 2, K)
     if d is not None and sigma != 1.0:

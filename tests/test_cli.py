@@ -257,6 +257,21 @@ def test_unallocatable_mesh_that_is_not_square_is_refused_as_not_square(tmp_path
     assert "mesh must be square" in capsys.readouterr().err
 
 
+def test_mesh_beyond_physical_memory_exits_2_before_its_x_block(tmp_path, monkeypatch, capsys):
+    # on an 8 GiB machine: the dense x-block alone would be 8 GiB, and the
+    # operator's bound is about 96 GiB
+    def never(*_args):
+        raise AssertionError("x-mode setup started")
+
+    monkeypatch.setattr(extension_op, "_physical_memory", lambda: 2**33)
+    monkeypatch.setattr(extension_op, "_x_modes", never)
+    assert main(["solve", "--config", write_mesh_config(
+        tmp_path, "over_memory", 8.0, 8.0, 32768, 16384)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "I=32768, K=16384" in err
+    assert "bytes of physical memory" in err
+
+
 def test_internal_value_error_is_not_a_configuration_error(tmp_path, monkeypatch, capsys):
     def broken_march(*_args, **_kwargs):
         raise ValueError("internal fault")

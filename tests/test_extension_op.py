@@ -21,6 +21,7 @@ Independent checks used here:
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,33 @@ def test_unallocatable_x_modes_are_a_config_error(monkeypatch):
     with pytest.raises(ConfigError, match="I=8, K=4"):
         assemble(make_grid(), 0.5)
     assert not _cache
+
+
+@pytest.mark.parametrize("I,K,c,d", [(512, 256, 2, 1), (512, 256, 3, 4), (256, 256, 4, 4)])
+def test_build_bytes_bound_the_traced_peak(I, K, c, d):
+    tracemalloc.start()
+    try:
+        _build(I, K, 0.5, c, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= extension_op._build_bytes(I, K, c, d)
+
+
+def test_mesh_over_the_memory_budget_is_refused_before_any_x_modes(monkeypatch):
+    def never(*_args):
+        raise AssertionError("x-mode setup started")
+
+    assert extension_op._physical_memory() > 0
+    need = extension_op._build_bytes(8, 4, 2, 1)
+    monkeypatch.setattr(extension_op, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(extension_op, "_x_modes", never)
+    with pytest.raises(ConfigError, match=f"I=8, K=4 too large: its operator needs up to {need} "):
+        assemble(make_grid(), 0.5)
+    assert not _cache
+    monkeypatch.undo()
+    monkeypatch.setattr(extension_op, "_physical_memory", lambda: need)
+    assemble(make_grid(), 0.5)              # a budget of exactly the bound builds
 
 
 # ---------------------------------------------------------------------------

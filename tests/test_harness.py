@@ -254,6 +254,21 @@ def test_convergence_linear_reference_is_spectral():
     assert rep.target == pytest.approx(1.0)
 
 
+def test_convergence_linear_reference_is_one_oracle_call(monkeypatch):
+    # the finest level's nodes, which hold every level's, go to one
+    # shared-node quadrature
+    calls = []
+    oracle = oracles.fractional_heat_solution
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "fractional_heat_solution", counted)
+    run_convergence(1.0, 1.0, PRACTICAL, levels=3, setup=small_linear_setup())
+    assert calls == [(65,)]
+
+
 def test_convergence_nonlinear_reference_is_fine_grid():
     setup = StudySetup(X=2.0, Y=2.0, T=0.25, base_i=8,
                        data=initial_data_preset("bump"))

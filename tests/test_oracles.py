@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
+from fracpme import oracles
 from fracpme.errors import QuadratureError
 from fracpme.oracles import (
     barenblatt_exponents,
@@ -116,14 +117,55 @@ def test_pv_rejects_bad_sigma():
         frac_laplacian_pv(lambda s: 0.0, 0.0, 2.0)
 
 
+def test_pv_rejects_non_finite_input():
+    g = lambda s: math.exp(-s * s)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            frac_laplacian_pv(g, x, 0.5)
+    # a NaN estimate certifies nothing
+    with pytest.raises(QuadratureError) as ei:
+        frac_laplacian_pv(lambda s: math.nan, 0.0, 0.5)
+    assert math.isnan(ei.value.achieved)
+
+
 # ---------------------------------------------------------------------------
 # spectral solution of the linear problem
 
 
+# the trace nodes of the acceptance-7 m = 1 study at its finest level (I = 128)
+STUDY_NODES = np.linspace(-16.0, 16.0, 129)
+
+
 def test_heat_solution_identity_at_time_zero():
-    for x in (0.0, 0.7, 2.0):
-        u = fractional_heat_solution(gaussian_hat, x, 0.0, 1.0)
-        assert u == pytest.approx(math.exp(-x * x), abs=1e-8)
+    for sigma in (0.3, 1.0):
+        for x in (0.0, 0.7, 2.0, STUDY_NODES):
+            u = fractional_heat_solution(gaussian_hat, x, 0.0, sigma)
+            assert np.shape(u) == np.shape(x)
+            assert np.abs(u - np.exp(-np.square(x))).max() <= 1e-9
+
+
+@pytest.mark.parametrize("t,sigma", [(0.5, 1.0), (0.5, 0.5), (0.25, 1.5), (1.0, 0.3), (0.1, 1.9)])
+def test_heat_solution_matches_per_point_quad(t, sigma):
+    # the shared-node rule against one adaptive QUADPACK integral per node
+    xs = STUDY_NODES[64:]
+    got = fractional_heat_solution(gaussian_hat, xs, t, sigma)
+    for x, u in zip(xs, got):
+        want, est = integrate.quad(
+            lambda xi: math.exp(-xi ** sigma * t - xi * xi / 4.0) * math.cos(xi * x)
+            / math.sqrt(math.pi), 0.0, np.inf, epsabs=1e-12, epsrel=1e-13, limit=400)
+        assert est <= 1e-11
+        assert u == pytest.approx(want, abs=1e-9)
+    # a scalar call is the length-1 case, on its own panels
+    assert fractional_heat_solution(gaussian_hat, float(xs[3]), t, sigma) == pytest.approx(
+        got[3], abs=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 1.9])
+def test_heat_solution_is_even_bitwise(sigma):
+    u = fractional_heat_solution(gaussian_hat, STUDY_NODES, 0.5, sigma)
+    assert np.array_equal(u, u[::-1])
+    assert (fractional_heat_solution(gaussian_hat, -0.7, 0.5, sigma)
+            == fractional_heat_solution(gaussian_hat, 0.7, 0.5, sigma))
 
 
 def test_heat_solution_matches_cauchy_convolution_at_sigma_one():
@@ -158,16 +200,42 @@ def test_heat_solution_time_derivative_agrees_with_pv():
 
 
 def test_heat_solution_guards():
-    with pytest.raises(ValueError):
-        fractional_heat_solution(gaussian_hat, 0.0, -0.1, 1.0)
-    with pytest.raises(QuadratureError):
-        fractional_heat_solution(gaussian_hat, 0.0, 0.5, 0.5, tol=1e-30)
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fractional_heat_solution(gaussian_hat, 0.0, t, 1.0)
+    for x in (math.nan, math.inf, np.array([0.0, -math.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            fractional_heat_solution(gaussian_hat, x, 0.5, 1.0)
+    for x in (0.0, STUDY_NODES):
+        with pytest.raises(QuadratureError) as ei:
+            fractional_heat_solution(gaussian_hat, x, 0.5, 0.5, tol=1e-30)
+        assert ei.value.achieved > 1e-30
+    # a NaN estimate certifies nothing
+    with pytest.raises(QuadratureError) as ei:
+        fractional_heat_solution(lambda xi: xi * math.nan, 0.0, 0.5, 1.0)
+    assert math.isnan(ei.value.achieved)
+
+
+def test_gauss_kronrod_pair_is_exact_to_its_degrees():
+    # K15 integrates degree 22 exactly and G7 degree 13 on [-1, 1]; the second
+    # weight column is K15 - G7, so it annihilates degree <= 13 and not 14
+    x = oracles._GK_NODES
+    for p in range(24):
+        exact = (1.0 - (-1.0) ** (p + 1)) / (p + 1)
+        kd = oracles._GK_WEIGHTS.T @ x ** p
+        assert kd[0] == pytest.approx(exact, abs=1e-15)
+        if p <= 13:
+            assert abs(kd[1]) <= 1e-15
+        elif p % 2 == 0:                # odd powers vanish by symmetry
+            assert abs(kd[1]) > 1e-5
 
 
 def test_gaussian_hat_values():
     assert gaussian_hat(0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
     assert gaussian_hat(2.0) == pytest.approx(math.sqrt(math.pi) / math.e, rel=1e-14)
     assert gaussian_hat(1.3) == gaussian_hat(-1.3)
+    xi = np.array([0.0, 1.3, 2.0])
+    assert gaussian_hat(xi).tolist() == [gaussian_hat(v) for v in xi]
 
 
 # ---------------------------------------------------------------------------
