@@ -104,9 +104,9 @@ class Grid:
     Y: float
     I: int
     K: int
-    dx: float = field(init=False)
-    xs: np.ndarray = field(init=False, repr=False)
-    ys: np.ndarray = field(init=False, repr=False)
+    dx: float = field(init=False, compare=False)     # derived: == and hash use X, Y, I, K
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
+    ys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.X < math.inf and 0.0 < self.Y < math.inf):
@@ -131,7 +131,7 @@ class Grid:
         object.__setattr__(self, "ys", ys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Values of the extended variable w on all (I+1) x (K+1) nodes, [i, k] indexed: a
     copy that keeps the memory order of its input, height-major for initialize and step."""

@@ -174,7 +174,7 @@ def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
     return V, linalg.inv(V), g.reshape(len(lam), n_y).T.copy(), s_trace
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtensionOperator:
     """The interior system for trace data: its two 1-D factors and x-modes.
 
@@ -268,8 +268,8 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, 
 def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
     """The operator of _build's parts for a fixed grid, sigma and stencil pair.
 
-    Parts are built once per (I, K, sigma, c, d) and shared read-only; G is the
-    caller's own copy.  An LRU keeps them while their arrays total at most
+    Parts are built once per (I, K, sigma, c, d) and every caller shares them
+    read-only.  An LRU keeps them while their arrays total at most
     _CACHE_BYTES = 64 MiB; a larger operator is returned but not kept.
     """
     sigma = _check_sigma(sigma)
@@ -280,8 +280,7 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
         _cache[key] = entry                 # (re)inserted as the most recently used
         while sum(n for _, n in _cache.values()) > _CACHE_BYTES:
             _cache.popitem(last=False)
-    T_x, S_y, V, V_inv, G, s = entry[0]
-    return ExtensionOperator(grid, sigma, c, d, T_x, S_y, V, V_inv, G.copy(), s)
+    return ExtensionOperator(grid, sigma, c, d, *entry[0])
 
 
 def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ independent oracles.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -30,6 +31,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # accuracy modes and their stencil tables
 
+# (c, d) per mode on the sigma-regions (0, 1/2), {1/2}, (1/2, 1), {1}, (1, 3/2),
+# {3/2}, (3/2, 2); regions are indexed by bisecting _BREAKPOINTS from both sides
+_BREAKPOINTS = (0.5, 1.0, 1.5)
+_STENCILS = {
+    "optimal":   ((4, 4), (4, 4), (3, 4), (2, None), (3, 4), (3, 4), (3, 4)),
+    "practical": ((2, 2), (2, 3), (2, 3), (2, None), (3, 4), (3, 4), (3, 4)),
+    "minimal":   ((1, 1), (1, 2), (1, 2), (2, None), (2, 3), (3, 4), (3, 4)),
+}
+
+
 @dataclass(frozen=True)
 class SchemeMode:
     """Accuracy regime: practical, optimal, or minimal with margin delta."""
@@ -37,7 +48,7 @@ class SchemeMode:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("practical", "optimal", "minimal"):
+        if self.kind not in _STENCILS:
             raise ConfigError(f"unknown scheme mode {self.kind!r}")
         if self.kind == "minimal":
             if self.delta is None or not (self.delta > 0.0):
@@ -79,58 +90,20 @@ _BREAK_NOTE = "sigma sits at a table breakpoint; higher-order stencils selected"
 def select_scheme_params(sigma: float, mode: SchemeMode) -> SchemeParams:
     """Stencil orders and time-step rule for the requested accuracy regime.
 
-    Breakpoints (sigma = 1/2 and, where applicable, 3/2) resolve to the
-    higher-order side and carry a note.  Minimal mode validates that the
-    requested a = sigma + delta is actually attainable by the table's pair.
+    (c, d) come from _STENCILS.  Breakpoints (sigma = 1/2 and, in minimal mode,
+    3/2) carry a note.  Minimal mode validates that the requested
+    a = sigma + delta is actually attainable by the table's pair.
     """
     sigma = core._check_sigma(sigma)
-    note = None
+    region = bisect.bisect_left(_BREAKPOINTS, sigma) + bisect.bisect_right(_BREAKPOINTS, sigma)
+    c, d = _STENCILS[mode.kind][region]
+    note = _BREAK_NOTE if sigma == 0.5 or (mode.kind == "minimal" and sigma == 1.5) else None
     if mode.kind == "optimal":
-        if sigma < 1.0:
-            a, p = 2.0 * (2.0 - sigma), 2.0 - sigma
-        elif sigma == 1.0:
-            a, p = 2.0, 1.0
-        else:
-            a, p = 2.0, sigma
-        if sigma < 0.5:
-            c, d = 4, 4
-        elif sigma == 0.5:
-            c, d, note = 4, 4, _BREAK_NOTE
-        elif sigma < 1.0:
-            c, d = 3, 4
-        elif sigma == 1.0:
-            c, d = 2, None
-        else:
-            c, d = 3, 4
+        a, p = (2.0 * (2.0 - sigma), 2.0 - sigma) if sigma < 1.0 else (2.0, sigma)
     elif mode.kind == "practical":
-        a = 2.0 * sigma if sigma <= 1.0 else 2.0
-        p = sigma
-        if sigma < 0.5:
-            c, d = 2, 2
-        elif sigma == 0.5:
-            c, d, note = 2, 3, _BREAK_NOTE
-        elif sigma < 1.0:
-            c, d = 2, 3
-        elif sigma == 1.0:
-            c, d = 2, None
-        else:
-            c, d = 3, 4
+        a, p = min(2.0 * sigma, 2.0), sigma
     else:
         a, p = sigma + mode.delta, sigma
-        if sigma < 0.5:
-            c, d = 1, 1
-        elif sigma == 0.5:
-            c, d, note = 1, 2, _BREAK_NOTE
-        elif sigma < 1.0:
-            c, d = 1, 2
-        elif sigma == 1.0:
-            c, d = 2, None
-        elif sigma < 1.5:
-            c, d = 2, 3
-        elif sigma == 1.5:
-            c, d, note = 3, 4, _BREAK_NOTE
-        else:
-            c, d = 3, 4
         eff = core.effective_order(sigma, c, d)
         if a > eff + 1e-12:
             raise ConfigError(
@@ -289,12 +262,8 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
                              err_trace=errs_trace[lev], err_field=errs_field[lev],
                              order=order))
 
-    if mode.kind == "optimal":
-        target = 2.0 - sigma
-    elif mode.kind == "practical":
-        target = min(params.p, 2.0 - sigma)
-    else:
-        target = min(params.p, 2.0 - sigma, mode.delta)
+    # optimal mode's p is never below 2 - sigma; only minimal mode has a delta
+    target = min(params.p, 2.0 - sigma, math.inf if mode.delta is None else mode.delta)
     return ConvergenceReport(sigma=sigma, m=m, mode=mode, params=params,
                              reference=reference, target=target, rows=tuple(rows),
                              degenerate=degenerate)
@@ -303,7 +272,7 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
 # ---------------------------------------------------------------------------
 # embedded expected table for the two-point quotient experiment
 
-TABLE_YS = (0.5, 0.25, 0.125, 0.0625)
+TABLE_YS = sigma_deriv.DEFAULT_STUDY_YS
 
 # columns per sigma: E, alpha, sigma_e on the dyadic ladder above
 TABLE_EXPECTED: dict[float, dict[str, tuple]] = {

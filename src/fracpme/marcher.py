@@ -59,8 +59,7 @@ def initialize(config: SolverConfig, f, op: extension_op.ExtensionOperator | Non
     """
     if op is None:
         op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-    elif ((op.grid.X, op.grid.Y, op.grid.I, op.grid.K, op.sigma, op.c, op.d)
-          != (config.X, config.Y, config.I, config.K, config.sigma, config.c, config.d)):
+    elif (op.grid, op.sigma, op.c, op.d) != (config.grid(), config.sigma, config.c, config.d):
         raise ValueError("op was assembled for another grid, sigma or stencil pair than config")
     row0 = initial_trace_w(config, f)
     interior = extension_op.solve_interior(op, row0[1:-1])
@@ -118,7 +117,7 @@ class StepDiagnostics:
     argmax: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """March output: full trace history, optional field snapshots, diagnostics."""
     config: SolverConfig

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .core import _check_sigma, riesz_constant
 from .errors import QuadratureError
@@ -31,6 +30,7 @@ _TAIL_H = 1.0                           # and their width
 
 
 def _quad(f, a, b, epsabs, epsrel=1e-13, limit=400):
+    from scipy import integrate           # loaded on first use: no solve path needs it
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         return integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import core
 from .errors import ConfigError, QuadratureError
@@ -92,6 +91,7 @@ def poisson_extension(g: Callable[[float], float], x: float, y: float,
     def integrand(s):
         return d * (1.0 + s * s) ** (-(1.0 + sigma) / 2.0) * g(x + y * s)
 
+    from scipy import integrate           # loaded on first use: no solve path needs it
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, est = integrate.quad(integrand, -np.inf, np.inf,

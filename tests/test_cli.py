@@ -327,6 +327,16 @@ def test_validate_passes(capsys):
 # installed entry point
 
 
+def test_cli_import_leaves_quadrature_unloaded(child_env):
+    # scipy.integrate (and the scipy.optimize it pulls in) serves only the oracles'
+    # adaptive quadratures; no solve or study needs it at startup
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, fracpme.cli; print('scipy.integrate' in sys.modules)"],
+                          capture_output=True, text=True, timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_smoke(child_env):
     proc = subprocess.run([sys.executable, "-m", "fracpme.cli",
                            "sigma-table", "--sigmas", "0.5", "--ys", "0.5", "0.25"],

@@ -213,6 +213,13 @@ def test_grid_arrays_read_only():
         g.xs[0] = 99.0
 
 
+def test_grids_compare_and_hash_by_extents_and_counts():
+    a, b = Grid(2.0, 1.0, 8, 2), Grid(2.0, 1.0, 8, 2)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "first", b: "second"} == {a: "second"}
+    assert a != Grid(2.0, 2.0, 8, 4) and a != Grid(4.0, 2.0, 8, 2)
+
+
 # ---------------------------------------------------------------------------
 # field storage
 

@@ -242,7 +242,7 @@ def test_residual_check_catches_corrupted_profiles():
     op = assemble(grid, 0.6)
     trace = np.sin(np.linspace(0, math.pi, 11))
     solve_interior(op, trace)
-    op.G *= 1.0 + 1e-6
+    op = dataclasses.replace(op, G=op.G * (1.0 + 1e-6))
     with pytest.raises(SolverError, match="condition estimate") as ei:
         solve_interior(op, trace)
     est = float(str(ei.value).rsplit("condition estimate", 1)[1])
@@ -253,7 +253,7 @@ def test_failed_solve_never_builds_the_interior_matrix():
     # the refusal's condition estimate comes from the x-mode basis the
     # operator holds, not from a factorization of A
     op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6)
-    op.G *= 1.0 + 1e-6
+    op = dataclasses.replace(op, G=op.G * (1.0 + 1e-6))
     with pytest.raises(SolverError, match="condition estimate"):
         solve_interior(op, np.sin(np.linspace(0, math.pi, 11)))
     assert "A" not in vars(op)
@@ -262,7 +262,9 @@ def test_failed_solve_never_builds_the_interior_matrix():
 def test_residual_check_catches_a_nan_solve():
     # a NaN residual fails no "resid > tol" test; the check must refuse it too
     op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6)
-    op.G[0, 0] = np.nan
+    G = op.G.copy()
+    G[0, 0] = np.nan
+    op = dataclasses.replace(op, G=G)
     with pytest.raises(SolverError, match="solve residual nan"):
         solve_interior(op, np.sin(np.linspace(0, math.pi, 11)))
 
@@ -311,7 +313,7 @@ def test_cache_hit_equals_a_fresh_build():
     assert len(_cache) == len(cases)
     for (c, d, sigma), op in zip(cases, first):
         hit = assemble(grid, sigma, c=c, d=d)
-        assert hit is not op and hit.G is not op.G
+        assert hit is not op and hit.G is op.G
         assert _bitwise_equal(_csr_parts(hit.A), _csr_parts(op.A)), (c, d, sigma)
         fresh = ExtensionOperator(grid, sigma, c, d, *_build(12, 6, sigma, c, d)[0])
         assert _bitwise_equal(_parts(hit), _parts(fresh)), (c, d, sigma)
@@ -322,7 +324,7 @@ def test_corrupting_one_operator_leaves_another_of_the_same_key_intact():
     trace = np.sin(np.linspace(0, math.pi, 11))
     bad, good = assemble(grid, 0.6), assemble(grid, 0.6)
     want = solve_interior(good, trace)
-    bad.G *= 1.0 + 1e-6
+    bad = dataclasses.replace(bad, G=bad.G * (1.0 + 1e-6))
     with pytest.raises(SolverError, match="solve residual"):
         solve_interior(bad, trace)
     assert np.array_equal(solve_interior(good, trace), want)
@@ -335,6 +337,8 @@ def test_shared_parts_are_read_only():
         op.V[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         op.T_x.data[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        op.G[0, 0] = 1.0
 
 
 def test_grids_of_one_shape_share_parts_but_keep_their_own_grid():

@@ -114,6 +114,60 @@ def test_minimal_mode_validates_attainability():
         select_scheme_params(0.3, SchemeMode("minimal", 0.5))  # asks 0.8 > 0.7
 
 
+def _below(s):
+    return math.nextafter(s, 0.0)
+
+
+def _above(s):
+    return math.nextafter(s, 2.0)
+
+
+# every sigma-region of the tables, with both float neighbours of each breakpoint
+REGION_SIGMAS = (0.25, _below(0.5), 0.5, _above(0.5), 0.75, _below(1.0), 1.0, _above(1.0),
+                 1.25, _below(1.5), 1.5, _above(1.5), 1.75)
+
+# per mode, one row per REGION_SIGMAS: (c, d, a, p, note present) or ConfigError;
+# then the sigma and report target of a small m = 2 study
+REGION_TABLES = [
+    (OPTIMAL, [
+        (4, 4, 3.5, 1.75, False), (4, 4, 3.0, 1.5, False), (4, 4, 3.0, 1.5, True),
+        (3, 4, 3.0, 1.5, False), (3, 4, 2.5, 1.25, False), (3, 4, 2.0, 1.0, False),
+        (2, None, 2.0, 1.0, False), (3, 4, 2.0, 1.0, False), (3, 4, 2.0, 1.25, False),
+        (3, 4, 2.0, 1.5, False), (3, 4, 2.0, 1.5, False), (3, 4, 2.0, 1.5, False),
+        (3, 4, 2.0, 1.75, False),
+    ], 0.75, 1.25),
+    (PRACTICAL, [
+        (2, 2, 0.5, 0.25, False), (2, 2, 1.0, 0.5, False), (2, 3, 1.0, 0.5, True),
+        (2, 3, 1.0, 0.5, False), (2, 3, 1.5, 0.75, False), (2, 3, 2.0, 1.0, False),
+        (2, None, 2.0, 1.0, False), (3, 4, 2.0, 1.0, False), (3, 4, 2.0, 1.25, False),
+        (3, 4, 2.0, 1.5, False), (3, 4, 2.0, 1.5, False), (3, 4, 2.0, 1.5, False),
+        (3, 4, 2.0, 1.75, False),
+    ], 0.75, 0.75),
+    (SchemeMode("minimal", 0.05), [
+        (1, 1, 0.3, 0.25, False), ConfigError, (1, 2, 0.55, 0.5, True),
+        (1, 2, 0.55, 0.5, False), (1, 2, 0.8, 0.75, False), ConfigError,
+        (2, None, 1.05, 1.0, False), (2, 3, 1.05, 1.0, False), (2, 3, 1.3, 1.25, False),
+        ConfigError, (3, 4, 1.55, 1.5, True), (3, 4, 1.55, 1.5, False),
+        (3, 4, 1.8, 1.75, False),
+    ], 1.25, 0.05),
+]
+
+
+@pytest.mark.parametrize("mode,rows,study_sigma,target", REGION_TABLES,
+                         ids=[mode.label() for mode, *_ in REGION_TABLES])
+def test_tables_on_every_region_and_breakpoint(mode, rows, study_sigma, target):
+    for sigma, want in zip(REGION_SIGMAS, rows, strict=True):
+        if want is ConfigError:
+            with pytest.raises(ConfigError, match="only reaches"):
+                select_scheme_params(sigma, mode)
+            continue
+        got = select_scheme_params(sigma, mode)
+        assert (got.c, got.d, got.note is not None) == (want[0], want[1], want[4]), sigma
+        assert (got.a, got.p) == pytest.approx(want[2:4], rel=1e-12), sigma
+    setup = StudySetup(X=2.0, Y=2.0, T=0.05, base_i=8, data=initial_data_preset("bump"))
+    assert run_convergence(study_sigma, 2.0, mode, 2, setup).target == target
+
+
 # ---------------------------------------------------------------------------
 # order estimation
 

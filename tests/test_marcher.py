@@ -286,6 +286,15 @@ def test_march_on_a_prebuilt_operator():
             march(cfg, GAUSS, op=other)
 
 
+def test_records_holding_arrays_compare_by_identity():
+    # a field-wise == would compare arrays and raise on their truth value
+    cfg = make_config()
+    a, b = march(cfg, GAUSS, capture="all"), march(cfg, GAUSS, capture="all")
+    ops = [assemble(cfg.grid(), 0.5), assemble(cfg.grid(), 0.5)]
+    for left, right in ((a, b), (a.snapshots[0][1], b.snapshots[0][1]), ops):
+        assert left == left and left != right
+
+
 def test_march_enforces_cfl():
     cfg = make_config(J=1, T=5.0)          # dt = 5 is far beyond the bound
     with pytest.raises(CflViolationError) as ei:
