@@ -6,7 +6,9 @@ exact zeros on the artificial boundary, stationarity of flat data, and the
 linear special case where the update reduces to plain averaging.
 """
 
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from fracpme.core import (
     nu_sigma,
     parse_initial_data,
 )
-from fracpme.errors import CflViolationError, NegativeBracketError
+from fracpme.errors import CflViolationError, ConfigError, NegativeBracketError
 from fracpme.marcher import (
     Trajectory,
     boundary_update,
@@ -30,7 +32,7 @@ from fracpme.marcher import (
     write_snapshot_csv,
     write_trace_csv,
 )
-from fracpme import extension_op
+from fracpme import extension_op, marcher
 from fracpme.extension_op import assemble
 
 
@@ -352,6 +354,41 @@ def test_capture_validation():
         march(cfg, GAUSS, capture=(0.9,))   # beyond T = 0.5
 
 
+def test_capture_takes_any_integer_stride():
+    cfg = make_config(J=4)
+    by_int, by_numpy = march(cfg, GAUSS, capture=2), march(cfg, GAUSS, capture=np.int64(2))
+    assert [t for t, _ in by_numpy.snapshots] == [t for t, _ in by_int.snapshots]
+    for (_, a), (_, b) in zip(by_numpy.snapshots, by_int.snapshots):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("capture", [True, np.bool_(True)])
+def test_capture_refuses_a_bool(capture):
+    with pytest.raises(ConfigError, match="True"):
+        march(make_config(J=4), GAUSS, capture=capture)
+
+
+def test_capture_refuses_a_float_stride():
+    with pytest.raises(ConfigError, match="2.0"):
+        march(make_config(J=4), GAUSS, capture=2.0)
+
+
+def test_capture_refuses_a_string_other_than_all():
+    with pytest.raises(ConfigError, match="'x'"):
+        march(make_config(J=4), GAUSS, capture="x")
+
+
+def test_capture_refuses_a_non_iterable():
+    with pytest.raises(ConfigError, match="object"):
+        march(make_config(J=4), GAUSS, capture=object())
+
+
+@pytest.mark.parametrize("entry", ["0.5", None, True])
+def test_capture_refuses_a_non_numeric_time(entry):
+    with pytest.raises(ConfigError, match=repr(entry)):
+        march(make_config(J=4), GAUSS, capture=(0.0, entry))
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 
@@ -432,3 +469,61 @@ def test_csv_writers_match_per_line_formatting(tmp_path, I, n_snapshots):
     assert trace_path.read_bytes() == _reference_trace_csv(traj)
     assert snap_path.read_bytes() == _reference_snapshot_csv(traj)
     assert b"-0.0000000000000000e+00" in trace_path.read_bytes() + snap_path.read_bytes()
+
+
+def _converted(values):
+    out = io.BytesIO()
+    marcher._write_lines(out, [], np.asarray(values, dtype=float))
+    return out.getvalue()
+
+
+def test_field_conversion_matches_percent_format_value_by_value():
+    powers = np.array([float(f"1e{e}") for e in range(-99, 100)])
+    ties = 1.0 + np.arange(1, 2 ** 17, 2) * 2.0 ** -17       # exact 17th-digit ties
+    bits = np.random.default_rng(7).integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64)
+    finite = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                             ties, ties[::4] * 2.0 ** 40, ties[::4] * 2.0 ** -40, finite, extremes])
+    got = _converted(values)
+    want = ("%.16e\n" * values.size % tuple(values.tolist())).encode()
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split(), want.split()) if g != w]
+        pytest.fail(f"{len(bad)} of {values.size} values differ, first: {bad[:3]}")
+
+
+def _random_trajectory(I, K, J, history, snapshot):
+    cfg = SolverConfig(sigma=0.5, m=2.0, X=0.15 * I, Y=0.3 * K, T=0.1 * J, I=I, K=K, J=J)
+    assert history.shape == (J + 1, I + 1) and snapshot.shape == (I + 1, K + 1)
+    return Trajectory(config=cfg, times=np.arange(J + 1) * 0.1, trace_history=history,
+                      snapshots=((0.1 * J, Field(values=snapshot, time_index=J)),),
+                      diagnostics=(), b_max=1.0, cfl_ratio=0.5)
+
+
+def test_csv_writers_match_per_line_formatting_across_blocks(tmp_path):
+    # 257 trace nodes over 20 levels and a 257 x 129 snapshot: no block size divides
+    # either, so blocks end inside a time level and inside an x-column.  In the
+    # snapshot t and y never have a sign, w always has one and x has one in some
+    # blocks, in none or in some lines only
+    rng = np.random.default_rng(20)
+    history = rng.standard_normal((20, 257)) * 10.0 ** rng.integers(-120, 120, (20, 257))
+    history.reshape(-1)[:len(_HARD_VALUES)] = _HARD_VALUES
+    traj = _random_trajectory(256, 128, 19, history, -rng.random((257, 129)))
+    trace_path, snap_path = tmp_path / "trace.csv", tmp_path / "snap.csv"
+    write_trace_csv(traj, trace_path)
+    write_snapshot_csv(traj, snap_path)
+    assert trace_path.read_bytes() == _reference_trace_csv(traj)
+    assert snap_path.read_bytes() == _reference_snapshot_csv(traj)
+
+
+def test_csv_writers_peak_memory(tmp_path):
+    rng = np.random.default_rng(2000)
+    traj = _random_trajectory(256, 128, 1999, rng.random((2000, 257)), rng.random((257, 129)))
+    tracemalloc.start()
+    try:
+        write_trace_csv(traj, tmp_path / "trace.csv")
+        write_snapshot_csv(traj, tmp_path / "snap.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20, f"writers peaked at {peak / 2 ** 20:.2f} MiB"
