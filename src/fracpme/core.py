@@ -133,8 +133,9 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Values of the extended variable w on all (I+1) x (K+1) nodes, [i, k] indexed: a
-    copy that keeps the memory order of its input, height-major for initialize and step."""
+    """Values of the extended variable w on all (I+1) x (K+1) nodes, [i, k] indexed, read-only:
+    a checked copy keeping its input's memory order (height-major for initialize and step),
+    except that march's snapshots hold march's own finite node array itself."""
     values: np.ndarray
     time_index: int = 0
 
@@ -147,6 +148,12 @@ class Field:
             raise ValueError(f"non-finite field value at node (i={bad[0]}, k={bad[1]})")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _wrap(cls, values: np.ndarray, time_index: int) -> Field:   # no copy, no checks
+        fld = object.__new__(cls)
+        fld.__dict__.update(values=values, time_index=time_index)
+        return fld
 
     @property
     def trace(self) -> np.ndarray:
@@ -167,6 +174,7 @@ class SolverConfig:
     c: int = 2
     d: int | None = 1
     cfl_safety: float = 0.95
+    _grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_sigma(self.sigma)
@@ -180,13 +188,14 @@ class SolverConfig:
             raise ConfigError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if self.d is None and self.sigma != 1.0:
             raise ConfigError("d may be omitted only at sigma = 1")
-        self.grid()  # validates extents, mesh counts, dx = dy
+        # validates extents, mesh counts, dx = dy; frozen with read-only arrays, so shared
+        object.__setattr__(self, "_grid", Grid(self.X, self.Y, self.I, self.K))
         if (self.J + 1) * (self.I + 1) > np.iinfo(np.intp).max // 8:
             raise ConfigError(f"J = {self.J} too large: the (J+1) x (I+1) trace history must "
                               f"hold at most {np.iinfo(np.intp).max // 8} float64 values")
 
     def grid(self) -> Grid:
-        return Grid(self.X, self.Y, self.I, self.K)
+        return self._grid
 
     @property
     def dx(self) -> float:
@@ -310,21 +319,14 @@ def parse_config_text(text: str) -> tuple[SolverConfig, InitialData]:
 
     kwargs: dict = {}
     for key, val in entries.items():
-        if key == "initial_data":
-            continue
-        if key in _INT_KEYS:
-            if key == "d" and val.lower() == "none":
-                kwargs[key] = None
-                continue
+        if key == "d" and val.lower() == "none":
+            kwargs[key] = None
+        elif key != "initial_data":
+            kind, parse = ("an integer", int) if key in _INT_KEYS else ("a number", float)
             try:
-                kwargs[key] = int(val)
+                kwargs[key] = parse(val)
             except ValueError:
-                raise ConfigError(f"config key {key!r} must be an integer, got {val!r}") from None
-        else:
-            try:
-                kwargs[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"config key {key!r} must be a number, got {val!r}") from None
+                raise ConfigError(f"config key {key!r} must be {kind}, got {val!r}") from None
 
     data = parse_initial_data(entries.get("initial_data", "gaussian"))
     return SolverConfig(**kwargs), data

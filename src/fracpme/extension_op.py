@@ -231,19 +231,44 @@ def _physical_memory() -> float:
         return float("inf")
 
 
+def _address_space_limit() -> float:
+    """The soft RLIMIT_AS in bytes, or inf where it is unlimited or not reported."""
+    try:
+        import resource
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    except (ImportError, OSError):
+        return float("inf")
+    return float("inf") if soft == resource.RLIM_INFINITY else soft
+
+
+def _cgroup_memory_limit() -> float:
+    """memory.max of this process's cgroup-v2 group in bytes; inf if "max" or unreadable."""
+    try:
+        with open("/proc/self/cgroup", encoding="utf-8") as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(f"/sys/fs/cgroup{path.rstrip('/')}/memory.max", encoding="utf-8") as fh:
+            text = fh.read().strip()
+    except (OSError, StopIteration):
+        return float("inf")
+    return float("inf") if text == "max" else int(text)
+
+
 def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
     """(T_x, S_y, V, V^-1, G, s), all arrays read-only, and their total nbytes.
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus
     (1-sigma)/k first-derivative rows.  No interior matrix is formed.  A mesh
-    whose _build_bytes exceed the physical memory is refused before any of it
-    is allocated (ConfigError).
+    whose _build_bytes exceed the physical memory, the soft RLIMIT_AS or the
+    cgroup's memory.max is refused before any of it is allocated (ConfigError).
     """
-    need, have = _build_bytes(I, K, c, d), _physical_memory()
+    need = _build_bytes(I, K, c, d)
+    have, limit = min((_physical_memory(), "physical memory"),
+                      (_address_space_limit(), "the soft RLIMIT_AS"),
+                      (_cgroup_memory_limit(), "the cgroup's memory.max"))
     if need > have:
         raise ConfigError(f"mesh I={I}, K={K} too large: its operator needs up to {need} "
-                          f"bytes, more than the {have} bytes of physical memory")
+                          f"bytes, more than the {have} bytes of {limit}")
     T_x = -_factor([_second_deriv_offsets(i, I, c) for i in range(1, I)], 2, I)
     S_y = -_factor([_second_deriv_offsets(k, K, c) for k in range(1, K)], 2, K)
     if d is not None and sigma != 1.0:
@@ -283,22 +308,21 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
     return ExtensionOperator(grid, sigma, c, d, *entry[0])
 
 
-def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
-    """Interior values, shape (I-1, K-1) indexed [i-1, k-1], for the trace data
-    trace_row and homogeneous lateral/top data.
+def _solve(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
+    """The height-major (K+1) x (I+1) node array P[k, i] for the trace data trace_row
+    and homogeneous lateral/top data: trace_row at k = 0, the solve inside, 0 elsewhere.
 
-    The mode profiles scaled by V^-1 trace and mapped back through V fill the node
-    array P[k, i]; its residual through the two 1-D factors catches a non-finite or
-    inaccurate solve (SolverError).  Returns P's interior transposed, not a copy.
+    The mode profiles scaled by V^-1 trace and mapped back through V fill P's
+    interior; its residual through the two 1-D factors catches a non-finite or
+    inaccurate solve (SolverError), so a P returned is finite.
     """
     I, K = op.grid.I, op.grid.K
-    trace_row = np.asarray(trace_row, dtype=float)
     if trace_row.shape != (I - 1,):
         raise ValueError(f"trace_row must have length I-1 = {I - 1}, got {trace_row.shape}")
     if not np.isfinite(trace_row).all():
         raise ValueError("boundary data must be finite")
-    # P: trace at k = 0, 0 on the lateral and top boundary; its interior W solves
-    # W T_x,int^T + S_y,int W = outer(s, trace), one y-system per column of W V^-T
+    # P's interior W solves W T_x,int^T + S_y,int W = outer(s, trace), one
+    # y-system per column of W V^-T
     P = np.zeros((K + 1, I + 1))
     P[0, 1:I] = trace_row
     np.matmul(op.G * (op.V_inv @ trace_row), op.V.T, out=P[1:K, 1:I])
@@ -310,7 +334,13 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
         raise SolverError(
             f"solve residual {resid:.3e} exceeds 1e-10 * ||rhs||_inf = {1e-10 * norm_rhs:.3e}; "
             f"x-mode basis condition estimate {op.condition_estimate():.3e}")
-    return P[1:K, 1:I].T
+    return P
+
+
+def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
+    """Interior values, shape (I-1, K-1) indexed [i-1, k-1], for the trace data
+    trace_row and homogeneous lateral/top data: _solve's interior transposed, not a copy."""
+    return _solve(op, np.asarray(trace_row, dtype=float))[1:-1, 1:-1].T
 
 
 def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,

@@ -64,10 +64,21 @@ def initialize(config: SolverConfig, f, op: extension_op.ExtensionOperator | Non
         op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     elif (op.grid, op.sigma, op.c, op.d) != (config.grid(), config.sigma, config.c, config.d):
         raise ValueError("op was assembled for another grid, sigma or stencil pair than config")
-    row0 = initial_trace_w(config, f)
-    interior = extension_op.solve_interior(op, row0[1:-1])
-    vals = extension_op.full_grid_values(op, row0[1:-1], interior)
-    return Field(values=vals, time_index=0)
+    return Field(values=extension_op._solve(op, initial_trace_w(config, f)[1:-1]).T, time_index=0)
+
+
+def _bracket_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
+                    level: int | None = None) -> np.ndarray:
+    """boundary_update with lam = nu_sigma dt / dx^sigma, for rows it would accept;
+    level is the time level a NegativeBracketError reports as its step."""
+    bracket = lam * (row1 - row0) + np.maximum(row0, 0.0) ** (1.0 / m)
+    if bracket.size and bracket.min() < -1e-12:
+        idx = int(np.argmin(bracket))
+        raise NegativeBracketError(
+            f"pressure bracket reached {bracket[idx]:.3e} at trace index {idx}; "
+            f"time step too large for the data", step=level, index=idx, value=float(bracket[idx]))
+    np.clip(bracket, 0.0, None, out=bracket)
+    return bracket ** m
 
 
 def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
@@ -80,8 +91,7 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
     -1e-12 abort (CFL violation or corrupted state), smaller ones are rounding
     and clamp to 0.
     """
-    row0 = np.asarray(row0, dtype=float)
-    row1 = np.asarray(row1, dtype=float)
+    row0, row1 = np.asarray(row0, dtype=float), np.asarray(row1, dtype=float)
     if row0.shape != row1.shape:
         raise ValueError("trace rows must have equal shape")
     if not (np.isfinite(row0).all() and np.isfinite(row1).all()):
@@ -90,15 +100,7 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
         raise ValueError("trace rows must be nonnegative")
     if m < 1.0:
         raise ValueError(f"m must be >= 1, got {m}")
-    lam = core.nu_sigma(sigma) * dt / dx ** sigma
-    bracket = lam * (row1 - row0) + np.maximum(row0, 0.0) ** (1.0 / m)
-    if bracket.size and bracket.min() < -1e-12:
-        idx = int(np.argmin(bracket))
-        raise NegativeBracketError(
-            f"pressure bracket reached {bracket[idx]:.3e} at trace index {idx}; "
-            f"time step too large for the data", index=idx, value=float(bracket[idx]))
-    np.clip(bracket, 0.0, None, out=bracket)
-    return bracket ** m
+    return _bracket_update(row0, row1, core.nu_sigma(sigma) * dt / dx ** sigma, m)
 
 
 def step(state: Field, op: extension_op.ExtensionOperator, config: SolverConfig) -> Field:
@@ -106,9 +108,7 @@ def step(state: Field, op: extension_op.ExtensionOperator, config: SolverConfig)
     vals = state.values
     new_trace = boundary_update(vals[1:-1, 0], vals[1:-1, 1],
                                 config.dt, config.dx, config.sigma, config.m)
-    interior = extension_op.solve_interior(op, new_trace)
-    new_vals = extension_op.full_grid_values(op, new_trace, interior)
-    return Field(values=new_vals, time_index=state.time_index + 1)
+    return Field(values=extension_op._solve(op, new_trace).T, time_index=state.time_index + 1)
 
 
 @dataclass(frozen=True)
@@ -200,24 +200,27 @@ def march(config: SolverConfig, f, capture=None,
     snapshots: list[tuple[float, Field]] = []
     diags: list[StepDiagnostics] = []
 
+    lam = core.nu_sigma(config.sigma) * dt / config.dx ** config.sigma
+    P = state.values.T
     for j in range(config.J + 1):
         if j > 0:
-            try:
-                state = step(state, op, config)
-            except NegativeBracketError as e:
-                e.step = j
-                raise
-        vals = state.values
-        w_min, w_max = float(vals.min()), float(vals.max())
-        if w_min < -1e-10 or w_max > b_max + 1e-10:
+            if w_min < -1e-12 and P[:2, 1:-1].min() < -1e-12:
+                raise ValueError("trace rows must be nonnegative")
+            P = extension_op._solve(op, _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, config.m, j))
+            P.setflags(write=False)
+        w_min = float(P.min())
+        i, k = extension_op.discrete_max_location(P.T)
+        w_max = float(P[k, i])
+        if not (w_min >= -1e-10 and w_max <= b_max + 1e-10):
+            if not np.isfinite(P).all():    # where ||rhs|| overflows, the residual check passes inf
+                Field(values=P.T)           # raises Field's error for the first non-finite node
             raise MaxPrincipleError(
                 f"solution left [0, b_max] band at step {j}: "
                 f"min = {w_min:.3e}, max = {w_max:.3e}, b_max = {b_max:.3e}")
-        w_hist[j] = vals[:, 0]
-        diags.append(StepDiagnostics(j=j, t=float(times[j]), w_min=w_min, w_max=w_max,
-                                     argmax=extension_op.discrete_max_location(vals)))
+        w_hist[j] = P[0]
+        diags.append(StepDiagnostics(j, float(times[j]), w_min, w_max, (i, k)))
         if j in wanted:
-            snapshots.append((float(times[j]), state))
+            snapshots.append((float(times[j]), Field._wrap(P.T, j) if j else state))
 
     trace_hist = np.maximum(w_hist, 0.0) ** (1.0 / config.m)
     times.setflags(write=False)

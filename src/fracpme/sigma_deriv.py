@@ -136,18 +136,13 @@ def deriv_order_study(sigma: float, ys: Sequence[float] = DEFAULT_STUDY_YS) -> l
                           f"most {_MAX_STUDY_Y:.4g} (exp(y^2) overflows above)")
 
     rows: list[OrderStudyRow] = []
-    prev: OrderStudyRow | None = None
     for y in ys:
         E = abs(float(discrete_sigma_derivative(1.0, math.exp(y * y), y, sigma)))
         if E == 0.0:
             raise ConfigError(f"height y = {y:g} is too small: E(y) rounds to 0, "
                               f"so no order can be fitted")
-        if prev is None:
-            rows.append(OrderStudyRow(y=y, E=E, alpha=None, sigma_e=None))
-        else:
-            alpha = math.log(prev.E / E) / math.log(prev.y / y)
-            rows.append(OrderStudyRow(y=y, E=E, alpha=alpha, sigma_e=2.0 - alpha))
-        prev = rows[-1]
+        alpha = math.log(rows[-1].E / E) / math.log(rows[-1].y / y) if rows else None
+        rows.append(OrderStudyRow(y, E, alpha, None if alpha is None else 2.0 - alpha))
     return rows
 
 

@@ -5,6 +5,7 @@ The scalar constants (mu_sigma, nu_sigma, riesz_constant) are checked against
 bookkeeping cannot hide behind itself.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -266,6 +267,23 @@ def test_config_properties():
     assert cfg.dx == pytest.approx(0.5)
     assert cfg.dt == pytest.approx(0.05)
     assert cfg.grid().I == 8
+
+
+def test_config_builds_its_grid_once():
+    # the Grid validated at construction is the one grid() returns; it takes no
+    # part in ==, hash or repr, and replace() builds the new config's own
+    cfg = make_config()
+    assert cfg.grid() is cfg.grid()
+    assert cfg.grid() == Grid(cfg.X, cfg.Y, cfg.I, cfg.K)
+    twin = make_config()
+    assert cfg == twin and hash(cfg) == hash(twin) and cfg.grid() is not twin.grid()
+    assert repr(cfg) == ("SolverConfig(sigma=1.0, m=1.0, X=2.0, Y=1.0, T=0.5, I=8, K=2, "
+                         "J=10, c=2, d=1, cfl_safety=0.95)")
+    finer = dataclasses.replace(cfg, I=16, K=4)
+    assert finer == make_config(I=16, K=4) and finer.grid() == Grid(2.0, 1.0, 16, 4)
+    assert dataclasses.replace(cfg, J=20).grid() is not cfg.grid()
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, K=3)
 
 
 def test_config_d_none_only_at_sigma_one():

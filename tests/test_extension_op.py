@@ -21,6 +21,7 @@ Independent checks used here:
 
 import dataclasses
 import math
+import resource
 import tracemalloc
 
 import numpy as np
@@ -444,6 +445,58 @@ def test_mesh_over_the_memory_budget_is_refused_before_any_x_modes(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: need)
     assemble(make_grid(), 0.5)              # a budget of exactly the bound builds
+
+
+@pytest.mark.parametrize("reader,name", [
+    ("_address_space_limit", "the soft RLIMIT_AS"),
+    ("_cgroup_memory_limit", "the cgroup's memory.max"),
+])
+def test_process_limits_below_physical_memory_refuse_the_mesh(monkeypatch, reader, name):
+    # each limit is faked through its reader; no real limit is lowered
+    def never(*_args):
+        raise AssertionError("x-mode setup started")
+
+    need = extension_op._build_bytes(8, 4, 2, 1)
+    monkeypatch.setattr(extension_op, "_physical_memory", lambda: 2 * need)
+    monkeypatch.setattr(extension_op, reader, lambda: need - 1)
+    monkeypatch.setattr(extension_op, "_x_modes", never)
+    with pytest.raises(ConfigError, match=f"more than the {need - 1} bytes of {name}$"):
+        assemble(make_grid(), 0.5)
+    assert not _cache
+    monkeypatch.undo()
+    monkeypatch.setattr(extension_op, reader, lambda: need)
+    assemble(make_grid(), 0.5)
+
+
+def test_memory_limit_readers_report_inf_for_no_limit(monkeypatch, tmp_path):
+    # RLIM_INFINITY and a cgroup memory.max of "max" are no limit; a group
+    # without the file (cgroup v1, or the root group) is none either
+    assert extension_op._address_space_limit() > 0
+    assert extension_op._cgroup_memory_limit() > 0
+    monkeypatch.setattr(resource, "getrlimit", lambda _r: (resource.RLIM_INFINITY, 0))
+    assert extension_op._address_space_limit() == math.inf
+    monkeypatch.setattr(resource, "getrlimit", lambda _r: (2**30, resource.RLIM_INFINITY))
+    assert extension_op._address_space_limit() == 2**30
+
+    files = {"/proc/self/cgroup": "4:memory:/v1\n0::/job/step\n"}
+    real_open = open
+
+    def fake_open(path, *args, **kwargs):
+        if str(path) in files:
+            target = tmp_path / "file"
+            target.write_text(files[str(path)])
+            return real_open(target, *args, **kwargs)
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr("builtins.open", fake_open)
+    assert extension_op._cgroup_memory_limit() == math.inf      # no memory.max
+    files["/sys/fs/cgroup/job/step/memory.max"] = "max\n"
+    assert extension_op._cgroup_memory_limit() == math.inf
+    files["/sys/fs/cgroup/job/step/memory.max"] = "1073741824\n"
+    assert extension_op._cgroup_memory_limit() == 2**30
+    files["/proc/self/cgroup"] = "0::/\n"
+    files["/sys/fs/cgroup/memory.max"] = "536870912\n"
+    assert extension_op._cgroup_memory_limit() == 2**29
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ exact zeros on the artificial boundary, stationarity of flat data, and the
 linear special case where the update reduces to plain averaging.
 """
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -15,13 +16,14 @@ import pytest
 
 from fracpme.core import (
     Field,
+    Grid,
     SolverConfig,
     cfl_max_dt,
     initial_data_preset,
     nu_sigma,
     parse_initial_data,
 )
-from fracpme.errors import CflViolationError, ConfigError, NegativeBracketError
+from fracpme.errors import CflViolationError, ConfigError, NegativeBracketError, SolverError
 from fracpme.marcher import (
     Trajectory,
     boundary_update,
@@ -329,6 +331,148 @@ def test_march_max_decays_in_time():
     traj = march(cfg, GAUSS)
     maxes = traj.trace_history.max(axis=1)
     assert np.all(np.diff(maxes) <= 1e-12)
+
+
+def _step_by_step(cfg, f, op):
+    """The march's outputs rebuilt from initialize and J public steps."""
+    fields = [initialize(cfg, f, op)]
+    for _ in range(cfg.J):
+        fields.append(step(fields[-1], op, cfg))
+    history = np.maximum([fld.values[:, 0] for fld in fields], 0.0) ** (1.0 / cfg.m)
+    diags = [(j, float(j * cfg.dt).hex(), float(fld.values.min()).hex(),
+              float(fld.values.max()).hex(), extension_op.discrete_max_location(fld))
+             for j, fld in enumerate(fields)]
+    return history, diags, fields
+
+
+def _bits(a):
+    return a.shape, a.strides, a.tobytes(order="A")
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("c,d", [(2, 1), (3, 4), (2, None)])
+def test_march_is_the_public_step_bit_for_bit(c, d, m):
+    # march advances its own node array; every output must equal, bit for bit and
+    # in memory order, what initialize and J calls of step give
+    cfg = SolverConfig(sigma=1.0, m=m, X=3.0, Y=3.0, T=0.6, I=12, K=6, J=6, c=c, d=d)
+    op = assemble(cfg.grid(), cfg.sigma, c, d)
+    traj = march(cfg, GAUSS, capture="all", op=op)
+    history, diags, fields = _step_by_step(cfg, GAUSS, op)
+    assert _bits(traj.trace_history) == _bits(history)
+    assert [(dg.j, dg.t.hex(), dg.w_min.hex(), dg.w_max.hex(), dg.argmax)
+            for dg in traj.diagnostics] == diags
+    assert [(t, fld.time_index) for t, fld in traj.snapshots] == [
+        (float(j * cfg.dt), j) for j in range(cfg.J + 1)]
+    assert [_bits(fld.values) for _, fld in traj.snapshots] == [_bits(f.values) for f in fields]
+
+
+def test_march_snapshots_are_read_only_and_keep_their_values():
+    # a snapshot holds its step's node array itself: nothing, not a later step
+    # nor a later march, may write to it or to the array it views
+    cfg = make_config(m=2.0, J=6, T=0.6)
+    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
+    snapshots = [fld for _, fld in march(cfg, GAUSS, capture="all", op=op).snapshots]
+    march(cfg, GAUSS, capture="all", op=op)
+    for n, (fld, want) in enumerate(zip(snapshots, _step_by_step(cfg, GAUSS, op)[2])):
+        assert _bits(fld.values) == _bits(want.values)
+        owner = fld.values if fld.values.base is None else fld.values.base
+        assert not fld.values.flags.writeable and not owner.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fld.values[4, 1] = 7.0
+        assert not any(np.shares_memory(fld.values, other.values) for other in snapshots[n + 1:])
+
+
+# ---------------------------------------------------------------------------
+# the march's checks at a failing step
+
+
+def test_march_reports_the_step_of_a_negative_bracket(monkeypatch):
+    # with the CFL bound lifted, dt = 40 drives the bracket negative at step 1
+    cfg = make_config(m=2.0, T=40.0, J=1)
+    vals = initialize(cfg, GAUSS).values
+    with pytest.raises(NegativeBracketError) as direct:
+        boundary_update(vals[1:-1, 0], vals[1:-1, 1], cfg.dt, cfg.dx, cfg.sigma, cfg.m)
+    monkeypatch.setattr(marcher.core, "cfl_max_dt", lambda *_args: math.inf)
+    with pytest.raises(NegativeBracketError) as ei:
+        march(cfg, GAUSS)
+    assert ei.value.step == 1
+    assert (ei.value.index, ei.value.value) == (direct.value.index, direct.value.value)
+    assert str(ei.value) == str(direct.value)
+
+
+def _fake_solve(monkeypatch, fake):
+    """Replace extension_op._solve by fake(n, real_solve, op, trace), n numbering
+    the calls from initialize's, 1; returns the list of call numbers.  No real
+    input to march reaches these failures, so a fake stands in for the solve."""
+    real, calls = extension_op._solve, []
+
+    def counted(op, trace):
+        calls.append(len(calls) + 1)
+        return fake(calls[-1], real, op, trace)
+
+    monkeypatch.setattr(extension_op, "_solve", counted)
+    return calls
+
+
+def test_march_propagates_a_solver_error_mid_march(monkeypatch):
+    # from step 2 on the solve runs on profiles G scaled by 2, so the real residual
+    # check fails; march passes that error on unchanged
+    raised = []
+
+    def scaled_profiles(n, real, op, trace):
+        try:
+            return real(dataclasses.replace(op, G=2.0 * op.G) if n >= 3 else op, trace)
+        except SolverError as e:
+            raised.append(e)
+            raise
+
+    calls = _fake_solve(monkeypatch, scaled_profiles)
+    with pytest.raises(SolverError, match="^solve residual ") as ei:
+        march(make_config(m=2.0, J=4), GAUSS)
+    assert calls == [1, 2, 3] and ei.value is raised[0]
+
+
+@pytest.mark.parametrize("node,value,message", [
+    ((1, 3), -1e-11, "trace rows must be nonnegative"),
+    ((2, 3), math.nan, r"non-finite field value at node \(i=3, k=2\)"),
+    ((1, 5), math.inf, r"non-finite field value at node \(i=5, k=1\)"),
+])
+def test_march_checks_a_corrupted_node_array(monkeypatch, node, value, message):
+    # step 1's node array P[k, i] gets one bad value.  A row value in
+    # [-1e-10, -1e-12) passes step 1's band check and stops step 2 before its
+    # solve; a non-finite one stops step 1 with Field's error
+    def corrupt(n, real, op, trace):
+        P = real(op, trace)
+        if n == 2:
+            P[node] = value
+        return P
+
+    calls = _fake_solve(monkeypatch, corrupt)
+    with pytest.raises(ValueError, match=message):
+        march(make_config(m=2.0, J=4), GAUSS)
+    assert calls == [1, 2]
+
+
+def test_march_memory_does_not_grow_with_a_node_array_per_step():
+    # Growth of the traced peak from J = 50 to J = 500 at I = K = 32 is what the
+    # march keeps per step, measured at about 990 B both with a Field per step
+    # and with one node array per step: three 264 B history rows while
+    # u = w^(1/m) is formed, and about 200 B of time and StepDiagnostics.
+    # Keeping each step's 33 x 33 node array would add 8.7 KB per step, 3.9 MB
+    # over the 450 steps.
+    op = assemble(Grid(2.0, 4.0, 32, 32), 0.5)
+
+    def peak(J):
+        cfg = SolverConfig(sigma=0.5, m=2.0, X=2.0, Y=4.0, T=J * 1e-3, I=32, K=32, J=J)
+        tracemalloc.start()
+        try:
+            march(cfg, GAUSS, op=op)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = peak(500) - peak(50)
+    assert growth <= 450 * 2048, f"{growth / 450:.0f} B per step"
 
 
 # ---------------------------------------------------------------------------
