@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Time the operator build and the per-step elliptic solve over a mesh ladder.
+
+For I = 64, 128, 256, 512, 1024 with K = I/2 (X = Y = 8, so dx = 16/I) and for
+the pairs (c, d) = (2, 1) at sigma = 0.5 and (3, 4) at sigma = 1.5, times one
+`assemble` (a fresh build: the operator cache is emptied first) and the p50
+and p99 of SOLVES direct calls of `solve_interior` on the gaussian datum's
+trace (after one untimed call).  It makes PASSES passes over the whole ladder
+and records, per rung, the median over the passes of each of the three: on a
+shared machine the speed drifts over seconds to minutes, and rungs timed at
+three different moments are less at its mercy than one.  The machine facts go
+with them into OUTDIR/BENCH_<tag>.json.  BLAS runs on one thread unless the
+BLAS thread variables are set.
+
+Usage: PYTHONPATH=src python3 scripts/bench_ladder.py TAG [OUTDIR] [RUNGS]
+  OUTDIR defaults to bench/ in the repository; RUNGS (default 5) keeps only
+  the smallest rungs of the ladder.
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import time
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np      # noqa: E402  (after the BLAS thread variables)
+import scipy            # noqa: E402
+
+import fracpme          # noqa: E402
+from fracpme.core import Grid, initial_data_preset      # noqa: E402
+from fracpme import extension_op        # noqa: E402
+from fracpme.extension_op import assemble, solve_interior      # noqa: E402
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+LADDER = (64, 128, 256, 512, 1024)
+PAIRS = ((2, 1, 0.5), (3, 4, 1.5))      # (c, d, sigma)
+PASSES = 3
+SOLVES = 50
+
+
+def machine_facts() -> dict:
+    facts = {"nproc": os.cpu_count(), "cpu": platform.processor() or "unknown",
+             "python": platform.python_version(), "numpy": np.__version__,
+             "scipy": scipy.__version__, **{var: os.environ[var] for var in BLAS_VARS}}
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            models = [line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")]
+        facts["cpu"] = models[0] if models else facts["cpu"]
+    except OSError:
+        pass
+    try:
+        proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                              cwd=ROOT, capture_output=True, text=True, timeout=10)
+        facts["git"] = proc.stdout.strip() if proc.returncode == 0 else "unavailable"
+    except (OSError, subprocess.TimeoutExpired):
+        facts["git"] = "unavailable"
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(fracpme.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    facts["src_sha256"] = digest.hexdigest()[:16]
+    return facts
+
+
+def rung(I: int, c: int, d: int, sigma: float) -> dict:
+    grid = Grid(X=8.0, Y=8.0, I=I, K=I // 2)
+    trace = initial_data_preset("gaussian").fn(grid.xs)[1:-1]
+    extension_op._cache.clear()
+    start = time.perf_counter()
+    op = assemble(grid, sigma, c=c, d=d)
+    assemble_s = time.perf_counter() - start
+    solve_interior(op, trace)
+    times = []
+    for _ in range(SOLVES):
+        start = time.perf_counter()
+        solve_interior(op, trace)
+        times.append(time.perf_counter() - start)
+    p50, p99 = np.percentile(times, [50, 99]) * 1e3
+    return {"assemble_s": assemble_s, "solve_ms_p50": p50, "solve_ms_p99": p99}
+
+
+def main() -> int:
+    if not 2 <= len(sys.argv) <= 4:
+        print(__doc__.rsplit("Usage: ", 1)[1], file=sys.stderr)
+        return 2
+    tag = sys.argv[1]
+    outdir = pathlib.Path(sys.argv[2]) if len(sys.argv) > 2 else ROOT / "bench"
+    ladder = LADDER[:int(sys.argv[3])] if len(sys.argv) > 3 else LADDER
+    cases = [(I, c, d, sigma) for I in ladder for c, d, sigma in PAIRS]
+    passes = [[rung(*case) for case in cases] for _ in range(PASSES)]
+    rungs = []
+    for (I, c, d, sigma), timed in zip(cases, zip(*passes)):
+        r = {"I": I, "K": I // 2, "c": c, "d": d, "sigma": sigma,
+             **{key: float(np.median([t[key] for t in timed])) for key in timed[0]}}
+        rungs.append(r)
+        print(f"I={I} K={r['K']} (c, d)=({c}, {d}) sigma={sigma}: assemble "
+              f"{r['assemble_s']:.3f} s, solve p50 {r['solve_ms_p50']:.3f} ms, "
+              f"p99 {r['solve_ms_p99']:.3f} ms")
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / f"BENCH_{tag}.json"
+    path.write_text(json.dumps({"tag": tag, "passes": PASSES, "solve_calls": SOLVES,
+                                "machine": machine_facts(), "rungs": rungs}, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

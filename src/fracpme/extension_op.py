@@ -13,11 +13,16 @@ The interior operator A is the Kronecker sum I (x) T_x + S_y (x) I of a 1-D
 x-factor and a 1-D y-factor; only the two factors are kept, and A itself is
 formed only for dump_matrix (solve --dump-matrix) and tests.  A is solved by
 fast diagonalization (Lynch, Rice and Thomas 1964): T_x = V diag(lam) V^-1
-once per operator, then the banded y-systems (S_y + lam_n I) of all x-modes
-as the diagonal blocks of one banded solve.
-Trace data enter only through S_y's k = 0 column, so each mode's response to
-the trace is a precomputed y-profile; a step costs two dense products and a
-residual product with each factor.  assemble builds this once per key.
+once per operator, the modes in ascending order of lam, then the banded
+y-systems (S_y + lam_n I) of all x-modes as the diagonal blocks of one banded
+solve.  Trace data enter only through S_y's k = 0 column, so each mode's
+response to the trace is a precomputed y-profile G[:, n], and it decays with
+height the faster the larger lam_n is (the extension's exp(-y sqrt(lam))).
+A step maps the trace to x-modes once, c = V^-1 t, and forms each row of
+(G o c) V^T only over the modes that can still move it by more than 2^-60
+max|t|: the rows fall into a few blocks, each with its own mode count (the
+staircase), and one product per block.  A residual product with each factor
+checks the whole interior.  assemble builds this once per key.
 """
 
 from __future__ import annotations
@@ -49,7 +54,10 @@ _MIN_K_FIRST = {1: 2, 2: 2, 3: 3, 4: 4}
 _DUMP_BLOCK = 4096                      # dump_matrix lines per format call
 _MONOTONE_TOL = 1e-12                   # verify_monotone_structure's sign margin
 _CACHE_BYTES = 64 * 2**20               # budget of the operator cache, in array bytes
+_TAIL_BOUND = 2.0**-60                  # bound on a row's dropped modes, per unit max|trace|
+_BLOCK_SAVING = 2**18                   # multiply-adds a new row block must save per step
 _cache: OrderedDict = OrderedDict()     # (I, K, sigma, c, d) -> _build's result
+_CGROUP_ROOT = "/sys/fs/cgroup"         # where the cgroup trees are mounted
 
 
 def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
@@ -153,13 +161,15 @@ def _factor(offsets: list[tuple[int, ...]], deriv: int, n: int) -> sparse.csr_ma
 
 def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
              s_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """V, V^-1, G and s_trace for T_int = V diag(lam) V^-1 and the y-systems
-    (S_int + lam_n I) G[:, n] = s_trace of all modes n, solved as the diagonal
-    blocks of one banded system; s_trace is the interior rhs per unit trace
-    value, -S_y[:, 0], and G[:, n] mode n's interior y-profile for it."""
+    """V, V^-1, G and s_trace for T_int = V diag(lam) V^-1, lam ascending, and the
+    y-systems (S_int + lam_n I) G[:, n] = s_trace of all modes n, solved as the
+    diagonal blocks of one banded system; s_trace is the interior rhs per unit
+    trace value, -S_y[:, 0], and G[:, n] mode n's interior y-profile for it."""
     lam, V = linalg.eig(T_int.toarray())
     if np.any(lam.imag != 0.0):
         raise SolverError("x-block has complex eigenvalues; the x-mode solve needs a real spectrum")
+    order = np.argsort(lam.real, kind="stable")
+    lam, V = lam.real[order], V[:, order]
     S = S_int.tocoo()                       # the diagonal is stored, so both widths are >= 0
     lower = int((S.row - S.col).max())
     upper = int((S.col - S.row).max())
@@ -169,9 +179,34 @@ def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
     # tiling is exact: y_band's slots that fall outside a block are zero, so no
     # two modes are coupled
     ab = np.tile(y_band, len(lam))
-    ab[upper] += np.repeat(lam.real, n_y)
+    ab[upper] += np.repeat(lam, n_y)
     g = linalg.solve_banded((lower, upper), ab, np.tile(s_trace, len(lam)), overwrite_ab=True)
     return V, linalg.inv(V), g.reshape(len(lam), n_y).T.copy(), s_trace
+
+
+def _staircase(V: np.ndarray, V_inv: np.ndarray, G: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    """Row blocks (k0, k1, n) of G that tile its rows 0..K-2 in order, n nonincreasing:
+    rows k0..k1-1 of a solve are formed from modes 0..n-1 only.
+
+    With c = V^-1 t, |c_n'| <= ||V^-1||_inf max|t| and |V[i, n']| <= max|V|, so
+    the modes n' >= n add at most sum_n'>=n |G[k, n']| ||V^-1||_inf max|V| max|t|
+    to row k.  Row k needs the fewest modes n_k that keep this sum <= 2^-60 max|t|
+    at row k and every row below it.  One pass groups the rows: a block ends at
+    the first row needing at most half its mode count, if the rows from there on
+    then save _BLOCK_SAVING multiply-adds or more.
+    """
+    limit = _TAIL_BOUND / (np.linalg.norm(V_inv, np.inf) * np.abs(V).max())
+    tail = np.abs(G[:, ::-1])
+    np.cumsum(tail, axis=1, out=tail)       # tail[k, j]: |G[k]| summed over the top j+1 modes
+    need = G.shape[1] - np.count_nonzero(tail <= limit, axis=1)    # a NaN sum keeps its mode
+    need = np.maximum.accumulate(need[::-1])[::-1].tolist()
+    blocks, k0 = [], 0
+    for k, n in enumerate(need):
+        if 2 * n <= need[k0] and (len(need) - k) * (need[k0] - n) * V.shape[0] >= _BLOCK_SAVING:
+            blocks.append((k0, k, need[k0]))
+            k0 = k
+    blocks.append((k0, len(need), need[k0]))
+    return tuple(blocks)
 
 
 @dataclass(eq=False)
@@ -182,7 +217,8 @@ class ExtensionOperator:
     (K-1) x (K+1), are the scaled 1-D factors over all x-nodes 0..I and all
     y-nodes 0..K; row n = (k-1)(I-1) + (i-1) of the interior matrix A is row
     i-1 of T_x at height k plus row k-1 of S_y at abscissa i.  V, V^-1, G and
-    s are _x_modes' arrays.  Solves use only these; A is derived on demand.
+    s are _x_modes' arrays and blocks _staircase's row blocks.  Solves use only
+    these; A is derived on demand.
     """
     grid: Grid
     sigma: float
@@ -194,6 +230,12 @@ class ExtensionOperator:
     V_inv: np.ndarray = field(repr=False)
     G: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
+    blocks: tuple[tuple[int, int, int], ...] = field(repr=False)
+
+    @cached_property
+    def s_max(self) -> float:
+        """max|s|: the residual check's ||rhs||_inf per unit max|trace|."""
+        return float(np.abs(self.s).max())
 
     @cached_property
     def A(self) -> sparse.csr_matrix:
@@ -215,7 +257,10 @@ def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
     dense x-block, eig's copy, V and V^-1 (n^2 floats each), and per mode and
     y-node the tiled band (2r+1), LAPACK's band with r extra rows (3r+1) and its
     Fortran-order copy (3r+1), the tiled rhs, the shifts, LAPACK's rhs copy, the
-    solution and G (one each); 1 MiB covers the O(n + m) rest.
+    solution and G (one each); 1 MiB covers the O(n + m) rest.  The sorted copy
+    of V is made once the x-block and eig's copy are freed, and _staircase's tail
+    sums (n*m floats and a mask) once the band solve's arrays are, so neither
+    adds to that peak.
     """
     window = _second_deriv_offsets(1, I, c) + (() if d is None else _first_deriv_offsets(1, K, d))
     r = max(abs(o) for o in window)
@@ -242,25 +287,40 @@ def _address_space_limit() -> float:
 
 
 def _cgroup_memory_limit() -> float:
-    """memory.max of this process's cgroup-v2 group in bytes; inf if "max" or unreadable."""
+    """The lowest memory limit in bytes over this process's cgroups and all their
+    ancestors: v2 memory.max under _CGROUP_ROOT or its unified/ tree (hybrid
+    hosts), v1 memory.limit_in_bytes under its memory/ tree; inf if none is read."""
     try:
         with open("/proc/self/cgroup", encoding="utf-8") as fh:
-            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        with open(f"/sys/fs/cgroup{path.rstrip('/')}/memory.max", encoding="utf-8") as fh:
-            text = fh.read().strip()
-    except (OSError, StopIteration):
+            groups = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
         return float("inf")
-    return float("inf") if text == "max" else int(text)
+    files = []
+    for _, controllers, path in (g for g in groups if len(g) == 3):
+        names = (["/memory%s/memory.limit_in_bytes"] if "memory" in controllers.split(",")
+                 else [] if controllers else ["%s/memory.max", "/unified%s/memory.max"])
+        path = path.rstrip("/")
+        for group in [path[:i] for i, ch in enumerate(path) if ch == "/"] + [path]:
+            files += [_CGROUP_ROOT + name % group for name in names]
+    limit = float("inf")
+    for name in files:
+        try:
+            with open(name, encoding="utf-8") as fh:
+                text = fh.read().strip()
+            limit = min(limit, float("inf") if text == "max" else int(text))
+        except (OSError, ValueError):
+            pass
+    return limit
 
 
 def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
-    """(T_x, S_y, V, V^-1, G, s), all arrays read-only, and their total nbytes.
+    """(T_x, S_y, V, V^-1, G, s, blocks), all arrays read-only, and their total nbytes.
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus
     (1-sigma)/k first-derivative rows.  No interior matrix is formed.  A mesh
     whose _build_bytes exceed the physical memory, the soft RLIMIT_AS or the
-    cgroup's memory.max is refused before any of it is allocated (ConfigError).
+    lowest cgroup memory limit is refused before any of it is allocated (ConfigError).
     """
     need = _build_bytes(I, K, c, d)
     have, limit = min((_physical_memory(), "physical memory"),
@@ -281,13 +341,14 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, 
         raise SolverError(f"x-mode setup failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
     except MemoryError as e:
         raise ConfigError(f"mesh I={I}, K={K} too large: x-mode setup cannot be allocated") from e
+    blocks = _staircase(*modes[:3])
     arrays = list(modes)
     for M in (T_x, S_y):
         M.sum_duplicates()          # canonical: scipy never re-sorts a frozen matrix in place
         arrays += [M.data, M.indices, M.indptr]
     for a in arrays:
         a.setflags(write=False)
-    return (T_x, S_y, *modes), sum(a.nbytes for a in arrays)
+    return (T_x, S_y, *modes, blocks), sum(a.nbytes for a in arrays)
 
 
 def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
@@ -312,9 +373,10 @@ def _solve(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
     """The height-major (K+1) x (I+1) node array P[k, i] for the trace data trace_row
     and homogeneous lateral/top data: trace_row at k = 0, the solve inside, 0 elsewhere.
 
-    The mode profiles scaled by V^-1 trace and mapped back through V fill P's
-    interior; its residual through the two 1-D factors catches a non-finite or
-    inaccurate solve (SolverError), so a P returned is finite.
+    The mode profiles scaled by c = V^-1 trace and mapped back through V fill P's
+    interior, each row block of op.blocks from its own leading modes; the
+    residual of the whole interior through the two 1-D factors catches a
+    non-finite or inaccurate solve (SolverError), so a P returned is finite.
     """
     I, K = op.grid.I, op.grid.K
     if trace_row.shape != (I - 1,):
@@ -325,10 +387,12 @@ def _solve(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
     # y-system per column of W V^-T
     P = np.zeros((K + 1, I + 1))
     P[0, 1:I] = trace_row
-    np.matmul(op.G * (op.V_inv @ trace_row), op.V.T, out=P[1:K, 1:I])
+    c = op.V_inv @ trace_row
+    for k0, k1, n in op.blocks:
+        np.matmul(op.G[k0:k1, :n] * c[:n], op.V[:, :n].T, out=P[1 + k0:1 + k1, 1:I])
     R = op.S_y @ P[:, 1:I] + (op.T_x @ P[1:K].T).T
     # ||outer(s, trace)||_inf = max|s| max|t| exactly: rounding is monotone
-    norm_rhs = float(np.abs(op.s).max() * np.abs(trace_row).max())
+    norm_rhs = op.s_max * float(np.abs(trace_row).max())
     resid = float(np.abs(R, out=R).max())
     if not resid <= 1e-10 * max(norm_rhs, 1e-300):
         raise SolverError(

@@ -10,6 +10,8 @@ Independent checks used here:
     that direct solve also carries the checks with nonzero lateral data,
     which the solver itself never takes: lateral and top data enter through
     the boundary columns of the operator's 1-D factors T_x and S_y;
+  * the mode staircase's dropped tails against sums recomputed from G, and
+    its solve against the full product (G o V^-1 t) V^T of the same parts;
   * the monotone-structure report against a dense scan of the full-node
     operator built from the matrix-free application;
   * the assembled rows against the matrix-free pointwise application via the
@@ -22,6 +24,7 @@ Independent checks used here:
 import dataclasses
 import math
 import resource
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -278,6 +281,54 @@ def test_x_modes_refuse_a_complex_spectrum():
         _x_modes(rotation, sparse.identity(3, format="csr"), np.ones(3))
 
 
+# every supported pair at four sigmas on three meshes (K = I/2)
+_STAIRCASE_CASES = [(c, d, sigma, I) for c, d in sorted(SUPPORTED_PAIRS)
+                    for sigma in (0.3, 1.0, 1.5, 1.9) for I in (16, 64, 256)]
+
+
+@pytest.mark.parametrize("c,d,sigma,I", _STAIRCASE_CASES)
+def test_mode_staircase_bounds_what_it_drops(c, d, sigma, I):
+    K = I // 2
+    op = assemble(make_grid(I=I, K=K), sigma, c=c, d=d)
+    # the blocks tile rows 0..K-2 in order, with nonincreasing mode counts,
+    # and the first block keeps every mode
+    starts, ends, counts = zip(*op.blocks)
+    assert starts[0] == 0 and ends[-1] == K - 1
+    assert all(k0 < k1 for k0, k1 in zip(starts, ends))
+    assert list(starts[1:]) == list(ends[:-1])
+    assert counts[0] == I - 1 and list(counts) == sorted(counts, reverse=True)
+    if I == 256:                            # sorted modes decay: about half the work goes
+        assert sum((k1 - k0) * n for k0, k1, n in op.blocks) <= 0.55 * (K - 1) * (I - 1)
+    # the dropped tail of every row, recomputed from G, is within 2^-60; the
+    # 1e-12 allows for the build's sums running in another order
+    tail_bound = 2.0**-60
+    scale = np.linalg.norm(op.V_inv, np.inf) * np.abs(op.V).max()
+    for k0, k1, n in op.blocks:
+        tails = np.abs(op.G[k0:k1, n:]).sum(axis=1) * scale
+        assert tails.max(initial=0.0) <= tail_bound * (1.0 + 1e-12), (k0, k1, n)
+    # on random nonnegative traces the solve matches the full product of the
+    # same parts within the dropped tail plus both products' rounding: each
+    # sum of I-1 products, one more rounding for G o c, is off by at most
+    # (I+1) eps times the sum of the products' magnitudes
+    rng = np.random.default_rng(20261019)
+    for _ in range(3):
+        trace = rng.random(I - 1)
+        cvec = op.V_inv @ trace
+        full = (op.G * cvec) @ op.V.T
+        rounding = 2 * (I + 1) * np.finfo(float).eps * ((np.abs(op.G) * np.abs(cvec)) @ np.abs(op.V).T)
+        got = solve_interior(op, trace).T
+        assert np.all(np.abs(got - full) <= tail_bound * trace.max() + rounding)
+
+
+@pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS) + [(c, None) for c in sorted(_MIN_N_SECOND)])
+def test_sweep_meshes_solve_in_one_block(c, d):
+    # at I = K = 64 no split can save 2^18 multiply-adds, so the small meshes
+    # pay one product per step, not one per block
+    for sigma in ((0.3, 0.5, 1.0, 1.5, 1.9) if d is not None else (1.0,)):
+        op = assemble(make_grid(I=64, K=64), sigma, c=c, d=d)
+        assert op.blocks == ((0, 63, 63),), (c, d, sigma)
+
+
 def test_solve_is_deterministic():
     grid = make_grid(I=12, K=6, dx=0.125)
     trace = np.sin(np.linspace(0, math.pi, 11))
@@ -497,6 +548,44 @@ def test_memory_limit_readers_report_inf_for_no_limit(monkeypatch, tmp_path):
     files["/proc/self/cgroup"] = "0::/\n"
     files["/sys/fs/cgroup/memory.max"] = "536870912\n"
     assert extension_op._cgroup_memory_limit() == 2**29
+
+
+def test_cgroup_limit_is_the_lowest_over_ancestors_and_hierarchies(monkeypatch, tmp_path):
+    # the cgroup trees are files under a temporary root; nothing real is read
+    root, proc = tmp_path / "cgroup", tmp_path / "proc-self-cgroup"
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda path, *a, **kw: real_open(
+        proc if str(path) == "/proc/self/cgroup" else path, *a, **kw))
+    monkeypatch.setattr(extension_op, "_CGROUP_ROOT", str(root))
+
+    def limit(groups, files):
+        shutil.rmtree(root, ignore_errors=True)
+        proc.write_text(groups)
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        return extension_op._cgroup_memory_limit()
+
+    # a v2 ancestor's memory.max caps a leaf that says "max", as systemd slices do
+    assert limit("0::/user.slice/job\n", {"user.slice/job/memory.max": "max\n",
+                                          "user.slice/memory.max": "4096\n"}) == 4096
+    assert limit("0::/a/b/\n", {"a/b/memory.max": "1024\n", "a/memory.max": "4096\n",
+                                "memory.max": "max\n"}) == 1024
+    # a hybrid host mounts the v2 tree at unified/
+    assert limit("4:memory:/x\n0::/job\n", {"unified/job/memory.max": "2048\n"}) == 2048
+    # cgroup v1: the memory hierarchy's memory.limit_in_bytes, on ancestors too
+    assert limit("4:memory:/docker/abc\n0::/\n", {
+        "memory/docker/abc/memory.limit_in_bytes": "9223372036854771712\n",
+        "memory/docker/memory.limit_in_bytes": "8192\n"}) == 8192
+    assert limit("3:cpu,memory:/g\n", {"memory/g/memory.limit_in_bytes": "512\n"}) == 512
+    assert limit("5:pids:/g\n", {"pids/g/memory.limit_in_bytes": "512\n"}) == math.inf
+    # the lowest over every hierarchy at once
+    assert limit("4:memory:/g\n0::/g\n", {"memory/g/memory.limit_in_bytes": "700\n",
+                                          "unified/g/memory.max": "600\n",
+                                          "g/memory.max": "800\n"}) == 600
+    # an unreadable value or a missing file is no limit
+    assert limit("0::/g\n", {"g/memory.max": "garbage\n", "memory.max": "max\n"}) == math.inf
+    assert limit("0::/g\n", {}) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Smoke tests: the two scripts run the way README.md runs them, from the repo root
+"""Smoke tests: the scripts run the way README.md runs them, from the repo root
 with the package on PYTHONPATH."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,16 @@ def test_convergence_study_script(child_env, tmp_path):
     tags = ("linear_sigma1_optimal", "m2_sigma0p5_practical", "m2_sigma1p5_practical")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{tag}.{ext}" for tag in tags for ext in ("csv", "svg"))
+
+
+def test_bench_ladder_script(child_env, tmp_path):
+    proc = run_script(child_env, "bench_ladder.py", "smoke", tmp_path, 2)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert (report["tag"], report["passes"], report["solve_calls"]) == ("smoke", 3, 50)
+    assert {"nproc", "cpu", "python", "numpy", "scipy", "git", "src_sha256",
+            "OPENBLAS_NUM_THREADS"} <= set(report["machine"])
+    assert [(r["I"], r["K"], r["c"], r["d"], r["sigma"]) for r in report["rungs"]] == [
+        (64, 32, 2, 1, 0.5), (64, 32, 3, 4, 1.5), (128, 64, 2, 1, 0.5), (128, 64, 3, 4, 1.5)]
+    for r in report["rungs"]:
+        assert 0.0 < r["assemble_s"] and 0.0 < r["solve_ms_p50"] <= r["solve_ms_p99"]
