@@ -9,7 +9,6 @@ acceptance suite compares the two routes; keep them independent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,126 +24,8 @@ __all__ = [
 ]
 
 
-_TAIL_BLOCKS = 48                       # _tail_integral's summed blocks before extrapolation
-_TAIL_H = 1.0                           # and their width
-
-
-def _quad(f, a, b, epsabs, epsrel=1e-13, limit=400):
-    from scipy import integrate           # loaded on first use: no solve path needs it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-
-
-def _wynn_epsilon(seq):
-    """Accelerate a convergent sequence; returns (value, error estimate)."""
-    n = len(seq)
-    e0 = np.zeros(n + 1)
-    e1 = np.array(seq, dtype=float)
-    diag = [e1[-1]]
-    for k in range(1, n):
-        m = n - k
-        e2 = np.empty(m)
-        for j in range(m):
-            d = e1[j + 1] - e1[j]
-            if d == 0.0:
-                e2[j] = e1[j + 1] if k % 2 == 0 else 1e308
-            else:
-                e2[j] = e0[j + 1] + 1.0 / d
-        e0, e1 = e1[: m + 1], e2
-        if k % 2 == 0 and m:
-            diag.append(e2[-1])
-    diag = [v for v in diag if abs(v) < 1e300]
-    if len(diag) >= 2:
-        return diag[-1], abs(diag[-1] - diag[-2])
-    if n > 1:
-        return seq[-1], abs(seq[-1] - seq[-2])
-    return seq[-1], abs(seq[-1])
-
-
-def _tail_integral(f, start: float, sigma: float):
-    """Integral of f over [start, inf) for f decaying like z^(-1-sigma).
-
-    Unit blocks are summed exactly; the algebraic remainder of the partial
-    sums is killed by a Richardson ladder with the known exponents sigma and
-    sigma+1, then Wynn-epsilon polishes what is left.  All-zero blocks short
-    circuit so that constants annihilate exactly.
-    """
-    vals = []
-    qerr = 0.0
-    a = start
-    for _ in range(_TAIL_BLOCKS):
-        v, e = _quad(f, a, a + _TAIL_H, epsabs=1e-14, epsrel=1e-12, limit=60)
-        vals.append(v)
-        qerr += e
-        a += _TAIL_H
-    if all(v == 0.0 for v in vals):
-        return 0.0, qerr
-    partial = np.cumsum(vals)
-    Z = start + _TAIL_H * np.arange(1, _TAIL_BLOCKS + 1)
-    t = partial.astype(float)
-    for q in range(2):
-        zp = Z ** (sigma + q)
-        t = (zp[1:] * t[1:] - zp[:-1] * t[:-1]) / (zp[1:] - zp[:-1])
-        Z = Z[1:]
-    best, est = _wynn_epsilon(list(t))
-    return best, est + qerr
-
-
-def frac_laplacian_pv(g: Callable[[float], float], x: float, sigma: float,
-                      tol: float = 1e-8, full_output: bool = False):
-    """(-Lap)^(sigma/2) g at x via the symmetric principal-value integral.
-
-    Uses the second-difference regularization
-        C_sigma * int_0^inf (2 g(x) - g(x+z) - g(x-z)) / z^(1+sigma) dz
-    (the half-line integral of the symmetric difference equals the whole-line
-    principal value).  Near field on (0, 1]: adaptive quadrature; for sigma > 1 the quadratic
-    part of the second difference is first extracted by Richardson
-    extrapolation and integrated analytically, because the raw integrand's
-    cancellation noise at small z silently corrupts the adaptive estimate.
-    Far field: block summation with sequence acceleration.  Raises
-    QuadratureError unless the certified estimate is <= tol (a NaN estimate
-    never is), and ValueError for a non-finite x.
-    """
-    sigma = _check_sigma(sigma)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    C = riesz_constant(1, sigma)
-    gx = float(g(x))
-
-    def delta(z):
-        return 2.0 * gx - g(x + z) - g(x - z)
-
-    half_tol = tol / (4.0 * C)
-    if sigma <= 1.0:
-        near, e_near = _quad(lambda z: delta(z) * z ** (-1.0 - sigma), 0.0, 1.0,
-                             epsabs=half_tol)
-    else:
-        # delta(z) = q z^2 + O(z^4): pull q out with two Richardson levels
-        h = 0.1
-        d = [delta(h / 2 ** j) / (h / 2 ** j) ** 2 for j in range(3)]
-        r1 = (4.0 * d[1] - d[0]) / 3.0
-        r2 = (4.0 * d[2] - d[1]) / 3.0
-        q = (16.0 * r2 - r1) / 15.0
-        sing = q / (2.0 - sigma)  # int_0^1 q z^(1-sigma) dz
-        reg, e_near = _quad(lambda z: (delta(z) - q * z * z) * z ** (-1.0 - sigma),
-                            0.0, 1.0, epsabs=half_tol)
-        near = sing + reg
-    far, e_far = _tail_integral(lambda z: delta(z) * z ** (-1.0 - sigma), 1.0, sigma)
-
-    value = C * (near + far)
-    est = C * (e_near + e_far)
-    if not est <= tol:                  # a NaN estimate certifies nothing
-        raise QuadratureError(
-            f"frac_laplacian_pv reached abs error {est:.3e} > tol {tol:.3e} "
-            f"at (x={x}, sigma={sigma})", achieved=est)
-    if full_output:
-        return value, est
-    return value
-
-
 # ---------------------------------------------------------------------------
-# linear-case spectral reference
+# the one adaptive quadrature of every oracle integral
 
 # QUADPACK's 15-point Gauss-Kronrod rule on [-1, 1] (Piessens et al. 1983):
 # xgk, wgk and wg, outermost node first and the centre last
@@ -164,29 +45,158 @@ _GK_WEIGHTS[:, 0] = np.concatenate([_WGK, _WGK[-2::-1]])
 _GK_WEIGHTS[:, 1] = _GK_WEIGHTS[:, 0]
 _GK_WEIGHTS[1::2, 1] -= np.concatenate([_WG, _WG[-2::-1]])
 
+_MAX_PANELS = 2000
+
+
+def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, tol: float):
+    """Adaptive G7/K15 quadrature, vectorized over panels (Shampine 2008).
+
+    f maps nodes of shape (panels, 15) to values of shape (..., panels, 15).
+    From the ascending starting panels [a_j, b_j], the worst panels are
+    bisected until sum over panels of max over the leading axes of
+    |K15 - G7| is <= tol / 2.  It stops short at _MAX_PANELS panels, and
+    before splitting a panel narrower than 2^-40 of [a_0, b_-1]: there the
+    PV's second difference is rounding noise, blind to the z^-sigma spike of
+    data with a kink at x.  Returns the panels' left ends, and K15 and
+    |K15 - G7|, shape (..., panels).
+    """
+    def rule(a, b):                     # K15 and |K15 - G7| per unit half-width
+        half = 0.5 * (b - a)
+        kd = f((0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES) @ _GK_WEIGHTS
+        return kd[..., 0], np.abs(kd[..., 1])
+
+    floor = 2.0 ** -40 * (b[-1] - a[0])
+    K, E = rule(a, b)
+    while True:
+        half = 0.5 * (b - a)
+        err = half * E.reshape(-1, len(a)).max(axis=0, initial=0.0)
+        total = err.sum()
+        if not total > tol / 2.0:       # done, or NaN: the caller's check refuses it
+            return a, half * K, half * E
+        # bisect the worst panels, as many as leave the rest summing to <= tol / 2
+        order = np.argsort(-err, kind="stable")
+        n = np.count_nonzero(total - np.cumsum(err[order]) > tol / 2.0) + 1
+        split, keep = order[:n], order[n:]
+        lo, hi = a[split], b[split]
+        if len(a) + n > _MAX_PANELS or (hi - lo).min() < floor:
+            return a, half * K, half * E
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        Kn, En = rule(lo, hi)
+        a, b = np.concatenate([a[keep], lo]), np.concatenate([b[keep], hi])
+        K = np.concatenate([K[..., keep], Kn], axis=-1)
+        E = np.concatenate([E[..., keep], En], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# principal-value fractional Laplacian
+
+_TAIL_BLOCKS = 48                       # _tail_integral's unit blocks before extrapolation
+
+
+def _wynn_epsilon(seq):
+    """Accelerate a convergent sequence of >= 2 terms; returns (value, error estimate)."""
+    e0 = np.zeros(len(seq) + 1)
+    e1 = np.asarray(seq, dtype=float)
+    diag = [e1[-1]]
+    for k in range(1, len(seq)):
+        d = np.diff(e1)
+        with np.errstate(divide="ignore"):          # the d == 0 lanes are replaced
+            e2 = np.where(d == 0.0, e1[1:] if k % 2 == 0 else 1e308, e0[1:len(e1)] + 1.0 / d)
+        e0, e1 = e1, e2
+        if k % 2 == 0:
+            diag.append(e2[-1])
+    diag = [v for v in diag if abs(v) < 1e300]
+    if len(diag) >= 2:
+        return diag[-1], abs(diag[-1] - diag[-2])
+    return seq[-1], abs(seq[-1] - seq[-2])
+
+
+def _tail_integral(f, start: float, sigma: float, tol: float):
+    """Integral of f over [start, inf) for f decaying like z^(-1-sigma).
+
+    The unit blocks are _gauss_kronrod's starting panels, integrated together
+    to tol.  A Richardson ladder kills the partial sums' remainders in Z^-sigma,
+    Z^-(sigma+1) and Z^-(sigma+2) (the last from data with a u^-2 tail, the
+    second difference being even in z), then Wynn-epsilon polishes what is
+    left.  All-zero blocks short circuit so that constants annihilate exactly.
+    """
+    Z = start + np.arange(1.0, _TAIL_BLOCKS + 1.0)     # the blocks' right ends
+    a, K, E = _gauss_kronrod(f, Z - 1.0, Z, tol)
+    t = np.cumsum(np.bincount((a - start).astype(int), weights=K, minlength=_TAIL_BLOCKS))
+    if not t.any():
+        return 0.0, E.sum()
+    for q in range(3):
+        zp = Z ** (sigma + q)
+        t = (zp[1:] * t[1:] - zp[:-1] * t[:-1]) / (zp[1:] - zp[:-1])
+        Z = Z[1:]
+    best, est = _wynn_epsilon(t)
+    return best, est + E.sum()
+
+
+def frac_laplacian_pv(g: Callable[[float], float], x: float, sigma: float,
+                      tol: float = 1e-8, full_output: bool = False):
+    """(-Lap)^(sigma/2) g at x via the symmetric principal-value integral.
+
+    Uses the second-difference regularization
+        C_sigma * int_0^inf (2 g(x) - g(x+z) - g(x-z)) / z^(1+sigma) dz
+    (the half-line integral of the symmetric difference equals the whole-line
+    principal value).  g is called with one float at a time.  Near field on
+    (0, 1]: adaptive quadrature from the single panel [0, 1]; for sigma > 1 the
+    quadratic part of the second difference is first extracted by Richardson
+    extrapolation and integrated analytically, because the raw integrand's
+    cancellation noise at small z silently corrupts the adaptive estimate.
+    Far field: block summation with sequence acceleration.  Raises
+    QuadratureError unless the certified estimate is <= tol (a NaN estimate
+    never is), and ValueError for a non-finite x.
+    """
+    sigma = _check_sigma(sigma)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    C = riesz_constant(1, sigma)
+    g = np.vectorize(g, otypes=[float])
+    gx = float(g(x))
+
+    def delta(z):
+        return 2.0 * gx - g(x + z) - g(x - z)
+
+    q = 0.0
+    if sigma > 1.0:
+        # delta(z) = q z^2 + O(z^4): pull q out with two Richardson levels
+        h = 0.1 / 2.0 ** np.arange(3)
+        d = delta(h) / h ** 2
+        r = (4.0 * d[1:] - d[:-1]) / 3.0
+        q = float((16.0 * r[1] - r[0]) / 15.0)
+    _, K, E = _gauss_kronrod(lambda z: (delta(z) - q * z * z) * z ** (-1.0 - sigma),
+                             np.zeros(1), np.ones(1), tol / (2.0 * C))
+    near = q / (2.0 - sigma) + K.sum()     # q / (2 - sigma) = int_0^1 q z^(1-sigma) dz
+    # the ladder and Wynn-epsilon amplify block errors, hence the far tighter block tol
+    far, e_far = _tail_integral(lambda z: delta(z) * z ** (-1.0 - sigma), 1.0, sigma,
+                                tol / (4.0 * C) * 1e-6)
+
+    value = float(C * (near + far))
+    est = float(C * (E.sum() + e_far))
+    if not est <= tol:                  # a NaN estimate certifies nothing
+        raise QuadratureError(
+            f"frac_laplacian_pv reached abs error {est:.3e} > tol {tol:.3e} "
+            f"at (x={x}, sigma={sigma})", achieved=est)
+    if full_output:
+        return value, est
+    return value
+
+
+# ---------------------------------------------------------------------------
+# linear-case spectral reference
+
 # initial panels of s in [0, 1]: graded geometrically toward s = 0, where
 # xi^sigma is not smooth, then uniform on [1/2, 1]
 _S_BREAKS = np.concatenate([[0.0], 0.5 ** np.arange(20, 0, -1), 0.5 + np.arange(1, 9) / 16.0])
-_MAX_PANELS = 2000
 
 
 def gaussian_hat(xi):
     """Fourier transform of exp(-x^2) with the convention int f exp(-i xi x) dx,
     elementwise for a float or an array xi."""
     return math.sqrt(math.pi) * np.exp(-xi * xi / 4.0)
-
-
-def _gk_panels(F, ux: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """K15 and |K15 - G7|, shapes (len(a), len(ux)), of the panels [a_j, b_j] of
-    s = xi / (1 + xi) for the integrand F(xi) cos(xi x) dxi at every x in ux."""
-    half = 0.5 * (b - a)
-    s = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
-    xi = s / (1.0 - s)
-    weighted = F(xi) * (half[:, None] / ((1.0 - s) * (1.0 - s)))
-    block = np.cos(np.multiply.outer(ux, xi))
-    block *= weighted
-    kd = block @ _GK_WEIGHTS                 # (len(ux), panels, 2)
-    return kd[..., 0].T, np.abs(kd[..., 1]).T
 
 
 def fractional_heat_solution(f_hat: Callable[[np.ndarray], np.ndarray], x, t: float,
@@ -199,13 +209,12 @@ def fractional_heat_solution(f_hat: Callable[[np.ndarray], np.ndarray], x, t: fl
     and must accept an array of xi.  x is a float (a float is returned) or an
     array (an array of its shape is returned).
 
-    All points share one adaptive 15-point Gauss-Kronrod quadrature on
-    s = xi / (1 + xi) in [0, 1): F is evaluated once per node and x enters only
-    through cos(xi |x|) on the unique |x|, so u(-x) == u(x) bitwise.  Panels are
-    bisected worst-first until sum over panels of max over x of |K15 - G7| is
-    <= tol / 2.  The estimate of a point is sum over panels of |K15 - G7| there;
+    All points share one run of _gauss_kronrod on s = xi / (1 + xi) in [0, 1),
+    to tol over the worst x of each panel: F is evaluated once per node and x
+    enters only through cos(xi |x|) on the unique |x|, so u(-x) == u(x)
+    bitwise.  The estimate of a point is sum over panels of |K15 - G7| there;
     QuadratureError (with .achieved, the largest estimate) is raised unless every
-    estimate is <= tol, also when _MAX_PANELS panels do not reach it.
+    estimate is <= tol, also when the engine stops short of tol / 2.
     """
     sigma = _check_sigma(sigma)
     if not (math.isfinite(t) and t >= 0.0):
@@ -215,37 +224,20 @@ def fractional_heat_solution(f_hat: Callable[[np.ndarray], np.ndarray], x, t: fl
         raise ValueError("every x must be finite")
     ux = np.unique(np.abs(xa))
 
-    def F(xi):
-        return np.exp(-xi ** sigma * t) * f_hat(xi) / math.pi
+    def f(s):                           # F(xi) cos(xi x) dxi/ds, shape (len(ux), *s.shape)
+        w = 1.0 - s
+        xi = s / w
+        block = np.cos(np.multiply.outer(ux, xi))
+        block *= np.exp(-t * xi ** sigma) * f_hat(xi) / (math.pi * w * w)
+        return block
 
-    a, b = _S_BREAKS[:-1], _S_BREAKS[1:]
-    K, E = _gk_panels(F, ux, a, b)
-    err = E.max(axis=1, initial=0.0)
-    total = err.sum()
-    while total > tol / 2.0:
-        # bisect the worst panels, as many as leave the rest summing to <= tol / 2
-        order = np.argsort(-err, kind="stable")
-        rest = total - np.cumsum(err[order])
-        split = order[: np.count_nonzero(rest > tol / 2.0) + 1]
-        if len(a) + len(split) > _MAX_PANELS:
-            break
-        mid = 0.5 * (a[split] + b[split])
-        keep = np.ones(len(a), dtype=bool)
-        keep[split] = False
-        Kn, En = _gk_panels(F, ux, np.concatenate([a[split], mid]),
-                            np.concatenate([mid, b[split]]))
-        a = np.concatenate([a[keep], a[split], mid])
-        b = np.concatenate([b[keep], mid, b[split]])
-        K = np.concatenate([K[keep], Kn])
-        E = np.concatenate([E[keep], En])
-        err = E.max(axis=1, initial=0.0)
-        total = err.sum()
-    est = float(E.sum(axis=0).max(initial=0.0))
-    if not (total <= tol / 2.0 and est <= tol):
+    a, K, E = _gauss_kronrod(f, _S_BREAKS[:-1], _S_BREAKS[1:], tol)
+    est = float(E.sum(axis=-1).max(initial=0.0))
+    if not E.max(axis=0, initial=0.0).sum() <= tol / 2.0:     # which bounds est too
         raise QuadratureError(
             f"fractional_heat_solution did not certify tol {tol:.3e}: abs error estimate "
             f"{est:.3e} with {len(a)} panels at (t={t}, sigma={sigma})", achieved=est)
-    u = K.sum(axis=0)[np.searchsorted(ux, np.abs(xa))]
+    u = K.sum(axis=-1)[np.searchsorted(ux, np.abs(xa))]
     return float(u) if u.ndim == 0 else u
 
 

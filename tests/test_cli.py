@@ -328,10 +328,16 @@ def test_validate_passes(capsys):
 
 
 def test_cli_import_leaves_quadrature_unloaded(child_env):
-    # scipy.integrate (and the scipy.optimize it pulls in) serves only the oracles'
-    # adaptive quadratures; no solve or study needs it at startup
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, fracpme.cli; print('scipy.integrate' in sys.modules)"],
+    # the oracles run on their own Gauss-Kronrod engine, so neither importing the
+    # CLI nor calling each of the three oracle integrals loads scipy.integrate
+    # (and the scipy.optimize it pulls in)
+    code = ("import math, sys, fracpme.cli\n"
+            "from fracpme import oracles, sigma_deriv\n"
+            "oracles.frac_laplacian_pv(math.cos, 0.3, 0.5)\n"
+            "oracles.fractional_heat_solution(oracles.gaussian_hat, [0.0, 1.0], 0.5, 1.0)\n"
+            "sigma_deriv.poisson_extension(math.tanh, 0.2, 0.5, 1.0)\n"
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

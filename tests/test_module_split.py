@@ -4,7 +4,9 @@ The scheme is `extension_op` and `marcher`; the independent references are
 `oracles` and `sigma_deriv`.  Each side may import `core` and `errors`, never
 a module of the other side, or a fault in shared code could pass the checks
 that compare the two.  Nor does the package carry a sparse direct solver:
-every solve goes through the x-modes of the operator's two 1-D factors.
+every solve goes through the x-modes of the operator's two 1-D factors.  And
+no module imports scipy.integrate: the oracles run on their own adaptive
+Gauss-Kronrod engine, so the tests' QUADPACK references stay independent.
 """
 
 import ast
@@ -50,12 +52,13 @@ def test_import_scan_sees_the_package_imports():
     assert _package_imports("harness") >= SCHEME | ORACLES
 
 
-def _sparse_linalg_uses(source):
-    # every import of scipy.sparse.linalg, or of a name from it, and every
+def _module_uses(source, module):
+    # every import of the dotted module, or of a name from it, and every
     # attribute path through it (sparse.linalg after `from scipy import sparse`)
     def inside(name):
-        return name == "scipy.sparse.linalg" or name.startswith("scipy.sparse.linalg.")
+        return name == module or name.startswith(module + ".")
 
+    tail = ".".join(module.split(".")[-2:])       # sparse.linalg, scipy.integrate
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -63,9 +66,9 @@ def _sparse_linalg_uses(source):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found += [f"{node.module}.{a.name}" for a in node.names
                       if inside(f"{node.module}.{a.name}")]
-        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+        elif isinstance(node, ast.Attribute) and node.attr == module.rsplit(".", 1)[1]:
             path = ast.unparse(node)
-            if path == "sparse.linalg" or path.endswith(".sparse.linalg"):
+            if path == tail or path.endswith("." + tail):
                 found.append(path)
     return found
 
@@ -79,10 +82,27 @@ def _sparse_linalg_uses(source):
     ("from scipy import linalg, sparse\nlinalg.eig(sparse.eye(2).toarray())", False),
     ("from scipy.sparse import linalg_helpers", False)])
 def test_sparse_linalg_scan_sees_every_form(source, hit):
-    assert bool(_sparse_linalg_uses(source)) == hit
+    assert bool(_module_uses(source, "scipy.sparse.linalg")) == hit
 
 
 @pytest.mark.parametrize("path", sorted(Path(fracpme.__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
 def test_package_uses_no_sparse_direct_solver(path):
-    assert _sparse_linalg_uses(path.read_text()) == []
+    assert _module_uses(path.read_text(), "scipy.sparse.linalg") == []
+
+
+@pytest.mark.parametrize("source,hit", [
+    ("import scipy.integrate", True), ("import scipy.integrate as si", True),
+    ("from scipy.integrate import quad", True), ("from scipy import integrate", True),
+    ("from scipy import integrate as quadpack", True),
+    ("import scipy\nscipy.integrate.quad(abs, 0, 1)", True),
+    ("from scipy import special\nspecial.gamma(0.5)", False),
+    ("from scipy import integrate_helpers", False)])
+def test_integrate_scan_sees_every_form(source, hit):
+    assert bool(_module_uses(source, "scipy.integrate")) == hit
+
+
+@pytest.mark.parametrize("path", sorted(Path(fracpme.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_imports_no_quadpack(path):
+    assert _module_uses(path.read_text(), "scipy.integrate") == []

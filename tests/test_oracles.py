@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from fracpme import oracles
+from fracpme.core import riesz_constant
 from fracpme.errors import QuadratureError
 from fracpme.oracles import (
     barenblatt_exponents,
@@ -61,12 +62,42 @@ def test_pv_annihilates_constants_exactly(sigma):
 def test_pv_cauchy_profile_closed_form_at_sigma_one():
     # (-Lap)^(1/2) (1+x^2)^(-1) = (1 - x^2) / (1 + x^2)^2, from the Poisson
     # semigroup d/dt pi P_t at t = 1.  Quadratic tail decay is the slowest
-    # the tail ladder handles, so the anchor tolerance is looser than for
-    # Gaussian data.
+    # the tail ladder handles; its third level leaves errors near 4e-9.
     g = lambda s: 1.0 / (1.0 + s * s)
     for x in (0.0, 0.5, 2.0):
         want = (1.0 - x * x) / (1.0 + x * x) ** 2
-        assert frac_laplacian_pv(g, x, 1.0, tol=1e-6) == pytest.approx(want, abs=5e-7)
+        assert frac_laplacian_pv(g, x, 1.0, tol=1e-6) == pytest.approx(want, abs=2e-8)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 0.7, 1.0, 1.3])
+@pytest.mark.parametrize("x", [0.0, 0.3, 2.0])
+def test_pv_cauchy_profile_closed_form_within_tol(sigma, x):
+    # the symbol |xi|^sigma against the transform pi e^-|xi| of 1/(1+u^2):
+    # Gamma(1+sigma) Re (1 - ix)^-(1+sigma).  The second difference's u^-2
+    # tail leaves a Z^-(sigma+2) remainder that a two-level ladder misses.
+    want = (math.gamma(1.0 + sigma) * math.cos((1.0 + sigma) * math.atan(x))
+            / (1.0 + x * x) ** ((1.0 + sigma) / 2.0))
+    got = frac_laplacian_pv(lambda s: 1.0 / (1.0 + s * s), x, sigma, tol=1e-6)
+    assert got == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 0.7, 0.9, 1.0, 1.3, 1.5])
+def test_pv_at_a_kink_is_certified_or_refused(sigma):
+    # 1/(1+|u|) has a kink at x = 0: the second difference is 2z/(1+z), so the
+    # PV is C_sigma 2 pi / sin(pi sigma) for sigma < 1 and diverges from 1 on.
+    # Below z ~ 1e-16 the difference rounds to 0, and the spike z^-sigma that
+    # lives there must not be certified away.
+    g = lambda s: 1.0 / (1.0 + abs(s))
+    if sigma >= 1.0:
+        with pytest.raises(QuadratureError):
+            frac_laplacian_pv(g, 0.0, sigma, tol=1e-6)
+        return
+    want = riesz_constant(1, sigma) * 2.0 * math.pi / math.sin(math.pi * sigma)
+    try:
+        got = frac_laplacian_pv(g, 0.0, sigma, tol=1e-6)
+    except QuadratureError:
+        return
+    assert got == pytest.approx(want, abs=1e-6)
 
 
 @pytest.mark.parametrize("sigma", [0.6, 1.0, 1.4])
@@ -228,6 +259,19 @@ def test_gauss_kronrod_pair_is_exact_to_its_degrees():
             assert abs(kd[1]) <= 1e-15
         elif p % 2 == 0:                # odd powers vanish by symmetry
             assert abs(kd[1]) > 1e-5
+
+
+def test_engine_keeps_leading_axes_and_stops_short_visibly():
+    # f's leading axes come back in front of the panel axis, and an integrand
+    # the engine cannot resolve leaves an estimate above tol for the caller
+    f = lambda s: np.stack([np.cos(s), np.exp(s)])
+    a, K, E = oracles._gauss_kronrod(f, np.array([0.0, 0.5]), np.array([0.5, 1.0]), 1e-12)
+    assert K.shape == E.shape == (2, len(a))
+    assert K.sum(axis=-1) == pytest.approx([math.sin(1.0), math.e - 1.0], abs=1e-14)
+    assert E.max(axis=0).sum() <= 0.5e-12
+    for g in (lambda z: z ** -0.9, lambda z: np.sin(1.0 / z)):
+        a, K, E = oracles._gauss_kronrod(g, np.zeros(1), np.ones(1), 1e-8)
+        assert E.sum() > 1e-8 and len(a) <= oracles._MAX_PANELS
 
 
 def test_gaussian_hat_values():

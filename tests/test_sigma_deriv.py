@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from fracpme.core import mu_sigma
+from fracpme.errors import QuadratureError
 from fracpme.sigma_deriv import (
     DEFAULT_STUDY_YS,
     deriv_order_study,
@@ -107,6 +108,9 @@ def test_kernel_center_value_and_symmetry():
 def test_kernel_rejects_bad_arguments():
     with pytest.raises(ValueError):
         poisson_kernel(0.0, 0.0, 1.0)
+    for x, y in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            poisson_kernel(x, y, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +140,23 @@ def test_extension_matches_cauchy_semigroup_at_sigma_one():
 
 
 def test_extension_matches_harmonic_case_for_oscillatory_data():
-    # Extension of cos(x) at sigma = 1 is exp(-y) cos(x).  The infinite
-    # oscillation keeps the quadrature's certified estimate near 1e-5, so the
-    # identity is checked at that honest tolerance.
+    # Extension of cos(x) at sigma = 1 is exp(-y) cos(x).  The oscillation
+    # never decays, so the panels near t = 0 stay unresolved and the errors
+    # sit near 2e-5; the identity is checked at that honest tolerance.
     for x, y in ((0.0, 0.5), (0.3, 1.0)):
         v = poisson_extension(math.cos, x, y, 1.0, tol=1e-4)
         assert v == pytest.approx(math.exp(-y) * math.cos(x), abs=1e-4)
+
+
+def test_extension_rejects_non_finite_input_and_nan_data():
+    for x, y in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf),
+                 (0.0, math.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            poisson_extension(lambda s: 1.0, x, y, 0.5)
+    # a NaN estimate certifies nothing
+    with pytest.raises(QuadratureError) as ei:
+        poisson_extension(lambda s: math.nan, 0.0, 1.0, 0.5)
+    assert math.isnan(ei.value.achieved)
 
 
 def test_extension_preserves_bounds():
