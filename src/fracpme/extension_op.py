@@ -21,8 +21,11 @@ height the faster the larger lam_n is (the extension's exp(-y sqrt(lam))).
 A step maps the trace to x-modes once, c = V^-1 t, and forms each row of
 (G o c) V^T only over the modes that can still move it by more than 2^-60
 max|t|: the rows fall into a few blocks, each with its own mode count (the
-staircase), and one product per block.  A residual product with each factor
-checks the whole interior.  assemble builds this once per key.
+staircase), and one product per block.  The residual of the whole interior
+checks every solve: where both factors are tridiagonal (c = 2 with d = 1, 2 or
+no drift), A's rows are five constant offsets of the height-major node array,
+so one DIA product L @ P.ravel() over all nodes forms it; other pairs apply
+each factor in turn.  assemble builds this once per key.
 """
 
 from __future__ import annotations
@@ -209,6 +212,29 @@ def _staircase(V: np.ndarray, V_inv: np.ndarray, G: np.ndarray) -> tuple[tuple[i
     return tuple(blocks)
 
 
+def _five_diagonals(T_x: sparse.csr_matrix, S_y: sparse.csr_matrix) -> sparse.dia_matrix | None:
+    """The full-node operator L in DIA form, or None unless both factors are tridiagonal.
+
+    Over the height-major nodes n = k(I+1) + i, row n of L is zero at boundary
+    nodes and at an interior node holds T_x's row i-1 at offsets -1, 0, 1 and
+    S_y's row k-1 at offsets -(I+1), 0, I+1, so (L @ P.ravel())[n] is A's
+    residual at (i, k).  DIA stores entry (n, n + o) at data[o's row, n + o].
+    """
+    for F in (T_x, S_y):
+        coo = F.tocoo()                     # tridiagonal: row j-1 within columns j-1 .. j+1
+        if np.any((coo.col < coo.row) | (coo.col > coo.row + 2)):
+            return None
+    I, K = T_x.shape[1] - 1, S_y.shape[1] - 1
+    N = (K + 1) * (I + 1)
+    offsets = np.array([-(I + 1), -1, 0, 1, I + 1])
+    x, y = T_x.diagonal, lambda j: S_y.diagonal(j)[:, None]
+    data = np.zeros((5, N))
+    for row, (o, w) in enumerate(zip(offsets, (y(0), x(0), x(1) + y(1), x(2), y(2)))):
+        # the interior rows n, k = 1 .. K-1 and i = 1 .. I-1, at their columns n + o
+        data[row, I + 1 + o:N - (I + 1) + o].reshape(K - 1, I + 1)[:, 1:I] = w
+    return sparse.dia_matrix((data, offsets), shape=(N, N))
+
+
 @dataclass(eq=False)
 class ExtensionOperator:
     """The interior system for trace data: its two 1-D factors and x-modes.
@@ -217,8 +243,9 @@ class ExtensionOperator:
     (K-1) x (K+1), are the scaled 1-D factors over all x-nodes 0..I and all
     y-nodes 0..K; row n = (k-1)(I-1) + (i-1) of the interior matrix A is row
     i-1 of T_x at height k plus row k-1 of S_y at abscissa i.  V, V^-1, G and
-    s are _x_modes' arrays and blocks _staircase's row blocks.  Solves use only
-    these; A is derived on demand.
+    s are _x_modes' arrays, blocks _staircase's row blocks and L
+    _five_diagonals' full-node operator (None where a factor is wider than
+    tridiagonal).  Solves use only these; A is derived on demand.
     """
     grid: Grid
     sigma: float
@@ -231,6 +258,7 @@ class ExtensionOperator:
     G: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
     blocks: tuple[tuple[int, int, int], ...] = field(repr=False)
+    L: sparse.dia_matrix | None = field(repr=False)
 
     @cached_property
     def s_max(self) -> float:
@@ -260,12 +288,14 @@ def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
     solution and G (one each); 1 MiB covers the O(n + m) rest.  The sorted copy
     of V is made once the x-block and eig's copy are freed, and _staircase's tail
     sums (n*m floats and a mask) once the band solve's arrays are, so neither
-    adds to that peak.
+    adds to that peak.  On top of it, for c = 2: L's five diagonals over the
+    (I+1)(K+1) nodes and the n*m sums of its main one.
     """
     window = _second_deriv_offsets(1, I, c) + (() if d is None else _first_deriv_offsets(1, K, d))
     r = max(abs(o) for o in window)
     n, m = I - 1, K - 1
-    return 8 * (4 * n * n + n * m * (8 * r + 8)) + 2**20
+    diagonals = 6 * (I + 1) * (K + 1) if c == 2 else 0
+    return 8 * (4 * n * n + n * m * (8 * r + 8) + diagonals) + 2**20
 
 
 def _physical_memory() -> float:
@@ -314,7 +344,7 @@ def _cgroup_memory_limit() -> float:
 
 
 def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
-    """(T_x, S_y, V, V^-1, G, s, blocks), all arrays read-only, and their total nbytes.
+    """(T_x, S_y, V, V^-1, G, s, blocks, L), all arrays read-only, and their total nbytes.
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus
@@ -342,13 +372,14 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, 
     except MemoryError as e:
         raise ConfigError(f"mesh I={I}, K={K} too large: x-mode setup cannot be allocated") from e
     blocks = _staircase(*modes[:3])
-    arrays = list(modes)
+    L = _five_diagonals(T_x, S_y)
+    arrays = list(modes) + ([] if L is None else [L.data, L.offsets])
     for M in (T_x, S_y):
         M.sum_duplicates()          # canonical: scipy never re-sorts a frozen matrix in place
         arrays += [M.data, M.indices, M.indptr]
     for a in arrays:
         a.setflags(write=False)
-    return (T_x, S_y, *modes, blocks), sum(a.nbytes for a in arrays)
+    return (T_x, S_y, *modes, blocks, L), sum(a.nbytes for a in arrays)
 
 
 def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
@@ -369,14 +400,28 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
     return ExtensionOperator(grid, sigma, c, d, *entry[0])
 
 
+def _residual(op: ExtensionOperator, P: np.ndarray) -> float:
+    """max over the interior nodes of |A w - outer(s, trace)| for the node array P:
+    one product with op.L over all nodes (zero rows at the boundary), or, where
+    op.L is None, S_y over P's columns plus T_x over its rows."""
+    if op.L is not None:
+        R = op.L @ P.ravel()
+    else:
+        I, K = op.grid.I, op.grid.K
+        R = op.S_y @ P[:, 1:I]
+        np.add(R, (op.T_x @ P[1:K].T).T, out=R)
+    return float(np.abs(R, out=R).max())
+
+
 def _solve(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
     """The height-major (K+1) x (I+1) node array P[k, i] for the trace data trace_row
     and homogeneous lateral/top data: trace_row at k = 0, the solve inside, 0 elsewhere.
 
     The mode profiles scaled by c = V^-1 trace and mapped back through V fill P's
     interior, each row block of op.blocks from its own leading modes; the
-    residual of the whole interior through the two 1-D factors catches a
-    non-finite or inaccurate solve (SolverError), so a P returned is finite.
+    residual of the whole interior, one product with op.L or else one with each
+    1-D factor, catches a non-finite or inaccurate solve (SolverError), so a P
+    returned is finite.
     """
     I, K = op.grid.I, op.grid.K
     if trace_row.shape != (I - 1,):
@@ -390,10 +435,9 @@ def _solve(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
     c = op.V_inv @ trace_row
     for k0, k1, n in op.blocks:
         np.matmul(op.G[k0:k1, :n] * c[:n], op.V[:, :n].T, out=P[1 + k0:1 + k1, 1:I])
-    R = op.S_y @ P[:, 1:I] + (op.T_x @ P[1:K].T).T
     # ||outer(s, trace)||_inf = max|s| max|t| exactly: rounding is monotone
     norm_rhs = op.s_max * float(np.abs(trace_row).max())
-    resid = float(np.abs(R, out=R).max())
+    resid = _residual(op, P)
     if not resid <= 1e-10 * max(norm_rhs, 1e-300):
         raise SolverError(
             f"solve residual {resid:.3e} exceeds 1e-10 * ||rhs||_inf = {1e-10 * norm_rhs:.3e}; "

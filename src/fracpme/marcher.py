@@ -77,8 +77,9 @@ def _bracket_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
         raise NegativeBracketError(
             f"pressure bracket reached {bracket[idx]:.3e} at trace index {idx}; "
             f"time step too large for the data", step=level, index=idx, value=float(bracket[idx]))
-    np.clip(bracket, 0.0, None, out=bracket)
-    return bracket ** m
+    np.maximum(bracket, 0.0, out=bracket)
+    bracket **= m
+    return bracket
 
 
 def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
@@ -222,7 +223,8 @@ def march(config: SolverConfig, f, capture=None,
         if j in wanted:
             snapshots.append((float(times[j]), Field._wrap(P.T, j) if j else state))
 
-    trace_hist = np.maximum(w_hist, 0.0) ** (1.0 / config.m)
+    trace_hist = np.maximum(w_hist, 0.0, out=w_hist)    # u = w^(1/m) over w's rows, in place
+    trace_hist **= 1.0 / config.m
     times.setflags(write=False)
     trace_hist.setflags(write=False)
     return Trajectory(config=config, times=times, trace_history=trace_hist,

@@ -239,11 +239,17 @@ def test_mode_solve_matches_sparse_direct_solve(c, d, sigma):
         assert np.abs(got - _direct_solve(op, vals)).max() <= 1e-12 * np.abs(trace).max()
 
 
-def test_residual_check_catches_corrupted_profiles():
+# one operator checked through its five diagonals, one through its two factors
+_RESIDUAL_PATHS = pytest.mark.parametrize("c,d", [(2, 1), (3, 4)])
+
+
+@_RESIDUAL_PATHS
+def test_residual_check_catches_corrupted_profiles(c, d):
     # a solve that no longer satisfies A w = -B b must be refused, and the
     # message must carry a usable condition estimate
     grid = make_grid(I=12, K=6, dx=0.125)
-    op = assemble(grid, 0.6)
+    op = assemble(grid, 0.6, c=c, d=d)
+    assert (op.L is not None) == (c == 2)
     trace = np.sin(np.linspace(0, math.pi, 11))
     solve_interior(op, trace)
     op = dataclasses.replace(op, G=op.G * (1.0 + 1e-6))
@@ -263,14 +269,62 @@ def test_failed_solve_never_builds_the_interior_matrix():
     assert "A" not in vars(op)
 
 
-def test_residual_check_catches_a_nan_solve():
+@_RESIDUAL_PATHS
+def test_residual_check_catches_a_nan_solve(c, d):
     # a NaN residual fails no "resid > tol" test; the check must refuse it too
-    op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6)
+    op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6, c=c, d=d)
+    assert (op.L is not None) == (c == 2)
     G = op.G.copy()
     G[0, 0] = np.nan
     op = dataclasses.replace(op, G=G)
     with pytest.raises(SolverError, match="solve residual nan"):
         solve_interior(op, np.sin(np.linspace(0, math.pi, 11)))
+
+
+def _full_node_operator(op):
+    # L over all (K+1)(I+1) height-major nodes from a Kronecker sum of the
+    # factors padded with zero boundary rows, converted to DIA form
+    I, K = op.grid.I, op.grid.K
+    T = sparse.vstack([sparse.csr_matrix((1, I + 1)), op.T_x, sparse.csr_matrix((1, I + 1))])
+    S = sparse.vstack([sparse.csr_matrix((1, K + 1)), op.S_y, sparse.csr_matrix((1, K + 1))])
+    inner_x = sparse.diags(np.r_[0.0, np.ones(I - 1), 0.0])
+    inner_y = sparse.diags(np.r_[0.0, np.ones(K - 1), 0.0])
+    return (sparse.kron(inner_y, T) + sparse.kron(S, inner_x)).todia()
+
+
+_ALL_PAIRS = [(c, d, s) for c, d in sorted(SUPPORTED_PAIRS) for s in (0.3, 1.0, 1.7)] + [
+    (c, None, 1.0) for c in sorted(_MIN_N_SECOND)]
+
+
+@pytest.mark.parametrize("c,d,sigma", _ALL_PAIRS)
+@pytest.mark.parametrize("I,K", [(12, 6), (64, 32)])
+def test_residual_paths_agree(c, d, sigma, I, K):
+    # the five-diagonal product and the two-factor product are two roundings of
+    # one residual; an operator's own L must equal the Kronecker-built one exactly
+    op = assemble(make_grid(I=I, K=K), sigma, c=c, d=d)
+    L = _full_node_operator(op)
+    if op.L is not None:
+        assert abs(op.L.tocsr() - L.tocsr()).max() == 0.0
+    diagonal, factors = dataclasses.replace(op, L=L), dataclasses.replace(op, L=None)
+    rng = np.random.default_rng([I, c, d or 0, int(10 * sigma)])
+    for _ in range(4):
+        trace = rng.random(I - 1) * 10.0 ** rng.uniform(-3, 3)
+        P = extension_op._solve(op, trace)
+        bound = 1e-15 * op.s_max * trace.max()
+        assert abs(extension_op._residual(diagonal, P) - extension_op._residual(factors, P)) <= bound
+
+
+def test_only_tridiagonal_factors_take_the_diagonal_path():
+    # c = 2 with d = 1, 2 or no drift: every interior row has the same five
+    # offsets.  (2, 3) pads its rows to seven, and c >= 3 to more.  At sigma = 1
+    # the drift vanishes, so (2, 3) is then (2, None)'s operator
+    grid = make_grid(I=12, K=6)
+    for sigma in (0.3, 1.7):
+        diagonal = {(c, d) for c, d in SUPPORTED_PAIRS if assemble(grid, sigma, c=c, d=d).L is not None}
+        assert diagonal == {(2, 1), (2, 2)}, sigma
+    assert {c for c in _MIN_N_SECOND if assemble(grid, 1.0, c=c, d=None).L is not None} == {2}
+    assert {(c, d) for c, d in SUPPORTED_PAIRS
+            if assemble(grid, 1.0, c=c, d=d).L is not None} == {(2, 1), (2, 2), (2, 3)}
 
 
 def test_x_modes_refuse_a_complex_spectrum():
@@ -347,7 +401,8 @@ def _csr_parts(*matrices):
 
 
 def _parts(op):
-    return _csr_parts(op.T_x, op.S_y) + [op.V, op.V_inv, op.G, op.s]
+    dia = [] if op.L is None else [op.L.data, op.L.offsets]
+    return _csr_parts(op.T_x, op.S_y) + [op.V, op.V_inv, op.G, op.s] + dia
 
 
 def _bitwise_equal(left, right):
@@ -367,8 +422,10 @@ def test_cache_hit_equals_a_fresh_build():
         hit = assemble(grid, sigma, c=c, d=d)
         assert hit is not op and hit.G is op.G
         assert _bitwise_equal(_csr_parts(hit.A), _csr_parts(op.A)), (c, d, sigma)
-        fresh = ExtensionOperator(grid, sigma, c, d, *_build(12, 6, sigma, c, d)[0])
+        parts, nbytes = _build(12, 6, sigma, c, d)
+        fresh = ExtensionOperator(grid, sigma, c, d, *parts)
         assert _bitwise_equal(_parts(hit), _parts(fresh)), (c, d, sigma)
+        assert nbytes == sum(a.nbytes for a in _parts(fresh)), (c, d, sigma)
 
 
 def test_corrupting_one_operator_leaves_another_of_the_same_key_intact():
@@ -391,6 +448,8 @@ def test_shared_parts_are_read_only():
         op.T_x.data[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         op.G[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        op.L.data[0, 0] = 1.0
 
 
 def test_grids_of_one_shape_share_parts_but_keep_their_own_grid():

@@ -62,11 +62,12 @@ def test_pv_annihilates_constants_exactly(sigma):
 def test_pv_cauchy_profile_closed_form_at_sigma_one():
     # (-Lap)^(1/2) (1+x^2)^(-1) = (1 - x^2) / (1 + x^2)^2, from the Poisson
     # semigroup d/dt pi P_t at t = 1.  Quadratic tail decay is the slowest
-    # the tail ladder handles; its third level leaves errors near 4e-9.
+    # the tail ladder handles; its four levels leave errors below 5e-10 (three
+    # left 3.6e-9).
     g = lambda s: 1.0 / (1.0 + s * s)
     for x in (0.0, 0.5, 2.0):
         want = (1.0 - x * x) / (1.0 + x * x) ** 2
-        assert frac_laplacian_pv(g, x, 1.0, tol=1e-6) == pytest.approx(want, abs=2e-8)
+        assert frac_laplacian_pv(g, x, 1.0, tol=1e-6) == pytest.approx(want, abs=2e-9)
 
 
 @pytest.mark.parametrize("sigma", [0.3, 0.5, 0.7, 1.0, 1.3])
@@ -98,6 +99,35 @@ def test_pv_at_a_kink_is_certified_or_refused(sigma):
     except QuadratureError:
         return
     assert got == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 0.7, 0.9])
+def test_pv_at_a_kink_lands_within_tol_or_refuses(sigma, tol):
+    # the far field of 1/(1+|u|), 2/(z^sigma (1+z)), has remainders in every
+    # power Z^-(sigma+q); a three-level tail ladder left 1.6e-7 at sigma = 0.3
+    # and certified 2e-9 at tol 1e-8
+    g = lambda s: 1.0 / (1.0 + abs(s))
+    want = riesz_constant(1, sigma) * 2.0 * math.pi / math.sin(math.pi * sigma)
+    try:
+        got = frac_laplacian_pv(g, 0.0, sigma, tol=tol)
+    except QuadratureError:
+        return
+    assert abs(got - want) <= tol
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 0.7, 1.0, 1.3])
+@pytest.mark.parametrize("x", [0.0, 0.3, 2.0])
+def test_pv_cauchy_profile_lands_within_tol_or_refuses(sigma, x):
+    # at tol 1e-8 the u^-2 tail's Z^-(sigma+4) remainder matters: a
+    # three-level ladder certified errors up to 1.8e-7 with estimates near 2e-9
+    want = (math.gamma(1.0 + sigma) * math.cos((1.0 + sigma) * math.atan(x))
+            / (1.0 + x * x) ** ((1.0 + sigma) / 2.0))
+    try:
+        got = frac_laplacian_pv(lambda s: 1.0 / (1.0 + s * s), x, sigma, tol=1e-8)
+    except QuadratureError:
+        return
+    assert abs(got - want) <= 1e-8
 
 
 @pytest.mark.parametrize("sigma", [0.6, 1.0, 1.4])
