@@ -14,12 +14,9 @@ import sys
 import numpy as np
 
 from . import core, extension_op, harness, marcher
-from .errors import (CflViolationError, ConfigError, MaxPrincipleError,
-                     NegativeBracketError, QuadratureError, SolverError,
-                     UnsupportedStencilError)
+from .errors import (ConfigError, MaxPrincipleError, NegativeBracketError,
+                     QuadratureError, SolverError)
 
-# CflViolationError counts as configuration: the fix is a larger J
-_CONFIG_ERRORS = (ConfigError, CflViolationError, UnsupportedStencilError)
 _RUN_ERRORS = (MaxPrincipleError, NegativeBracketError, QuadratureError, SolverError)
 
 
@@ -161,7 +158,7 @@ def main(argv=None) -> int:
     except _RUN_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except _CONFIG_ERRORS as e:
+    except ConfigError as e:        # UnsupportedStencilError and CflViolationError too
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 

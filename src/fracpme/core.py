@@ -1,4 +1,4 @@
-"""Mesh, configuration, field storage, and the scalar constants of the scheme.
+"""Mesh, configuration, field storage, the stencil table and the scheme's scalar constants.
 
 Everything lives on the truncated extended half-plane [-X, X] x [0, Y] with a
 uniform square mesh (dy = dx is enforced at construction; all error estimates
@@ -15,12 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedStencilError
 
 __all__ = [
     "mu_sigma", "nu_sigma", "riesz_constant", "cfl_max_dt",
-    "effective_order", "Grid", "Field", "SolverConfig",
-    "InitialData", "initial_data_preset", "parse_initial_data",
+    "effective_order", "STENCIL_WINDOWS", "SUPPORTED_PAIRS", "check_stencil",
+    "Grid", "Field", "SolverConfig", "InitialData", "initial_data_preset", "parse_initial_data",
     "parse_config_text", "load_config",
 ]
 
@@ -29,6 +29,11 @@ def _check_sigma(sigma: float) -> float:
     if not (0.0 < sigma < 2.0):
         raise ConfigError(f"sigma must lie in the open interval (0, 2), got {sigma}")
     return sigma
+
+
+def _check_m(m: float) -> None:
+    if not 1.0 <= m < math.inf:
+        raise ConfigError(f"m must be finite and >= 1, got {m}")
 
 
 def mu_sigma(sigma: float) -> float:
@@ -63,12 +68,11 @@ def cfl_max_dt(m: float, b_max: float, sigma: float, dx: float) -> float:
     parameters, so rejecting them is a ConfigError.
     """
     sigma = _check_sigma(sigma)
-    if not 1.0 <= m < math.inf:
-        raise ConfigError(f"m must be finite and >= 1, got {m}")
-    if b_max < 0.0:
-        raise ValueError(f"b_max must be nonnegative, got {b_max}")
-    if dx <= 0.0:
-        raise ValueError(f"dx must be positive, got {dx}")
+    _check_m(m)
+    if not 0.0 <= b_max < math.inf:
+        raise ValueError(f"b_max must be nonnegative and finite, got {b_max}")
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
     if b_max == 0.0 and m > 1.0:
         return math.inf
     return dx ** sigma / (m * b_max ** ((m - 1.0) / m) * nu_sigma(sigma))
@@ -86,15 +90,58 @@ def effective_order(sigma: float, c: int, d: int | None) -> float:
     sigma = _check_sigma(sigma)
     if int(c) != c or c < 1:
         raise ValueError(f"c must be a positive integer, got {c}")
+    _check_d(sigma, d)
     if sigma == 1.0:
         return float(c)
-    if d is None:
-        raise ValueError("d may be omitted only at sigma = 1")
     if int(d) != d or d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
     if sigma < 1.0:
         return min(float(c), d - sigma)
     return min(c + 1.0 - sigma, d - sigma)
+
+
+# Offsets of each stencil family, (2, c) for the order-c second derivative and (1, d)
+# for the order-d first derivative, at node 1, the nodes between and node n-1 of 0..n:
+# centered where they fit, one-sided of the same formal order at the boundary.  Fornberg's
+# algorithm derives every weight from its window: these are all the stencil data.
+STENCIL_WINDOWS = {
+    (2, 2): ((-1, 0, 1), (-1, 0, 1), (-1, 0, 1)),
+    (2, 3): ((-1, 0, 1, 2, 3), (-2, -1, 0, 1, 2), (-3, -2, -1, 0, 1)),
+    (2, 4): ((-1, 0, 1, 2, 3, 4), (-2, -1, 0, 1, 2), (-4, -3, -2, -1, 0, 1)),
+    (1, 1): ((0, 1), (0, 1), (0, 1)),
+    (1, 2): ((-1, 0, 1), (-1, 0, 1), (-1, 0, 1)),
+    (1, 3): ((-1, 0, 1, 2), (-1, 0, 1, 2), (-2, -1, 0, 1)),
+    (1, 4): ((-1, 0, 1, 2, 3), (-2, -1, 0, 1, 2), (-3, -2, -1, 0, 1)),
+}
+SUPPORTED_PAIRS = frozenset({(2, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)})
+
+
+def _fewest_steps(family: tuple[int, int]) -> int:
+    """Smallest n >= 2 whose nodes 0..n hold the family's first and last windows."""
+    first, _, last = STENCIL_WINDOWS[family]
+    return max(2, 1 + max(first), 1 - min(last))
+
+
+def _check_d(sigma: float, d: int | None) -> None:
+    if d is None and sigma != 1.0:
+        raise UnsupportedStencilError("d may be omitted only at sigma = 1")
+
+
+def check_stencil(sigma: float, c: int, d: int | None, I: int, K: int) -> None:
+    """Refuse (UnsupportedStencilError) d = None away from sigma = 1, a pair outside
+    SUPPORTED_PAIRS, and a mesh with fewer x-steps I or y-steps K than its windows need."""
+    _check_d(sigma, d)
+    if d is None and (2, c) not in STENCIL_WINDOWS:
+        raise UnsupportedStencilError(f"Laplacian order c={c} not supported")
+    if d is not None and (c, d) not in SUPPORTED_PAIRS:
+        raise UnsupportedStencilError(
+            f"(c, d) = ({c}, {d}) not in the supported set {sorted(SUPPORTED_PAIRS)}")
+    min_i = _fewest_steps((2, c))
+    min_k = min_i if d is None else max(min_i, _fewest_steps((1, d)))
+    if I < min_i or K < min_k:
+        raise UnsupportedStencilError(
+            f"mesh too small for (c={c}, d={d}): need I >= {min_i} and K >= {min_k}, "
+            f"got I={I}, K={K}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +158,9 @@ class Grid:
     def __post_init__(self):
         if not (0.0 < self.X < math.inf and 0.0 < self.Y < math.inf):
             raise ConfigError("domain extents X, Y must be positive and finite")
-        if int(self.I) != self.I or self.I < 2 or int(self.K) != self.K or self.K < 1:
+        if not (self.I % 1 == 0 and self.I >= 2 and self.K % 1 == 0 and self.K >= 1):
             raise ConfigError(f"need integer I >= 2 and K >= 1, got I={self.I}, K={self.K}")
+        self.__dict__.update(I=int(self.I), K=int(self.K))     # 64.0 passes: store 64
         dx = 2.0 * self.X / self.I
         dy = self.Y / self.K
         if not 0.0 < dx < math.inf or abs(dx - dy) > 1e-12 * max(dx, dy):
@@ -178,18 +226,17 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        if not 1.0 <= self.m < math.inf:
-            raise ConfigError(f"m must be finite and >= 1, got {self.m}")
+        _check_m(self.m)
         if not 0.0 < self.T < math.inf:
             raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
-        if int(self.J) != self.J or self.J < 1:
+        if not (self.J % 1 == 0 and self.J >= 1):
             raise ConfigError(f"J must be a positive integer, got {self.J}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ConfigError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if self.d is None and self.sigma != 1.0:
-            raise ConfigError("d may be omitted only at sigma = 1")
         # validates extents, mesh counts, dx = dy; frozen with read-only arrays, so shared
-        object.__setattr__(self, "_grid", Grid(self.X, self.Y, self.I, self.K))
+        grid = Grid(self.X, self.Y, self.I, self.K)
+        check_stencil(self.sigma, self.c, self.d, grid.I, grid.K)
+        self.__dict__.update(_grid=grid, I=grid.I, K=grid.K, J=int(self.J))
         if (self.J + 1) * (self.I + 1) > np.iinfo(np.intp).max // 8:
             raise ConfigError(f"J = {self.J} too large: the (J+1) x (I+1) trace history must "
                               f"hold at most {np.iinfo(np.intp).max // 8} float64 values")

@@ -5,8 +5,8 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-class UnsupportedStencilError(ValueError):
-    """Requested (c, d) pair is not in the supported set."""
+class UnsupportedStencilError(ConfigError):
+    """Requested (c, d) pair is not in the supported set, or the mesh is too small for it."""
 
 
 class QuadratureError(RuntimeError):
@@ -25,8 +25,8 @@ class SolverError(RuntimeError):
     """Linear solve failed or produced an unusable residual."""
 
 
-class CflViolationError(ValueError):
-    """Time step exceeds the stability bound for the given data."""
+class CflViolationError(ConfigError):
+    """Time step exceeds the stability bound for the given data; the fix is a larger J."""
 
 
 class NegativeBracketError(RuntimeError):

@@ -39,20 +39,14 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg, sparse
 
-from .core import Grid, _check_sigma
-from .errors import ConfigError, SolverError, UnsupportedStencilError
+from .core import STENCIL_WINDOWS, SUPPORTED_PAIRS, Grid, _check_sigma, check_stencil
+from .errors import ConfigError, SolverError
 
 __all__ = [
     "SUPPORTED_PAIRS", "fd_weights", "ExtensionOperator",
     "assemble", "solve_interior", "full_grid_values", "MonotoneReport",
     "verify_monotone_structure", "discrete_max_location", "dump_matrix",
 ]
-
-SUPPORTED_PAIRS = frozenset({(2, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)})
-
-# smallest step counts a stencil family needs (one-sided windows included)
-_MIN_N_SECOND = {2: 2, 3: 4, 4: 5}
-_MIN_K_FIRST = {1: 2, 2: 2, 3: 3, 4: 4}
 
 _DUMP_BLOCK = 4096                      # dump_matrix lines per format call
 _MONOTONE_TOL = 1e-12                   # verify_monotone_structure's sign margin
@@ -95,68 +89,14 @@ def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
     return c[:, deriv].copy()
 
 
-def _second_deriv_offsets(idx: int, n: int, c: int) -> tuple[int, ...]:
-    """Offsets for the order-c second derivative at index idx on nodes 0..n.
-
-    Centered stencils where they fit; one-sided windows of the same formal
-    order next to the boundary (the 5-point one-sided window is order 3, the
-    6-point one order 4; the centered 5-point is order 4 by symmetry).
-    """
-    if c == 2:
-        return (-1, 0, 1)
-    if c == 3:
-        if 2 <= idx <= n - 2:
-            return (-2, -1, 0, 1, 2)
-        return (-1, 0, 1, 2, 3) if idx == 1 else (-3, -2, -1, 0, 1)
-    if c == 4:
-        if 2 <= idx <= n - 2:
-            return (-2, -1, 0, 1, 2)
-        return (-1, 0, 1, 2, 3, 4) if idx == 1 else (-4, -3, -2, -1, 0, 1)
-    raise UnsupportedStencilError(f"second-derivative order c={c} not supported")
-
-
-def _first_deriv_offsets(k: int, K: int, d: int) -> tuple[int, ...]:
-    """Offsets for the order-d first derivative in y at row k (1 <= k <= K-1)."""
-    if d == 1:
-        return (0, 1)
-    if d == 2:
-        return (-1, 0, 1)
-    if d == 3:
-        return (-1, 0, 1, 2) if k <= K - 2 else (-2, -1, 0, 1)
-    if d == 4:
-        if 2 <= k <= K - 2:
-            return (-2, -1, 0, 1, 2)
-        return (-1, 0, 1, 2, 3) if k == 1 else (-3, -2, -1, 0, 1)
-    raise UnsupportedStencilError(f"first-derivative order d={d} not supported")
-
-
-def _check_pair(sigma: float, c: int, d: int | None, I: int, K: int) -> None:
-    if d is None:
-        if sigma != 1.0:
-            raise UnsupportedStencilError("d may be omitted only at sigma = 1")
-        if c not in _MIN_N_SECOND:
-            raise UnsupportedStencilError(f"Laplacian order c={c} not supported")
-    elif (c, d) not in SUPPORTED_PAIRS:
-        raise UnsupportedStencilError(
-            f"(c, d) = ({c}, {d}) not in the supported set {sorted(SUPPORTED_PAIRS)}")
-    min_i = _MIN_N_SECOND[c]
-    min_k = _MIN_N_SECOND[c] if d is None else max(_MIN_N_SECOND[c], _MIN_K_FIRST[d])
-    if I < min_i or K < min_k:
-        raise UnsupportedStencilError(
-            f"mesh too small for (c={c}, d={d}): need I >= {min_i} and K >= {min_k}, "
-            f"got I={I}, K={K}")
-
-
-def _factor(offsets: list[tuple[int, ...]], deriv: int, n: int) -> sparse.csr_matrix:
-    """(n-1) x (n+1) matrix whose row j-1 holds the d^deriv weights at node j of 0..n.
-
-    offsets[j-1] is the stencil window at node j; weights are computed once
-    per distinct window.
-    """
-    weights = {o: fd_weights(o, deriv) for o in set(offsets)}
+def _factor(family: tuple[int, int], n: int) -> sparse.csr_matrix:
+    """(n-1) x (n+1) matrix whose row j-1 holds the weights of the stencil family
+    (deriv, order) at node j of 0..n, from its STENCIL_WINDOWS entry; weights are
+    computed once per distinct window, and check_stencil has seen that they fit."""
+    first, middle, last = STENCIL_WINDOWS[family]
+    offsets = [first] + [middle] * (n - 3) + [last] if n > 2 else [first]
+    weights = {o: fd_weights(o, family[0]) for o in set(offsets)}
     cols = np.concatenate([np.add(j, o) for j, o in enumerate(offsets, start=1)])
-    if cols.min() < 0 or cols.max() > n:
-        raise SolverError(f"stencil leaves the mesh 0..{n}")
     rows = np.repeat(np.arange(n - 1), [len(o) for o in offsets])
     vals = np.concatenate([weights[o] for o in offsets])
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n - 1, n + 1))
@@ -291,8 +231,7 @@ def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
     adds to that peak.  On top of it, for c = 2: L's five diagonals over the
     (I+1)(K+1) nodes and the n*m sums of its main one.
     """
-    window = _second_deriv_offsets(1, I, c) + (() if d is None else _first_deriv_offsets(1, K, d))
-    r = max(abs(o) for o in window)
+    r = max(abs(o) for f in ((2, c), (1, d)) for w in STENCIL_WINDOWS.get(f, ()) for o in w)
     n, m = I - 1, K - 1
     diagonals = 6 * (I + 1) * (K + 1) if c == 2 else 0
     return 8 * (4 * n * n + n * m * (8 * r + 8) + diagonals) + 2**20
@@ -343,27 +282,31 @@ def _cgroup_memory_limit() -> float:
     return limit
 
 
+def _memory_budget() -> tuple[float, str]:
+    """(bytes, name) of the least of physical memory, soft RLIMIT_AS and cgroup limit."""
+    return min((_physical_memory(), "physical memory"),
+               (_address_space_limit(), "the soft RLIMIT_AS"),
+               (_cgroup_memory_limit(), "the cgroup's memory.max"))
+
+
 def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
     """(T_x, S_y, V, V^-1, G, s, blocks, L), all arrays read-only, and their total nbytes.
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus
     (1-sigma)/k first-derivative rows.  No interior matrix is formed.  A mesh
-    whose _build_bytes exceed the physical memory, the soft RLIMIT_AS or the
-    lowest cgroup memory limit is refused before any of it is allocated (ConfigError).
+    whose _build_bytes exceed _memory_budget is refused before any of it is
+    allocated (ConfigError).
     """
     need = _build_bytes(I, K, c, d)
-    have, limit = min((_physical_memory(), "physical memory"),
-                      (_address_space_limit(), "the soft RLIMIT_AS"),
-                      (_cgroup_memory_limit(), "the cgroup's memory.max"))
+    have, limit = _memory_budget()
     if need > have:
         raise ConfigError(f"mesh I={I}, K={K} too large: its operator needs up to {need} "
                           f"bytes, more than the {have} bytes of {limit}")
-    T_x = -_factor([_second_deriv_offsets(i, I, c) for i in range(1, I)], 2, I)
-    S_y = -_factor([_second_deriv_offsets(k, K, c) for k in range(1, K)], 2, K)
+    T_x = -_factor((2, c), I)
+    S_y = -_factor((2, c), K)
     if d is not None and sigma != 1.0:
-        drift = sparse.diags((1.0 - sigma) / np.arange(1, K))
-        S_y = S_y - drift @ _factor([_first_deriv_offsets(k, K, d) for k in range(1, K)], 1, K)
+        S_y = S_y - sparse.diags((1.0 - sigma) / np.arange(1, K)) @ _factor((1, d), K)
     try:
         # the trace reaches the interior only through S_y's k = 0 column
         modes = _x_modes(T_x[:, 1:I], S_y[:, 1:K], -S_y[:, 0].toarray().ravel())
@@ -390,7 +333,7 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
     _CACHE_BYTES = 64 MiB; a larger operator is returned but not kept.
     """
     sigma = _check_sigma(sigma)
-    _check_pair(sigma, c, d, grid.I, grid.K)
+    check_stencil(sigma, c, d, grid.I, grid.K)
     key = (grid.I, grid.K, sigma, c, d)
     entry = _cache.pop(key, None) or _build(*key)
     if entry[1] <= _CACHE_BYTES:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import core, extension_op, marcher, oracles, sigma_deriv
 from .core import InitialData, SolverConfig, initial_data_preset
-from .errors import ConfigError, QuadratureError, UnsupportedStencilError
+from .errors import ConfigError, QuadratureError
 
 __all__ = [
     "SchemeMode", "OPTIMAL", "PRACTICAL", "SchemeParams", "select_scheme_params",
@@ -215,10 +215,6 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
         raise ConfigError(f"need at least 2 refinement levels, got {levels}")
     setup = setup or StudySetup()
     params = select_scheme_params(sigma, mode)
-    if params.d is not None and (params.c, params.d) not in extension_op.SUPPORTED_PAIRS:
-        raise UnsupportedStencilError(
-            f"mode {mode.label()} selects (c={params.c}, d={params.d}) at sigma={sigma}, "
-            f"which the extension operator does not assemble")
     if m == 1.0 and setup.data.name != "gaussian":
         raise ConfigError("the m = 1 spectral reference supports gaussian data only")
 

@@ -99,8 +99,9 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
         raise ValueError("trace rows must be finite")
     if row0.size and min(row0.min(), row1.min()) < -1e-12:
         raise ValueError("trace rows must be nonnegative")
-    if m < 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
+    core._check_m(m)
+    if not (0.0 < dt < np.inf and 0.0 < dx < np.inf):
+        raise ValueError(f"dt and dx must be positive and finite, got dt = {dt}, dx = {dx}")
     return _bracket_update(row0, row1, core.nu_sigma(sigma) * dt / dx ** sigma, m)
 
 
@@ -191,12 +192,19 @@ def march(config: SolverConfig, f, capture=None,
             f"{config.cfl_safety * bound:.6e}; increase J to at least "
             f"{int(np.ceil(config.T / (config.cfl_safety * bound)))}")
 
+    # before allocating: overcommit may grant what a cgroup kills later (no budget is < 1 MiB)
+    need = 8 * (config.J + 1) * (config.I + 2)
+    have, limit = (extension_op._memory_budget() if need > 2**20
+                   else (extension_op._physical_memory(), "physical memory"))
     try:
+        if need > have:
+            raise MemoryError
         w_hist = np.empty((config.J + 1, config.I + 1))
         times = np.arange(config.J + 1) * dt
     except MemoryError:
         raise ConfigError(f"J = {config.J} too large at I = {config.I}: the (J+1) x (I+1) trace "
-                          f"history needs {8 * (config.J + 1) * (config.I + 1)} bytes") from None
+                          f"history and its times need {need} bytes (budget: {have} bytes "
+                          f"of {limit})") from None
     wanted = _capture_steps(capture, config.J, dt)
     snapshots: list[tuple[float, Field]] = []
     diags: list[StepDiagnostics] = []

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _check_sigma, riesz_constant
+from .core import _check_m, _check_sigma, riesz_constant
 from .errors import QuadratureError
 
 __all__ = [
@@ -259,8 +259,7 @@ def barenblatt_exponents(n_dim: int, m: float, sigma: float) -> BarenblattExpone
     """alpha = N / (N(m+1) + sigma), beta = 1 / (N(m+1) + sigma)."""
     if int(n_dim) != n_dim or n_dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {n_dim}")
-    if m < 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_m(m)
     sigma = _check_sigma(sigma)
     beta = 1.0 / (n_dim * (m + 1.0) + sigma)
     return BarenblattExponents(alpha=n_dim * beta, beta=beta)

@@ -4,18 +4,19 @@ A test helper, not a test module: the truncation-order and row-scaling tests
 in test_extension_op.py and the oracle residual test in test_oracles.py apply
 the operator L v = y^(1-sigma) Lap_c v + (1-sigma) y^(-sigma) Dy_d v to
 analytically sampled fields through it, using the library's own stencil
-windows and Fornberg weights.
+windows (core.STENCIL_WINDOWS, looked up node by node) and Fornberg weights.
 """
 
 import numpy as np
 
-from fracpme.core import _check_sigma
-from fracpme.extension_op import (
-    _check_pair,
-    _first_deriv_offsets,
-    _second_deriv_offsets,
-    fd_weights,
-)
+from fracpme.core import STENCIL_WINDOWS, _check_sigma, check_stencil
+from fracpme.extension_op import fd_weights
+
+
+def window(family: tuple[int, int], j: int, n: int) -> tuple[int, ...]:
+    """The offsets of a stencil family at node j (1 <= j <= n-1) of the nodes 0..n."""
+    first, middle, last = STENCIL_WINDOWS[family]
+    return first if j == 1 else last if j == n - 1 else middle
 
 
 def apply_operator(values: np.ndarray, dx: float, sigma: float,
@@ -31,13 +32,13 @@ def apply_operator(values: np.ndarray, dx: float, sigma: float,
     vals = np.asarray(values, dtype=float)
     I = vals.shape[0] - 1
     K = vals.shape[1] - 1
-    _check_pair(sigma, c, d, I, K)
+    check_stencil(sigma, c, d, I, K)
     drift = d is not None and sigma != 1.0
     inv_dx2 = 1.0 / (dx * dx)
     # x sums at every interior node, grouped by stencil window
     windows: dict[tuple[int, ...], list[int]] = {}
     for i in range(1, I):
-        windows.setdefault(_second_deriv_offsets(i, I, c), []).append(i)
+        windows.setdefault(window((2, c), i, I), []).append(i)
     lap_x = np.empty((I - 1, K - 1))
     for xo, nodes in windows.items():
         ii = np.asarray(nodes)
@@ -45,11 +46,11 @@ def apply_operator(values: np.ndarray, dx: float, sigma: float,
     out = np.empty((I - 1, K - 1))
     for k in range(1, K):
         y = k * dx
-        yo = _second_deriv_offsets(k, K, c)
+        yo = window((2, c), k, K)
         lap_y = _stencil_sum(vals[1:I].T, k, yo, fd_weights(yo, 2))
         res = y ** (1.0 - sigma) * ((lap_x[:, k - 1] + lap_y) * inv_dx2)
         if drift:
-            fo = _first_deriv_offsets(k, K, d)
+            fo = window((1, d), k, K)
             dy = _stencil_sum(vals[1:I].T, k, fo, fd_weights(fo, 1)) / dx
             res += (1.0 - sigma) * y ** (-sigma) * dy
         out[:, k - 1] = res

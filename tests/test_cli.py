@@ -272,6 +272,31 @@ def test_mesh_beyond_physical_memory_exits_2_before_its_x_block(tmp_path, monkey
     assert "bytes of physical memory" in err
 
 
+@pytest.mark.parametrize("extra,message", [
+    ("c = 3\nd = 1\n", "(c, d) = (3, 1) not in the supported set"),
+    ("c = 4\nd = 4\n", "mesh too small for (c=4, d=4): need I >= 5 and K >= 5, got I=8, K=2"),
+    ("d = none\n", "d may be omitted only at sigma = 1"),
+])
+def test_unsupported_stencil_exits_2_when_the_config_is_read(tmp_path, monkeypatch, capsys,
+                                                            extra, message):
+    def never(*_args, **_kwargs):
+        raise AssertionError("the operator was assembled")
+
+    monkeypatch.setattr(extension_op, "assemble", never)
+    prefix = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, GOOD_CONFIG + extra),
+                 "--out-prefix", str(prefix), "--dump-matrix", str(tmp_path / "A.txt")]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_convergence_refuses_a_minimal_mode_pair_it_cannot_assemble(capsys):
+    # minimal mode picks (c, d) = (1, 1) below sigma = 1/2; no first study config takes it
+    assert main(["convergence", "--sigma", "0.3", "--m", "2.0", "--mode", "minimal:0.2",
+                 "--levels", "2"]) == 2
+    assert "(c, d) = (1, 1) not in the supported set" in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_a_configuration_error(tmp_path, monkeypatch, capsys):
     def broken_march(*_args, **_kwargs):
         raise ValueError("internal fault")

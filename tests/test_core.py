@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fracpme.core import (
+    STENCIL_WINDOWS,
     Field,
     Grid,
     InitialData,
     SolverConfig,
+    _fewest_steps,
     cfl_max_dt,
     effective_order,
     initial_data_preset,
@@ -29,6 +31,8 @@ from fracpme.core import (
     riesz_constant,
 )
 from fracpme.errors import ConfigError
+from fracpme.marcher import boundary_update
+from fracpme.oracles import barenblatt_exponents
 
 mpmath.mp.dps = 50
 
@@ -174,6 +178,102 @@ def test_effective_order_requires_d_away_from_one():
         effective_order(0.5, 2, 0)
 
 
+_SCALAR_CASES = [
+    (boundary_update, "m", math.nan, "m must be finite"),
+    (boundary_update, "m", math.inf, "m must be finite"),
+    (boundary_update, "dt", math.nan, "dt and dx"),
+    (boundary_update, "dt", math.inf, "dt and dx"),
+    (boundary_update, "dt", 0.0, "dt and dx"),
+    (boundary_update, "dt", -0.01, "dt and dx"),
+    (boundary_update, "dx", 0.0, "dt and dx"),
+    (boundary_update, "dx", math.nan, "dt and dx"),
+    (boundary_update, "dx", math.inf, "dt and dx"),
+    (cfl_max_dt, "b_max", math.nan, "b_max must be nonnegative and finite"),
+    (cfl_max_dt, "b_max", math.inf, "b_max must be nonnegative and finite"),
+    (cfl_max_dt, "dx", math.nan, "dx must be positive and finite"),
+    (cfl_max_dt, "dx", math.inf, "dx must be positive and finite"),
+    (cfl_max_dt, "m", math.nan, "m must be finite"),
+    (barenblatt_exponents, "m", math.nan, "m must be finite"),
+    (barenblatt_exponents, "m", math.inf, "m must be finite"),
+    (barenblatt_exponents, "m", 0.5, "m must be finite"),
+]
+_SCALAR_ARGS = {
+    boundary_update: dict(row0=np.ones(3), row1=np.ones(3), dt=0.01, dx=0.5, sigma=0.5, m=2.0),
+    cfl_max_dt: dict(m=2.0, b_max=1.0, sigma=0.5, dx=0.1),
+    barenblatt_exponents: dict(n_dim=1, m=2.0, sigma=0.5),
+}
+
+
+@pytest.mark.parametrize("fn,key,value,match", _SCALAR_CASES,
+                         ids=[f"{fn.__name__}-{key}={value}" for fn, key, value, _ in _SCALAR_CASES])
+def test_public_scalar_checks_refuse_non_finite_input(fn, key, value, match):
+    # before, these returned NaN, inf or 0.0, or raised ZeroDivisionError (dx = 0)
+    with pytest.raises(ValueError, match=match):
+        fn(**{**_SCALAR_ARGS[fn], key: value})
+
+
+# ---------------------------------------------------------------------------
+# the stencil table
+
+
+def _old_second_deriv_offsets(idx, n, c):
+    # the per-node window functions the table replaced, as they were, as its reference
+    if c == 2:
+        return (-1, 0, 1)
+    if c == 3:
+        if 2 <= idx <= n - 2:
+            return (-2, -1, 0, 1, 2)
+        return (-1, 0, 1, 2, 3) if idx == 1 else (-3, -2, -1, 0, 1)
+    if c == 4:
+        if 2 <= idx <= n - 2:
+            return (-2, -1, 0, 1, 2)
+        return (-1, 0, 1, 2, 3, 4) if idx == 1 else (-4, -3, -2, -1, 0, 1)
+    raise AssertionError(c)
+
+
+def _old_first_deriv_offsets(k, K, d):
+    if d == 1:
+        return (0, 1)
+    if d == 2:
+        return (-1, 0, 1)
+    if d == 3:
+        return (-1, 0, 1, 2) if k <= K - 2 else (-2, -1, 0, 1)
+    if d == 4:
+        if 2 <= k <= K - 2:
+            return (-2, -1, 0, 1, 2)
+        return (-1, 0, 1, 2, 3) if k == 1 else (-3, -2, -1, 0, 1)
+    raise AssertionError(d)
+
+
+def test_stencil_windows_are_pinned():
+    assert STENCIL_WINDOWS == {
+        (2, 2): ((-1, 0, 1), (-1, 0, 1), (-1, 0, 1)),
+        (2, 3): ((-1, 0, 1, 2, 3), (-2, -1, 0, 1, 2), (-3, -2, -1, 0, 1)),
+        (2, 4): ((-1, 0, 1, 2, 3, 4), (-2, -1, 0, 1, 2), (-4, -3, -2, -1, 0, 1)),
+        (1, 1): ((0, 1), (0, 1), (0, 1)),
+        (1, 2): ((-1, 0, 1), (-1, 0, 1), (-1, 0, 1)),
+        (1, 3): ((-1, 0, 1, 2), (-1, 0, 1, 2), (-2, -1, 0, 1)),
+        (1, 4): ((-1, 0, 1, 2, 3), (-2, -1, 0, 1, 2), (-3, -2, -1, 0, 1)),
+    }
+
+
+@pytest.mark.parametrize("family", sorted(STENCIL_WINDOWS))
+def test_stencil_windows_give_the_old_per_node_windows(family):
+    # first window at node 1, last at node n-1, middle in between, on every
+    # mesh the family fits, against the window functions the table replaced
+    deriv, order = family
+    old = _old_second_deriv_offsets if deriv == 2 else _old_first_deriv_offsets
+    first, middle, last = STENCIL_WINDOWS[family]
+    for n in range(_fewest_steps(family), 13):
+        want = [old(j, n, order) for j in range(1, n)]
+        assert want == ([first] + [middle] * (n - 3) + [last] if n > 2 else [first]), n
+
+
+def test_fewest_steps_equal_the_old_minimum_tables():
+    assert {c: _fewest_steps((2, c)) for c in (2, 3, 4)} == {2: 2, 3: 4, 4: 5}
+    assert {d: _fewest_steps((1, d)) for d in (1, 2, 3, 4)} == {1: 2, 2: 2, 3: 3, 4: 4}
+
+
 # ---------------------------------------------------------------------------
 # the mesh
 
@@ -206,6 +306,16 @@ def test_grid_rejects_bad_extents_and_counts():
         Grid(X=-1.0, Y=1.0, I=4, K=2)
     with pytest.raises(ConfigError):
         Grid(X=1.0, Y=1.0, I=1, K=1)
+
+
+def test_grid_stores_whole_float_counts_as_ints():
+    # a float count that is a whole number is valid; the solver needs it as an int
+    g = Grid(2.0, 4.0, 64.0, 64.0)
+    assert (g.I, g.K) == (64, 64) and type(g.I) is int and type(g.K) is int
+    assert g == Grid(2, 4, 64, 64) and np.array_equal(g.xs, Grid(2, 4, 64, 64).xs)
+    for I in (64.5, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="need integer I >= 2"):
+            Grid(2.0, 4.0, I, 64)
 
 
 def test_grid_arrays_read_only():
@@ -290,6 +400,16 @@ def test_config_d_none_only_at_sigma_one():
     make_config(sigma=1.0, d=None)            # fine
     with pytest.raises(ConfigError):
         make_config(sigma=1.5, d=None)
+
+
+def test_config_stores_whole_float_counts_as_ints():
+    cfg = make_config(I=8.0, K=2.0, J=10.0)
+    assert (cfg.I, cfg.K, cfg.J) == (8, 2, 10)
+    assert all(type(n) is int for n in (cfg.I, cfg.K, cfg.J))
+    assert cfg == make_config()
+    for J in (10.5, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="J must be a positive integer"):
+            make_config(J=J)
 
 
 @pytest.mark.parametrize("over", [

@@ -34,18 +34,15 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import spsolve
 
 from fracpme import extension_op
-from fracpme.core import Field, Grid, SolverConfig, effective_order, initial_data_preset
+from fracpme.core import (STENCIL_WINDOWS, Field, Grid, SolverConfig, _fewest_steps,
+                          effective_order, initial_data_preset)
 from fracpme.errors import ConfigError, SolverError, UnsupportedStencilError
 from fracpme.extension_op import (
-    _MIN_K_FIRST,
-    _MIN_N_SECOND,
     _MONOTONE_TOL,
     _build,
     _cache,
     SUPPORTED_PAIRS,
     ExtensionOperator,
-    _first_deriv_offsets,
-    _second_deriv_offsets,
     _x_modes,
     assemble,
     discrete_max_location,
@@ -57,7 +54,16 @@ from fracpme.extension_op import (
 )
 from fracpme.marcher import march
 from fracpme.oracles import dense_extension_solve
-from pointwise import apply_operator
+from pointwise import apply_operator, window
+
+
+_LAPLACIAN_ORDERS = sorted(c for deriv, c in STENCIL_WINDOWS if deriv == 2)
+
+
+def _min_mesh(c, d):
+    # the smallest accepted mesh (I, K): the fewest steps the c and d windows need
+    I_min = _fewest_steps((2, c))
+    return I_min, I_min if d is None else max(I_min, _fewest_steps((1, d)))
 
 
 def make_grid(I=8, K=4, dx=0.25):
@@ -131,7 +137,7 @@ def test_apply_operator_annihilates_constants(c, d):
 
 # every supported pair at three sigmas, plus the pure Laplacian at sigma = 1
 _ROW_CASES = ([(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS) for sigma in (0.4, 1.0, 1.6)]
-              + [(c, None, 1.0) for c in sorted(_MIN_N_SECOND)])
+              + [(c, None, 1.0) for c in _LAPLACIAN_ORDERS])
 
 
 @pytest.mark.parametrize("c,d,sigma", _ROW_CASES)
@@ -140,8 +146,7 @@ def test_assembled_rows_match_pointwise_application(c, d, sigma):
     # -dx^(1+sigma) k^(sigma-1) times the physical operator at node (i, k);
     # the smallest accepted mesh is where the one-sided windows of both
     # sides meet (and, for c > 2, cover every node of a row)
-    I_min = _MIN_N_SECOND[c]
-    K_min = I_min if d is None else max(I_min, _MIN_K_FIRST[d])
+    I_min, K_min = _min_mesh(c, d)
     for grid in (make_grid(I=9, K=5, dx=0.2), make_grid(I=I_min, K=K_min, dx=0.2)):
         op = assemble(grid, sigma, c=c, d=d)
         rng = np.random.default_rng(20240814)
@@ -219,15 +224,14 @@ def test_sparse_solve_matches_dense_oracle_with_lateral_data():
 # every supported pair at four sigmas, plus the pure Laplacian at sigma = 1
 _SOLVE_CASES = ([(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS)
                  for sigma in (0.3, 1.0, 1.5, 1.9)]
-                + [(c, None, 1.0) for c in sorted(_MIN_N_SECOND)])
+                + [(c, None, 1.0) for c in _LAPLACIAN_ORDERS])
 
 
 @pytest.mark.parametrize("c,d,sigma", _SOLVE_CASES)
 def test_mode_solve_matches_sparse_direct_solve(c, d, sigma):
     # the x-mode solve against scipy's sparse direct solve of the same system,
     # on the smallest accepted mesh and on one with I != K
-    I_min = _MIN_N_SECOND[c]
-    K_min = I_min if d is None else max(I_min, _MIN_K_FIRST[d])
+    I_min, K_min = _min_mesh(c, d)
     rng = np.random.default_rng(20261018)
     for grid in (make_grid(I=I_min, K=K_min, dx=0.2), make_grid(I=13, K=7, dx=0.2)):
         op = assemble(grid, sigma, c=c, d=d)
@@ -293,7 +297,7 @@ def _full_node_operator(op):
 
 
 _ALL_PAIRS = [(c, d, s) for c, d in sorted(SUPPORTED_PAIRS) for s in (0.3, 1.0, 1.7)] + [
-    (c, None, 1.0) for c in sorted(_MIN_N_SECOND)]
+    (c, None, 1.0) for c in _LAPLACIAN_ORDERS]
 
 
 @pytest.mark.parametrize("c,d,sigma", _ALL_PAIRS)
@@ -322,7 +326,7 @@ def test_only_tridiagonal_factors_take_the_diagonal_path():
     for sigma in (0.3, 1.7):
         diagonal = {(c, d) for c, d in SUPPORTED_PAIRS if assemble(grid, sigma, c=c, d=d).L is not None}
         assert diagonal == {(2, 1), (2, 2)}, sigma
-    assert {c for c in _MIN_N_SECOND if assemble(grid, 1.0, c=c, d=None).L is not None} == {2}
+    assert {c for c in _LAPLACIAN_ORDERS if assemble(grid, 1.0, c=c, d=None).L is not None} == {2}
     assert {(c, d) for c, d in SUPPORTED_PAIRS
             if assemble(grid, 1.0, c=c, d=d).L is not None} == {(2, 1), (2, 2), (2, 3)}
 
@@ -374,7 +378,7 @@ def test_mode_staircase_bounds_what_it_drops(c, d, sigma, I):
         assert np.all(np.abs(got - full) <= tail_bound * trace.max() + rounding)
 
 
-@pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS) + [(c, None) for c in sorted(_MIN_N_SECOND)])
+@pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS) + [(c, None) for c in _LAPLACIAN_ORDERS])
 def test_sweep_meshes_solve_in_one_block(c, d):
     # at I = K = 64 no split can save 2^18 multiply-adds, so the small meshes
     # pay one product per step, not one per block
@@ -700,7 +704,7 @@ def _dense_offending_rows(grid, sigma, c, d):
 
 @pytest.mark.parametrize("c,d,sigma", [(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS)
                                        for sigma in (0.3, 0.7, 1.3, 1.9)]
-                         + [(c, None, 1.0) for c in sorted(_MIN_N_SECOND)])
+                         + [(c, None, 1.0) for c in _LAPLACIAN_ORDERS])
 def test_monotone_report_matches_a_dense_scan(c, d, sigma):
     for grid in (make_grid(I=10, K=6), make_grid(I=7, K=5)):
         rep = verify_monotone_structure(assemble(grid, sigma, c=c, d=d))
@@ -838,6 +842,34 @@ def test_unsupported_pairs_rejected():
         assemble(grid, 0.5, c=2, d=None)     # d only omittable at sigma = 1
 
 
+@pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS) + [(c, None) for c in _LAPLACIAN_ORDERS])
+def test_config_and_assemble_take_the_minimum_mesh_and_refuse_one_step_fewer(c, d):
+    # both refuse with one message: the config when it is built, assemble on its grid
+    sigma = 0.5 if d is not None else 1.0
+    I_min, K_min = _min_mesh(c, d)
+
+    def refusal(I, K):
+        with pytest.raises(ConfigError) as config_error:
+            SolverConfig(sigma=sigma, m=1.0, X=I * 0.125, Y=K * 0.25, T=0.1, I=I, K=K, J=1,
+                         c=c, d=d)
+        with pytest.raises(ConfigError) as assemble_error:
+            assemble(make_grid(I=I, K=K), sigma, c=c, d=d)
+        assert str(config_error.value) == str(assemble_error.value)
+        return config_error.value
+
+    SolverConfig(sigma=sigma, m=1.0, X=I_min * 0.125, Y=K_min * 0.25, T=0.1, I=I_min, K=K_min,
+                 J=1, c=c, d=d)
+    assemble(make_grid(I=I_min, K=K_min), sigma, c=c, d=d)
+    want = f"mesh too small for (c={c}, d={d}): need I >= {I_min} and K >= {K_min}"
+    short_k = refusal(I_min, K_min - 1)
+    assert type(short_k) is UnsupportedStencilError and str(short_k).startswith(want)
+    short_i = refusal(I_min - 1, K_min)
+    if I_min - 1 >= 2:
+        assert type(short_i) is UnsupportedStencilError and str(short_i).startswith(want)
+    else:                                   # I = 1 is no mesh at all: the Grid refuses it first
+        assert "need integer I >= 2" in str(short_i)
+
+
 def test_mesh_too_small_rejected():
     with pytest.raises(UnsupportedStencilError):
         assemble(Grid(X=1.0, Y=0.5, I=4, K=1), 0.5, c=2, d=1)
@@ -872,16 +904,16 @@ def _pointwise_operator(vals, dx, sigma, c, d):
     out = np.empty((I - 1, K - 1))
     for k in range(1, K):
         y = k * dx
-        yo = _second_deriv_offsets(k, K, c)
+        yo = window((2, c), k, K)
         wy = fd_weights(yo, 2)
         for i in range(1, I):
-            xo = _second_deriv_offsets(i, I, c)
+            xo = window((2, c), i, I)
             wx = fd_weights(xo, 2)
             lap = (sum(w * vals[i + o, k] for o, w in zip(xo, wx))
                    + sum(w * vals[i, k + o] for o, w in zip(yo, wy))) * (1.0 / (dx * dx))
             res = y ** (1.0 - sigma) * lap
             if d is not None and sigma != 1.0:
-                fo = _first_deriv_offsets(k, K, d)
+                fo = window((1, d), k, K)
                 dy = sum(w * vals[i, k + o] for o, w in zip(fo, fd_weights(fo, 1))) / dx
                 res += (1.0 - sigma) * y ** (-sigma) * dy
             out[i - 1, k - 1] = res
@@ -891,8 +923,7 @@ def _pointwise_operator(vals, dx, sigma, c, d):
 @pytest.mark.parametrize("c,d,sigma", _ROW_CASES)
 def test_apply_operator_matches_pointwise_loop(c, d, sigma):
     # same sums in the same order, so the arrays agree to the last bit
-    I_min = _MIN_N_SECOND[c]
-    K_min = I_min if d is None else max(I_min, _MIN_K_FIRST[d])
+    I_min, K_min = _min_mesh(c, d)
     rng = np.random.default_rng(7)
     for I, K in ((I_min, K_min), (11, 6), (12, 9)):
         vals = rng.standard_normal((I + 1, K + 1))

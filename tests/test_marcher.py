@@ -313,6 +313,43 @@ def test_records_holding_arrays_compare_by_identity():
         assert left == left and left != right
 
 
+def test_float_counts_march_bitwise_like_ints():
+    # 64.0 is a valid count; the solver used to fail on it inside assemble and march
+    ints = march(make_config(I=16, K=4, J=6), GAUSS, capture="all")
+    floats = march(make_config(I=16.0, K=4.0, J=6.0), GAUSS, capture="all")
+    assert np.array_equal(floats.trace_history, ints.trace_history)
+    assert np.array_equal(floats.times, ints.times)
+    assert all(np.array_equal(a.values, b.values)
+               for (_, a), (_, b) in zip(floats.snapshots, ints.snapshots, strict=True))
+    with pytest.raises(ConfigError):
+        make_config(I=16.5, K=4)
+
+
+def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(monkeypatch):
+    # the budget is faked through the cgroup reader once the operator exists; the
+    # 1.6 MB history is never allocated, and no step is taken
+    class FirstStep(Exception):
+        pass
+
+    def first_step(*_args):
+        raise FirstStep
+
+    cfg = make_config(J=20000)
+    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
+    need = 8 * (cfg.J + 1) * (cfg.I + 2)
+    assert need > 2**20                     # smaller histories fit any budget unread
+    monkeypatch.setattr(extension_op, "_physical_memory", lambda: 2 * need)
+    monkeypatch.setattr(extension_op, "_address_space_limit", lambda: 2 * need)
+    monkeypatch.setattr(extension_op, "_cgroup_memory_limit", lambda: need - 1)
+    monkeypatch.setattr(marcher, "_bracket_update", first_step)
+    with pytest.raises(ConfigError, match=rf"J = 20000 too large at I = 8: .* need {need} bytes "
+                                          rf"\(budget: {need - 1} bytes of the cgroup's memory.max\)"):
+        march(cfg, GAUSS, op=op)
+    monkeypatch.setattr(extension_op, "_cgroup_memory_limit", lambda: need)
+    with pytest.raises(FirstStep):          # a budget of exactly the history passes
+        march(cfg, GAUSS, op=op)
+
+
 def test_march_enforces_cfl():
     cfg = make_config(J=1, T=5.0)          # dt = 5 is far beyond the bound
     with pytest.raises(CflViolationError) as ei:
