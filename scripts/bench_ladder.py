@@ -5,8 +5,12 @@ For I = 64, 128, 256, 512, 1024 with K = I/2 (X = Y = 8, so dx = 16/I) and for
 the pairs (c, d) = (2, 1) at sigma = 0.5 and (3, 4) at sigma = 1.5, times one
 `assemble` (a fresh build: the operator cache is emptied first) and the p50
 and p99 of SOLVES direct calls of `solve_interior` on the gaussian datum's
-trace (after one untimed call).  It makes PASSES passes over the whole ladder
-and records, per rung, the median over the passes of each of the three: on a
+trace (after one untimed call), and the p50 of STEPS march steps: one march
+of STEPS + 1 steps at m = 2 and half the CFL bound from the gaussian datum,
+each step timed from its trace update to the next step's (the clock is read
+in a wrapper around marcher._bracket_update).  It makes PASSES passes over the
+whole ladder and records, per rung, the median over the passes of each of the
+four: on a
 shared machine the speed drifts over seconds to minutes, and rungs timed at
 three different moments are less at its mercy than one.  The machine facts go
 with them into OUTDIR/BENCH_<tag>.json.  BLAS runs on one thread unless the
@@ -34,8 +38,8 @@ import numpy as np      # noqa: E402  (after the BLAS thread variables)
 import scipy            # noqa: E402
 
 import fracpme          # noqa: E402
-from fracpme.core import Grid, initial_data_preset      # noqa: E402
-from fracpme import extension_op        # noqa: E402
+from fracpme.core import Grid, SolverConfig, cfl_max_dt, initial_data_preset  # noqa: E402
+from fracpme import extension_op, marcher       # noqa: E402
 from fracpme.extension_op import assemble, solve_interior      # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -43,6 +47,8 @@ LADDER = (64, 128, 256, 512, 1024)
 PAIRS = ((2, 1, 0.5), (3, 4, 1.5))      # (c, d, sigma)
 PASSES = 3
 SOLVES = 50
+STEPS = 50
+M = 2.0
 
 
 def machine_facts() -> dict:
@@ -82,7 +88,30 @@ def rung(I: int, c: int, d: int, sigma: float) -> dict:
         solve_interior(op, trace)
         times.append(time.perf_counter() - start)
     p50, p99 = np.percentile(times, [50, 99]) * 1e3
-    return {"assemble_s": assemble_s, "solve_ms_p50": p50, "solve_ms_p99": p99}
+    return {"assemble_s": assemble_s, "solve_ms_p50": p50, "solve_ms_p99": p99,
+            "step_ms_p50": step_ms_p50(op, trace)}
+
+
+def step_ms_p50(op, trace) -> float:
+    """p50 in ms of STEPS consecutive steps of one march on op from the datum
+    whose interior trace is trace (b_max = max trace^M)."""
+    grid = op.grid
+    J = STEPS + 1
+    T = J * 0.5 * cfl_max_dt(M, float(trace.max()) ** M, op.sigma, grid.dx)
+    config = SolverConfig(sigma=op.sigma, m=M, X=grid.X, Y=grid.Y, T=T, I=grid.I, K=grid.K,
+                          J=J, c=op.c, d=op.d)
+    update, ticks = marcher._bracket_update, []
+
+    def ticking(*args, **kwargs):
+        ticks.append(time.perf_counter())
+        return update(*args, **kwargs)
+
+    marcher._bracket_update = ticking
+    try:
+        marcher.march(config, np.r_[0.0, trace, 0.0], op=op)
+    finally:
+        marcher._bracket_update = update
+    return float(np.percentile(np.diff(ticks), 50)) * 1e3
 
 
 def main() -> int:
@@ -101,10 +130,11 @@ def main() -> int:
         rungs.append(r)
         print(f"I={I} K={r['K']} (c, d)=({c}, {d}) sigma={sigma}: assemble "
               f"{r['assemble_s']:.3f} s, solve p50 {r['solve_ms_p50']:.3f} ms, "
-              f"p99 {r['solve_ms_p99']:.3f} ms")
+              f"p99 {r['solve_ms_p99']:.3f} ms, step p50 {r['step_ms_p50']:.3f} ms")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"BENCH_{tag}.json"
     path.write_text(json.dumps({"tag": tag, "passes": PASSES, "solve_calls": SOLVES,
+                                "march_steps": STEPS,
                                 "machine": machine_facts(), "rungs": rungs}, indent=1) + "\n")
     print(f"wrote {path}")
     return 0

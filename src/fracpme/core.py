@@ -73,9 +73,21 @@ def cfl_max_dt(m: float, b_max: float, sigma: float, dx: float) -> float:
         raise ValueError(f"b_max must be nonnegative and finite, got {b_max}")
     if not 0.0 < dx < math.inf:
         raise ValueError(f"dx must be positive and finite, got {dx}")
+    dx_sigma = _dx_power(dx, sigma)
     if b_max == 0.0 and m > 1.0:
         return math.inf
-    return dx ** sigma / (m * b_max ** ((m - 1.0) / m) * nu_sigma(sigma))
+    return dx_sigma / (m * b_max ** ((m - 1.0) / m) * nu_sigma(sigma))
+
+
+def _dx_power(dx: float, sigma: float) -> float:
+    """dx^sigma for a positive finite dx; ValueError where it underflows to 0 or overflows."""
+    try:
+        p = float(dx) ** sigma
+    except OverflowError:
+        p = math.inf
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"dx^sigma = {dx:g}^{sigma:g} is not a positive finite float")
+    return p
 
 
 def effective_order(sigma: float, c: int, d: int | None) -> float:
@@ -183,7 +195,8 @@ class Grid:
 class Field:
     """Values of the extended variable w on all (I+1) x (K+1) nodes, [i, k] indexed, read-only:
     a checked copy keeping its input's memory order (height-major for initialize and step),
-    except that march's snapshots hold march's own finite node array itself."""
+    except that a march snapshot holds its step's finite node array itself, which the
+    march made read-only and writes no more."""
     values: np.ndarray
     time_index: int = 0
 

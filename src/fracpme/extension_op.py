@@ -206,6 +206,14 @@ class ExtensionOperator:
         return float(np.abs(self.s).max())
 
     @cached_property
+    def block_products(self) -> tuple[tuple[np.ndarray, np.ndarray, tuple[slice, slice], int], ...]:
+        """(G[k0:k1, :n], V[:, :n]^T, the node-array index of rows 1+k0 .. k1, n) for
+        each row block (k0, k1, n): the staircase's operands, sliced once per operator."""
+        I = self.grid.I
+        return tuple((self.G[k0:k1, :n], self.V[:, :n].T, (slice(1 + k0, 1 + k1), slice(1, I)), n)
+                     for k0, k1, n in self.blocks)
+
+    @cached_property
     def A(self) -> sparse.csr_matrix:
         """I (x) T_x,int + S_y,int (x) I from the factors, for dump_matrix and tests."""
         I, K = self.grid.I, self.grid.K
@@ -356,30 +364,34 @@ def _residual(op: ExtensionOperator, P: np.ndarray) -> float:
     return float(np.abs(R, out=R).max())
 
 
-def _solve(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
+def _solve(op: ExtensionOperator, trace_row: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
     """The height-major (K+1) x (I+1) node array P[k, i] for the trace data trace_row
     and homogeneous lateral/top data: trace_row at k = 0, the solve inside, 0 elsewhere.
 
-    The mode profiles scaled by c = V^-1 trace and mapped back through V fill P's
-    interior, each row block of op.blocks from its own leading modes; the
-    residual of the whole interior, one product with op.L or else one with each
-    1-D factor, catches a non-finite or inaccurate solve (SolverError), so a P
-    returned is finite.
+    P, if given, is filled in place and returned: only its trace row and interior
+    are written, so its lateral and top boundary must already be 0, as in any
+    array _solve returned.  The mode profiles scaled by c = V^-1 trace and
+    mapped back through V fill P's interior, each row block from its own leading
+    modes (op.block_products); the residual of the whole interior, one product
+    with op.L or else one with each 1-D factor, catches a non-finite or
+    inaccurate solve (SolverError), so a P returned is finite.
     """
     I, K = op.grid.I, op.grid.K
     if trace_row.shape != (I - 1,):
         raise ValueError(f"trace_row must have length I-1 = {I - 1}, got {trace_row.shape}")
-    if not np.isfinite(trace_row).all():
+    hi, lo = float(trace_row.max()), float(trace_row.min())
+    if not (-np.inf < lo and hi < np.inf):      # a NaN fails both
         raise ValueError("boundary data must be finite")
     # P's interior W solves W T_x,int^T + S_y,int W = outer(s, trace), one
     # y-system per column of W V^-T
-    P = np.zeros((K + 1, I + 1))
+    if P is None:
+        P = np.zeros((K + 1, I + 1))
     P[0, 1:I] = trace_row
     c = op.V_inv @ trace_row
-    for k0, k1, n in op.blocks:
-        np.matmul(op.G[k0:k1, :n] * c[:n], op.V[:, :n].T, out=P[1 + k0:1 + k1, 1:I])
+    for G, V_T, rows, n in op.block_products:
+        np.matmul(G * c[:n], V_T, out=P[rows])
     # ||outer(s, trace)||_inf = max|s| max|t| exactly: rounding is monotone
-    norm_rhs = op.s_max * float(np.abs(trace_row).max())
+    norm_rhs = op.s_max * max(hi, -lo)
     resid = _residual(op, P)
     if not resid <= 1e-10 * max(norm_rhs, 1e-300):
         raise SolverError(

@@ -68,18 +68,35 @@ def initialize(config: SolverConfig, f, op: extension_op.ExtensionOperator | Non
 
 
 def _bracket_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
-                    level: int | None = None) -> np.ndarray:
+                    level: int | None = None, base: np.ndarray | None = None) -> np.ndarray:
     """boundary_update with lam = nu_sigma dt / dx^sigma, for rows it would accept;
-    level is the time level a NegativeBracketError reports as its step."""
-    bracket = lam * (row1 - row0) + np.maximum(row0, 0.0) ** (1.0 / m)
-    if bracket.size and bracket.min() < -1e-12:
-        idx = int(np.argmin(bracket))
-        raise NegativeBracketError(
-            f"pressure bracket reached {bracket[idx]:.3e} at trace index {idx}; "
-            f"time step too large for the data", step=level, index=idx, value=float(bracket[idx]))
-    np.maximum(bracket, 0.0, out=bracket)
-    bracket **= m
+    the m-th root of base (default row0, which the march keeps >= 0) enters the
+    bracket, so it must be >= 0.  level is the time level a NegativeBracketError
+    reports as its step."""
+    bracket = lam * (row1 - row0)
+    root = row0 if base is None else base
+    bracket += root if m == 1.0 else root ** (1.0 / m)
+    low = bracket.min() if bracket.size else 0.0
+    if low < 0.0:
+        if low < -1e-12:
+            idx = int(np.argmin(bracket))
+            raise NegativeBracketError(
+                f"pressure bracket reached {bracket[idx]:.3e} at trace index {idx}; "
+                f"time step too large for the data", step=level, index=idx, value=float(bracket[idx]))
+        np.maximum(bracket, 0.0, out=bracket)
+    if m != 1.0:
+        bracket **= m
     return bracket
+
+
+def _lambda(dt: float, dx: float, sigma: float) -> float:
+    """lam = nu_sigma dt / dx^sigma of the trace update, for dt > 0 and dx > 0 finite;
+    ValueError where dx^sigma underflows to 0 or overflows, or lam overflows."""
+    lam = core.nu_sigma(sigma) * dt / core._dx_power(dx, sigma)
+    if not lam < np.inf:
+        raise ValueError(f"lambda = nu_sigma dt / dx^sigma overflows at dt = {dt}, dx = {dx}, "
+                         f"sigma = {sigma}")
+    return lam
 
 
 def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
@@ -90,7 +107,9 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
 
     The bracket is nonnegative under the CFL precondition; excursions below
     -1e-12 abort (CFL violation or corrupted state), smaller ones are rounding
-    and clamp to 0.
+    and clamp to 0.  Rows down to -1e-12 are accepted, and row0 enters the root
+    clamped at 0.  A dx^sigma or lambda that is 0 or not finite is refused
+    (ValueError).
     """
     row0, row1 = np.asarray(row0, dtype=float), np.asarray(row1, dtype=float)
     if row0.shape != row1.shape:
@@ -102,7 +121,7 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
     core._check_m(m)
     if not (0.0 < dt < np.inf and 0.0 < dx < np.inf):
         raise ValueError(f"dt and dx must be positive and finite, got dt = {dt}, dx = {dx}")
-    return _bracket_update(row0, row1, core.nu_sigma(sigma) * dt / dx ** sigma, m)
+    return _bracket_update(row0, row1, _lambda(dt, dx, sigma), m, base=np.maximum(row0, 0.0))
 
 
 def step(state: Field, op: extension_op.ExtensionOperator, config: SolverConfig) -> Field:
@@ -184,13 +203,18 @@ def march(config: SolverConfig, f, capture=None,
     state = initialize(config, f, op)
     b_max = float(state.values[1:-1, 0].max())
 
-    bound = core.cfl_max_dt(config.m, b_max, config.sigma, config.dx)
     dt = config.dt
+    try:
+        lam = _lambda(dt, config.dx, config.sigma)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    bound = core.cfl_max_dt(config.m, b_max, config.sigma, config.dx)
     if dt > config.cfl_safety * bound * (1.0 + 1e-12):
+        with np.errstate(divide="ignore", over="ignore"):     # a bound that underflows to 0
+            least = np.ceil(np.float64(config.T) / (config.cfl_safety * bound))
         raise CflViolationError(
             f"dt = {dt:.6e} exceeds cfl_safety * C(m,f) * dx^sigma = "
-            f"{config.cfl_safety * bound:.6e}; increase J to at least "
-            f"{int(np.ceil(config.T / (config.cfl_safety * bound)))}")
+            f"{config.cfl_safety * bound:.6e}; increase J to at least {least:.0f}")
 
     # before allocating: overcommit may grant what a cgroup kills later (no budget is < 1 MiB)
     need = 8 * (config.J + 1) * (config.I + 2)
@@ -209,16 +233,17 @@ def march(config: SolverConfig, f, capture=None,
     snapshots: list[tuple[float, Field]] = []
     diags: list[StepDiagnostics] = []
 
-    lam = core.nu_sigma(config.sigma) * dt / config.dx ** config.sigma
-    P = state.values.T
+    # an uncaptured step's node array is handed back to the next solve to fill; a
+    # read-only one (initialize's Field's, or a snapshot's) is never written again
+    P, spare, width = state.values.T, None, config.I + 1
     for j in range(config.J + 1):
         if j > 0:
             if w_min < -1e-12 and P[:2, 1:-1].min() < -1e-12:
                 raise ValueError("trace rows must be nonnegative")
-            P = extension_op._solve(op, _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, config.m, j))
-            P.setflags(write=False)
+            P = extension_op._solve(
+                op, _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, config.m, j), spare)
         w_min = float(P.min())
-        i, k = extension_op.discrete_max_location(P.T)
+        k, i = divmod(int(np.argmax(P)), width)     # discrete_max_location's (i, k)
         w_max = float(P[k, i])
         if not (w_min >= -1e-10 and w_max <= b_max + 1e-10):
             if not np.isfinite(P).all():    # where ||rhs|| overflows, the residual check passes inf
@@ -229,7 +254,9 @@ def march(config: SolverConfig, f, capture=None,
         w_hist[j] = P[0]
         diags.append(StepDiagnostics(j, float(times[j]), w_min, w_max, (i, k)))
         if j in wanted:
+            P.setflags(write=False)
             snapshots.append((float(times[j]), Field._wrap(P.T, j) if j else state))
+        spare = P if P.flags.writeable else None
 
     trace_hist = np.maximum(w_hist, 0.0, out=w_hist)    # u = w^(1/m) over w's rows, in place
     trace_hist **= 1.0 / config.m

@@ -250,6 +250,15 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_mesh_whose_dx_power_underflows_exits_2(tmp_path, capsys):
+    # dx = 1e-300 is a positive finite width, but dx^1.9 underflows to 0
+    path = write_config(tmp_path, GOOD_CONFIG.replace("sigma = 0.5", "sigma = 1.9")
+                        .replace("X = 2.0", "X = 4e-300").replace("Y = 1.0", "Y = 2e-300"),
+                        name="dx_power.cfg")
+    assert main(["solve", "--config", path]) == 2
+    assert "dx^sigma = 1e-300^1.9" in capsys.readouterr().err
+
+
 def test_unallocatable_mesh_that_is_not_square_is_refused_as_not_square(tmp_path, capsys):
     # dx = 2^-44 is twice dy = 2^-45: the squareness check must catch it, not the allocator
     assert main(["solve", "--config", write_mesh_config(

@@ -263,6 +263,25 @@ def test_residual_check_catches_corrupted_profiles(c, d):
     assert math.isfinite(est) and est >= 1.0
 
 
+@_RESIDUAL_PATHS
+def test_solve_into_a_reused_node_array_is_a_fresh_solve_bit_for_bit(c, d):
+    # the march hands an array _solve returned back to the next solve: the trace
+    # row and the interior are overwritten, the zero boundary is kept, and the
+    # residual check still refuses a corrupted operator
+    op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6, c=c, d=d)
+    assert (op.L is not None) == (c == 2)
+    xs = np.linspace(0, math.pi, 11)
+    P = extension_op._solve(op, np.sin(xs))
+    for trace in (np.sin(2 * xs) ** 2, np.exp(-xs), np.zeros(11)):
+        want = extension_op._solve(op, trace)
+        assert extension_op._solve(op, trace, P) is P
+        assert P.tobytes() == want.tobytes()
+        assert not P[:, [0, -1]].any() and not P[-1].any()
+    bad = dataclasses.replace(op, G=op.G * (1.0 + 1e-6))
+    with pytest.raises(SolverError, match="condition estimate"):
+        extension_op._solve(bad, np.sin(xs), P)
+
+
 def test_failed_solve_never_builds_the_interior_matrix():
     # the refusal's condition estimate comes from the x-mode basis the
     # operator holds, not from a factorization of A

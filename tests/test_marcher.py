@@ -7,6 +7,7 @@ linear special case where the update reduces to plain averaging.
 """
 
 import dataclasses
+import functools
 import io
 import math
 import tracemalloc
@@ -157,6 +158,29 @@ def test_update_in_place_is_the_clipped_power_bit_for_bit(m):
     want = np.clip(lam * (row1 - row0) + np.maximum(row0, 0.0) ** (1.0 / m), 0.0, None) ** m
     got = boundary_update(row0, row1, lam / nu_sigma(0.5), 1.0, 0.5, m)
     assert got.tobytes() == want.tobytes()
+
+
+def test_dx_power_underflow_and_lambda_overflow_are_refused():
+    # dx > 0 whose dx^sigma underflows to 0, and lambda = nu dt / dx^sigma = inf:
+    # these raised ZeroDivisionError or returned NaN rows
+    rows = dict(row0=np.ones(3), row1=np.ones(3), sigma=1.9, m=2.0)
+    with pytest.raises(ValueError, match=r"dx\^sigma = 1e-300\^1.9 is not a positive finite"):
+        boundary_update(**rows, dt=0.01, dx=1e-300)
+    with pytest.raises(ValueError, match="lambda = nu_sigma dt / dx\\^sigma overflows"):
+        boundary_update(**rows, dt=1e300, dx=1e-10)
+    with pytest.raises(ValueError, match=r"dx\^sigma = 1e-300\^1.9"):
+        cfl_max_dt(2.0, 1.0, 1.9, 1e-300)
+    cfg = SolverConfig(sigma=1.9, m=2.0, X=1e-300, Y=2e-300, T=0.1, I=2, K=2, J=10)
+    with pytest.raises(ConfigError, match=r"dx\^sigma = 1e-300\^1.9"):
+        march(cfg, GAUSS)
+
+
+def test_march_refuses_a_cfl_bound_that_underflows():
+    # dx^sigma = 1e-285 is fine, but over m (max f)^(m-1) nu = 2e150 the bound
+    # underflows to 0; composing the message divided by it (ZeroDivisionError)
+    cfg = SolverConfig(sigma=1.9, m=2.0, X=1e-150, Y=2e-150, T=0.1, I=2, K=2, J=10)
+    with pytest.raises(CflViolationError, match="increase J to at least inf$"):
+        march(cfg, lambda xs: np.full_like(xs, 1e150))
 
 
 def test_update_validates_inputs():
@@ -433,6 +457,37 @@ def test_march_snapshots_are_read_only_and_keep_their_values():
         assert not any(np.shares_memory(fld.values, other.values) for other in snapshots[n + 1:])
 
 
+@pytest.mark.parametrize("capture,steps,arrays", [
+    ("all", list(range(11)), 10),
+    (3, [0, 3, 6, 9, 10], 4),
+])
+def test_march_snapshots_own_their_arrays_while_other_steps_share_one(
+        monkeypatch, capture, steps, arrays):
+    # an uncaptured step's node array is handed back to the next solve; a captured
+    # one is its snapshot's alone.  Each snapshot is distinct and read-only, still
+    # holds the bits its solve gave it, and those are a fresh solve's of its trace
+    cfg = make_config(m=2.0, J=10, T=1.0)
+    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
+    real, made = extension_op._solve, []
+
+    def recording(op, trace, P=None):
+        out = real(op, trace, P)
+        made.append((out, out.tobytes()))
+        return out
+
+    monkeypatch.setattr(extension_op, "_solve", recording)
+    traj = march(cfg, GAUSS, capture=capture, op=op)
+    assert [fld.time_index for _, fld in traj.snapshots] == steps
+    assert len({id(out) for out, _ in made[1:]}) == arrays     # solves 2 .. J+1 are steps 1 .. J
+    values = [fld.values for _, fld in traj.snapshots]
+    for n, (j, vals) in enumerate(zip(steps, values)):
+        owner = vals if vals.base is None else vals.base
+        assert not vals.flags.writeable and not owner.flags.writeable
+        assert vals.T.tobytes() == made[j][1]
+        assert vals.T.tobytes() == real(op, vals[1:-1, 0].copy()).tobytes()
+        assert not any(np.shares_memory(vals, other) for other in values[n + 1:])
+
+
 # ---------------------------------------------------------------------------
 # the march's checks at a failing step
 
@@ -453,13 +508,14 @@ def test_march_reports_the_step_of_a_negative_bracket(monkeypatch):
 
 def _fake_solve(monkeypatch, fake):
     """Replace extension_op._solve by fake(n, real_solve, op, trace), n numbering
-    the calls from initialize's, 1; returns the list of call numbers.  No real
-    input to march reaches these failures, so a fake stands in for the solve."""
+    the calls from initialize's, 1; returns the list of call numbers.  real_solve
+    is the real _solve with the node array march passes it, if any, bound.  No
+    real input to march reaches these failures, so a fake stands in for the solve."""
     real, calls = extension_op._solve, []
 
-    def counted(op, trace):
+    def counted(op, trace, P=None):
         calls.append(len(calls) + 1)
-        return fake(calls[-1], real, op, trace)
+        return fake(calls[-1], functools.partial(real, P=P), op, trace)
 
     monkeypatch.setattr(extension_op, "_solve", counted)
     return calls

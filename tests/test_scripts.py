@@ -32,10 +32,12 @@ def test_bench_ladder_script(child_env, tmp_path):
     proc = run_script(child_env, "bench_ladder.py", "smoke", tmp_path, 2)
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert (report["tag"], report["passes"], report["solve_calls"]) == ("smoke", 3, 50)
+    assert (report["tag"], report["passes"], report["solve_calls"], report["march_steps"]) == (
+        "smoke", 3, 50, 50)
     assert {"nproc", "cpu", "python", "numpy", "scipy", "git", "src_sha256",
             "OPENBLAS_NUM_THREADS"} <= set(report["machine"])
     assert [(r["I"], r["K"], r["c"], r["d"], r["sigma"]) for r in report["rungs"]] == [
         (64, 32, 2, 1, 0.5), (64, 32, 3, 4, 1.5), (128, 64, 2, 1, 0.5), (128, 64, 3, 4, 1.5)]
     for r in report["rungs"]:
         assert 0.0 < r["assemble_s"] and 0.0 < r["solve_ms_p50"] <= r["solve_ms_p99"]
+        assert 0.0 < r["step_ms_p50"]
