@@ -108,8 +108,8 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
     The bracket is nonnegative under the CFL precondition; excursions below
     -1e-12 abort (CFL violation or corrupted state), smaller ones are rounding
     and clamp to 0.  Rows down to -1e-12 are accepted, and row0 enters the root
-    clamped at 0.  A dx^sigma or lambda that is 0 or not finite is refused
-    (ValueError).
+    clamped at 0.  A dx^sigma that is 0 or not finite, or a lambda that
+    overflows, is refused (ValueError).
     """
     row0, row1 = np.asarray(row0, dtype=float), np.asarray(row1, dtype=float)
     if row0.shape != row1.shape:
