@@ -12,8 +12,9 @@ in a wrapper around marcher._bracket_update).  It makes PASSES passes over the
 whole ladder and records, per rung, the median over the passes of each of the
 four: on a
 shared machine the speed drifts over seconds to minutes, and rungs timed at
-three different moments are less at its mercy than one.  The machine facts go
-with them into OUTDIR/BENCH_<tag>.json.  BLAS runs on one thread unless the
+three different moments are less at its mercy than one.  The machine facts
+(the package's line count src_lines among them) go with them into
+OUTDIR/BENCH_<tag>.json.  BLAS runs on one thread unless the
 BLAS thread variables are set.
 
 Usage: PYTHONPATH=src python3 scripts/bench_ladder.py TAG [OUTDIR] [RUNGS]
@@ -67,10 +68,13 @@ def machine_facts() -> dict:
         facts["git"] = proc.stdout.strip() if proc.returncode == 0 else "unavailable"
     except (OSError, subprocess.TimeoutExpired):
         facts["git"] = "unavailable"
-    digest = hashlib.sha256()
+    digest, lines = hashlib.sha256(), 0
     for path in sorted(pathlib.Path(fracpme.__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        source = path.read_bytes()
+        digest.update(path.name.encode() + b"\0" + source)
+        lines += source.count(b"\n")
     facts["src_sha256"] = digest.hexdigest()[:16]
+    facts["src_lines"] = lines          # as `wc -l src/fracpme/*.py` counts them
     return facts
 
 

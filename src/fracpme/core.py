@@ -114,8 +114,8 @@ def effective_order(sigma: float, c: int, d: int | None) -> float:
 
 # Offsets of each stencil family, (2, c) for the order-c second derivative and (1, d)
 # for the order-d first derivative, at node 1, the nodes between and node n-1 of 0..n:
-# centered where they fit, one-sided of the same formal order at the boundary.  Fornberg's
-# algorithm derives every weight from its window: these are all the stencil data.
+# centered where they fit, one-sided of the same formal order at the boundary.
+# extension_op.fd_weights derives every weight from its window: these are all the stencil data.
 STENCIL_WINDOWS = {
     (2, 2): ((-1, 0, 1), (-1, 0, 1), (-1, 0, 1)),
     (2, 3): ((-1, 0, 1, 2, 3), (-2, -1, 0, 1, 2), (-3, -2, -1, 0, 1)),

@@ -30,6 +30,7 @@ each factor in turn.  assemble builds this once per key.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -60,33 +61,23 @@ _CGROUP_ROOT = "/sys/fs/cgroup"         # where the cgroup trees are mounted
 def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
     """Finite-difference weights for d^deriv/ds^deriv at 0 on the given offsets.
 
-    Fornberg's recurrence; exact (up to rounding) for any distinct offsets.
+    Lagrange basis: w_j = deriv! [s^deriv] prod_{k!=j} (s - x_k) / prod_{k!=j} (x_j - x_k).
+    On integer offsets the coefficient and the product are exact integers, so
+    each weight is the exact rational rounded once; repeated offsets raise.
     """
-    x = np.asarray(offsets, dtype=float)
-    n = len(x)
-    if deriv < 0 or n <= deriv:
+    x = [float(o) for o in offsets]
+    if deriv < 0 or len(x) <= deriv:
         raise ValueError("need more stencil points than the derivative order")
-    c = np.zeros((n, deriv + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0]
-    for i in range(1, n):
-        mn = min(i, deriv)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, deriv].copy()
+    if len(set(x)) < len(x):
+        raise ValueError(f"stencil offsets must be distinct, got {tuple(offsets)}")
+    w = []
+    for j, xj in enumerate(x):
+        others = x[:j] + x[j + 1:]
+        poly = [1.0]                    # ascending coefficients of prod (s - x_k)
+        for xk in others:
+            poly = [a - xk * b for a, b in zip([0.0] + poly, poly + [0.0])]
+        w.append(math.factorial(deriv) * poly[deriv] / math.prod(xj - xk for xk in others) + 0.0)
+    return np.array(w)
 
 
 def _factor(family: tuple[int, int], n: int) -> sparse.csr_matrix:

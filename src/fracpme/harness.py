@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -211,8 +212,8 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
     measured error), or a run two halvings finer than the finest level for
     m > 1, whose nodes contain every coarse node.
     """
-    if levels < 2:
-        raise ConfigError(f"need at least 2 refinement levels, got {levels}")
+    if not isinstance(levels, numbers.Integral) or levels < 2:
+        raise ConfigError(f"need an integer of at least 2 refinement levels, got {levels!r}")
     setup = setup or StudySetup()
     params = select_scheme_params(sigma, mode)
     if m == 1.0 and setup.data.name != "gaussian":

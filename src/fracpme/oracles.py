@@ -265,6 +265,14 @@ def barenblatt_exponents(n_dim: int, m: float, sigma: float) -> BarenblattExpone
     return BarenblattExponents(alpha=n_dim * beta, beta=beta)
 
 
+def _require_positive(**vals: float) -> None:
+    """ValueError for a value that is nan, infinite or not positive: a bad input, or
+    a result that overflowed to inf or underflowed to 0."""
+    for name, v in vals.items():
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+
+
 def lateral_bound(X: float, T: float, n_dim: int, m: float, sigma: float,
                   C: float = 1.0) -> float:
     """Tail bound C * T^(beta sigma) / X^(N+sigma) on the solution at |x| = X.
@@ -272,10 +280,14 @@ def lateral_bound(X: float, T: float, n_dim: int, m: float, sigma: float,
     The profile constant is not derivable here; C is a caller input (default
     1) and only the power law is meaningful.
     """
-    if X <= 0.0 or T <= 0.0:
-        raise ValueError("X and T must be positive")
+    _require_positive(X=X, T=T, C=C)
     beta = barenblatt_exponents(n_dim, m, sigma).beta
-    return C * T ** (beta * sigma) * X ** (-(n_dim + sigma))
+    try:
+        bound = C * T ** (beta * sigma) * X ** (-(n_dim + sigma))
+    except OverflowError:               # a float power past the range raises
+        bound = math.inf
+    _require_positive(bound=bound)
+    return bound
 
 
 def min_domain_half_width(dx: float, a: float, n_dim: int, sigma: float,
@@ -283,12 +295,14 @@ def min_domain_half_width(dx: float, a: float, n_dim: int, sigma: float,
     """Half-width L / dx^(a/(N+sigma)) keeping the lateral truncation O(dx^a)."""
     if not (0.0 < dx < 1.0):
         raise ValueError(f"dx must lie in (0, 1), got {dx}")
-    if a <= 0.0 or L <= 0.0:
-        raise ValueError("a and L must be positive")
+    _require_positive(a=a, L=L)
     sigma = _check_sigma(sigma)
     if int(n_dim) != n_dim or n_dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {n_dim}")
-    return L / dx ** (a / (n_dim + sigma))
+    scale = dx ** (a / (n_dim + sigma))
+    half_width = L / scale if scale > 0.0 else math.inf
+    _require_positive(half_width=half_width)
+    return half_width
 
 
 # ---------------------------------------------------------------------------

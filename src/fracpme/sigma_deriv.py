@@ -36,12 +36,13 @@ def _require_finite(**vals):
 def discrete_sigma_derivative(v0, vy, y: float, sigma: float):
     """F(x, y) = sigma * (v(x,y) - v(x,0)) / y^sigma.
 
-    v0 and vy may be scalars or arrays (mesh row 0 and row at height y).
+    v0 and vy may be scalars or arrays (mesh row 0 and row at height y); a
+    non-finite value or height is a ValueError.
     """
     core._check_sigma(sigma)
     if not (y > 0.0):
         raise ValueError(f"evaluation height must be positive, got {y}")
-    _require_finite(v0=v0, vy=vy)
+    _require_finite(v0=v0, vy=vy, y=y)
     return sigma * (np.asarray(vy, dtype=float) - np.asarray(v0, dtype=float)) / y ** sigma
 
 

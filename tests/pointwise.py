@@ -4,7 +4,7 @@ A test helper, not a test module: the truncation-order and row-scaling tests
 in test_extension_op.py and the oracle residual test in test_oracles.py apply
 the operator L v = y^(1-sigma) Lap_c v + (1-sigma) y^(-sigma) Dy_d v to
 analytically sampled fields through it, using the library's own stencil
-windows (core.STENCIL_WINDOWS, looked up node by node) and Fornberg weights.
+windows (core.STENCIL_WINDOWS, looked up node by node) and their fd_weights.
 """
 
 import numpy as np

@@ -22,6 +22,7 @@ Independent checks used here:
 """
 
 import dataclasses
+from fractions import Fraction
 import math
 import resource
 import shutil
@@ -112,6 +113,40 @@ def test_fd_weights_differentiate_polynomials_exactly(data):
 def test_fd_weights_needs_enough_points():
     with pytest.raises(ValueError):
         fd_weights((0, 1), 2)
+    for offsets, deriv in (((0, 0, 1), 1), ((0, 1, 1, 2), 2), ((-1, 0, 1, 2, 0), 1)):
+        with pytest.raises(ValueError, match="distinct"):
+            fd_weights(offsets, deriv)
+
+
+def _exact_weights(offsets, deriv):
+    """The weights as exact rationals: the unique solution of the moment conditions
+    sum_j w_j x_j^p = deriv! [p == deriv], p < n, by Gauss-Jordan over Fractions."""
+    n = len(offsets)
+    rows = [[Fraction(x) ** p for x in offsets] + [Fraction(math.factorial(deriv) * (p == deriv))]
+            for p in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [rows[j][n] / rows[j][j] for j in range(n)]
+
+
+_WINDOWS = sorted({(window, family[0]) for family, windows in STENCIL_WINDOWS.items()
+                   for window in windows})
+
+
+@pytest.mark.parametrize("offsets,deriv", _WINDOWS,
+                         ids=[f"d{d}:{','.join(map(str, o))}" for o, d in _WINDOWS])
+def test_fd_weights_are_the_exact_rationals_rounded_once(offsets, deriv):
+    # bit for bit, signed zeros included (float.hex keeps the sign of 0)
+    got = [float(w) for w in fd_weights(offsets, deriv)]
+    assert [w.hex() for w in got] == [float(w).hex() for w in _exact_weights(offsets, deriv)]
+    if sorted(-o for o in offsets) == sorted(offsets):
+        # a window symmetric about 0: weights even (deriv 2) or odd (deriv 1) in the offset
+        assert [w.hex() for w in got] == [((-1) ** deriv * w + 0.0).hex() for w in got[::-1]]
 
 
 # ---------------------------------------------------------------------------

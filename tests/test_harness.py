@@ -344,6 +344,9 @@ def test_convergence_zero_data_is_degenerate():
 def test_convergence_guards():
     with pytest.raises(ConfigError):
         run_convergence(1.0, 1.0, PRACTICAL, levels=1)
+    for levels in (2.5, 2.0, "3", None):
+        with pytest.raises(ConfigError, match="integer"):
+            run_convergence(1.0, 1.0, OPTIMAL, levels)
     setup = StudySetup(X=2.0, Y=2.0, T=0.25, base_i=8,
                        data=initial_data_preset("bump"))
     with pytest.raises(ConfigError, match="gaussian"):

@@ -355,6 +355,15 @@ def test_lateral_bound_power_laws():
         3.0 * base, rel=1e-15)
     with pytest.raises(ValueError):
         lateral_bound(0.0, 1.0, 1, 1.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        for args, kwargs in (((bad, 1.0), {}), ((1.0, bad), {}), ((1.0, 1.0), {"C": bad})):
+            with pytest.raises(ValueError, match="finite and positive"):
+                lateral_bound(*args, 1, 1.0, 1.0, **kwargs)
+    # X^-(N+sigma) overflows (a float power raises) or underflows to 0
+    with pytest.raises(ValueError, match="bound must be finite and positive, got inf"):
+        lateral_bound(1e-300, 1.0, 1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="bound must be finite and positive, got 0.0"):
+        lateral_bound(1e300, 1.0, 1, 1.0, 1.0)
 
 
 def test_min_domain_half_width_values_and_divergence():
@@ -366,13 +375,23 @@ def test_min_domain_half_width_values_and_divergence():
 
 
 def test_min_domain_half_width_guards():
-    for bad in (0.0, 1.0, 1.5, -0.1):
+    for bad in (0.0, 1.0, 1.5, -0.1, math.nan):
         with pytest.raises(ValueError):
             min_domain_half_width(bad, 2.0, 1, 1.0)
     with pytest.raises(ValueError):
         min_domain_half_width(0.5, 0.0, 1, 1.0)
     with pytest.raises(ValueError):
         min_domain_half_width(0.5, 2.0, 1, 1.0, L=0.0)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            min_domain_half_width(0.1, bad, 1, 0.5)
+        with pytest.raises(ValueError, match="finite and positive"):
+            min_domain_half_width(0.1, 1.0, 1, 0.5, L=bad)
+    # dx^(a/(N+sigma)) underflows to 0; L / dx^(a/(N+sigma)) overflows
+    with pytest.raises(ValueError, match="half_width must be finite and positive, got inf"):
+        min_domain_half_width(0.1, 2000.0, 1, 0.5)
+    with pytest.raises(ValueError, match="half_width must be finite and positive, got inf"):
+        min_domain_half_width(1e-10, 20.0, 1, 0.1, L=1e300)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,9 @@ def test_bench_ladder_script(child_env, tmp_path):
     assert (report["tag"], report["passes"], report["solve_calls"], report["march_steps"]) == (
         "smoke", 3, 50, 50)
     assert {"nproc", "cpu", "python", "numpy", "scipy", "git", "src_sha256",
-            "OPENBLAS_NUM_THREADS"} <= set(report["machine"])
+            "OPENBLAS_NUM_THREADS", "src_lines"} <= set(report["machine"])
+    assert report["machine"]["src_lines"] == sum(
+        p.read_bytes().count(b"\n") for p in (ROOT / "src" / "fracpme").glob("*.py"))
     assert [(r["I"], r["K"], r["c"], r["d"], r["sigma"]) for r in report["rungs"]] == [
         (64, 32, 2, 1, 0.5), (64, 32, 3, 4, 1.5), (128, 64, 2, 1, 0.5), (128, 64, 3, 4, 1.5)]
     for r in report["rungs"]:

@@ -70,6 +70,13 @@ def test_quotient_rejects_bad_inputs():
         discrete_sigma_derivative(np.nan, 1.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         discrete_sigma_derivative(0.0, 1.0, 0.5, 2.5)
+    for y in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            discrete_sigma_derivative(1.0, 2.0, y, 0.5)
+        with pytest.raises(ValueError):
+            normalized_sigma_derivative(1.0, 2.0, y, 0.5)
+    with pytest.raises(ValueError, match="non-finite input 'y'"):
+        discrete_sigma_derivative(1.0, 2.0, math.inf, 0.5)
 
 
 # ---------------------------------------------------------------------------
