@@ -58,10 +58,11 @@ def _cmd_solve(args) -> int:
     prefix = args.out_prefix
     _check_writable(args.dump_matrix, f"{prefix}_trace.csv",
                     f"{prefix}_snapshots.csv" if capture else None)
-    op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-    if args.dump_matrix:
-        extension_op.dump_matrix(op, args.dump_matrix)
+    op = (extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
+          if args.dump_matrix else None)        # dumped after the march, which steps with it
     traj = marcher.march(config, data, capture=capture, op=op)
+    if op is not None:
+        extension_op.dump_matrix(op, args.dump_matrix)
     marcher.write_trace_csv(traj, f"{prefix}_trace.csv")
     if traj.snapshots:
         marcher.write_snapshot_csv(traj, f"{prefix}_snapshots.csv")

@@ -186,9 +186,7 @@ class Grid:
                               "its node coordinates cannot be allocated") from None
         xs.setflags(write=False)
         ys.setflags(write=False)
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        self.__dict__.update(dx=dx, xs=xs, ys=ys)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,10 +29,8 @@ def _data_samples(f, grid) -> np.ndarray:
     """Initial datum as a sample vector on grid.xs; rejects negative data."""
     if isinstance(f, InitialData):
         samples = f.sample(grid.xs)
-    elif callable(f):
-        samples = np.asarray(f(grid.xs), dtype=float)
     else:
-        samples = np.asarray(f, dtype=float)
+        samples = np.asarray(f(grid.xs) if callable(f) else f, dtype=float)
         if samples.shape != grid.xs.shape:
             raise ConfigError(
                 f"initial data must have {grid.xs.size} samples, got {samples.shape}")
@@ -55,16 +53,20 @@ def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
     return row
 
 
-def initialize(config: SolverConfig, f, op: extension_op.ExtensionOperator | None = None) -> Field:
-    """Starting field: trace row f^m, homogeneous lateral data, interior solved.
-
-    op, if given, must be the operator assembled for config's grid, sigma, c and d.
-    """
-    if op is None:
-        op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-    elif (op.grid, op.sigma, op.c, op.d) != (config.grid(), config.sigma, config.c, config.d):
+def _initial_row(config: SolverConfig, f, op: extension_op.ExtensionOperator | None) -> np.ndarray:
+    """initial_trace_w's interior nodes; ValueError unless op is None or config's operator."""
+    if op is not None and (op.grid, op.sigma, op.c, op.d) != (
+            config.grid(), config.sigma, config.c, config.d):
         raise ValueError("op was assembled for another grid, sigma or stencil pair than config")
-    return Field(values=extension_op._solve(op, initial_trace_w(config, f)[1:-1]).T, time_index=0)
+    return initial_trace_w(config, f)[1:-1]
+
+
+def initialize(config: SolverConfig, f, op: extension_op.ExtensionOperator | None = None) -> Field:
+    """Starting field: trace row f^m, homogeneous lateral data, interior solved;
+    op, if given, must be the operator assembled for config's grid, sigma, c and d."""
+    row = _initial_row(config, f, op)
+    op = op or extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
+    return Field(values=extension_op._solve(op, row).T, time_index=0)
 
 
 def _bracket_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
@@ -194,14 +196,11 @@ def march(config: SolverConfig, f, capture=None,
     """Run all J steps, enforcing the CFL bound and the maximum-principle band.
 
     capture: None (trace history only), "all", an integer stride, or an
-    iterable of times (rounded to the nearest step).  op: the operator for
-    config's grid, sigma, c and d, assembled here if None (a mismatch raises
-    ValueError).
+    iterable of times (rounded to the nearest step).  op: config's operator
+    (else ValueError), assembled here if None once every other check passed.
     """
-    if op is None:
-        op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-    state = initialize(config, f, op)
-    b_max = float(state.values[1:-1, 0].max())
+    row = _initial_row(config, f, op)
+    b_max = float(row.max())
 
     dt = config.dt
     try:
@@ -220,28 +219,29 @@ def march(config: SolverConfig, f, capture=None,
     need = 8 * (config.J + 1) * (config.I + 2)
     have, limit = (extension_op._memory_budget() if need > 2**20
                    else (extension_op._physical_memory(), "physical memory"))
-    try:
-        if need > have:
-            raise MemoryError
+    too_long = (f"J = {config.J} too large at I = {config.I}: the (J+1) x (I+1) trace history "
+                f"and its times need {need} bytes (budget: {have} bytes of {limit})")
+    if need > have:
+        raise ConfigError(too_long)
+    wanted = _capture_steps(capture, config.J, dt)
+    op = op or extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
+    try:                        # after the build: its peak never sits on the history's
         w_hist = np.empty((config.J + 1, config.I + 1))
         times = np.arange(config.J + 1) * dt
     except MemoryError:
-        raise ConfigError(f"J = {config.J} too large at I = {config.I}: the (J+1) x (I+1) trace "
-                          f"history and its times need {need} bytes (budget: {have} bytes "
-                          f"of {limit})") from None
-    wanted = _capture_steps(capture, config.J, dt)
+        raise ConfigError(too_long) from None
     snapshots: list[tuple[float, Field]] = []
     diags: list[StepDiagnostics] = []
 
     # an uncaptured step's node array is handed back to the next solve to fill; a
-    # read-only one (initialize's Field's, or a snapshot's) is never written again
-    P, spare, width = state.values.T, None, config.I + 1
+    # captured one is made read-only, its snapshot's, and never written again
+    spare, width = None, config.I + 1
     for j in range(config.J + 1):
         if j > 0:
             if w_min < -1e-12 and P[:2, 1:-1].min() < -1e-12:
                 raise ValueError("trace rows must be nonnegative")
-            P = extension_op._solve(
-                op, _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, config.m, j), spare)
+            row = _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, config.m, j)
+        P = extension_op._solve(op, row, spare)
         w_min = float(P.min())
         k, i = divmod(int(np.argmax(P)), width)     # discrete_max_location's (i, k)
         w_max = float(P[k, i])
@@ -255,7 +255,7 @@ def march(config: SolverConfig, f, capture=None,
         diags.append(StepDiagnostics(j, float(times[j]), w_min, w_max, (i, k)))
         if j in wanted:
             P.setflags(write=False)
-            snapshots.append((float(times[j]), Field._wrap(P.T, j) if j else state))
+            snapshots.append((float(times[j]), Field._wrap(P.T, j)))
         spare = P if P.flags.writeable else None
 
     trace_hist = np.maximum(w_hist, 0.0, out=w_hist)    # u = w^(1/m) over w's rows, in place

@@ -37,10 +37,11 @@ def write_config(tmp_path, text=GOOD_CONFIG, name="run.cfg"):
     return str(path)
 
 
-def write_mesh_config(tmp_path, name, X, Y, I, K):
+def write_mesh_config(tmp_path, name, X, Y, I, K, J=4):
     """GOOD_CONFIG on another mesh."""
     text = (GOOD_CONFIG.replace("X = 2.0", f"X = {X!r}").replace("Y = 1.0", f"Y = {Y!r}")
-            .replace("I = 8", f"I = {I}").replace("K = 2", f"K = {K}"))
+            .replace("I = 8", f"I = {I}").replace("K = 2", f"K = {K}")
+            .replace("J = 4", f"J = {J}"))
     return write_config(tmp_path, text, name=f"{name}.cfg")
 
 
@@ -130,6 +131,16 @@ def test_solve_assembles_the_operator_once(tmp_path, monkeypatch):
     extension_op.dump_matrix(
         real_assemble(config.grid(), config.sigma, config.c, config.d), ref)
     assert dump.read_bytes() == ref.read_bytes()
+
+
+def test_refused_solve_writes_no_file(tmp_path, capsys):
+    # a CFL-refused run exits 2 and leaves only its config: the operator dump,
+    # like the CSVs, is written after the march
+    cfg = write_config(tmp_path, GOOD_CONFIG.replace("T = 0.1", "T = 5.0"))
+    assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
+                 "--snapshots", "0.0", "--dump-matrix", str(tmp_path / "op.txt")]) == 2
+    assert "increase J to at least" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_solve_without_snapshots_writes_trace_only(tmp_path, capsys):
@@ -268,14 +279,15 @@ def test_unallocatable_mesh_that_is_not_square_is_refused_as_not_square(tmp_path
 
 def test_mesh_beyond_physical_memory_exits_2_before_its_x_block(tmp_path, monkeypatch, capsys):
     # on an 8 GiB machine: the dense x-block alone would be 8 GiB, and the
-    # operator's bound is about 96 GiB
+    # operator's bound is about 96 GiB.  J = 10 keeps dt within the CFL bound,
+    # which is checked before the operator is assembled
     def never(*_args):
         raise AssertionError("x-mode setup started")
 
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: 2**33)
     monkeypatch.setattr(extension_op, "_x_modes", never)
     assert main(["solve", "--config", write_mesh_config(
-        tmp_path, "over_memory", 8.0, 8.0, 32768, 16384)]) == 2
+        tmp_path, "over_memory", 8.0, 8.0, 32768, 16384, J=10)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "I=32768, K=16384" in err
     assert "bytes of physical memory" in err

@@ -232,6 +232,15 @@ def test_initialize_accepts_plain_arrays():
         initialize(cfg, np.zeros(5))
 
 
+@pytest.mark.parametrize("f", [lambda xs: 1.0, lambda xs: np.ones(3), lambda xs: np.ones((9, 1))],
+                         ids=["scalar", "three-samples", "column"])
+def test_march_refuses_a_callable_of_the_wrong_shape(f):
+    # a callable's samples are checked like an array's: a scalar raised IndexError,
+    # 3 samples were broadcast over the 9 trace nodes, a column raised numpy's error
+    with pytest.raises(ConfigError, match=r"initial data must have 9 samples, got \("):
+        march(make_config(), f)
+
+
 # ---------------------------------------------------------------------------
 # single step
 
@@ -385,6 +394,50 @@ def test_march_enforces_cfl():
     assert 5.0 / suggested <= cfg.cfl_safety * bound * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("refusal,error,message", [
+    ("operator", ValueError, "another grid"),
+    ("negative data", ConfigError, "nonnegative initial data required"),
+    ("dx power", ConfigError, r"dx\^sigma = 1e-300\^1.9 is not a positive finite"),
+    ("lambda", ConfigError, r"lambda = nu_sigma dt / dx\^sigma overflows"),
+    ("cfl", CflViolationError, "increase J to at least"),
+    ("history", ConfigError, r"J = 20000 too large at I = 8: .* of the cgroup's memory.max\)"),
+    ("capture", ConfigError, "capture must be None, 'all', a stride or snapshot times"),
+])
+def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, message):
+    # every refusal of the config, the data, capture or op comes before the
+    # operator is built and before step 0 is solved
+    cfg, f, capture, op = make_config(), GAUSS, None, None
+    if refusal == "operator":
+        op = assemble(make_config(X=4.0, Y=2.0, I=16, K=4).grid(), cfg.sigma, cfg.c, cfg.d)
+    elif refusal == "negative data":
+        f = -np.ones(cfg.I + 1)
+    elif refusal == "dx power":
+        cfg = SolverConfig(sigma=1.9, m=2.0, X=1e-300, Y=2e-300, T=0.1, I=2, K=2, J=10)
+    elif refusal == "lambda":                  # nu dt / dx^sigma = nu 1e300 / 1e-19
+        cfg = SolverConfig(sigma=1.9, m=2.0, X=1e-10, Y=2e-10, T=1e300, I=2, K=2, J=1)
+    elif refusal == "cfl":
+        cfg = make_config(J=1, T=5.0)
+    elif refusal == "history":
+        cfg = make_config(J=20000)
+        need = 8 * (cfg.J + 1) * (cfg.I + 2)
+        for name, budget in (("_physical_memory", 2 * need), ("_address_space_limit", 2 * need),
+                             ("_cgroup_memory_limit", need - 1)):
+            monkeypatch.setattr(extension_op, name, lambda budget=budget: budget)
+    else:
+        capture = "some"
+    calls = []
+    real_build, real_solve = extension_op._build, extension_op._solve
+    monkeypatch.setattr(extension_op, "_cache", type(extension_op._cache)())    # no cached build
+    monkeypatch.setattr(extension_op, "_build",
+                        lambda *args: calls.append("build") or real_build(*args))
+    monkeypatch.setattr(extension_op, "_solve",
+                        lambda *args: calls.append("solve") or real_solve(*args))
+    with pytest.raises(error, match=message) as ei:
+        march(cfg, f, capture=capture, op=op)
+    assert type(ei.value) is error
+    assert calls == []
+
+
 def test_march_zero_data():
     cfg = make_config(m=2.0, J=2)
     traj = march(cfg, initial_data_preset("zero"))
@@ -488,6 +541,29 @@ def test_march_snapshots_own_their_arrays_while_other_steps_share_one(
         assert not any(np.shares_memory(vals, other) for other in values[n + 1:])
 
 
+def test_march_solves_step_0_like_every_step(monkeypatch):
+    # step 0 is the solve of the data's trace row.  Captured, its snapshot holds
+    # that solve's node array itself, read-only, with initialize's bytes and
+    # strides, and step 1 gets a new array; uncaptured, step 1 refills it
+    cfg = make_config(m=2.0, J=3, T=0.3)
+    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
+    want = initialize(cfg, GAUSS, op).values
+    real, calls = extension_op._solve, []
+
+    def recording(op, trace, P=None):
+        calls.append((P, real(op, trace, P)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(extension_op, "_solve", recording)
+    fld = march(cfg, GAUSS, capture=(0.0,), op=op).snapshots[0][1]
+    assert fld.time_index == 0 and _bits(fld.values) == _bits(want)
+    assert fld.values.base is calls[0][1] and not calls[0][1].flags.writeable
+    assert calls[0][0] is None and calls[1][0] is None
+    calls.clear()
+    march(cfg, GAUSS, op=op)
+    assert calls[0][0] is None and all(P is calls[0][1] for P, _ in calls[1:])
+
+
 # ---------------------------------------------------------------------------
 # the march's checks at a failing step
 
@@ -508,7 +584,7 @@ def test_march_reports_the_step_of_a_negative_bracket(monkeypatch):
 
 def _fake_solve(monkeypatch, fake):
     """Replace extension_op._solve by fake(n, real_solve, op, trace), n numbering
-    the calls from initialize's, 1; returns the list of call numbers.  real_solve
+    the calls from step 0's, 1; returns the list of call numbers.  real_solve
     is the real _solve with the node array march passes it, if any, bound.  No
     real input to march reaches these failures, so a fake stands in for the solve."""
     real, calls = extension_op._solve, []
