@@ -8,12 +8,14 @@ and p99 of SOLVES direct calls of `solve_interior` on the gaussian datum's
 trace (after one untimed call), and the p50 of STEPS march steps: one march
 of STEPS + 1 steps at m = 2 and half the CFL bound from the gaussian datum,
 each step timed from its trace update to the next step's (the clock is read
-in a wrapper around marcher._bracket_update).  It makes PASSES passes over the
+in a wrapper around marcher._bracket_update); the march finds the rung's
+freshly built operator in the cache.  It makes PASSES passes over the
 whole ladder and records, per rung, the median over the passes of each of the
 four: on a
 shared machine the speed drifts over seconds to minutes, and rungs timed at
 three different moments are less at its mercy than one.  The machine facts
-(the package's line count src_lines among them) go with them into
+(the package's line count src_lines among them, split into the scheme's
+scheme_lines and the verification half's oracle_lines) go with them into
 OUTDIR/BENCH_<tag>.json.  BLAS runs on one thread unless the
 BLAS thread variables are set.
 
@@ -50,6 +52,8 @@ PASSES = 3
 SOLVES = 50
 STEPS = 50
 M = 2.0
+HALVES = {"scheme_lines": ("__init__", "cli", "core", "errors", "extension_op", "marcher"),
+          "oracle_lines": ("harness", "oracles", "sigma_deriv")}
 
 
 def machine_facts() -> dict:
@@ -68,13 +72,15 @@ def machine_facts() -> dict:
         facts["git"] = proc.stdout.strip() if proc.returncode == 0 else "unavailable"
     except (OSError, subprocess.TimeoutExpired):
         facts["git"] = "unavailable"
-    digest, lines = hashlib.sha256(), 0
+    digest, lines = hashlib.sha256(), {}
     for path in sorted(pathlib.Path(fracpme.__file__).parent.glob("*.py")):
         source = path.read_bytes()
         digest.update(path.name.encode() + b"\0" + source)
-        lines += source.count(b"\n")
+        lines[path.stem] = source.count(b"\n")
     facts["src_sha256"] = digest.hexdigest()[:16]
-    facts["src_lines"] = lines          # as `wc -l src/fracpme/*.py` counts them
+    facts["src_lines"] = sum(lines.values())        # as `wc -l src/fracpme/*.py` counts them
+    for half, modules in HALVES.items():
+        facts[half] = sum(lines.get(name, 0) for name in modules)
     return facts
 
 
@@ -97,8 +103,8 @@ def rung(I: int, c: int, d: int, sigma: float) -> dict:
 
 
 def step_ms_p50(op, trace) -> float:
-    """p50 in ms of STEPS consecutive steps of one march on op from the datum
-    whose interior trace is trace (b_max = max trace^M)."""
+    """p50 in ms of STEPS consecutive steps of one march on op's config from the
+    datum whose interior trace is trace (b_max = max trace^M)."""
     grid = op.grid
     J = STEPS + 1
     T = J * 0.5 * cfl_max_dt(M, float(trace.max()) ** M, op.sigma, grid.dx)
@@ -112,7 +118,7 @@ def step_ms_p50(op, trace) -> float:
 
     marcher._bracket_update = ticking
     try:
-        marcher.march(config, np.r_[0.0, trace, 0.0], op=op)
+        marcher.march(config, np.r_[0.0, trace, 0.0])
     finally:
         marcher._bracket_update = update
     return float(np.percentile(np.diff(ticks), 50)) * 1e3

@@ -58,11 +58,10 @@ def _cmd_solve(args) -> int:
     prefix = args.out_prefix
     _check_writable(args.dump_matrix, f"{prefix}_trace.csv",
                     f"{prefix}_snapshots.csv" if capture else None)
-    op = (extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-          if args.dump_matrix else None)        # dumped after the march, which steps with it
-    traj = marcher.march(config, data, capture=capture, op=op)
-    if op is not None:
-        extension_op.dump_matrix(op, args.dump_matrix)
+    traj = marcher.march(config, data, capture=capture)
+    if args.dump_matrix:                # the march's operator, from the cache
+        extension_op.dump_matrix(extension_op.assemble(
+            config.grid(), config.sigma, config.c, config.d), args.dump_matrix)
     marcher.write_trace_csv(traj, f"{prefix}_trace.csv")
     if traj.snapshots:
         marcher.write_snapshot_csv(traj, f"{prefix}_snapshots.csv")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,19 +52,10 @@ def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
     return row
 
 
-def _initial_row(config: SolverConfig, f, op: extension_op.ExtensionOperator | None) -> np.ndarray:
-    """initial_trace_w's interior nodes; ValueError unless op is None or config's operator."""
-    if op is not None and (op.grid, op.sigma, op.c, op.d) != (
-            config.grid(), config.sigma, config.c, config.d):
-        raise ValueError("op was assembled for another grid, sigma or stencil pair than config")
-    return initial_trace_w(config, f)[1:-1]
-
-
-def initialize(config: SolverConfig, f, op: extension_op.ExtensionOperator | None = None) -> Field:
-    """Starting field: trace row f^m, homogeneous lateral data, interior solved;
-    op, if given, must be the operator assembled for config's grid, sigma, c and d."""
-    row = _initial_row(config, f, op)
-    op = op or extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
+def initialize(config: SolverConfig, f) -> Field:
+    """Starting field: trace row f^m, homogeneous lateral data, interior solved."""
+    row = initial_trace_w(config, f)[1:-1]
+    op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     return Field(values=extension_op._solve(op, row).T, time_index=0)
 
 
@@ -160,46 +150,36 @@ class Trajectory:
 
 
 def _capture_steps(capture, J: int, dt: float) -> set[int]:
+    """Steps of the times in capture (None: no step), each rounded to the nearest;
+    ConfigError for any other capture, a time not a number, or a step not in 0 ... J."""
     if capture is None:
         return set()
-    if isinstance(capture, str) and capture == "all":
-        return set(range(J + 1))
-    if isinstance(capture, (str, bool, np.bool_)):
-        raise ConfigError(f"capture must be None, 'all', a stride or snapshot times, got {capture!r}")
     try:
-        stride = operator.index(capture)
-    except TypeError:
-        pass
-    else:
-        if stride <= 0:
-            raise ConfigError(f"capture stride must be positive, got {stride}")
-        return set(range(0, J + 1, stride)) | {J}
-    try:
+        if isinstance(capture, (str, bytes)):
+            raise TypeError
         times = list(capture)
     except TypeError:
-        raise ConfigError(f"capture must be None, 'all', a stride or snapshot times, "
-                          f"got {capture!r}") from None
+        raise ConfigError(f"capture must be None or snapshot times, got {capture!r}") from None
     steps = set()
     for t in times:
         if not isinstance(t, numbers.Real) or isinstance(t, bool):
             raise ConfigError(f"snapshot time must be a number, got {t!r}")
         t = float(t)
-        j = int(round(t / dt)) if np.isfinite(t) else -1
+        j = int(round(t / dt)) if np.isfinite(t / dt) else -1     # t / dt overflows far past T
         if not (0 <= j <= J):
             raise ConfigError(f"snapshot time {t} outside [0, T]")
         steps.add(j)
     return steps
 
 
-def march(config: SolverConfig, f, capture=None,
-          op: extension_op.ExtensionOperator | None = None) -> Trajectory:
-    """Run all J steps, enforcing the CFL bound and the maximum-principle band.
+def march(config: SolverConfig, f, capture=None) -> Trajectory:
+    """Run all J steps on config's operator, enforcing the CFL bound and the band.
 
-    capture: None (trace history only), "all", an integer stride, or an
-    iterable of times (rounded to the nearest step).  op: config's operator
-    (else ValueError), assembled here if None once every other check passed.
+    capture: None (trace history only) or an iterable of times, each rounded to
+    the nearest step.  The data, lambda, the CFL bound, the history budget and
+    capture are checked, in that order, before the operator is assembled.
     """
-    row = _initial_row(config, f, op)
+    row = initial_trace_w(config, f)[1:-1]
     b_max = float(row.max())
 
     dt = config.dt
@@ -224,7 +204,7 @@ def march(config: SolverConfig, f, capture=None,
     if need > have:
         raise ConfigError(too_long)
     wanted = _capture_steps(capture, config.J, dt)
-    op = op or extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
+    op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     try:                        # after the build: its peak never sits on the history's
         w_hist = np.empty((config.J + 1, config.I + 1))
         times = np.arange(config.J + 1) * dt

@@ -163,7 +163,7 @@ def test_acceptance_5_uniqueness_and_determinism(tmp_path):
     paths = []
     for run in range(2):
         extension_op._cache.clear()         # two independent builds, not one shared operator
-        traj = marcher.march(cfg, data, capture="all")
+        traj = marcher.march(cfg, data, capture=np.arange(cfg.J + 1) * cfg.dt)
         path = tmp_path / f"run{run}.csv"
         marcher.write_trace_csv(traj, path)
         paths.append(path)

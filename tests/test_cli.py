@@ -45,6 +45,14 @@ def write_mesh_config(tmp_path, name, X, Y, I, K, J=4):
     return write_config(tmp_path, text, name=f"{name}.cfg")
 
 
+def count_builds(monkeypatch):
+    """Empty the operator cache and record each extension_op._build from here on."""
+    calls, real = [], extension_op._build
+    monkeypatch.setattr(extension_op, "_cache", type(extension_op._cache)())
+    monkeypatch.setattr(extension_op, "_build", lambda *key: calls.append(key) or real(*key))
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # argparse level
 
@@ -113,34 +121,43 @@ def test_solve_writes_outputs(tmp_path, capsys):
 
 
 def test_solve_assembles_the_operator_once(tmp_path, monkeypatch):
-    # --dump-matrix writes the operator that march then steps with
-    calls = []
-    real_assemble = extension_op.assemble
-
-    def counting_assemble(*args, **kwargs):
-        calls.append(args)
-        return real_assemble(*args, **kwargs)
-
-    monkeypatch.setattr(extension_op, "assemble", counting_assemble)
+    # --dump-matrix writes the operator that march stepped with, from the cache
+    builds = count_builds(monkeypatch)
     cfg, dump = write_config(tmp_path), tmp_path / "op.txt"
     assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
                  "--dump-matrix", str(dump)]) == 0
-    assert len(calls) == 1
     config, _ = core.load_config(cfg)
+    assert builds == [(config.I, config.K, config.sigma, config.c, config.d)]
+    extension_op._cache.clear()
     ref = tmp_path / "ref.txt"
     extension_op.dump_matrix(
-        real_assemble(config.grid(), config.sigma, config.c, config.d), ref)
+        extension_op.assemble(config.grid(), config.sigma, config.c, config.d), ref)
     assert dump.read_bytes() == ref.read_bytes()
 
 
-def test_refused_solve_writes_no_file(tmp_path, capsys):
-    # a CFL-refused run exits 2 and leaves only its config: the operator dump,
-    # like the CSVs, is written after the march
+def test_refused_solve_writes_no_file(tmp_path, monkeypatch, capsys):
+    # a CFL-refused run exits 2, builds no operator and leaves only its config:
+    # the operator dump, like the CSVs, is written after the march
+    builds = count_builds(monkeypatch)
     cfg = write_config(tmp_path, GOOD_CONFIG.replace("T = 0.1", "T = 5.0"))
     assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
                  "--snapshots", "0.0", "--dump-matrix", str(tmp_path / "op.txt")]) == 2
     assert "increase J to at least" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    assert builds == []
+
+
+def test_snapshot_time_whose_step_overflows_exits_2(tmp_path, monkeypatch, capsys):
+    # 1e300 / dt = 1e300 / 1e-300 overflows; it is refused like any time past T
+    builds = count_builds(monkeypatch)
+    text = (GOOD_CONFIG.replace("T = 0.1", "T = 1e-300").replace("J = 4", "J = 1")
+            .replace("bump", "zero"))
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
+                 "--snapshots", "1e300", "--dump-matrix", str(tmp_path / "op.txt")]) == 2
+    assert "snapshot time 1e+300 outside [0, T]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    assert builds == []
 
 
 def test_solve_without_snapshots_writes_trace_only(tmp_path, capsys):

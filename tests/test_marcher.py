@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,11 @@ def make_config(**over):
 
 
 GAUSS = initial_data_preset("gaussian")
+
+
+def every_step(cfg):
+    """Snapshot times of all J + 1 time levels of cfg."""
+    return np.arange(cfg.J + 1) * cfg.dt
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +275,7 @@ def test_initialize_and_step_store_fields_height_major():
     # row k of the field (the trace, row 1) is contiguous, and argmax scans in place
     cfg = make_config(m=2.0)
     op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
-    state = initialize(cfg, GAUSS, op)
+    state = initialize(cfg, GAUSS)
     assert state.values.T.flags.c_contiguous
     assert step(state, op, cfg).values.T.flags.c_contiguous
 
@@ -306,7 +312,7 @@ def test_march_initial_level_is_the_data():
 
 def test_march_artificial_boundary_stays_exactly_zero():
     cfg = make_config(m=2.0, sigma=1.0, J=4)
-    traj = march(cfg, GAUSS, capture="all")
+    traj = march(cfg, GAUSS, capture=every_step(cfg))
     assert len(traj.snapshots) == 5
     for _, fld in traj.snapshots:
         assert np.all(fld.values[0, :] == 0.0)
@@ -322,25 +328,10 @@ def test_march_is_deterministic():
     assert np.array_equal(a.trace_history, b.trace_history)
 
 
-def test_march_on_a_prebuilt_operator():
-    # the operator passed in is the one march would assemble; one built for
-    # another sigma, stencil pair or grid is refused, not stepped with
-    cfg = make_config(m=3.0, sigma=1.5, J=4, d=3, K=3, Y=1.5)
-    a = march(cfg, GAUSS, capture="all")
-    b = march(cfg, GAUSS, capture="all", op=assemble(cfg.grid(), 1.5, c=2, d=3))
-    assert np.array_equal(a.trace_history, b.trace_history)
-    assert all(np.array_equal(fa.values, fb.values)
-               for (_, fa), (_, fb) in zip(a.snapshots, b.snapshots))
-    for other in (assemble(cfg.grid(), 0.5, c=2, d=3), assemble(cfg.grid(), 1.5, c=2, d=2),
-                  assemble(make_config(X=4.0, Y=3.0, K=3).grid(), 1.5, c=2, d=3)):
-        with pytest.raises(ValueError, match="another grid"):
-            march(cfg, GAUSS, op=other)
-
-
 def test_records_holding_arrays_compare_by_identity():
     # a field-wise == would compare arrays and raise on their truth value
     cfg = make_config()
-    a, b = march(cfg, GAUSS, capture="all"), march(cfg, GAUSS, capture="all")
+    a, b = (march(cfg, GAUSS, capture=every_step(cfg)) for _ in range(2))
     ops = [assemble(cfg.grid(), 0.5), assemble(cfg.grid(), 0.5)]
     for left, right in ((a, b), (a.snapshots[0][1], b.snapshots[0][1]), ops):
         assert left == left and left != right
@@ -348,8 +339,9 @@ def test_records_holding_arrays_compare_by_identity():
 
 def test_float_counts_march_bitwise_like_ints():
     # 64.0 is a valid count; the solver used to fail on it inside assemble and march
-    ints = march(make_config(I=16, K=4, J=6), GAUSS, capture="all")
-    floats = march(make_config(I=16.0, K=4.0, J=6.0), GAUSS, capture="all")
+    cfg = make_config(I=16, K=4, J=6)
+    ints = march(cfg, GAUSS, capture=every_step(cfg))
+    floats = march(make_config(I=16.0, K=4.0, J=6.0), GAUSS, capture=every_step(cfg))
     assert np.array_equal(floats.trace_history, ints.trace_history)
     assert np.array_equal(floats.times, ints.times)
     assert all(np.array_equal(a.values, b.values)
@@ -359,8 +351,8 @@ def test_float_counts_march_bitwise_like_ints():
 
 
 def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(monkeypatch):
-    # the budget is faked through the cgroup reader once the operator exists; the
-    # 1.6 MB history is never allocated, and no step is taken
+    # the budget is faked through the cgroup reader; the 1.6 MB history is never
+    # allocated, and no step is taken
     class FirstStep(Exception):
         pass
 
@@ -368,7 +360,6 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
         raise FirstStep
 
     cfg = make_config(J=20000)
-    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
     need = 8 * (cfg.J + 1) * (cfg.I + 2)
     assert need > 2**20                     # smaller histories fit any budget unread
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: 2 * need)
@@ -377,10 +368,10 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
     monkeypatch.setattr(marcher, "_bracket_update", first_step)
     with pytest.raises(ConfigError, match=rf"J = 20000 too large at I = 8: .* need {need} bytes "
                                           rf"\(budget: {need - 1} bytes of the cgroup's memory.max\)"):
-        march(cfg, GAUSS, op=op)
+        march(cfg, GAUSS)
     monkeypatch.setattr(extension_op, "_cgroup_memory_limit", lambda: need)
     with pytest.raises(FirstStep):          # a budget of exactly the history passes
-        march(cfg, GAUSS, op=op)
+        march(cfg, GAUSS)
 
 
 def test_march_enforces_cfl():
@@ -395,21 +386,18 @@ def test_march_enforces_cfl():
 
 
 @pytest.mark.parametrize("refusal,error,message", [
-    ("operator", ValueError, "another grid"),
     ("negative data", ConfigError, "nonnegative initial data required"),
     ("dx power", ConfigError, r"dx\^sigma = 1e-300\^1.9 is not a positive finite"),
     ("lambda", ConfigError, r"lambda = nu_sigma dt / dx\^sigma overflows"),
     ("cfl", CflViolationError, "increase J to at least"),
     ("history", ConfigError, r"J = 20000 too large at I = 8: .* of the cgroup's memory.max\)"),
-    ("capture", ConfigError, "capture must be None, 'all', a stride or snapshot times"),
+    ("capture", ConfigError, "capture must be None or snapshot times, got 'some'"),
 ])
 def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, message):
-    # every refusal of the config, the data, capture or op comes before the
-    # operator is built and before step 0 is solved
-    cfg, f, capture, op = make_config(), GAUSS, None, None
-    if refusal == "operator":
-        op = assemble(make_config(X=4.0, Y=2.0, I=16, K=4).grid(), cfg.sigma, cfg.c, cfg.d)
-    elif refusal == "negative data":
+    # every refusal of the config, the data or capture comes before the operator
+    # is built and before step 0 is solved
+    cfg, f, capture = make_config(), GAUSS, None
+    if refusal == "negative data":
         f = -np.ones(cfg.I + 1)
     elif refusal == "dx power":
         cfg = SolverConfig(sigma=1.9, m=2.0, X=1e-300, Y=2e-300, T=0.1, I=2, K=2, J=10)
@@ -433,7 +421,7 @@ def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, m
     monkeypatch.setattr(extension_op, "_solve",
                         lambda *args: calls.append("solve") or real_solve(*args))
     with pytest.raises(error, match=message) as ei:
-        march(cfg, f, capture=capture, op=op)
+        march(cfg, f, capture=capture)
     assert type(ei.value) is error
     assert calls == []
 
@@ -461,9 +449,10 @@ def test_march_max_decays_in_time():
     assert np.all(np.diff(maxes) <= 1e-12)
 
 
-def _step_by_step(cfg, f, op):
+def _step_by_step(cfg, f):
     """The march's outputs rebuilt from initialize and J public steps."""
-    fields = [initialize(cfg, f, op)]
+    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
+    fields = [initialize(cfg, f)]
     for _ in range(cfg.J):
         fields.append(step(fields[-1], op, cfg))
     history = np.maximum([fld.values[:, 0] for fld in fields], 0.0) ** (1.0 / cfg.m)
@@ -483,9 +472,8 @@ def test_march_is_the_public_step_bit_for_bit(c, d, m):
     # march advances its own node array; every output must equal, bit for bit and
     # in memory order, what initialize and J calls of step give
     cfg = SolverConfig(sigma=1.0, m=m, X=3.0, Y=3.0, T=0.6, I=12, K=6, J=6, c=c, d=d)
-    op = assemble(cfg.grid(), cfg.sigma, c, d)
-    traj = march(cfg, GAUSS, capture="all", op=op)
-    history, diags, fields = _step_by_step(cfg, GAUSS, op)
+    traj = march(cfg, GAUSS, capture=every_step(cfg))
+    history, diags, fields = _step_by_step(cfg, GAUSS)
     assert _bits(traj.trace_history) == _bits(history)
     assert [(dg.j, dg.t.hex(), dg.w_min.hex(), dg.w_max.hex(), dg.argmax)
             for dg in traj.diagnostics] == diags
@@ -498,10 +486,9 @@ def test_march_snapshots_are_read_only_and_keep_their_values():
     # a snapshot holds its step's node array itself: nothing, not a later step
     # nor a later march, may write to it or to the array it views
     cfg = make_config(m=2.0, J=6, T=0.6)
-    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
-    snapshots = [fld for _, fld in march(cfg, GAUSS, capture="all", op=op).snapshots]
-    march(cfg, GAUSS, capture="all", op=op)
-    for n, (fld, want) in enumerate(zip(snapshots, _step_by_step(cfg, GAUSS, op)[2])):
+    snapshots = [fld for _, fld in march(cfg, GAUSS, capture=every_step(cfg)).snapshots]
+    march(cfg, GAUSS, capture=every_step(cfg))
+    for n, (fld, want) in enumerate(zip(snapshots, _step_by_step(cfg, GAUSS)[2])):
         assert _bits(fld.values) == _bits(want.values)
         owner = fld.values if fld.values.base is None else fld.values.base
         assert not fld.values.flags.writeable and not owner.flags.writeable
@@ -510,12 +497,12 @@ def test_march_snapshots_are_read_only_and_keep_their_values():
         assert not any(np.shares_memory(fld.values, other.values) for other in snapshots[n + 1:])
 
 
-@pytest.mark.parametrize("capture,steps,arrays", [
-    ("all", list(range(11)), 10),
-    (3, [0, 3, 6, 9, 10], 4),
-])
+@pytest.mark.parametrize("steps,arrays", [
+    (list(range(11)), 10),
+    ([0, 3, 6, 9, 10], 4),
+], ids=["every-step", "every-third"])
 def test_march_snapshots_own_their_arrays_while_other_steps_share_one(
-        monkeypatch, capture, steps, arrays):
+        monkeypatch, steps, arrays):
     # an uncaptured step's node array is handed back to the next solve; a captured
     # one is its snapshot's alone.  Each snapshot is distinct and read-only, still
     # holds the bits its solve gave it, and those are a fresh solve's of its trace
@@ -529,7 +516,7 @@ def test_march_snapshots_own_their_arrays_while_other_steps_share_one(
         return out
 
     monkeypatch.setattr(extension_op, "_solve", recording)
-    traj = march(cfg, GAUSS, capture=capture, op=op)
+    traj = march(cfg, GAUSS, capture=[j * cfg.dt for j in steps])
     assert [fld.time_index for _, fld in traj.snapshots] == steps
     assert len({id(out) for out, _ in made[1:]}) == arrays     # solves 2 .. J+1 are steps 1 .. J
     values = [fld.values for _, fld in traj.snapshots]
@@ -546,8 +533,7 @@ def test_march_solves_step_0_like_every_step(monkeypatch):
     # that solve's node array itself, read-only, with initialize's bytes and
     # strides, and step 1 gets a new array; uncaptured, step 1 refills it
     cfg = make_config(m=2.0, J=3, T=0.3)
-    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
-    want = initialize(cfg, GAUSS, op).values
+    want = initialize(cfg, GAUSS).values
     real, calls = extension_op._solve, []
 
     def recording(op, trace, P=None):
@@ -555,12 +541,12 @@ def test_march_solves_step_0_like_every_step(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(extension_op, "_solve", recording)
-    fld = march(cfg, GAUSS, capture=(0.0,), op=op).snapshots[0][1]
+    fld = march(cfg, GAUSS, capture=(0.0,)).snapshots[0][1]
     assert fld.time_index == 0 and _bits(fld.values) == _bits(want)
     assert fld.values.base is calls[0][1] and not calls[0][1].flags.writeable
     assert calls[0][0] is None and calls[1][0] is None
     calls.clear()
-    march(cfg, GAUSS, op=op)
+    march(cfg, GAUSS)
     assert calls[0][0] is None and all(P is calls[0][1] for P, _ in calls[1:])
 
 
@@ -642,14 +628,14 @@ def test_march_memory_does_not_grow_with_a_node_array_per_step():
     # u = w^(1/m) overwrites in place, and about 220 B of time and
     # StepDiagnostics.  Forming u as a second history took about 990 B per step;
     # keeping each step's 33 x 33 node array would add 8.7 KB per step, 3.9 MB
-    # over the 450 steps.
-    op = assemble(Grid(2.0, 4.0, 32, 32), 0.5)
+    # over the 450 steps.  The operator is built before tracing; each march finds it cached.
+    assemble(Grid(2.0, 4.0, 32, 32), 0.5)
 
     def peak(J):
         cfg = SolverConfig(sigma=0.5, m=2.0, X=2.0, Y=4.0, T=J * 1e-3, I=32, K=32, J=J)
         tracemalloc.start()
         try:
-            march(cfg, GAUSS, op=op)
+            march(cfg, GAUSS)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -665,12 +651,8 @@ def test_march_memory_does_not_grow_with_a_node_array_per_step():
 def test_capture_modes():
     cfg = make_config(J=4)
     assert march(cfg, GAUSS, capture=None).snapshots == ()
-    assert [t for t, _ in march(cfg, GAUSS, capture="all").snapshots] == pytest.approx(
-        [0.0, 0.125, 0.25, 0.375, 0.5])
-    strided = march(cfg, GAUSS, capture=3)
-    assert [round(t / cfg.dt) for t, _ in strided.snapshots] == [0, 3, 4]
-    timed = march(cfg, GAUSS, capture=(0.0, 0.5))
-    assert [round(t / cfg.dt) for t, _ in timed.snapshots] == [0, 4]
+    timed = march(cfg, GAUSS, capture=(0.5, 0.0, 0.2))     # 0.2 / dt = 1.6 rounds to 2
+    assert [round(t / cfg.dt) for t, _ in timed.snapshots] == [0, 2, 4]
 
 
 def test_capture_validation():
@@ -679,14 +661,16 @@ def test_capture_validation():
         march(cfg, GAUSS, capture=0)
     with pytest.raises(ValueError):
         march(cfg, GAUSS, capture=(0.9,))   # beyond T = 0.5
+    with pytest.raises(ConfigError, match=r"^snapshot time 1e\+308 outside \[0, T\]$"):
+        march(cfg, GAUSS, capture=(1e308,))     # t / dt overflows to inf
 
 
-def test_capture_takes_any_integer_stride():
-    cfg = make_config(J=4)
-    by_int, by_numpy = march(cfg, GAUSS, capture=2), march(cfg, GAUSS, capture=np.int64(2))
-    assert [t for t, _ in by_numpy.snapshots] == [t for t, _ in by_int.snapshots]
-    for (_, a), (_, b) in zip(by_numpy.snapshots, by_int.snapshots):
-        assert np.array_equal(a.values, b.values)
+@pytest.mark.parametrize("capture", ["all", 3, np.int64(3), np.array(3)])
+def test_capture_takes_times_only(capture):
+    # every step or every n-th one is a list of times; no other form is read
+    with pytest.raises(ConfigError, match=f"capture must be None or snapshot times, got "
+                                          f"{re.escape(repr(capture))}$"):
+        march(make_config(J=4), GAUSS, capture=capture)
 
 
 @pytest.mark.parametrize("capture", [True, np.bool_(True)])

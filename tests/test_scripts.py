@@ -38,6 +38,8 @@ def test_bench_ladder_script(child_env, tmp_path):
             "OPENBLAS_NUM_THREADS", "src_lines"} <= set(report["machine"])
     assert report["machine"]["src_lines"] == sum(
         p.read_bytes().count(b"\n") for p in (ROOT / "src" / "fracpme").glob("*.py"))
+    assert report["machine"]["scheme_lines"] + report["machine"]["oracle_lines"] == (
+        report["machine"]["src_lines"])
     assert [(r["I"], r["K"], r["c"], r["d"], r["sigma"]) for r in report["rungs"]] == [
         (64, 32, 2, 1, 0.5), (64, 32, 3, 4, 1.5), (128, 64, 2, 1, 0.5), (128, 64, 3, 4, 1.5)]
     for r in report["rungs"]:
