@@ -3,7 +3,8 @@
 
 For I = 64, 128, 256, 512, 1024 with K = I/2 (X = Y = 8, so dx = 16/I) and for
 the pairs (c, d) = (2, 1) at sigma = 0.5 and (3, 4) at sigma = 1.5, times one
-`assemble` (a fresh build: the operator cache is emptied first) and the p50
+`assemble` (a fresh build: the operator cache is emptied first), records the
+tracemalloc peak of another fresh, untimed build in MiB, and times the p50
 and p99 of SOLVES direct calls of `solve_interior` on the gaussian datum's
 trace (after one untimed call), and the p50 of STEPS march steps: one march
 of STEPS + 1 steps at m = 2 and half the CFL bound from the gaussian datum,
@@ -11,7 +12,7 @@ each step timed from its trace update to the next step's (the clock is read
 in a wrapper around marcher._bracket_update); the march finds the rung's
 freshly built operator in the cache.  It makes PASSES passes over the
 whole ladder and records, per rung, the median over the passes of each of the
-four: on a
+five: on a
 shared machine the speed drifts over seconds to minutes, and rungs timed at
 three different moments are less at its mercy than one.  The machine facts
 (the package's line count src_lines among them, split into the scheme's
@@ -32,6 +33,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in BLAS_VARS:
@@ -91,6 +93,13 @@ def rung(I: int, c: int, d: int, sigma: float) -> dict:
     start = time.perf_counter()
     op = assemble(grid, sigma, c=c, d=d)
     assemble_s = time.perf_counter() - start
+    extension_op._cache.clear()
+    tracemalloc.start()
+    try:
+        assemble(grid, sigma, c=c, d=d)
+        assemble_peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
     solve_interior(op, trace)
     times = []
     for _ in range(SOLVES):
@@ -98,8 +107,8 @@ def rung(I: int, c: int, d: int, sigma: float) -> dict:
         solve_interior(op, trace)
         times.append(time.perf_counter() - start)
     p50, p99 = np.percentile(times, [50, 99]) * 1e3
-    return {"assemble_s": assemble_s, "solve_ms_p50": p50, "solve_ms_p99": p99,
-            "step_ms_p50": step_ms_p50(op, trace)}
+    return {"assemble_s": assemble_s, "assemble_peak_mib": assemble_peak_mib,
+            "solve_ms_p50": p50, "solve_ms_p99": p99, "step_ms_p50": step_ms_p50(op, trace)}
 
 
 def step_ms_p50(op, trace) -> float:
@@ -139,7 +148,8 @@ def main() -> int:
              **{key: float(np.median([t[key] for t in timed])) for key in timed[0]}}
         rungs.append(r)
         print(f"I={I} K={r['K']} (c, d)=({c}, {d}) sigma={sigma}: assemble "
-              f"{r['assemble_s']:.3f} s, solve p50 {r['solve_ms_p50']:.3f} ms, "
+              f"{r['assemble_s']:.3f} s (peak {r['assemble_peak_mib']:.1f} MiB), "
+              f"solve p50 {r['solve_ms_p50']:.3f} ms, "
               f"p99 {r['solve_ms_p99']:.3f} ms, step p50 {r['step_ms_p50']:.3f} ms")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"BENCH_{tag}.json"

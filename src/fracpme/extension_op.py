@@ -15,7 +15,9 @@ formed only for dump_matrix (solve --dump-matrix) and tests.  A is solved by
 fast diagonalization (Lynch, Rice and Thomas 1964): T_x = V diag(lam) V^-1
 once per operator, the modes in ascending order of lam, then the banded
 y-systems (S_y + lam_n I) of all x-modes as the diagonal blocks of one banded
-solve.  Trace data enter only through S_y's k = 0 column, so each mode's
+solve.  For c = 2 the interior x-block is tridiag(-1, 2, -1), whose modes are
+known in closed form: V is the symmetric, orthogonal DST-I matrix, so
+V^-1 = V^T and one array holds both; c >= 3 takes a dense eig and inv.  Trace data enter only through S_y's k = 0 column, so each mode's
 response to the trace is a precomputed y-profile G[:, n], and it decays with
 height the faster the larger lam_n is (the extension's exp(-y sqrt(lam))).
 A step maps the trace to x-modes once, c = V^-1 t, and forms each row of
@@ -93,17 +95,46 @@ def _factor(family: tuple[int, int], n: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n - 1, n + 1))
 
 
-def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
+def _sine_basis(I: int) -> tuple[np.ndarray, np.ndarray]:
+    """lam and B for c = 2, whose interior x-block is tridiag(-1, 2, -1) of order I-1:
+    lam_n = 4 sin^2(n pi/2I) ascending, and the DST-I matrix
+    B[i-1, n-1] = sqrt(2/I) sin(pi ((i n) mod 2I)/I), symmetric, orthogonal, its
+    columns the eigenvectors, formed in place in one array.  The products i n are
+    exact in floating point, and reducing them mod 2I before sin keeps B^T B
+    within ~1e-15 of I at I = 1024."""
+    j = np.arange(1.0, I)
+    B = np.outer(j, j)
+    B %= 2 * I
+    B *= np.pi / I
+    np.sin(B, out=B)
+    B *= math.sqrt(2.0 / I)
+    return 4.0 * np.sin(j * (np.pi / (2 * I))) ** 2, B
+
+
+def _x_modes(c: int, T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
              s_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """V, V^-1, G and s_trace for T_int = V diag(lam) V^-1, lam ascending, and the
     y-systems (S_int + lam_n I) G[:, n] = s_trace of all modes n, solved as the
     diagonal blocks of one banded system; s_trace is the interior rhs per unit
-    trace value, -S_y[:, 0], and G[:, n] mode n's interior y-profile for it."""
-    lam, V = linalg.eig(T_int.toarray())
-    if np.any(lam.imag != 0.0):
-        raise SolverError("x-block has complex eigenvalues; the x-mode solve needs a real spectrum")
-    order = np.argsort(lam.real, kind="stable")
-    lam, V = lam.real[order], V[:, order]
+    trace value, -S_y[:, 0], and G[:, n] mode n's interior y-profile for it.
+
+    For c = 2, lam and B come from _sine_basis, and V = B^T and V^-1 = B are two
+    views of its one array, with the layouts eig and inv give: V Fortran-ordered,
+    so each row block's V[:, :n]^T is a C-ordered GEMM operand (a C-ordered V
+    made it F-ordered, and a solve 15-20 % slower at I = K = 64), and V^-1
+    C-ordered.  For c >= 3, V comes from a dense eig of T_int, refused if its
+    spectrum is complex, and V^-1 from inv.
+    """
+    if c == 2:
+        lam, B = _sine_basis(T_int.shape[0] + 1)
+        V = B.T
+    else:
+        lam, V = linalg.eig(T_int.toarray())
+        if np.any(lam.imag != 0.0):
+            raise SolverError("x-block has complex eigenvalues; "
+                              "the x-mode solve needs a real spectrum")
+        order = np.argsort(lam.real, kind="stable")
+        lam, V = lam.real[order], V[:, order]
     S = S_int.tocoo()                       # the diagonal is stored, so both widths are >= 0
     lower = int((S.row - S.col).max())
     upper = int((S.col - S.row).max())
@@ -115,7 +146,7 @@ def _x_modes(T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
     ab = np.tile(y_band, len(lam))
     ab[upper] += np.repeat(lam, n_y)
     g = linalg.solve_banded((lower, upper), ab, np.tile(s_trace, len(lam)), overwrite_ab=True)
-    return V, linalg.inv(V), g.reshape(len(lam), n_y).T.copy(), s_trace
+    return V, (V.T if c == 2 else linalg.inv(V)), g.reshape(len(lam), n_y).T.copy(), s_trace
 
 
 def _staircase(V: np.ndarray, V_inv: np.ndarray, G: np.ndarray) -> tuple[tuple[int, int, int], ...]:
@@ -221,19 +252,20 @@ def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
     """An upper bound on the bytes _build holds at once.
 
     With n = I-1 x-modes, m = K-1 y-nodes and r the widest stencil reach: the
-    dense x-block, eig's copy, V and V^-1 (n^2 floats each), and per mode and
-    y-node the tiled band (2r+1), LAPACK's band with r extra rows (3r+1) and its
-    Fortran-order copy (3r+1), the tiled rhs, the shifts, LAPACK's rhs copy, the
-    solution and G (one each); 1 MiB covers the O(n + m) rest.  The sorted copy
-    of V is made once the x-block and eig's copy are freed, and _staircase's tail
-    sums (n*m floats and a mask) once the band solve's arrays are, so neither
-    adds to that peak.  On top of it, for c = 2: L's five diagonals over the
-    (I+1)(K+1) nodes and the n*m sums of its main one.
+    x-basis, and per mode and y-node the tiled band (2r+1), LAPACK's band with r
+    extra rows (3r+1) and its Fortran-order copy (3r+1), the tiled rhs, the
+    shifts, LAPACK's rhs copy, the solution and G (one each); 1 MiB covers the
+    O(n + m) rest.  The x-basis is, for c = 2, _sine_basis's one n^2 array,
+    formed in place; for c >= 3, the dense x-block, eig's copy, V and V^-1 (n^2
+    floats each).  The sorted copy of V is made once the x-block and eig's copy
+    are freed, and _staircase's tail sums (n*m floats and a mask) once the band
+    solve's arrays are, so neither adds to that peak.  On top of it, for c = 2:
+    L's five diagonals over the (I+1)(K+1) nodes and the n*m sums of its main one.
     """
     r = max(abs(o) for f in ((2, c), (1, d)) for w in STENCIL_WINDOWS.get(f, ()) for o in w)
     n, m = I - 1, K - 1
-    diagonals = 6 * (I + 1) * (K + 1) if c == 2 else 0
-    return 8 * (4 * n * n + n * m * (8 * r + 8) + diagonals) + 2**20
+    basis, diagonals = (n * n, 6 * (I + 1) * (K + 1)) if c == 2 else (4 * n * n, 0)
+    return 8 * (basis + n * m * (8 * r + 8) + diagonals) + 2**20
 
 
 def _physical_memory() -> float:
@@ -289,7 +321,8 @@ def _memory_budget() -> tuple[float, str]:
 
 
 def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
-    """(T_x, S_y, V, V^-1, G, s, blocks, L), all arrays read-only, and their total nbytes.
+    """(T_x, S_y, V, V^-1, G, s, blocks, L), all arrays read-only, and the nbytes of
+    their distinct buffers (for c = 2, V and V^-1 share one).
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus
@@ -308,7 +341,7 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, 
         S_y = S_y - sparse.diags((1.0 - sigma) / np.arange(1, K)) @ _factor((1, d), K)
     try:
         # the trace reaches the interior only through S_y's k = 0 column
-        modes = _x_modes(T_x[:, 1:I], S_y[:, 1:K], -S_y[:, 0].toarray().ravel())
+        modes = _x_modes(c, T_x[:, 1:I], S_y[:, 1:K], -S_y[:, 0].toarray().ravel())
     except linalg.LinAlgError as e:
         raise SolverError(f"x-mode setup failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
     except MemoryError as e:
@@ -321,7 +354,8 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, 
         arrays += [M.data, M.indices, M.indptr]
     for a in arrays:
         a.setflags(write=False)
-    return (T_x, S_y, *modes, blocks, L), sum(a.nbytes for a in arrays)
+    buffers = {id(b): b.nbytes for b in (a if a.base is None else a.base for a in arrays)}
+    return (T_x, S_y, *modes, blocks, L), sum(buffers.values())
 
 
 def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:

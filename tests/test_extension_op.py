@@ -278,8 +278,9 @@ def test_mode_solve_matches_sparse_direct_solve(c, d, sigma):
         assert np.abs(got - _direct_solve(op, vals)).max() <= 1e-12 * np.abs(trace).max()
 
 
-# one operator checked through its five diagonals, one through its two factors
-_RESIDUAL_PATHS = pytest.mark.parametrize("c,d", [(2, 1), (3, 4)])
+# at sigma != 1, (2, 1) is checked through its five diagonals; (3, 4), on eig's
+# basis, and (2, 3), on the closed-form sine basis, through their two factors
+_RESIDUAL_PATHS = pytest.mark.parametrize("c,d", [(2, 1), (3, 4), (2, 3)])
 
 
 @_RESIDUAL_PATHS
@@ -288,7 +289,7 @@ def test_residual_check_catches_corrupted_profiles(c, d):
     # message must carry a usable condition estimate
     grid = make_grid(I=12, K=6, dx=0.125)
     op = assemble(grid, 0.6, c=c, d=d)
-    assert (op.L is not None) == (c == 2)
+    assert (op.L is not None) == (d == 1)
     trace = np.sin(np.linspace(0, math.pi, 11))
     solve_interior(op, trace)
     op = dataclasses.replace(op, G=op.G * (1.0 + 1e-6))
@@ -304,7 +305,7 @@ def test_solve_into_a_reused_node_array_is_a_fresh_solve_bit_for_bit(c, d):
     # row and the interior are overwritten, the zero boundary is kept, and the
     # residual check still refuses a corrupted operator
     op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6, c=c, d=d)
-    assert (op.L is not None) == (c == 2)
+    assert (op.L is not None) == (d == 1)
     xs = np.linspace(0, math.pi, 11)
     P = extension_op._solve(op, np.sin(xs))
     for trace in (np.sin(2 * xs) ** 2, np.exp(-xs), np.zeros(11)):
@@ -331,7 +332,7 @@ def test_failed_solve_never_builds_the_interior_matrix():
 def test_residual_check_catches_a_nan_solve(c, d):
     # a NaN residual fails no "resid > tol" test; the check must refuse it too
     op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6, c=c, d=d)
-    assert (op.L is not None) == (c == 2)
+    assert (op.L is not None) == (d == 1)
     G = op.G.copy()
     G[0, 0] = np.nan
     op = dataclasses.replace(op, G=G)
@@ -390,7 +391,48 @@ def test_x_modes_refuse_a_complex_spectrum():
     # rather than drop the imaginary parts
     rotation = sparse.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(SolverError, match="complex eigenvalues"):
-        _x_modes(rotation, sparse.identity(3, format="csr"), np.ones(3))
+        _x_modes(3, rotation, sparse.identity(3, format="csr"), np.ones(3))
+
+
+@pytest.mark.parametrize("I", [2, 3, 8, 33, 64])
+def test_sine_basis_is_the_eig_basis(I):
+    # c = 2's interior x-block is tridiag(-1, 2, -1): the closed form against a
+    # dense eigensolve of the assembled block
+    T_int = -extension_op._factor((2, 2), I)[:, 1:I].toarray()
+    lam, B = extension_op._sine_basis(I)
+    want = np.sort(linalg.eigvals(T_int).real)
+    assert np.abs(lam - want).max() <= 1e-14 * want.max()
+    assert np.array_equal(B, B.T)
+    assert np.abs(B @ B - np.eye(I - 1)).max() <= 1e-14
+    assert np.abs(T_int @ B - B * lam).max() <= 1e-14 * want.max()
+
+
+def _eig_built(op):
+    # op with the x-modes of the eig path, which c >= 3 takes, on op's own factors
+    I, K = op.grid.I, op.grid.K
+    V, V_inv, G, _ = _x_modes(3, op.T_x[:, 1:I], op.S_y[:, 1:K], op.s)
+    return dataclasses.replace(op, V=V, V_inv=V_inv, G=G,
+                               blocks=extension_op._staircase(V, V_inv, G))
+
+
+@pytest.mark.parametrize("d,sigma", [(d, s) for d in (1, 2, 3) for s in (0.3, 1.0, 1.7)]
+                         + [(None, 1.0)])
+def test_closed_form_solve_matches_an_eig_built_operator(d, sigma):
+    rng = np.random.default_rng(20261019)
+    for grid in (make_grid(I=13, K=7), make_grid(I=128, K=64)):
+        op = assemble(grid, sigma, c=2, d=d)
+        eig_op = _eig_built(op)
+        for _ in range(3):
+            trace = rng.random(grid.I - 1)
+            want = extension_op._solve(eig_op, trace)
+            got = extension_op._solve(op, trace)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (grid.I, d, sigma)
+
+
+def test_closed_form_keeps_the_long_solve_staircase():
+    # perfbench's long_solve operator: sigma = 0.5, (2, 1), I = 256, K = 128, X = Y = 8
+    op = assemble(Grid(X=8.0, Y=8.0, I=256, K=128), 0.5, c=2, d=1)
+    assert op.blocks == _eig_built(op).blocks
 
 
 # every supported pair at four sigmas on three meshes (K = I/2)
@@ -463,6 +505,17 @@ def _parts(op):
     return _csr_parts(op.T_x, op.S_y) + [op.V, op.V_inv, op.G, op.s] + dia
 
 
+def _owner(a):
+    # the array that owns a's memory
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _distinct_bytes(arrays):
+    return sum({id(o): o.nbytes for o in map(_owner, arrays)}.values())
+
+
 def _bitwise_equal(left, right):
     return all(np.array_equal(a, b) and a.dtype == b.dtype
                for a, b in zip(left, right, strict=True))
@@ -483,7 +536,20 @@ def test_cache_hit_equals_a_fresh_build():
         parts, nbytes = _build(12, 6, sigma, c, d)
         fresh = ExtensionOperator(grid, sigma, c, d, *parts)
         assert _bitwise_equal(_parts(hit), _parts(fresh)), (c, d, sigma)
-        assert nbytes == sum(a.nbytes for a in _parts(fresh)), (c, d, sigma)
+        assert nbytes == _distinct_bytes(_parts(fresh)), (c, d, sigma)
+
+
+def test_c2_entry_counts_its_shared_basis_once():
+    # V and V^-1 of a c = 2 operator are views of one array: the entry's bytes
+    # are the sum over its distinct buffers, so the cache does not evict early
+    for d, sigma in ((1, 0.5), (2, 1.5), (3, 0.7), (None, 1.0)):
+        parts, nbytes = _build(12, 6, sigma, 2, d)
+        op = ExtensionOperator(make_grid(I=12, K=6), sigma, 2, d, *parts)
+        arrays = _parts(op)
+        assert _owner(op.V) is _owner(op.V_inv)
+        assert len({id(_owner(a)) for a in arrays}) == len(arrays) - 1, (d, sigma)
+        assert nbytes == _distinct_bytes(arrays), (d, sigma)
+        assert nbytes + op.V.nbytes == sum(_owner(a).nbytes for a in arrays), (d, sigma)
 
 
 def test_corrupting_one_operator_leaves_another_of_the_same_key_intact():
@@ -592,7 +658,8 @@ def test_unallocatable_x_modes_are_a_config_error(monkeypatch):
     assert not _cache
 
 
-@pytest.mark.parametrize("I,K,c,d", [(512, 256, 2, 1), (512, 256, 3, 4), (256, 256, 4, 4)])
+@pytest.mark.parametrize("I,K,c,d", [(512, 256, 2, 1), (512, 256, 3, 4), (256, 256, 4, 4),
+                                     (1024, 512, 2, 1)])
 def test_build_bytes_bound_the_traced_peak(I, K, c, d):
     tracemalloc.start()
     try:
@@ -601,6 +668,22 @@ def test_build_bytes_bound_the_traced_peak(I, K, c, d):
     finally:
         tracemalloc.stop()
     assert peak <= extension_op._build_bytes(I, K, c, d)
+
+
+def test_c2_bound_leaves_out_the_eig_path_arrays(monkeypatch):
+    # a budget between the c = 2 bound and the eig path's (which also held the
+    # dense x-block, eig's copy and V^-1) builds (2, 1), and still refuses (3, 4)
+    I, K = 64, 32
+    n, m = I - 1, K - 1
+    new = extension_op._build_bytes(I, K, 2, 1)
+    old = 8 * (4 * n * n + 16 * n * m + 6 * (I + 1) * (K + 1)) + 2**20
+    budget = (new + old) // 2
+    assert new < budget < old < extension_op._build_bytes(I, K, 3, 4)
+    monkeypatch.setattr(extension_op, "_memory_budget", lambda: (budget, "a test budget"))
+    grid = make_grid(I=I, K=K)
+    assemble(grid, 0.5, c=2, d=1)
+    with pytest.raises(ConfigError, match=f"I={I}, K={K} too large"):
+        assemble(grid, 1.5, c=3, d=4)
 
 
 def test_mesh_over_the_memory_budget_is_refused_before_any_x_modes(monkeypatch):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fracpme import extension_op
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -45,3 +47,6 @@ def test_bench_ladder_script(child_env, tmp_path):
     for r in report["rungs"]:
         assert 0.0 < r["assemble_s"] and 0.0 < r["solve_ms_p50"] <= r["solve_ms_p99"]
         assert 0.0 < r["step_ms_p50"]
+        # the traced peak of a build lies within the bound _build checks the budget against
+        bound = extension_op._build_bytes(r["I"], r["K"], r["c"], r["d"])
+        assert 0.0 < r["assemble_peak_mib"] <= bound / 2**20
