@@ -17,9 +17,10 @@ once per operator, the modes in ascending order of lam, then the banded
 y-systems (S_y + lam_n I) of all x-modes as the diagonal blocks of one banded
 solve.  For c = 2 the interior x-block is tridiag(-1, 2, -1), whose modes are
 known in closed form: V is the symmetric, orthogonal DST-I matrix, so
-V^-1 = V^T and one array holds both; c >= 3 takes a dense eig and inv.  Trace data enter only through S_y's k = 0 column, so each mode's
-response to the trace is a precomputed y-profile G[:, n], and it decays with
-height the faster the larger lam_n is (the extension's exp(-y sqrt(lam))).
+V^-1 = V^T and one array holds both; c >= 3 takes a dense eig and inv.  Trace
+data enter only through S_y's k = 0 column, so each mode's response to the
+trace is a precomputed y-profile G[:, n], and it decays with height the
+faster the larger lam_n is (the extension's exp(-y sqrt(lam))).
 A step maps the trace to x-modes once, c = V^-1 t, and forms each row of
 (G o c) V^T only over the modes that can still move it by more than 2^-60
 max|t|: the rows fall into a few blocks, each with its own mode count (the
