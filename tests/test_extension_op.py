@@ -387,7 +387,7 @@ def test_only_tridiagonal_factors_take_the_diagonal_path():
 
 
 def test_x_modes_refuse_a_complex_spectrum():
-    # a rotation block has eigenvalues +-i: the x-mode solve must refuse it
+    # a rotation block has eigenvalues +-i: the eig path, which c >= 3 takes, must refuse it
     # rather than drop the imaginary parts
     rotation = sparse.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(SolverError, match="complex eigenvalues"):
