@@ -10,15 +10,16 @@ trace (after one untimed call), and the p50 of STEPS march steps: one march
 of STEPS + 1 steps at m = 2 and half the CFL bound from the gaussian datum,
 each step timed from its trace update to the next step's (the clock is read
 in a wrapper around marcher._bracket_update); the march finds the rung's
-freshly built operator in the cache.  It makes PASSES passes over the
-whole ladder and records, per rung, the median over the passes of each of the
-five: on a
-shared machine the speed drifts over seconds to minutes, and rungs timed at
-three different moments are less at its mercy than one.  The machine facts
-(the package's line count src_lines among them, split into the scheme's
-scheme_lines and the verification half's oracle_lines) go with them into
-OUTDIR/BENCH_<tag>.json.  BLAS runs on one thread unless the
-BLAS thread variables are set.
+freshly built operator in the cache.  It makes PASSES passes over the whole
+ladder and records, per rung, the median over the passes of each of the five
+and, beside it as <figure>_q1 and <figure>_q3, its lower and upper quartile:
+on a shared machine the speed drifts over seconds to minutes, rungs timed at
+five different moments are less at its mercy than one, and whether a change's
+median lies outside the other run's quartiles can be read from the committed
+files alone.  The machine facts (the package's line count src_lines among
+them, split into the scheme's scheme_lines and the verification half's
+oracle_lines) go with them into OUTDIR/BENCH_<tag>.json.  BLAS runs on one
+thread unless the BLAS thread variables are set.
 
 Usage: PYTHONPATH=src python3 scripts/bench_ladder.py TAG [OUTDIR] [RUNGS]
   OUTDIR defaults to bench/ in the repository; RUNGS (default 5) keeps only
@@ -50,7 +51,7 @@ from fracpme.extension_op import assemble, solve_interior      # noqa: E402
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 LADDER = (64, 128, 256, 512, 1024)
 PAIRS = ((2, 1, 0.5), (3, 4, 1.5))      # (c, d, sigma)
-PASSES = 3
+PASSES = 5
 SOLVES = 50
 STEPS = 50
 M = 2.0
@@ -144,8 +145,10 @@ def main() -> int:
     passes = [[rung(*case) for case in cases] for _ in range(PASSES)]
     rungs = []
     for (I, c, d, sigma), timed in zip(cases, zip(*passes)):
-        r = {"I": I, "K": I // 2, "c": c, "d": d, "sigma": sigma,
-             **{key: float(np.median([t[key] for t in timed])) for key in timed[0]}}
+        r = {"I": I, "K": I // 2, "c": c, "d": d, "sigma": sigma}
+        for key in timed[0]:
+            q1, r[key], q3 = np.percentile([t[key] for t in timed], [25, 50, 75]).tolist()
+            r[f"{key}_q1"], r[f"{key}_q3"] = q1, q3
         rungs.append(r)
         print(f"I={I} K={r['K']} (c, d)=({c}, {d}) sigma={sigma}: assemble "
               f"{r['assemble_s']:.3f} s (peak {r['assemble_peak_mib']:.1f} MiB), "

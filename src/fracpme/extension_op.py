@@ -49,7 +49,7 @@ from .errors import ConfigError, SolverError
 __all__ = [
     "SUPPORTED_PAIRS", "fd_weights", "ExtensionOperator",
     "assemble", "solve_interior", "full_grid_values", "MonotoneReport",
-    "verify_monotone_structure", "discrete_max_location", "dump_matrix",
+    "verify_monotone_structure", "discrete_max_location", "dump_matrix", "check_memory",
 ]
 
 _DUMP_BLOCK = 4096                      # dump_matrix lines per format call
@@ -250,23 +250,23 @@ class ExtensionOperator:
 
 
 def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
-    """An upper bound on the bytes _build holds at once.
+    """An upper bound on the bytes _build holds at once (d = None: S_y has no drift).
 
-    With n = I-1 x-modes, m = K-1 y-nodes and r the widest stencil reach: the
-    x-basis, and per mode and y-node the tiled band (2r+1), LAPACK's band with r
-    extra rows (3r+1) and its Fortran-order copy (3r+1), the tiled rhs, the
-    shifts, LAPACK's rhs copy, the solution and G (one each); 1 MiB covers the
-    O(n + m) rest.  The x-basis is, for c = 2, _sine_basis's one n^2 array,
-    formed in place; for c >= 3, the dense x-block, eig's copy, V and V^-1 (n^2
-    floats each).  The sorted copy of V is made once the x-block and eig's copy
-    are freed, and _staircase's tail sums (n*m floats and a mask) once the band
-    solve's arrays are, so neither adds to that peak.  On top of it, for c = 2:
-    L's five diagonals over the (I+1)(K+1) nodes and the n*m sums of its main one.
-    """
-    r = max(abs(o) for f in ((2, c), (1, d)) for w in STENCIL_WINDOWS.get(f, ()) for o in w)
+    n = I-1 x-modes, m = K-1 y-nodes, l and u S_y's band widths.  The band solve
+    holds V (n^2 floats) and per mode and y-node the tiled band (l+u+1), the rhs
+    and LAPACK's copy (or the solution and G); gtsv (l = u = 1) works in place,
+    gbsv adds a (2l+u+1)-row band, its Fortran copy and the pivots.  Later: the
+    basis (c = 2: n^2; c >= 3: 3n^2, eig's or inv's arrays), G, _staircase's |V|,
+    tail sums and mask, and L's five node-length diagonals and n*m main sums.
+    64 KiB and 512 bytes per x- and y-node cover the rest."""
+    windows = [w for f in ((2, c), (1, d)) for w in STENCIL_WINDOWS.get(f, ())]
+    l, u = max(-min(w) for w in windows), max(map(max, windows))
     n, m = I - 1, K - 1
-    basis, diagonals = (n * n, 6 * (I + 1) * (K + 1)) if c == 2 else (4 * n * n, 0)
-    return 8 * (basis + n * m * (8 * r + 8) + diagonals) + 2**20
+    gbsv = 0 if l == u == 1 else 16 * (2 * l + u + 1) + 4   # per n*m: band, its copy, pivots
+    L = 0 if gbsv else 5 * (I + 1) * (K + 1) + n * m       # both factors are tridiagonal
+    solve = 8 * n * n + (8 * (l + u + 3) + gbsv) * n * m
+    after = 8 * ((2 if c == 2 else 4) * n * n + 2 * n * m + L) + n * m
+    return max(solve, after) + 2**16 + 512 * (n + m)
 
 
 def _physical_memory() -> float:
@@ -314,11 +314,16 @@ def _cgroup_memory_limit() -> float:
     return limit
 
 
-def _memory_budget() -> tuple[float, str]:
-    """(bytes, name) of the least of physical memory, soft RLIMIT_AS and cgroup limit."""
-    return min((_physical_memory(), "physical memory"),
-               (_address_space_limit(), "the soft RLIMIT_AS"),
-               (_cgroup_memory_limit(), "the cgroup's memory.max"))
+def check_memory(need: int, what: str) -> None:
+    """Raise ConfigError(f"{what} {need} bytes, more than the {budget} bytes of {source}")
+    if need exceeds the least of physical memory, the soft RLIMIT_AS and the cgroup's
+    limit.  A need <= 1 MiB, below any budget, returns before any limit is read."""
+    if need > 2**20:
+        have, source = min((_physical_memory(), "physical memory"),
+                           (_address_space_limit(), "the soft RLIMIT_AS"),
+                           (_cgroup_memory_limit(), "the cgroup's memory.max"))
+        if need > have:
+            raise ConfigError(f"{what} {need} bytes, more than the {have} bytes of {source}")
 
 
 def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
@@ -326,16 +331,12 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, 
     their distinct buffers (for c = 2, V and V^-1 share one).
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
-    the x second-derivative rows, S_y the y second-derivative plus
-    (1-sigma)/k first-derivative rows.  No interior matrix is formed.  A mesh
-    whose _build_bytes exceed _memory_budget is refused before any of it is
-    allocated (ConfigError).
+    the x second-derivative rows, S_y the y second-derivative plus (1-sigma)/k
+    first-derivative rows.  No interior matrix is formed, and check_memory
+    refuses a mesh over the budget before any of it is allocated.
     """
-    need = _build_bytes(I, K, c, d)
-    have, limit = _memory_budget()
-    if need > have:
-        raise ConfigError(f"mesh I={I}, K={K} too large: its operator needs up to {need} "
-                          f"bytes, more than the {have} bytes of {limit}")
+    check_memory(_build_bytes(I, K, c, None if sigma == 1.0 else d),
+                 f"mesh I={I}, K={K} too large: its operator needs up to")
     T_x = -_factor((2, c), I)
     S_y = -_factor((2, c), K)
     if d is not None and sigma != 1.0:

@@ -176,8 +176,9 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     """Run all J steps on config's operator, enforcing the CFL bound and the band.
 
     capture: None (trace history only) or an iterable of times, each rounded to
-    the nearest step.  The data, lambda, the CFL bound, the history budget and
-    capture are checked, in that order, before the operator is assembled.
+    the nearest step.  The data, lambda, the CFL bound, capture and the memory
+    the history, its times and the snapshots will hold are checked, in that
+    order, before the operator is assembled.
     """
     row = initial_trace_w(config, f)[1:-1]
     b_max = float(row.max())
@@ -195,28 +196,26 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
             f"dt = {dt:.6e} exceeds cfl_safety * C(m,f) * dx^sigma = "
             f"{config.cfl_safety * bound:.6e}; increase J to at least {least:.0f}")
 
-    # before allocating: overcommit may grant what a cgroup kills later (no budget is < 1 MiB)
-    need = 8 * (config.J + 1) * (config.I + 2)
-    have, limit = (extension_op._memory_budget() if need > 2**20
-                   else (extension_op._physical_memory(), "physical memory"))
-    too_long = (f"J = {config.J} too large at I = {config.I}: the (J+1) x (I+1) trace history "
-                f"and its times need {need} bytes (budget: {have} bytes of {limit})")
-    if need > have:
-        raise ConfigError(too_long)
     wanted = _capture_steps(capture, config.J, dt)
+    # before allocating: overcommit may grant what a cgroup kills later
+    J, I, K = config.J, config.I, config.K
+    need = 8 * ((J + 1) * (I + 2) + len(wanted) * (K + 1) * (I + 1))
+    held = (f"J = {J} too large at I = {I}, K = {K}: the (J+1) x (I+1) trace history, "
+            f"its times and {len(wanted)} (K+1) x (I+1) snapshots need")
+    extension_op.check_memory(need, held)
     op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     try:                        # after the build: its peak never sits on the history's
-        w_hist = np.empty((config.J + 1, config.I + 1))
-        times = np.arange(config.J + 1) * dt
+        w_hist = np.empty((J + 1, I + 1))
+        times = np.arange(J + 1) * dt
     except MemoryError:
-        raise ConfigError(too_long) from None
+        raise ConfigError(f"{held} {need} bytes, which cannot be allocated") from None
     snapshots: list[tuple[float, Field]] = []
     diags: list[StepDiagnostics] = []
 
     # an uncaptured step's node array is handed back to the next solve to fill; a
     # captured one is made read-only, its snapshot's, and never written again
-    spare, width = None, config.I + 1
-    for j in range(config.J + 1):
+    spare, width = None, I + 1
+    for j in range(J + 1):
         if j > 0:
             if w_min < -1e-12 and P[:2, 1:-1].min() < -1e-12:
                 raise ValueError("trace rows must be nonnegative")

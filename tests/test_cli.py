@@ -310,6 +310,23 @@ def test_mesh_beyond_physical_memory_exits_2_before_its_x_block(tmp_path, monkey
     assert "bytes of physical memory" in err
 
 
+def test_snapshots_over_the_memory_budget_exit_2_and_write_no_file(tmp_path, monkeypatch,
+                                                                    capsys):
+    # 201 snapshots of a 65 x 17 mesh hold 1.8 MB; the faked 1.5 MB budget takes
+    # the history and its times (0.1 MB), not them
+    builds = count_builds(monkeypatch)
+    monkeypatch.setattr(extension_op, "_physical_memory", lambda: 1_500_000)
+    cfg = write_mesh_config(tmp_path, "run", 2.0, 1.0, 64, 16, J=200)
+    times = ",".join(str(0.1 * j / 200) for j in range(201))
+    assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
+                 "--snapshots", times, "--dump-matrix", str(tmp_path / "op.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: J = 200 too large at I = 64, K = 16" in err
+    assert "201 (K+1) x (I+1) snapshots need" in err and "bytes of physical memory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    assert builds == []
+
+
 @pytest.mark.parametrize("extra,message", [
     ("c = 3\nd = 1\n", "(c, d) = (3, 1) not in the supported set"),
     ("c = 4\nd = 4\n", "mesh too small for (c=4, d=4): need I >= 5 and K >= 5, got I=8, K=2"),

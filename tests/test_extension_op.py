@@ -658,9 +658,12 @@ def test_unallocatable_x_modes_are_a_config_error(monkeypatch):
     assert not _cache
 
 
-@pytest.mark.parametrize("I,K,c,d", [(512, 256, 2, 1), (512, 256, 3, 4), (256, 256, 4, 4),
-                                     (1024, 512, 2, 1)])
+@pytest.mark.parametrize("I,K,c,d", [(I, I // 2, c, d) for I in (128, 512)
+                                     for c, d in sorted(SUPPORTED_PAIRS)]
+                         + [(256, 256, 4, 4), (1024, 512, 2, 1)])
 def test_build_bytes_bound_the_traced_peak(I, K, c, d):
+    # an upper bound on every mesh; at 512 x 256 a tight one, so a mesh that fits
+    # is not refused
     tracemalloc.start()
     try:
         _build(I, K, 0.5, c, d)
@@ -668,18 +671,18 @@ def test_build_bytes_bound_the_traced_peak(I, K, c, d):
     finally:
         tracemalloc.stop()
     assert peak <= extension_op._build_bytes(I, K, c, d)
+    if I == 512:
+        assert extension_op._build_bytes(I, K, c, d) <= 1.5 * peak
 
 
 def test_c2_bound_leaves_out_the_eig_path_arrays(monkeypatch):
-    # a budget between the c = 2 bound and the eig path's (which also held the
-    # dense x-block, eig's copy and V^-1) builds (2, 1), and still refuses (3, 4)
-    I, K = 64, 32
-    n, m = I - 1, K - 1
-    new = extension_op._build_bytes(I, K, 2, 1)
-    old = 8 * (4 * n * n + 16 * n * m + 6 * (I + 1) * (K + 1)) + 2**20
-    budget = (new + old) // 2
-    assert new < budget < old < extension_op._build_bytes(I, K, 3, 4)
-    monkeypatch.setattr(extension_op, "_memory_budget", lambda: (budget, "a test budget"))
+    # on a wide mesh the x-basis is most of a build: a budget between the c = 2
+    # bound (one n^2 basis) and the eig path's (which also holds the dense
+    # x-block, eig's copy and V^-1) builds (2, 1), and still refuses (3, 4)
+    I, K = 512, 8
+    new, eig = extension_op._build_bytes(I, K, 2, 1), extension_op._build_bytes(I, K, 3, 4)
+    assert 2**20 < new < 0.6 * eig
+    monkeypatch.setattr(extension_op, "_physical_memory", lambda: (new + eig) // 2)
     grid = make_grid(I=I, K=K)
     assemble(grid, 0.5, c=2, d=1)
     with pytest.raises(ConfigError, match=f"I={I}, K={K} too large"):
@@ -691,15 +694,18 @@ def test_mesh_over_the_memory_budget_is_refused_before_any_x_modes(monkeypatch):
         raise AssertionError("x-mode setup started")
 
     assert extension_op._physical_memory() > 0
-    need = extension_op._build_bytes(8, 4, 2, 1)
+    need = extension_op._build_bytes(256, 128, 2, 1)
+    assert need > 2**20                     # smaller needs fit any budget unread
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: need - 1)
     monkeypatch.setattr(extension_op, "_x_modes", never)
-    with pytest.raises(ConfigError, match=f"I=8, K=4 too large: its operator needs up to {need} "):
-        assemble(make_grid(), 0.5)
+    with pytest.raises(ConfigError, match=f"I=256, K=128 too large: its operator needs up to "
+                                          f"{need} bytes, more than the {need - 1} bytes of "
+                                          f"physical memory$"):
+        assemble(make_grid(256, 128), 0.5)
     assert not _cache
     monkeypatch.undo()
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: need)
-    assemble(make_grid(), 0.5)              # a budget of exactly the bound builds
+    assemble(make_grid(256, 128), 0.5)      # a budget of exactly the bound builds
 
 
 @pytest.mark.parametrize("reader,name", [
@@ -711,16 +717,28 @@ def test_process_limits_below_physical_memory_refuse_the_mesh(monkeypatch, reade
     def never(*_args):
         raise AssertionError("x-mode setup started")
 
-    need = extension_op._build_bytes(8, 4, 2, 1)
+    need = extension_op._build_bytes(256, 128, 2, 1)
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: 2 * need)
     monkeypatch.setattr(extension_op, reader, lambda: need - 1)
     monkeypatch.setattr(extension_op, "_x_modes", never)
     with pytest.raises(ConfigError, match=f"more than the {need - 1} bytes of {name}$"):
-        assemble(make_grid(), 0.5)
+        assemble(make_grid(256, 128), 0.5)
     assert not _cache
     monkeypatch.undo()
     monkeypatch.setattr(extension_op, reader, lambda: need)
-    assemble(make_grid(), 0.5)
+    assemble(make_grid(256, 128), 0.5)
+
+
+def test_small_needs_read_no_limit(monkeypatch):
+    # a need of at most 1 MiB is below any budget, so no limit is read for it
+    def unread():
+        raise AssertionError("a memory limit was read")
+
+    for reader in ("_physical_memory", "_address_space_limit", "_cgroup_memory_limit"):
+        monkeypatch.setattr(extension_op, reader, unread)
+    extension_op.check_memory(2**20, "never refused")
+    with pytest.raises(AssertionError, match="a memory limit was read"):
+        extension_op.check_memory(2**20 + 1, "read")
 
 
 def test_memory_limit_readers_report_inf_for_no_limit(monkeypatch, tmp_path):

@@ -350,6 +350,13 @@ def test_float_counts_march_bitwise_like_ints():
         make_config(I=16.5, K=4)
 
 
+def fake_budget(monkeypatch, budget):
+    """Fake the cgroup's memory limit as the least of the three, budget bytes."""
+    for name, limit in (("_physical_memory", 2 * budget), ("_address_space_limit", 2 * budget),
+                        ("_cgroup_memory_limit", budget)):
+        monkeypatch.setattr(extension_op, name, lambda limit=limit: limit)
+
+
 def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(monkeypatch):
     # the budget is faked through the cgroup reader; the 1.6 MB history is never
     # allocated, and no step is taken
@@ -362,16 +369,54 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
     cfg = make_config(J=20000)
     need = 8 * (cfg.J + 1) * (cfg.I + 2)
     assert need > 2**20                     # smaller histories fit any budget unread
-    monkeypatch.setattr(extension_op, "_physical_memory", lambda: 2 * need)
-    monkeypatch.setattr(extension_op, "_address_space_limit", lambda: 2 * need)
-    monkeypatch.setattr(extension_op, "_cgroup_memory_limit", lambda: need - 1)
+    fake_budget(monkeypatch, need - 1)
     monkeypatch.setattr(marcher, "_bracket_update", first_step)
-    with pytest.raises(ConfigError, match=rf"J = 20000 too large at I = 8: .* need {need} bytes "
-                                          rf"\(budget: {need - 1} bytes of the cgroup's memory.max\)"):
+    message = (rf"J = 20000 too large at I = 8, K = 2: .* and 0 \(K\+1\) x \(I\+1\) snapshots "
+               rf"need {need} bytes, more than the {need - 1} bytes of the cgroup's memory.max$")
+    with pytest.raises(ConfigError, match=message):
         march(cfg, GAUSS)
-    monkeypatch.setattr(extension_op, "_cgroup_memory_limit", lambda: need)
+    with pytest.raises(ConfigError, match="capture must be"):   # capture is checked first
+        march(cfg, GAUSS, capture="some")
+    fake_budget(monkeypatch, need)
     with pytest.raises(FirstStep):          # a budget of exactly the history passes
         march(cfg, GAUSS)
+
+
+def test_snapshots_count_against_the_memory_budget(monkeypatch):
+    # 601 captured (K+1) x (I+1) node arrays hold 80 MB against a 40 KB history:
+    # the march is refused before it builds, and each distinct step counts once
+    cfg = make_config(I=256, K=64, T=1e-4, J=600)
+    history = 8 * (cfg.J + 1) * (cfg.I + 2)
+    need = history + 8 * (cfg.J + 1) * (cfg.K + 1) * (cfg.I + 1)
+    class Built(Exception):
+        pass
+
+    def build(*_key):
+        raise Built
+
+    fake_budget(monkeypatch, need - 1)
+    monkeypatch.setattr(extension_op, "_cache", type(extension_op._cache)())
+    monkeypatch.setattr(extension_op, "_build", build)
+    capture = np.r_[every_step(cfg), every_step(cfg)]
+    with pytest.raises(ConfigError, match=rf"and 601 \(K\+1\) x \(I\+1\) snapshots need {need} "):
+        march(cfg, GAUSS, capture=capture)
+    fake_budget(monkeypatch, history)       # without snapshots the march gets to its build
+    with pytest.raises(Built):
+        march(cfg, GAUSS)
+
+
+def test_small_march_reads_no_memory_limit(monkeypatch):
+    # a 65 x 65 march and its build each need less than 1 MiB, below any budget:
+    # neither reads a limit
+    def unread():
+        raise AssertionError("a memory limit was read")
+
+    for name in ("_physical_memory", "_address_space_limit", "_cgroup_memory_limit"):
+        monkeypatch.setattr(extension_op, name, unread)
+    monkeypatch.setattr(extension_op, "_cache", type(extension_op._cache)())
+    cfg = SolverConfig(sigma=0.5, m=2.0, X=2.0, Y=4.0, T=0.01, I=64, K=64, J=20)
+    traj = march(cfg, GAUSS)
+    assert traj.trace_history.shape == (21, 65)
 
 
 def test_march_enforces_cfl():
@@ -390,8 +435,9 @@ def test_march_enforces_cfl():
     ("dx power", ConfigError, r"dx\^sigma = 1e-300\^1.9 is not a positive finite"),
     ("lambda", ConfigError, r"lambda = nu_sigma dt / dx\^sigma overflows"),
     ("cfl", CflViolationError, "increase J to at least"),
-    ("history", ConfigError, r"J = 20000 too large at I = 8: .* of the cgroup's memory.max\)"),
     ("capture", ConfigError, "capture must be None or snapshot times, got 'some'"),
+    ("history", ConfigError, r"J = 20000 too large at I = 8, K = 2: .* the cgroup's memory.max$"),
+    ("snapshots", ConfigError, r"J = 200 too large at I = 64, K = 16: .* and 201 \(K\+1\)"),
 ])
 def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, message):
     # every refusal of the config, the data or capture comes before the operator
@@ -405,14 +451,15 @@ def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, m
         cfg = SolverConfig(sigma=1.9, m=2.0, X=1e-10, Y=2e-10, T=1e300, I=2, K=2, J=1)
     elif refusal == "cfl":
         cfg = make_config(J=1, T=5.0)
+    elif refusal == "capture":
+        capture = "some"
     elif refusal == "history":
         cfg = make_config(J=20000)
-        need = 8 * (cfg.J + 1) * (cfg.I + 2)
-        for name, budget in (("_physical_memory", 2 * need), ("_address_space_limit", 2 * need),
-                             ("_cgroup_memory_limit", need - 1)):
-            monkeypatch.setattr(extension_op, name, lambda budget=budget: budget)
+        fake_budget(monkeypatch, 8 * (cfg.J + 1) * (cfg.I + 2) - 1)
     else:
-        capture = "some"
+        cfg = make_config(I=64, K=16, T=1e-3, J=200)
+        capture = every_step(cfg)
+        fake_budget(monkeypatch, 8 * (cfg.J + 1) * ((cfg.I + 2) + (cfg.K + 1) * (cfg.I + 1)) - 1)
     calls = []
     real_build, real_solve = extension_op._build, extension_op._solve
     monkeypatch.setattr(extension_op, "_cache", type(extension_op._cache)())    # no cached build

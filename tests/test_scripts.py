@@ -35,7 +35,7 @@ def test_bench_ladder_script(child_env, tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert (report["tag"], report["passes"], report["solve_calls"], report["march_steps"]) == (
-        "smoke", 3, 50, 50)
+        "smoke", 5, 50, 50)
     assert {"nproc", "cpu", "python", "numpy", "scipy", "git", "src_sha256",
             "OPENBLAS_NUM_THREADS", "src_lines"} <= set(report["machine"])
     assert report["machine"]["src_lines"] == sum(
@@ -44,7 +44,12 @@ def test_bench_ladder_script(child_env, tmp_path):
         report["machine"]["src_lines"])
     assert [(r["I"], r["K"], r["c"], r["d"], r["sigma"]) for r in report["rungs"]] == [
         (64, 32, 2, 1, 0.5), (64, 32, 3, 4, 1.5), (128, 64, 2, 1, 0.5), (128, 64, 3, 4, 1.5)]
+    figures = ("assemble_s", "assemble_peak_mib", "solve_ms_p50", "solve_ms_p99", "step_ms_p50")
     for r in report["rungs"]:
+        # each figure's median over the passes lies between its quartiles
+        assert set(r) == {"I", "K", "c", "d", "sigma"} | {
+            f"{f}{q}" for f in figures for q in ("", "_q1", "_q3")}
+        assert all(r[f"{f}_q1"] <= r[f] <= r[f"{f}_q3"] for f in figures)
         assert 0.0 < r["assemble_s"] and 0.0 < r["solve_ms_p50"] <= r["solve_ms_p99"]
         assert 0.0 < r["step_ms_p50"]
         # the traced peak of a build lies within the bound _build checks the budget against
