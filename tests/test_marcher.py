@@ -382,29 +382,6 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
         march(cfg, GAUSS)
 
 
-def test_snapshots_count_against_the_memory_budget(monkeypatch):
-    # 601 captured (K+1) x (I+1) node arrays hold 80 MB against a 40 KB history:
-    # the march is refused before it builds, and each distinct step counts once
-    cfg = make_config(I=256, K=64, T=1e-4, J=600)
-    history = 8 * (cfg.J + 1) * (cfg.I + 2)
-    need = history + 8 * (cfg.J + 1) * (cfg.K + 1) * (cfg.I + 1)
-    class Built(Exception):
-        pass
-
-    def build(*_key):
-        raise Built
-
-    fake_budget(monkeypatch, need - 1)
-    monkeypatch.setattr(extension_op, "_cache", type(extension_op._cache)())
-    monkeypatch.setattr(extension_op, "_build", build)
-    capture = np.r_[every_step(cfg), every_step(cfg)]
-    with pytest.raises(ConfigError, match=rf"and 601 \(K\+1\) x \(I\+1\) snapshots need {need} "):
-        march(cfg, GAUSS, capture=capture)
-    fake_budget(monkeypatch, history)       # without snapshots the march gets to its build
-    with pytest.raises(Built):
-        march(cfg, GAUSS)
-
-
 def test_small_march_reads_no_memory_limit(monkeypatch):
     # a 65 x 65 march and its build each need less than 1 MiB, below any budget:
     # neither reads a limit
@@ -437,7 +414,8 @@ def test_march_enforces_cfl():
     ("cfl", CflViolationError, "increase J to at least"),
     ("capture", ConfigError, "capture must be None or snapshot times, got 'some'"),
     ("history", ConfigError, r"J = 20000 too large at I = 8, K = 2: .* the cgroup's memory.max$"),
-    ("snapshots", ConfigError, r"J = 200 too large at I = 64, K = 16: .* and 201 \(K\+1\)"),
+    ("snapshots", ConfigError, r"J = 200 too large at I = 64, K = 16: .* and 201 \(K\+1\) x "
+                               r"\(I\+1\) snapshots need 1882968 bytes"),
 ])
 def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, message):
     # every refusal of the config, the data or capture comes before the operator
@@ -457,8 +435,8 @@ def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, m
         cfg = make_config(J=20000)
         fake_budget(monkeypatch, 8 * (cfg.J + 1) * (cfg.I + 2) - 1)
     else:
-        cfg = make_config(I=64, K=16, T=1e-3, J=200)
-        capture = every_step(cfg)
+        cfg = make_config(I=64, K=16, T=1e-3, J=200)     # each distinct step counts once
+        capture = np.r_[every_step(cfg), every_step(cfg)]
         fake_budget(monkeypatch, 8 * (cfg.J + 1) * ((cfg.I + 2) + (cfg.K + 1) * (cfg.I + 1)) - 1)
     calls = []
     real_build, real_solve = extension_op._build, extension_op._solve
