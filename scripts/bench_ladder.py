@@ -109,13 +109,12 @@ def rung(I: int, c: int, d: int, sigma: float) -> dict:
         times.append(time.perf_counter() - start)
     p50, p99 = np.percentile(times, [50, 99]) * 1e3
     return {"assemble_s": assemble_s, "assemble_peak_mib": assemble_peak_mib,
-            "solve_ms_p50": p50, "solve_ms_p99": p99, "step_ms_p50": step_ms_p50(op, trace)}
+            "solve_ms_p50": p50, "solve_ms_p99": p99, "step_ms_p50": step_ms_p50(op, grid, trace)}
 
 
-def step_ms_p50(op, trace) -> float:
-    """p50 in ms of STEPS consecutive steps of one march on op's config from the
-    datum whose interior trace is trace (b_max = max trace^M)."""
-    grid = op.grid
+def step_ms_p50(op, grid, trace) -> float:
+    """p50 in ms of STEPS consecutive steps of one march on grid with op's sigma and
+    pair from the datum whose interior trace is trace (b_max = max trace^M)."""
     J = STEPS + 1
     T = J * 0.5 * cfl_max_dt(M, float(trace.max()) ** M, op.sigma, grid.dx)
     config = SolverConfig(sigma=op.sigma, m=M, X=grid.X, Y=grid.Y, T=T, I=grid.I, K=grid.K,

@@ -80,13 +80,13 @@ def cfl_max_dt(m: float, b_max: float, sigma: float, dx: float) -> float:
 
 
 def _dx_power(dx: float, sigma: float) -> float:
-    """dx^sigma for a positive finite dx; ValueError where it underflows to 0 or overflows."""
+    """dx^sigma for a positive finite dx; ConfigError where it underflows to 0 or overflows."""
     try:
         p = float(dx) ** sigma
     except OverflowError:
         p = math.inf
     if not 0.0 < p < math.inf:
-        raise ValueError(f"dx^sigma = {dx:g}^{sigma:g} is not a positive finite float")
+        raise ConfigError(f"dx^sigma = {dx:g}^{sigma:g} is not a positive finite float")
     return p
 
 

@@ -57,7 +57,7 @@ _MONOTONE_TOL = 1e-12                   # verify_monotone_structure's sign margi
 _CACHE_BYTES = 64 * 2**20               # budget of the operator cache, in array bytes
 _TAIL_BOUND = 2.0**-60                  # bound on a row's dropped modes, per unit max|trace|
 _BLOCK_SAVING = 2**18                   # multiply-adds a new row block must save per step
-_cache: OrderedDict = OrderedDict()     # (I, K, sigma, c, d) -> _build's result
+_cache: OrderedDict = OrderedDict()     # (I, K, sigma, c, d) -> its ExtensionOperator
 _CGROUP_ROOT = "/sys/fs/cgroup"         # where the cgroup trees are mounted
 
 
@@ -113,8 +113,8 @@ def _sine_basis(I: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _x_modes(c: int, T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
-             s_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """V, V^-1, G and s_trace for T_int = V diag(lam) V^-1, lam ascending, and the
+             s_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V, V^-1 and G for T_int = V diag(lam) V^-1, lam ascending, and the
     y-systems (S_int + lam_n I) G[:, n] = s_trace of all modes n, solved as the
     diagonal blocks of one banded system; s_trace is the interior rhs per unit
     trace value, -S_y[:, 0], and G[:, n] mode n's interior y-profile for it.
@@ -147,7 +147,7 @@ def _x_modes(c: int, T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
     ab = np.tile(y_band, len(lam))
     ab[upper] += np.repeat(lam, n_y)
     g = linalg.solve_banded((lower, upper), ab, np.tile(s_trace, len(lam)), overwrite_ab=True)
-    return V, (V.T if c == 2 else linalg.inv(V)), g.reshape(len(lam), n_y).T.copy(), s_trace
+    return V, (V.T if c == 2 else linalg.inv(V)), g.reshape(len(lam), n_y).T.copy()
 
 
 def _staircase(V: np.ndarray, V_inv: np.ndarray, G: np.ndarray) -> tuple[tuple[int, int, int], ...]:
@@ -156,12 +156,16 @@ def _staircase(V: np.ndarray, V_inv: np.ndarray, G: np.ndarray) -> tuple[tuple[i
 
     With c = V^-1 t, |c_n'| <= ||V^-1||_inf max|t| and |V[i, n']| <= max|V|, so
     the modes n' >= n add at most sum_n'>=n |G[k, n']| ||V^-1||_inf max|V| max|t|
-    to row k.  Row k needs the fewest modes n_k that keep this sum <= 2^-60 max|t|
-    at row k and every row below it.  One pass groups the rows: a block ends at
-    the first row needing at most half its mode count, if the rows from there on
-    then save _BLOCK_SAVING multiply-adds or more.
+    to row k.  Neither scalar forms an n x n |V|: max|V| = max(max V, -min V), and
+    ||V^-1||_inf sums |V^-1| over row blocks of about 2^14 entries.  Row k needs
+    the fewest modes n_k that keep this sum <= 2^-60 max|t| at row k and every row
+    below it.  One pass groups the rows: a block ends at the first row needing at
+    most half its mode count, if the rows from there on then save _BLOCK_SAVING
+    multiply-adds or more.
     """
-    limit = _TAIL_BOUND / (np.linalg.norm(V_inv, np.inf) * np.abs(V).max())
+    step = 2**14 // len(V) + 1
+    inv_norm = np.max([np.abs(V_inv[r:r + step]).sum(axis=1).max() for r in range(0, len(V), step)])
+    limit = _TAIL_BOUND / (inv_norm * np.maximum(V.max(), -V.min()))
     tail = np.abs(G[:, ::-1])
     np.cumsum(tail, axis=1, out=tail)       # tail[k, j]: |G[k]| summed over the top j+1 modes
     need = G.shape[1] - np.count_nonzero(tail <= limit, axis=1)    # a NaN sum keeps its mode
@@ -198,19 +202,20 @@ def _five_diagonals(T_x: sparse.csr_matrix, S_y: sparse.csr_matrix) -> sparse.di
     return sparse.dia_matrix((data, offsets), shape=(N, N))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExtensionOperator:
-    """The interior system for trace data: its two 1-D factors and x-modes.
+    """The interior system for trace data on I x K steps: its two 1-D factors and x-modes.
 
     Interior unknowns are ordered by (k, i).  T_x, (I-1) x (I+1), and S_y,
     (K-1) x (K+1), are the scaled 1-D factors over all x-nodes 0..I and all
     y-nodes 0..K; row n = (k-1)(I-1) + (i-1) of the interior matrix A is row
-    i-1 of T_x at height k plus row k-1 of S_y at abscissa i.  V, V^-1, G and
-    s are _x_modes' arrays, blocks _staircase's row blocks and L
-    _five_diagonals' full-node operator (None where a factor is wider than
-    tridiagonal).  Solves use only these; A is derived on demand.
+    i-1 of T_x at height k plus row k-1 of S_y at abscissa i.  V, V^-1 and G are
+    _x_modes' arrays, s = -S_y[:, 0], blocks _staircase's, L _five_diagonals'
+    (None where a factor is wider than tridiagonal) and nbytes the bytes of their
+    distinct buffers.  Solves use only these; A is derived on every read.
     """
-    grid: Grid
+    I: int
+    K: int
     sigma: float
     c: int
     d: int | None
@@ -222,6 +227,7 @@ class ExtensionOperator:
     s: np.ndarray = field(repr=False)
     blocks: tuple[tuple[int, int, int], ...] = field(repr=False)
     L: sparse.dia_matrix | None = field(repr=False)
+    nbytes: int
 
     @cached_property
     def s_max(self) -> float:
@@ -232,16 +238,14 @@ class ExtensionOperator:
     def block_products(self) -> tuple[tuple[np.ndarray, np.ndarray, tuple[slice, slice], int], ...]:
         """(G[k0:k1, :n], V[:, :n]^T, the node-array index of rows 1+k0 .. k1, n) for
         each row block (k0, k1, n): the staircase's operands, sliced once per operator."""
-        I = self.grid.I
-        return tuple((self.G[k0:k1, :n], self.V[:, :n].T, (slice(1 + k0, 1 + k1), slice(1, I)), n)
-                     for k0, k1, n in self.blocks)
+        return tuple((self.G[k0:k1, :n], self.V[:, :n].T,
+                      (slice(1 + k0, 1 + k1), slice(1, self.I)), n) for k0, k1, n in self.blocks)
 
-    @cached_property
+    @property
     def A(self) -> sparse.csr_matrix:
         """I (x) T_x,int + S_y,int (x) I from the factors, for dump_matrix and tests."""
-        I, K = self.grid.I, self.grid.K
-        return (sparse.kron(sparse.eye(K - 1), self.T_x[:, 1:I], format="csr")
-                + sparse.kron(self.S_y[:, 1:K], sparse.eye(I - 1), format="csr"))
+        return (sparse.kron(sparse.eye(self.K - 1), self.T_x[:, 1:self.I], format="csr")
+                + sparse.kron(self.S_y[:, 1:self.K], sparse.eye(self.I - 1), format="csr"))
 
     def condition_estimate(self) -> float:
         """kappa_1(V) = ||V||_1 * ||V^-1||_1 >= 1 of the x-mode basis: the factor by
@@ -256,7 +260,7 @@ def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
     holds V (n^2 floats) and per mode and y-node the tiled band (l+u+1), the rhs
     and LAPACK's copy (or the solution and G); gtsv (l = u = 1) works in place,
     gbsv adds a (2l+u+1)-row band, its Fortran copy and the pivots.  Later: the
-    basis (c = 2: n^2; c >= 3: 3n^2, eig's or inv's arrays), G, _staircase's |V|,
+    basis (c = 2: n^2; c >= 3: 3n^2, eig's or inv's arrays), G, _staircase's
     tail sums and mask, and L's five node-length diagonals and n*m main sums.
     64 KiB and 512 bytes per x- and y-node cover the rest."""
     windows = [w for f in ((2, c), (1, d)) for w in STENCIL_WINDOWS.get(f, ())]
@@ -265,7 +269,7 @@ def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
     gbsv = 0 if l == u == 1 else 16 * (2 * l + u + 1) + 4   # per n*m: band, its copy, pivots
     L = 0 if gbsv else 5 * (I + 1) * (K + 1) + n * m       # both factors are tridiagonal
     solve = 8 * n * n + (8 * (l + u + 3) + gbsv) * n * m
-    after = 8 * ((2 if c == 2 else 4) * n * n + 2 * n * m + L) + n * m
+    after = 8 * ((1 if c == 2 else 3) * n * n + 2 * n * m + L) + n * m
     return max(solve, after) + 2**16 + 512 * (n + m)
 
 
@@ -326,9 +330,9 @@ def check_memory(need: int, what: str) -> None:
             raise ConfigError(f"{what} {need} bytes, more than the {have} bytes of {source}")
 
 
-def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, int]:
-    """(T_x, S_y, V, V^-1, G, s, blocks, L), all arrays read-only, and the nbytes of
-    their distinct buffers (for c = 2, V and V^-1 share one).
+def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> ExtensionOperator:
+    """The operator for (I, K, sigma, c, d), every array read-only; its nbytes counts
+    each distinct buffer once (for c = 2, V and V^-1 share one).
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus (1-sigma)/k
@@ -341,41 +345,42 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> tuple[tuple, 
     S_y = -_factor((2, c), K)
     if d is not None and sigma != 1.0:
         S_y = S_y - sparse.diags((1.0 - sigma) / np.arange(1, K)) @ _factor((1, d), K)
+    s = -S_y[:, 0].toarray().ravel()        # the trace reaches the interior only through it
     try:
-        # the trace reaches the interior only through S_y's k = 0 column
-        modes = _x_modes(c, T_x[:, 1:I], S_y[:, 1:K], -S_y[:, 0].toarray().ravel())
+        V, V_inv, G = _x_modes(c, T_x[:, 1:I], S_y[:, 1:K], s)
     except linalg.LinAlgError as e:
         raise SolverError(f"x-mode setup failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
     except MemoryError as e:
         raise ConfigError(f"mesh I={I}, K={K} too large: x-mode setup cannot be allocated") from e
-    blocks = _staircase(*modes[:3])
     L = _five_diagonals(T_x, S_y)
-    arrays = list(modes) + ([] if L is None else [L.data, L.offsets])
+    arrays = [V, V_inv, G, s] + ([] if L is None else [L.data, L.offsets])
     for M in (T_x, S_y):
         M.sum_duplicates()          # canonical: scipy never re-sorts a frozen matrix in place
         arrays += [M.data, M.indices, M.indptr]
     for a in arrays:
         a.setflags(write=False)
     buffers = {id(b): b.nbytes for b in (a if a.base is None else a.base for a in arrays)}
-    return (T_x, S_y, *modes, blocks, L), sum(buffers.values())
+    return ExtensionOperator(I=I, K=K, sigma=sigma, c=c, d=d, T_x=T_x, S_y=S_y, V=V,
+                             V_inv=V_inv, G=G, s=s, blocks=_staircase(V, V_inv, G), L=L,
+                             nbytes=sum(buffers.values()))
 
 
 def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> ExtensionOperator:
-    """The operator of _build's parts for a fixed grid, sigma and stencil pair.
+    """The operator for grid's I and K, sigma and the stencil pair (c, d).
 
-    Parts are built once per (I, K, sigma, c, d) and every caller shares them
-    read-only.  An LRU keeps them while their arrays total at most
-    _CACHE_BYTES = 64 MiB; a larger operator is returned but not kept.
+    It depends on nothing else: one frozen operator is built per (I, K, sigma, c, d),
+    and every caller gets that same object.  An LRU keeps operators while their
+    nbytes total at most _CACHE_BYTES = 64 MiB; a larger one is returned but not kept.
     """
     sigma = _check_sigma(sigma)
     check_stencil(sigma, c, d, grid.I, grid.K)
     key = (grid.I, grid.K, sigma, c, d)
-    entry = _cache.pop(key, None) or _build(*key)
-    if entry[1] <= _CACHE_BYTES:
-        _cache[key] = entry                 # (re)inserted as the most recently used
-        while sum(n for _, n in _cache.values()) > _CACHE_BYTES:
+    op = _cache.pop(key, None) or _build(*key)
+    if op.nbytes <= _CACHE_BYTES:
+        _cache[key] = op                    # (re)inserted as the most recently used
+        while sum(o.nbytes for o in _cache.values()) > _CACHE_BYTES:
             _cache.popitem(last=False)
-    return ExtensionOperator(grid, sigma, c, d, *entry[0])
+    return op
 
 
 def _residual(op: ExtensionOperator, P: np.ndarray) -> float:
@@ -385,7 +390,7 @@ def _residual(op: ExtensionOperator, P: np.ndarray) -> float:
     if op.L is not None:
         R = op.L @ P.ravel()
     else:
-        I, K = op.grid.I, op.grid.K
+        I, K = op.I, op.K
         R = op.S_y @ P[:, 1:I]
         np.add(R, (op.T_x @ P[1:K].T).T, out=R)
     return float(np.abs(R, out=R).max())
@@ -403,7 +408,7 @@ def _solve(op: ExtensionOperator, trace_row: np.ndarray, P: np.ndarray | None = 
     with op.L or else one with each 1-D factor, catches a non-finite or
     inaccurate solve (SolverError), so a P returned is finite.
     """
-    I, K = op.grid.I, op.grid.K
+    I, K = op.I, op.K
     if trace_row.shape != (I - 1,):
         raise ValueError(f"trace_row must have length I-1 = {I - 1}, got {trace_row.shape}")
     hi, lo = float(trace_row.max()), float(trace_row.min())
@@ -420,7 +425,7 @@ def _solve(op: ExtensionOperator, trace_row: np.ndarray, P: np.ndarray | None = 
     # ||outer(s, trace)||_inf = max|s| max|t| exactly: rounding is monotone
     norm_rhs = op.s_max * max(hi, -lo)
     resid = _residual(op, P)
-    if not resid <= 1e-10 * max(norm_rhs, 1e-300):
+    if not resid < 1e-10 * max(norm_rhs, 1e-300):     # fails for inf < inf and for NaN
         raise SolverError(
             f"solve residual {resid:.3e} exceeds 1e-10 * ||rhs||_inf = {1e-10 * norm_rhs:.3e}; "
             f"x-mode basis condition estimate {op.condition_estimate():.3e}")
@@ -437,7 +442,7 @@ def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,
                      interior: np.ndarray) -> np.ndarray:
     """The (I+1) x (K+1) node array [i, k], trace_row at k = 0, interior inside, 0 on
     the lateral and top boundary: the transpose, not a copy, of a new height-major array."""
-    vals = np.zeros((op.grid.K + 1, op.grid.I + 1))
+    vals = np.zeros((op.K + 1, op.I + 1))
     vals[0, 1:-1] = trace_row
     vals[1:-1, 1:-1] = interior.T
     return vals.T

@@ -83,10 +83,10 @@ def _bracket_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
 
 def _lambda(dt: float, dx: float, sigma: float) -> float:
     """lam = nu_sigma dt / dx^sigma of the trace update, for dt > 0 and dx > 0 finite;
-    ValueError where dx^sigma underflows to 0 or overflows, or lam overflows."""
+    ConfigError where dx^sigma underflows to 0 or overflows, or lam overflows."""
     lam = core.nu_sigma(sigma) * dt / core._dx_power(dx, sigma)
     if not lam < np.inf:
-        raise ValueError(f"lambda = nu_sigma dt / dx^sigma overflows at dt = {dt}, dx = {dx}, "
+        raise ConfigError(f"lambda = nu_sigma dt / dx^sigma overflows at dt = {dt}, dx = {dx}, "
                          f"sigma = {sigma}")
     return lam
 
@@ -101,7 +101,7 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
     -1e-12 abort (CFL violation or corrupted state), smaller ones are rounding
     and clamp to 0.  Rows down to -1e-12 are accepted, and row0 enters the root
     clamped at 0.  A dx^sigma that is 0 or not finite, or a lambda that
-    overflows, is refused (ValueError).
+    overflows, is refused (ConfigError, a ValueError).
     """
     row0, row1 = np.asarray(row0, dtype=float), np.asarray(row1, dtype=float)
     if row0.shape != row1.shape:
@@ -116,11 +116,12 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
     return _bracket_update(row0, row1, _lambda(dt, dx, sigma), m, base=np.maximum(row0, 0.0))
 
 
-def step(state: Field, op: extension_op.ExtensionOperator, config: SolverConfig) -> Field:
-    """Advance one time level: trace update, then interior re-solve."""
+def step(state: Field, config: SolverConfig) -> Field:
+    """Advance one time level: trace update, then interior re-solve on config's operator."""
     vals = state.values
     new_trace = boundary_update(vals[1:-1, 0], vals[1:-1, 1],
                                 config.dt, config.dx, config.sigma, config.m)
+    op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     return Field(values=extension_op._solve(op, new_trace).T, time_index=state.time_index + 1)
 
 
@@ -175,19 +176,16 @@ def _capture_steps(capture, J: int, dt: float) -> set[int]:
 def march(config: SolverConfig, f, capture=None) -> Trajectory:
     """Run all J steps on config's operator, enforcing the CFL bound and the band.
 
-    capture: None (trace history only) or an iterable of times, each rounded to
-    the nearest step.  The data, lambda, the CFL bound, capture and the memory
-    the history, its times and the snapshots will hold are checked, in that
-    order, before the operator is assembled.
+    capture: None (trace history only) or an iterable of times, each rounded to the
+    nearest step.  The data, lambda, the CFL bound, capture and the memory the history,
+    its times and the snapshots will hold are checked, in that order, before the operator
+    is assembled; a step raises only NegativeBracketError, SolverError or MaxPrincipleError.
     """
     row = initial_trace_w(config, f)[1:-1]
     b_max = float(row.max())
 
     dt = config.dt
-    try:
-        lam = _lambda(dt, config.dx, config.sigma)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    lam = _lambda(dt, config.dx, config.sigma)
     bound = core.cfl_max_dt(config.m, b_max, config.sigma, config.dx)
     if dt > config.cfl_safety * bound * (1.0 + 1e-12):
         with np.errstate(divide="ignore", over="ignore"):     # a bound that underflows to 0
@@ -213,20 +211,17 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     diags: list[StepDiagnostics] = []
 
     # an uncaptured step's node array is handed back to the next solve to fill; a
-    # captured one is made read-only, its snapshot's, and never written again
+    # captured one is made read-only, its snapshot's, and never written again.  No
+    # row is rescanned: _solve returns finite arrays, and the bracket checks row 1
     spare, width = None, I + 1
     for j in range(J + 1):
         if j > 0:
-            if w_min < -1e-12 and P[:2, 1:-1].min() < -1e-12:
-                raise ValueError("trace rows must be nonnegative")
             row = _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, config.m, j)
         P = extension_op._solve(op, row, spare)
         w_min = float(P.min())
         k, i = divmod(int(np.argmax(P)), width)     # discrete_max_location's (i, k)
         w_max = float(P[k, i])
         if not (w_min >= -1e-10 and w_max <= b_max + 1e-10):
-            if not np.isfinite(P).all():    # where ||rhs|| overflows, the residual check passes inf
-                Field(values=P.T)           # raises Field's error for the first non-finite node
             raise MaxPrincipleError(
                 f"solution left [0, b_max] band at step {j}: "
                 f"min = {w_min:.3e}, max = {w_max:.3e}, b_max = {b_max:.3e}")

@@ -55,3 +55,15 @@ def test_bench_ladder_script(child_env, tmp_path):
         # the traced peak of a build lies within the bound _build checks the budget against
         bound = extension_op._build_bytes(r["I"], r["K"], r["c"], r["d"])
         assert 0.0 < r["assemble_peak_mib"] <= bound / 2**20
+
+
+def test_output_digest_script(child_env):
+    # two runs of one workload print the same "<workload> <sha256>" line
+    lines = []
+    for _ in range(2):
+        proc = run_script(child_env, "output_digest.py", "convergence")
+        assert proc.returncode == 0, proc.stderr
+        lines.append(proc.stdout)
+    name, digest = lines[0].split()
+    assert name == "convergence" and len(digest) == 64 and lines[1] == lines[0]
+    assert run_script(child_env, "output_digest.py", "no_such_workload").returncode == 2
