@@ -25,8 +25,8 @@ A step maps the trace to x-modes once, c = V^-1 t, and forms each row of
 (G o c) V^T only over the modes that can still move it by more than 2^-60
 max|t|: the rows fall into a few blocks, each with its own mode count (the
 staircase), and one product per block.  The residual of the whole interior
-checks every solve: where both factors are tridiagonal (c = 2 with d = 1, 2 or
-no drift), A's rows are five constant offsets of the height-major node array,
+checks every solve: where both factors' windows reach one node each way (c = 2
+with d = 1, 2 or no drift), A's rows are five offsets of the height-major nodes,
 so one DIA product L @ P.ravel() over all nodes forms it; other pairs apply
 each factor in turn.  assemble builds this once per key.
 """
@@ -83,6 +83,14 @@ def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
     return np.array(w)
 
 
+def _band_structure(sigma: float, c: int, d: int | None):
+    """S_y's stencil families, (2, c) and the drift's (1, d) unless d is None or sigma = 1,
+    then T_x's and S_y's (lower, upper) reach: the most nodes their windows span each way."""
+    families = ((2, c),) if d is None or sigma == 1.0 else ((2, c), (1, d))
+    windows = [[w for f in families[:n] for w in STENCIL_WINDOWS[f]] for n in (1, len(families))]
+    return families, *((max(-min(w) for w in ws), max(map(max, ws))) for ws in windows)
+
+
 def _factor(family: tuple[int, int], n: int) -> sparse.csr_matrix:
     """(n-1) x (n+1) matrix whose row j-1 holds the weights of the stencil family
     (deriv, order) at node j of 0..n, from its STENCIL_WINDOWS entry; weights are
@@ -112,12 +120,11 @@ def _sine_basis(I: int) -> tuple[np.ndarray, np.ndarray]:
     return 4.0 * np.sin(j * (np.pi / (2 * I))) ** 2, B
 
 
-def _x_modes(c: int, T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
+def _x_modes(c: int, T_int: sparse.csr_matrix, S_int: sparse.csr_matrix, reach: tuple[int, int],
              s_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V, V^-1 and G for T_int = V diag(lam) V^-1, lam ascending, and the
-    y-systems (S_int + lam_n I) G[:, n] = s_trace of all modes n, solved as the
-    diagonal blocks of one banded system; s_trace is the interior rhs per unit
-    trace value, -S_y[:, 0], and G[:, n] mode n's interior y-profile for it.
+    """V, V^-1 and G for T_int = V diag(lam) V^-1, lam ascending, and the y-systems
+    (S_int + lam_n I) G[:, n] = s_trace = -S_y[:, 0] of all modes n: the diagonal blocks
+    of one banded system, whose widths are S_y's reach clipped to S_int's order - 1.
 
     For c = 2, lam and B come from _sine_basis, and V = B^T and V^-1 = B are two
     views of its one array, with the layouts eig and inv give: V Fortran-ordered,
@@ -136,10 +143,8 @@ def _x_modes(c: int, T_int: sparse.csr_matrix, S_int: sparse.csr_matrix,
                               "the x-mode solve needs a real spectrum")
         order = np.argsort(lam.real, kind="stable")
         lam, V = lam.real[order], V[:, order]
-    S = S_int.tocoo()                       # the diagonal is stored, so both widths are >= 0
-    lower = int((S.row - S.col).max())
-    upper = int((S.col - S.row).max())
-    n_y = S.shape[0]
+    S, n_y = S_int.tocoo(), S_int.shape[0]
+    lower, upper = (min(r, n_y - 1) for r in reach)
     y_band = np.zeros((lower + upper + 1, n_y))             # LAPACK band storage
     y_band[upper + S.row - S.col, S.col] = S.data
     # tiling is exact: y_band's slots that fall outside a block are zero, so no
@@ -179,20 +184,15 @@ def _staircase(V: np.ndarray, V_inv: np.ndarray, G: np.ndarray) -> tuple[tuple[i
     return tuple(blocks)
 
 
-def _five_diagonals(T_x: sparse.csr_matrix, S_y: sparse.csr_matrix) -> sparse.dia_matrix | None:
-    """The full-node operator L in DIA form, or None unless both factors are tridiagonal.
+def _five_diagonals(T_x: sparse.csr_matrix, S_y: sparse.csr_matrix) -> sparse.dia_matrix:
+    """The full-node operator L in DIA form, for two tridiagonal factors.
 
     Over the height-major nodes n = k(I+1) + i, row n of L is zero at boundary
     nodes and at an interior node holds T_x's row i-1 at offsets -1, 0, 1 and
     S_y's row k-1 at offsets -(I+1), 0, I+1, so (L @ P.ravel())[n] is A's
     residual at (i, k).  DIA stores entry (n, n + o) at data[o's row, n + o].
     """
-    for F in (T_x, S_y):
-        coo = F.tocoo()                     # tridiagonal: row j-1 within columns j-1 .. j+1
-        if np.any((coo.col < coo.row) | (coo.col > coo.row + 2)):
-            return None
-    I, K = T_x.shape[1] - 1, S_y.shape[1] - 1
-    N = (K + 1) * (I + 1)
+    I, K, N = T_x.shape[1] - 1, S_y.shape[1] - 1, T_x.shape[1] * S_y.shape[1]
     offsets = np.array([-(I + 1), -1, 0, 1, I + 1])
     x, y = T_x.diagonal, lambda j: S_y.diagonal(j)[:, None]
     data = np.zeros((5, N))
@@ -211,7 +211,7 @@ class ExtensionOperator:
     y-nodes 0..K; row n = (k-1)(I-1) + (i-1) of the interior matrix A is row
     i-1 of T_x at height k plus row k-1 of S_y at abscissa i.  V, V^-1 and G are
     _x_modes' arrays, s = -S_y[:, 0], blocks _staircase's, L _five_diagonals'
-    (None where a factor is wider than tridiagonal) and nbytes the bytes of their
+    (None unless both factors' windows reach one node each way), nbytes the bytes of their
     distinct buffers.  Solves use only these; A is derived on every read.
     """
     I: int
@@ -253,8 +253,8 @@ class ExtensionOperator:
         return float(np.linalg.norm(self.V, 1) * np.linalg.norm(self.V_inv, 1))
 
 
-def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
-    """An upper bound on the bytes _build holds at once (d = None: S_y has no drift).
+def _build_bytes(I: int, K: int, c: int, reach: tuple[int, int]) -> int:
+    """An upper bound on the bytes _build holds at once, for S_y's reach (l, u).
 
     n = I-1 x-modes, m = K-1 y-nodes, l and u S_y's band widths.  The band solve
     holds V (n^2 floats) and per mode and y-node the tiled band (l+u+1), the rhs
@@ -263,9 +263,7 @@ def _build_bytes(I: int, K: int, c: int, d: int | None) -> int:
     basis (c = 2: n^2; c >= 3: 3n^2, eig's or inv's arrays), G, _staircase's
     tail sums and mask, and L's five node-length diagonals and n*m main sums.
     64 KiB and 512 bytes per x- and y-node cover the rest."""
-    windows = [w for f in ((2, c), (1, d)) for w in STENCIL_WINDOWS.get(f, ())]
-    l, u = max(-min(w) for w in windows), max(map(max, windows))
-    n, m = I - 1, K - 1
+    (l, u), n, m = reach, I - 1, K - 1
     gbsv = 0 if l == u == 1 else 16 * (2 * l + u + 1) + 4   # per n*m: band, its copy, pivots
     L = 0 if gbsv else 5 * (I + 1) * (K + 1) + n * m       # both factors are tridiagonal
     solve = 8 * n * n + (8 * (l + u + 3) + gbsv) * n * m
@@ -339,20 +337,20 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> ExtensionOper
     first-derivative rows.  No interior matrix is formed, and check_memory
     refuses a mesh over the budget before any of it is allocated.
     """
-    check_memory(_build_bytes(I, K, c, None if sigma == 1.0 else d),
+    families, x_reach, y_reach = _band_structure(sigma, c, d)
+    check_memory(_build_bytes(I, K, c, y_reach),
                  f"mesh I={I}, K={K} too large: its operator needs up to")
-    T_x = -_factor((2, c), I)
-    S_y = -_factor((2, c), K)
-    if d is not None and sigma != 1.0:
-        S_y = S_y - sparse.diags((1.0 - sigma) / np.arange(1, K)) @ _factor((1, d), K)
+    T_x, S_y = -_factor((2, c), I), -_factor((2, c), K)
+    for family in families[1:]:             # the drift's (1, d)
+        S_y = S_y - sparse.diags((1.0 - sigma) / np.arange(1, K)) @ _factor(family, K)
     s = -S_y[:, 0].toarray().ravel()        # the trace reaches the interior only through it
     try:
-        V, V_inv, G = _x_modes(c, T_x[:, 1:I], S_y[:, 1:K], s)
+        V, V_inv, G = _x_modes(c, T_x[:, 1:I], S_y[:, 1:K], y_reach, s)
     except linalg.LinAlgError as e:
         raise SolverError(f"x-mode setup failed for (c={c}, d={d}, sigma={sigma}): {e}") from e
     except MemoryError as e:
         raise ConfigError(f"mesh I={I}, K={K} too large: x-mode setup cannot be allocated") from e
-    L = _five_diagonals(T_x, S_y)
+    L = _five_diagonals(T_x, S_y) if x_reach == y_reach == (1, 1) else None
     arrays = [V, V_inv, G, s] + ([] if L is None else [L.data, L.offsets])
     for M in (T_x, S_y):
         M.sum_duplicates()          # canonical: scipy never re-sorts a frozen matrix in place

@@ -23,6 +23,8 @@ __all__ = [
     "march", "write_trace_csv", "write_snapshot_csv",
 ]
 
+_RECORD_BYTES = 320     # >= 312 B a step: StepDiagnostics 72, tuple 56, 3 floats, 3 ints, 2 slots
+
 
 def _data_samples(f, grid) -> np.ndarray:
     """Initial datum as a sample vector on grid.xs; rejects negative data."""
@@ -125,7 +127,7 @@ def step(state: Field, config: SolverConfig) -> Field:
     return Field(values=extension_op._solve(op, new_trace).T, time_index=state.time_index + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepDiagnostics:
     j: int
     t: float
@@ -177,9 +179,9 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     """Run all J steps on config's operator, enforcing the CFL bound and the band.
 
     capture: None (trace history only) or an iterable of times, each rounded to the
-    nearest step.  The data, lambda, the CFL bound, capture and the memory the history,
-    its times and the snapshots will hold are checked, in that order, before the operator
-    is assembled; a step raises only NegativeBracketError, SolverError or MaxPrincipleError.
+    nearest step.  The data, lambda, the CFL bound, capture and the memory of the history,
+    its times, the step records and the snapshots are checked, in that order, before the
+    operator is built; a step raises only NegativeBracketError, SolverError or MaxPrincipleError.
     """
     row = initial_trace_w(config, f)[1:-1]
     b_max = float(row.max())
@@ -197,9 +199,9 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     wanted = _capture_steps(capture, config.J, dt)
     # before allocating: overcommit may grant what a cgroup kills later
     J, I, K = config.J, config.I, config.K
-    need = 8 * ((J + 1) * (I + 2) + len(wanted) * (K + 1) * (I + 1))
+    need = (J + 1) * (8 * (I + 2) + _RECORD_BYTES) + 8 * len(wanted) * (K + 1) * (I + 1)
     held = (f"J = {J} too large at I = {I}, K = {K}: the (J+1) x (I+1) trace history, "
-            f"its times and {len(wanted)} (K+1) x (I+1) snapshots need")
+            f"its times, J+1 step records and {len(wanted)} (K+1) x (I+1) snapshots need")
     extension_op.check_memory(need, held)
     op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     try:                        # after the build: its peak never sits on the history's

@@ -398,12 +398,37 @@ def test_only_tridiagonal_factors_take_the_diagonal_path():
             if assemble(grid, 1.0, c=c, d=d).L is not None} == {(2, 1), (2, 2), (2, 3)}
 
 
+def _tridiagonal(F):
+    # a 1-D factor over nodes 0..n: row j-1 stores entries only in columns j-1 .. j+1
+    coo = F.tocoo()
+    return not np.any((coo.col < coo.row) | (coo.col > coo.row + 2))
+
+
+@pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS) + [(c, None) for c in _LAPLACIAN_ORDERS])
+def test_band_structure_is_the_built_factors_band(c, d):
+    # the stencil table's reach, clipped to K - 2, is the band S_y's interior block
+    # stores, and both reaches (1, 1) is "both factors tridiagonal", the L decision.
+    # Every K from the pair's minimum to 40; T_x's band does not depend on I once
+    # its windows fit, so I = 8
+    for sigma in (0.3, 0.5, 1.0, 1.5, 1.9) if d else (1.0,):
+        families, x_reach, y_reach = extension_op._band_structure(sigma, c, d)
+        assert families == (((2, c),) if d is None or sigma == 1.0 else ((2, c), (1, d)))
+        least = max(_fewest_steps((2, c)), _fewest_steps((1, d)) if d else 2)
+        for K in range(least, 41):
+            op = _build(8, K, sigma, c, d)
+            S = op.S_y[:, 1:K].tocoo()
+            widths = int((S.row - S.col).max()), int((S.col - S.row).max())
+            assert widths == tuple(min(r, K - 2) for r in y_reach), (sigma, K)
+            tridiagonal = _tridiagonal(op.T_x) and _tridiagonal(op.S_y)
+            assert (op.L is not None) == tridiagonal == (x_reach == y_reach == (1, 1)), (sigma, K)
+
+
 def test_x_modes_refuse_a_complex_spectrum():
     # a rotation block has eigenvalues +-i: the eig path, which c >= 3 takes, must refuse it
     # rather than drop the imaginary parts
     rotation = sparse.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(SolverError, match="complex eigenvalues"):
-        _x_modes(3, rotation, sparse.identity(3, format="csr"), np.ones(3))
+        _x_modes(3, rotation, sparse.identity(3, format="csr"), (0, 0), np.ones(3))
 
 
 @pytest.mark.parametrize("I", [2, 3, 8, 33, 64])
@@ -422,7 +447,8 @@ def test_sine_basis_is_the_eig_basis(I):
 def _eig_built(op):
     # op with the x-modes of the eig path, which c >= 3 takes, on op's own factors
     I, K = op.I, op.K
-    V, V_inv, G = _x_modes(3, op.T_x[:, 1:I], op.S_y[:, 1:K], op.s)
+    reach = extension_op._band_structure(op.sigma, op.c, op.d)[2]
+    V, V_inv, G = _x_modes(3, op.T_x[:, 1:I], op.S_y[:, 1:K], reach, op.s)
     return dataclasses.replace(op, V=V, V_inv=V_inv, G=G,
                                blocks=extension_op._staircase(V, V_inv, G))
 
@@ -679,6 +705,11 @@ def test_unallocatable_x_modes_are_a_config_error(monkeypatch):
     assert not _cache
 
 
+def _bound(I, K, c, d, sigma=0.5):
+    # the bound _build checks for (I, K, sigma, c, d)
+    return extension_op._build_bytes(I, K, c, extension_op._band_structure(sigma, c, d)[2])
+
+
 @pytest.mark.parametrize("I,K,c,d", [(I, I // 2, c, d) for I in (128, 512)
                                      for c, d in sorted(SUPPORTED_PAIRS)]
                          + [(256, 256, 4, 4), (1024, 512, 2, 1), (1024, 16, 2, 1)])
@@ -692,9 +723,9 @@ def test_build_bytes_bound_the_traced_peak(I, K, c, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= extension_op._build_bytes(I, K, c, d)
+    assert peak <= _bound(I, K, c, d)
     if I == 512:
-        assert extension_op._build_bytes(I, K, c, d) <= 1.5 * peak
+        assert _bound(I, K, c, d) <= 1.5 * peak
 
 
 def test_c2_bound_leaves_out_the_eig_path_arrays(monkeypatch):
@@ -702,7 +733,7 @@ def test_c2_bound_leaves_out_the_eig_path_arrays(monkeypatch):
     # bound (one n^2 basis) and the eig path's (which also holds the dense
     # x-block, eig's copy and V^-1) builds (2, 1), and still refuses (3, 4)
     I, K = 512, 8
-    new, eig = extension_op._build_bytes(I, K, 2, 1), extension_op._build_bytes(I, K, 3, 4)
+    new, eig = _bound(I, K, 2, 1), _bound(I, K, 3, 4)
     assert 2**20 < new < 0.6 * eig
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: (new + eig) // 2)
     grid = make_grid(I=I, K=K)
@@ -716,7 +747,7 @@ def test_mesh_over_the_memory_budget_is_refused_before_any_x_modes(monkeypatch):
         raise AssertionError("x-mode setup started")
 
     assert extension_op._physical_memory() > 0
-    need = extension_op._build_bytes(256, 128, 2, 1)
+    need = _bound(256, 128, 2, 1)
     assert need > 2**20                     # smaller needs fit any budget unread
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: need - 1)
     monkeypatch.setattr(extension_op, "_x_modes", never)
@@ -739,7 +770,7 @@ def test_process_limits_below_physical_memory_refuse_the_mesh(monkeypatch, reade
     def never(*_args):
         raise AssertionError("x-mode setup started")
 
-    need = extension_op._build_bytes(256, 128, 2, 1)
+    need = _bound(256, 128, 2, 1)
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: 2 * need)
     monkeypatch.setattr(extension_op, reader, lambda: need - 1)
     monkeypatch.setattr(extension_op, "_x_modes", never)

@@ -373,8 +373,8 @@ def fake_budget(monkeypatch, budget):
 
 
 def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(monkeypatch):
-    # the budget is faked through the cgroup reader; the 1.6 MB history is never
-    # allocated, and no step is taken
+    # the budget is faked through the cgroup reader; the 1.6 MB history and up to
+    # 6.4 MB of step records are never allocated, and no step is taken
     class FirstStep(Exception):
         pass
 
@@ -382,8 +382,8 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
         raise FirstStep
 
     cfg = make_config(J=20000)
-    need = 8 * (cfg.J + 1) * (cfg.I + 2)
-    assert need > 2**20                     # smaller histories fit any budget unread
+    need = (cfg.J + 1) * (8 * (cfg.I + 2) + marcher._RECORD_BYTES)
+    assert need > 2**20                     # smaller needs fit any budget unread
     fake_budget(monkeypatch, need - 1)
     monkeypatch.setattr(marcher, "_bracket_update", first_step)
     message = (rf"J = 20000 too large at I = 8, K = 2: .* and 0 \(K\+1\) x \(I\+1\) snapshots "
@@ -393,8 +393,43 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
     with pytest.raises(ConfigError, match="capture must be"):   # capture is checked first
         march(cfg, GAUSS, capture="some")
     fake_budget(monkeypatch, need)
-    with pytest.raises(FirstStep):          # a budget of exactly the history passes
+    with pytest.raises(FirstStep):          # a budget of exactly the need passes
         march(cfg, GAUSS)
+
+
+def test_budget_for_the_history_alone_is_refused_before_the_build(monkeypatch):
+    # each step also keeps a StepDiagnostics record, about 250 B at I = 8: a budget
+    # of the history and its times plus 100 B a step cannot hold the march
+    def never(*_args):
+        raise AssertionError("the operator was assembled")
+
+    cfg = make_config(J=20000)
+    history = 8 * (cfg.J + 1) * (cfg.I + 2)
+    fake_budget(monkeypatch, history + 100 * (cfg.J + 1))
+    monkeypatch.setattr(extension_op, "assemble", never)
+    with pytest.raises(ConfigError, match=r"J\+1 step records and 0 \(K\+1\) x \(I\+1\) snapshots"):
+        march(cfg, GAUSS)
+
+
+def test_counted_need_covers_what_the_march_holds():
+    # the traced peak of a march (operator cached before tracing) is within the need
+    # the guard counts, and each step adds at most a history row, its time and
+    # _RECORD_BYTES; J > 256, so the step numbers are not interned small ints
+    cfg = {J: make_config(m=1.0, T=100.0, J=J) for J in (1000, 2000)}
+    assemble(cfg[1000].grid(), 0.5)
+
+    def peak(J):
+        tracemalloc.start()
+        try:
+            march(cfg[J], initial_data_preset("bump"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_step = 8 * (cfg[1000].I + 2) + marcher._RECORD_BYTES
+    peaks = {J: peak(J) for J in cfg}
+    assert peaks[2000] <= 2001 * per_step
+    assert peaks[2000] - peaks[1000] <= 1000 * per_step, (peaks[2000] - peaks[1000]) / 1000
 
 
 def test_small_march_reads_no_memory_limit(monkeypatch):
@@ -430,7 +465,7 @@ def test_march_enforces_cfl():
     ("capture", ConfigError, "capture must be None or snapshot times, got 'some'"),
     ("history", ConfigError, r"J = 20000 too large at I = 8, K = 2: .* the cgroup's memory.max$"),
     ("snapshots", ConfigError, r"J = 200 too large at I = 64, K = 16: .* and 201 \(K\+1\) x "
-                               r"\(I\+1\) snapshots need 1882968 bytes"),
+                               r"\(I\+1\) snapshots need 1947288 bytes"),
 ])
 def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, message):
     # every refusal of the config, the data or capture comes before the operator
@@ -452,7 +487,8 @@ def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, m
     else:
         cfg = make_config(I=64, K=16, T=1e-3, J=200)     # each distinct step counts once
         capture = np.r_[every_step(cfg), every_step(cfg)]
-        fake_budget(monkeypatch, 8 * (cfg.J + 1) * ((cfg.I + 2) + (cfg.K + 1) * (cfg.I + 1)) - 1)
+        fake_budget(monkeypatch, (cfg.J + 1) * (8 * (cfg.I + 2) + marcher._RECORD_BYTES
+                                                + 8 * (cfg.K + 1) * (cfg.I + 1)) - 1)
     calls = []
     real_build, real_solve = extension_op._build, extension_op._solve
     monkeypatch.setattr(extension_op, "_cache", type(extension_op._cache)())    # no cached build
@@ -664,8 +700,8 @@ def test_march_checks_a_corrupted_node_array(monkeypatch, node, value):
 
 def test_march_memory_does_not_grow_with_a_node_array_per_step():
     # Growth of the traced peak from J = 50 to J = 500 at I = K = 32 is what the
-    # march keeps per step, measured at about 480 B: one 264 B history row, which
-    # u = w^(1/m) overwrites in place, and about 220 B of time and
+    # march keeps per step, measured at about 450 B: one 264 B history row, which
+    # u = w^(1/m) overwrites in place, and about 180 B of time and slotted
     # StepDiagnostics.  Forming u as a second history took about 990 B per step;
     # keeping each step's 33 x 33 node array would add 8.7 KB per step, 3.9 MB
     # over the 450 steps.  The operator is built before tracing; each march finds it cached.

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
-from fracpme import oracles
-from fracpme.core import riesz_constant
+from fracpme import extension_op, oracles
+from fracpme.core import Grid, nu_sigma, riesz_constant
 from fracpme.errors import QuadratureError
 from fracpme.oracles import (
     barenblatt_exponents,
+    box_symbol,
     dense_extension_solve,
     frac_laplacian_pv,
     fractional_heat_solution,
@@ -426,3 +427,51 @@ def test_dense_reference_rejects_unsupported_stencils():
         dense_extension_solve(6, 4, 0.25, 0.5, np.zeros(5), c=2, d=3)
     with pytest.raises(ValueError):
         dense_extension_solve(6, 4, 0.25, 0.5, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# exact trace symbol of the truncated problem
+
+
+@pytest.mark.parametrize("X,Y", [(0.5, 0.01), (1.0, 0.5), (2.0, 2.0), (8.0, 40.0)])
+def test_box_symbol_is_a_coth_at_sigma_1(X, Y):
+    # s = 1/2: K_s/I_s = (pi/2) e^-z / sinh z, so d_n = a (1 + e^-z / sinh z) = a coth(aY)
+    for n in range(1, 40):
+        a = n * math.pi / (2.0 * X)
+        want = a / math.tanh(a * Y)
+        assert abs(box_symbol(n, X, Y, 1.0) - want) <= 1e-14 * want, n
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 1.5, 1.9])
+def test_box_symbol_is_the_whole_space_symbol_far_below_the_top(sigma):
+    # once aY >= 40 the finite-height term is below e^-80: d_n = a^sigma
+    for n in (1, 2, 5):
+        for X in (0.5, 2.0):
+            a = n * math.pi / (2.0 * X)
+            for aY in (40.0, 50.0, 1000.0):
+                assert abs(box_symbol(n, X, aY / a, sigma) - a ** sigma) <= 1e-14 * a ** sigma
+
+
+@pytest.mark.parametrize("args", [(0, 1.0, 1.0, 0.5), (1.5, 1.0, 1.0, 0.5), (math.inf, 1.0, 1.0, 0.5),
+                                  (math.nan, 1.0, 1.0, 0.5), (1, 0.0, 1.0, 0.5),
+                                  (1, 1.0, math.inf, 0.5), (1, 1.0, math.nan, 0.5)])
+def test_box_symbol_refuses_bad_input(args):
+    with pytest.raises(ValueError):
+        box_symbol(*args)
+
+
+def test_scheme_symbol_converges_to_the_box_symbol_at_sigma_1():
+    # Diagnostic.  For c = 2, column n-1 of V is the box mode phi_n, so the scheme's
+    # symbol is nu_sigma (1 - G[0, n-1]) / dx^sigma, the two-point quotient of the
+    # trace phi_n.  At sigma = 1 with (2, None) its error halves with dx.  At
+    # sigma != 1 it does not converge (README, known defect): not asserted here
+    X = Y = 2.0
+    errors = {n: [] for n in (1, 2, 3)}
+    for I in (32, 64, 128, 256, 512):
+        op = extension_op.assemble(Grid(X, Y, I, I // 2), 1.0, c=2, d=None)
+        for n, errs in errors.items():
+            exact = box_symbol(n, X, Y, 1.0)
+            errs.append(abs(nu_sigma(1.0) * (1.0 - op.G[0, n - 1]) / (2.0 * X / I) - exact) / exact)
+    for n, errs in errors.items():
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+        assert all(abs(p - 1.0) <= 0.1 for p in orders), (n, orders)
