@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigError, UnsupportedStencilError
 
 __all__ = [
-    "mu_sigma", "nu_sigma", "riesz_constant", "cfl_max_dt",
-    "effective_order", "STENCIL_WINDOWS", "SUPPORTED_PAIRS", "check_stencil",
+    "mu_sigma", "nu_sigma", "riesz_constant", "cfl_max_dt", "effective_order",
+    "STENCIL_WINDOWS", "SUPPORTED_PAIRS", "stencil_families", "stencil_reach", "check_stencil",
     "Grid", "Field", "SolverConfig", "InitialData", "initial_data_preset", "parse_initial_data",
     "parse_config_text", "load_config",
 ]
@@ -91,25 +91,18 @@ def _dx_power(dx: float, sigma: float) -> float:
 
 
 def effective_order(sigma: float, c: int, d: int | None) -> float:
-    """Formal consistency order a of the discretized extension operator.
-
-    a = min(c, d - sigma) for sigma < 1, min(c + 1 - sigma, d - sigma) for
-    sigma > 1, and plain c at sigma = 1 where the weighted first-derivative
-    term vanishes and d is irrelevant.  A value a <= 0 means the pair (c, d)
-    cannot converge for this sigma; it is returned as-is so callers can flag
-    the configuration instead of computing with it.
-    """
+    """Formal consistency order a of the discretized extension operator: the least order
+    of its stencil_families, c for the Laplacian at sigma <= 1 and c + 1 - sigma above,
+    d - sigma for the drift, so a = c at sigma = 1.  An a <= 0 means (c, d) cannot converge
+    for this sigma; it is returned as-is so callers can flag the configuration."""
     sigma = _check_sigma(sigma)
-    if int(c) != c or c < 1:
-        raise ValueError(f"c must be a positive integer, got {c}")
+    orders = []
+    for deriv, n in stencil_families(sigma, c, d):
+        if int(n) != n or n < 1:
+            raise ValueError(f"{'c' if deriv == 2 else 'd'} must be a positive integer, got {n}")
+        orders.append(n - sigma if deriv == 1 else float(n) if sigma <= 1.0 else n + 1.0 - sigma)
     _check_d(sigma, d)
-    if sigma == 1.0:
-        return float(c)
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    if sigma < 1.0:
-        return min(float(c), d - sigma)
-    return min(c + 1.0 - sigma, d - sigma)
+    return min(orders)
 
 
 # Offsets of each stencil family, (2, c) for the order-c second derivative and (1, d)
@@ -128,10 +121,21 @@ STENCIL_WINDOWS = {
 SUPPORTED_PAIRS = frozenset({(2, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)})
 
 
-def _fewest_steps(family: tuple[int, int]) -> int:
-    """Smallest n >= 2 whose nodes 0..n hold the family's first and last windows."""
-    first, _, last = STENCIL_WINDOWS[family]
-    return max(2, 1 + max(first), 1 - min(last))
+def stencil_families(sigma: float, c: int, d: int | None) -> tuple[tuple[int, int], ...]:
+    """S_y's stencil families: (2, c) for the Laplacian, T_x's only family, and (1, d)
+    for the drift (1 - sigma) y^(-sigma) d/dy, which vanishes at sigma = 1 and is
+    left out there, as where d is None."""
+    return ((2, c),) if d is None or sigma == 1.0 else ((2, c), (1, d))
+
+
+def stencil_reach(families: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], int]:
+    """The (lower, upper) reach of a factor with these stencil families, the most nodes
+    their windows span each way, and the fewest steps n >= 2 whose nodes 0..n hold
+    their first and last windows.  T_x's families are stencil_families(...)[:1], S_y's all."""
+    first, middle, last = zip(*(STENCIL_WINDOWS[f] for f in families))   # each: a window per family
+    windows = first + middle + last
+    fewest = max(2, 1 + max(map(max, first)), 1 - min(map(min, last)))
+    return (max(-min(w) for w in windows), max(map(max, windows))), fewest
 
 
 def _check_d(sigma: float, d: int | None) -> None:
@@ -148,8 +152,8 @@ def check_stencil(sigma: float, c: int, d: int | None, I: int, K: int) -> None:
     if d is not None and (c, d) not in SUPPORTED_PAIRS:
         raise UnsupportedStencilError(
             f"(c, d) = ({c}, {d}) not in the supported set {sorted(SUPPORTED_PAIRS)}")
-    min_i = _fewest_steps((2, c))
-    min_k = min_i if d is None else max(min_i, _fewest_steps((1, d)))
+    families = stencil_families(sigma, c, d)
+    (_, min_i), (_, min_k) = stencil_reach(families[:1]), stencil_reach(families)
     if I < min_i or K < min_k:
         raise UnsupportedStencilError(
             f"mesh too small for (c={c}, d={d}): need I >= {min_i} and K >= {min_k}, "

@@ -43,7 +43,8 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg, sparse
 
-from .core import STENCIL_WINDOWS, SUPPORTED_PAIRS, Grid, _check_sigma, check_stencil
+from .core import (STENCIL_WINDOWS, SUPPORTED_PAIRS, Grid, _check_sigma, check_stencil,
+                   stencil_families, stencil_reach)
 from .errors import ConfigError, SolverError
 
 __all__ = [
@@ -81,14 +82,6 @@ def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
             poly = [a - xk * b for a, b in zip([0.0] + poly, poly + [0.0])]
         w.append(math.factorial(deriv) * poly[deriv] / math.prod(xj - xk for xk in others) + 0.0)
     return np.array(w)
-
-
-def _band_structure(sigma: float, c: int, d: int | None):
-    """S_y's stencil families, (2, c) and the drift's (1, d) unless d is None or sigma = 1,
-    then T_x's and S_y's (lower, upper) reach: the most nodes their windows span each way."""
-    families = ((2, c),) if d is None or sigma == 1.0 else ((2, c), (1, d))
-    windows = [[w for f in families[:n] for w in STENCIL_WINDOWS[f]] for n in (1, len(families))]
-    return families, *((max(-min(w) for w in ws), max(map(max, ws))) for ws in windows)
 
 
 def _factor(family: tuple[int, int], n: int) -> sparse.csr_matrix:
@@ -337,7 +330,8 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> ExtensionOper
     first-derivative rows.  No interior matrix is formed, and check_memory
     refuses a mesh over the budget before any of it is allocated.
     """
-    families, x_reach, y_reach = _band_structure(sigma, c, d)
+    families = stencil_families(sigma, c, d)
+    (x_reach, _), (y_reach, _) = stencil_reach(families[:1]), stencil_reach(families)
     check_memory(_build_bytes(I, K, c, y_reach),
                  f"mesh I={I}, K={K} too large: its operator needs up to")
     T_x, S_y = -_factor((2, c), I), -_factor((2, c), K)

@@ -9,7 +9,7 @@ windows (core.STENCIL_WINDOWS, looked up node by node) and their fd_weights.
 
 import numpy as np
 
-from fracpme.core import STENCIL_WINDOWS, _check_sigma, check_stencil
+from fracpme.core import STENCIL_WINDOWS, _check_sigma, check_stencil, stencil_families
 from fracpme.extension_op import fd_weights
 
 
@@ -33,7 +33,7 @@ def apply_operator(values: np.ndarray, dx: float, sigma: float,
     I = vals.shape[0] - 1
     K = vals.shape[1] - 1
     check_stencil(sigma, c, d, I, K)
-    drift = d is not None and sigma != 1.0
+    drifts = stencil_families(sigma, c, d)[1:]      # the (1, d) family, where there is one
     inv_dx2 = 1.0 / (dx * dx)
     # x sums at every interior node, grouped by stencil window
     windows: dict[tuple[int, ...], list[int]] = {}
@@ -49,8 +49,8 @@ def apply_operator(values: np.ndarray, dx: float, sigma: float,
         yo = window((2, c), k, K)
         lap_y = _stencil_sum(vals[1:I].T, k, yo, fd_weights(yo, 2))
         res = y ** (1.0 - sigma) * ((lap_x[:, k - 1] + lap_y) * inv_dx2)
-        if drift:
-            fo = window((1, d), k, K)
+        for family in drifts:
+            fo = window(family, k, K)
             dy = _stencil_sum(vals[1:I].T, k, fo, fd_weights(fo, 1)) / dx
             res += (1.0 - sigma) * y ** (-sigma) * dy
         out[:, k - 1] = res

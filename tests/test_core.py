@@ -19,7 +19,6 @@ from fracpme.core import (
     Grid,
     InitialData,
     SolverConfig,
-    _fewest_steps,
     cfl_max_dt,
     effective_order,
     initial_data_preset,
@@ -29,6 +28,7 @@ from fracpme.core import (
     parse_config_text,
     parse_initial_data,
     riesz_constant,
+    stencil_reach,
 )
 from fracpme.errors import ConfigError
 from fracpme.marcher import boundary_update
@@ -264,14 +264,14 @@ def test_stencil_windows_give_the_old_per_node_windows(family):
     deriv, order = family
     old = _old_second_deriv_offsets if deriv == 2 else _old_first_deriv_offsets
     first, middle, last = STENCIL_WINDOWS[family]
-    for n in range(_fewest_steps(family), 13):
+    for n in range(stencil_reach((family,))[1], 13):
         want = [old(j, n, order) for j in range(1, n)]
         assert want == ([first] + [middle] * (n - 3) + [last] if n > 2 else [first]), n
 
 
 def test_fewest_steps_equal_the_old_minimum_tables():
-    assert {c: _fewest_steps((2, c)) for c in (2, 3, 4)} == {2: 2, 3: 4, 4: 5}
-    assert {d: _fewest_steps((1, d)) for d in (1, 2, 3, 4)} == {1: 2, 2: 2, 3: 3, 4: 4}
+    assert {c: stencil_reach(((2, c),))[1] for c in (2, 3, 4)} == {2: 2, 3: 4, 4: 5}
+    assert {d: stencil_reach(((1, d),))[1] for d in (1, 2, 3, 4)} == {1: 2, 2: 2, 3: 3, 4: 4}
 
 
 # ---------------------------------------------------------------------------

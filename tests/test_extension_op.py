@@ -35,8 +35,8 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import spsolve
 
 from fracpme import extension_op
-from fracpme.core import (STENCIL_WINDOWS, Field, Grid, SolverConfig, _fewest_steps,
-                          effective_order, initial_data_preset)
+from fracpme.core import (STENCIL_WINDOWS, Field, Grid, SolverConfig, effective_order,
+                          initial_data_preset, stencil_families, stencil_reach)
 from fracpme.errors import ConfigError, SolverError, UnsupportedStencilError
 from fracpme.extension_op import (
     _MONOTONE_TOL,
@@ -61,10 +61,15 @@ from pointwise import apply_operator, window
 _LAPLACIAN_ORDERS = sorted(c for deriv, c in STENCIL_WINDOWS if deriv == 2)
 
 
-def _min_mesh(c, d):
-    # the smallest accepted mesh (I, K): the fewest steps the c and d windows need
-    I_min = _fewest_steps((2, c))
-    return I_min, I_min if d is None else max(I_min, _fewest_steps((1, d)))
+def _min_mesh(sigma, c, d):
+    # the smallest accepted mesh (I, K): the fewest steps T_x's and S_y's windows need
+    families = stencil_families(sigma, c, d)
+    return stencil_reach(families[:1])[1], stencil_reach(families)[1]
+
+
+def _y_reach(sigma, c, d):
+    # S_y's (lower, upper) reach, the band widths _build solves with
+    return stencil_reach(stencil_families(sigma, c, d))[0]
 
 
 def make_grid(I=8, K=4, dx=0.25):
@@ -181,7 +186,7 @@ def test_assembled_rows_match_pointwise_application(c, d, sigma):
     # -dx^(1+sigma) k^(sigma-1) times the physical operator at node (i, k);
     # the smallest accepted mesh is where the one-sided windows of both
     # sides meet (and, for c > 2, cover every node of a row)
-    I_min, K_min = _min_mesh(c, d)
+    I_min, K_min = _min_mesh(sigma, c, d)
     for grid in (make_grid(I=9, K=5, dx=0.2), make_grid(I=I_min, K=K_min, dx=0.2)):
         op = assemble(grid, sigma, c=c, d=d)
         rng = np.random.default_rng(20240814)
@@ -266,7 +271,7 @@ _SOLVE_CASES = ([(c, d, sigma) for c, d in sorted(SUPPORTED_PAIRS)
 def test_mode_solve_matches_sparse_direct_solve(c, d, sigma):
     # the x-mode solve against scipy's sparse direct solve of the same system,
     # on the smallest accepted mesh and on one with I != K
-    I_min, K_min = _min_mesh(c, d)
+    I_min, K_min = _min_mesh(sigma, c, d)
     rng = np.random.default_rng(20261018)
     for grid in (make_grid(I=I_min, K=K_min, dx=0.2), make_grid(I=13, K=7, dx=0.2)):
         op = assemble(grid, sigma, c=c, d=d)
@@ -411,9 +416,9 @@ def test_band_structure_is_the_built_factors_band(c, d):
     # Every K from the pair's minimum to 40; T_x's band does not depend on I once
     # its windows fit, so I = 8
     for sigma in (0.3, 0.5, 1.0, 1.5, 1.9) if d else (1.0,):
-        families, x_reach, y_reach = extension_op._band_structure(sigma, c, d)
+        families = stencil_families(sigma, c, d)
+        (x_reach, _), (y_reach, least) = stencil_reach(families[:1]), stencil_reach(families)
         assert families == (((2, c),) if d is None or sigma == 1.0 else ((2, c), (1, d)))
-        least = max(_fewest_steps((2, c)), _fewest_steps((1, d)) if d else 2)
         for K in range(least, 41):
             op = _build(8, K, sigma, c, d)
             S = op.S_y[:, 1:K].tocoo()
@@ -447,8 +452,7 @@ def test_sine_basis_is_the_eig_basis(I):
 def _eig_built(op):
     # op with the x-modes of the eig path, which c >= 3 takes, on op's own factors
     I, K = op.I, op.K
-    reach = extension_op._band_structure(op.sigma, op.c, op.d)[2]
-    V, V_inv, G = _x_modes(3, op.T_x[:, 1:I], op.S_y[:, 1:K], reach, op.s)
+    V, V_inv, G = _x_modes(3, op.T_x[:, 1:I], op.S_y[:, 1:K], _y_reach(op.sigma, op.c, op.d), op.s)
     return dataclasses.replace(op, V=V, V_inv=V_inv, G=G,
                                blocks=extension_op._staircase(V, V_inv, G))
 
@@ -707,7 +711,7 @@ def test_unallocatable_x_modes_are_a_config_error(monkeypatch):
 
 def _bound(I, K, c, d, sigma=0.5):
     # the bound _build checks for (I, K, sigma, c, d)
-    return extension_op._build_bytes(I, K, c, extension_op._band_structure(sigma, c, d)[2])
+    return extension_op._build_bytes(I, K, c, _y_reach(sigma, c, d))
 
 
 @pytest.mark.parametrize("I,K,c,d", [(I, I // 2, c, d) for I in (128, 512)
@@ -1054,11 +1058,20 @@ def test_unsupported_pairs_rejected():
         assemble(grid, 0.5, c=2, d=None)     # d only omittable at sigma = 1
 
 
-@pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS) + [(c, None) for c in _LAPLACIAN_ORDERS])
-def test_config_and_assemble_take_the_minimum_mesh_and_refuse_one_step_fewer(c, d):
-    # both refuse with one message: the config when it is built, assemble on its grid
-    sigma = 0.5 if d is not None else 1.0
-    I_min, K_min = _min_mesh(c, d)
+# the minimum mesh (I, K) of each pair away from sigma = 1 and of each Laplacian order alone
+_MIN_MESH = {(2, 1): (2, 2), (2, 2): (2, 2), (2, 3): (2, 3), (3, 3): (4, 4), (3, 4): (4, 4),
+             (4, 4): (5, 5), (2, None): (2, 2), (3, None): (4, 4), (4, None): (5, 5)}
+
+
+@pytest.mark.parametrize("c,d,sigma", [pytest.param(c, d, 0.5 if d else 1.0, id=f"{c}-{d}")
+                                       for c, d in _MIN_MESH]
+                         + [pytest.param(c, d, 1.0, id=f"{c}-{d}-sigma1")
+                            for c, d in sorted(SUPPORTED_PAIRS)])
+def test_config_and_assemble_take_the_minimum_mesh_and_refuse_one_step_fewer(c, d, sigma):
+    # both refuse with one message: the config when it is built, assemble on its grid.
+    # At sigma = 1 the drift vanishes, so a pair takes its Laplacian's minimum mesh
+    I_min, K_min = _MIN_MESH[c, None if sigma == 1.0 else d]
+    assert _min_mesh(sigma, c, d) == (I_min, K_min)
 
     def refusal(I, K):
         with pytest.raises(ConfigError) as config_error:
@@ -1071,7 +1084,7 @@ def test_config_and_assemble_take_the_minimum_mesh_and_refuse_one_step_fewer(c, 
 
     SolverConfig(sigma=sigma, m=1.0, X=I_min * 0.125, Y=K_min * 0.25, T=0.1, I=I_min, K=K_min,
                  J=1, c=c, d=d)
-    assemble(make_grid(I=I_min, K=K_min), sigma, c=c, d=d)
+    op = assemble(make_grid(I=I_min, K=K_min), sigma, c=c, d=d)
     want = f"mesh too small for (c={c}, d={d}): need I >= {I_min} and K >= {K_min}"
     short_k = refusal(I_min, K_min - 1)
     assert type(short_k) is UnsupportedStencilError and str(short_k).startswith(want)
@@ -1080,6 +1093,12 @@ def test_config_and_assemble_take_the_minimum_mesh_and_refuse_one_step_fewer(c, 
         assert type(short_i) is UnsupportedStencilError and str(short_i).startswith(want)
     else:                                   # I = 1 is no mesh at all: the Grid refuses it first
         assert "need integer I >= 2" in str(short_i)
+    if sigma == 1.0 and d is not None:      # the pair builds the pure Laplacian's operator
+        plain = assemble(make_grid(I=I_min, K=K_min), sigma, c=c, d=None)
+        assert np.array_equal(op.S_y.toarray(), plain.S_y.toarray())
+        assert np.array_equal(op.G, plain.G)
+        if c == 2:
+            SolverConfig(sigma=1.0, m=1, X=2, Y=1, T=0.1, I=8, K=2, J=10, c=c, d=d)
 
 
 def test_mesh_too_small_rejected():
@@ -1135,7 +1154,7 @@ def _pointwise_operator(vals, dx, sigma, c, d):
 @pytest.mark.parametrize("c,d,sigma", _ROW_CASES)
 def test_apply_operator_matches_pointwise_loop(c, d, sigma):
     # same sums in the same order, so the arrays agree to the last bit
-    I_min, K_min = _min_mesh(c, d)
+    I_min, K_min = _min_mesh(sigma, c, d)
     rng = np.random.default_rng(7)
     for I, K in ((I_min, K_min), (11, 6), (12, 9)):
         vals = rng.standard_normal((I + 1, K + 1))

@@ -525,6 +525,19 @@ def test_march_max_decays_in_time():
     assert np.all(np.diff(maxes) <= 1e-12)
 
 
+@pytest.mark.parametrize("sigma,d", [(0.5, 1), (1.5, 1), (1.0, None)])
+def test_linear_march_is_the_closed_form_mode_decay(sigma, d):
+    # c = 2, m = 1: a step is t + lam (row 1 - t), and row 1 = B^T diag(G[0]) B t with
+    # B = V^-1, so t_J = B^T diag((1 - lam (1 - G[0]))^J) B t_0
+    cfg = SolverConfig(sigma=sigma, m=1.0, X=2.0, Y=2.0, T=1.0, I=128, K=64, J=400, c=2, d=d)
+    bump = initial_data_preset("bump")
+    op = assemble(cfg.grid(), sigma, c=2, d=d)
+    B, lam = op.V_inv, marcher._lambda(cfg.dt, cfg.dx, sigma)
+    want = B.T @ ((1.0 - lam * (1.0 - op.G[0])) ** cfg.J * (B @ initial_trace_w(cfg, bump)[1:-1]))
+    got = march(cfg, bump).trace_history[-1, 1:-1]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _step_by_step(cfg, f):
     """The march's outputs rebuilt from initialize and J public steps."""
     fields = [initialize(cfg, f)]

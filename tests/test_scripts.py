@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from fracpme import extension_op
+from fracpme.core import stencil_families, stencil_reach
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,7 +54,7 @@ def test_bench_ladder_script(child_env, tmp_path):
         assert 0.0 < r["assemble_s"] and 0.0 < r["solve_ms_p50"] <= r["solve_ms_p99"]
         assert 0.0 < r["step_ms_p50"]
         # the traced peak of a build lies within the bound _build checks the budget against
-        reach = extension_op._band_structure(r["sigma"], r["c"], r["d"])[2]
+        reach = stencil_reach(stencil_families(r["sigma"], r["c"], r["d"]))[0]
         bound = extension_op._build_bytes(r["I"], r["K"], r["c"], reach)
         assert 0.0 < r["assemble_peak_mib"] <= bound / 2**20
 
