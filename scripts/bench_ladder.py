@@ -10,11 +10,13 @@ trace (after one untimed call), and the p50 of STEPS march steps: one march
 of STEPS + 1 steps at m = 2 and half the CFL bound from the gaussian datum,
 each step timed from its trace update to the next step's (the clock is read
 in a wrapper around marcher._bracket_update); the march finds the rung's
-freshly built operator in the cache.  It makes PASSES passes over the whole
-ladder and records, per rung, the median over the passes of each of the five
-and, beside it as <figure>_q1 and <figure>_q3, its lower and upper quartile:
-on a shared machine the speed drifts over seconds to minutes, rungs timed at
-five different moments are less at its mercy than one, and whether a change's
+freshly built operator in the cache.  It also times csv_ms, the ms
+marcher.write_trace_csv takes to write that march into a temporary directory
+(the CSV output layer).  It makes PASSES passes over the whole ladder and
+records, per rung, the median over the passes of each of the six and, beside
+it as <figure>_q1 and <figure>_q3, its lower and upper quartile: on a shared
+machine the speed drifts over seconds to minutes, rungs timed at five
+different moments are less at its mercy than one, and whether a change's
 median lies outside the other run's quartiles can be read from the committed
 files alone.  The machine facts (the package's line count src_lines among
 them, split into the scheme's scheme_lines and the verification half's
@@ -33,6 +35,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -109,12 +112,13 @@ def rung(I: int, c: int, d: int, sigma: float) -> dict:
         times.append(time.perf_counter() - start)
     p50, p99 = np.percentile(times, [50, 99]) * 1e3
     return {"assemble_s": assemble_s, "assemble_peak_mib": assemble_peak_mib,
-            "solve_ms_p50": p50, "solve_ms_p99": p99, "step_ms_p50": step_ms_p50(op, grid, trace)}
+            "solve_ms_p50": p50, "solve_ms_p99": p99, **march_figures(op, grid, trace)}
 
 
-def step_ms_p50(op, grid, trace) -> float:
-    """p50 in ms of STEPS consecutive steps of one march on grid with op's sigma and
-    pair from the datum whose interior trace is trace (b_max = max trace^M)."""
+def march_figures(op, grid, trace) -> dict:
+    """step_ms_p50, the p50 in ms of STEPS consecutive steps of one march on grid with
+    op's sigma and pair from the datum whose interior trace is trace (b_max = max
+    trace^M), and csv_ms, the ms write_trace_csv takes to write that march."""
     J = STEPS + 1
     T = J * 0.5 * cfl_max_dt(M, float(trace.max()) ** M, op.sigma, grid.dx)
     config = SolverConfig(sigma=op.sigma, m=M, X=grid.X, Y=grid.Y, T=T, I=grid.I, K=grid.K,
@@ -127,10 +131,14 @@ def step_ms_p50(op, grid, trace) -> float:
 
     marcher._bracket_update = ticking
     try:
-        marcher.march(config, np.r_[0.0, trace, 0.0])
+        traj = marcher.march(config, np.r_[0.0, trace, 0.0])
     finally:
         marcher._bracket_update = update
-    return float(np.percentile(np.diff(ticks), 50)) * 1e3
+    with tempfile.TemporaryDirectory() as tmp:
+        start = time.perf_counter()
+        marcher.write_trace_csv(traj, pathlib.Path(tmp) / "trace.csv")
+        csv_ms = (time.perf_counter() - start) * 1e3
+    return {"step_ms_p50": float(np.percentile(np.diff(ticks), 50)) * 1e3, "csv_ms": csv_ms}
 
 
 def main() -> int:
@@ -152,7 +160,8 @@ def main() -> int:
         print(f"I={I} K={r['K']} (c, d)=({c}, {d}) sigma={sigma}: assemble "
               f"{r['assemble_s']:.3f} s (peak {r['assemble_peak_mib']:.1f} MiB), "
               f"solve p50 {r['solve_ms_p50']:.3f} ms, "
-              f"p99 {r['solve_ms_p99']:.3f} ms, step p50 {r['step_ms_p50']:.3f} ms")
+              f"p99 {r['solve_ms_p99']:.3f} ms, step p50 {r['step_ms_p50']:.3f} ms, "
+              f"csv {r['csv_ms']:.3f} ms")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"BENCH_{tag}.json"
     path.write_text(json.dumps({"tag": tag, "passes": PASSES, "solve_calls": SOLVES,

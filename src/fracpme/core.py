@@ -143,9 +143,11 @@ def _check_d(sigma: float, d: int | None) -> None:
         raise UnsupportedStencilError("d may be omitted only at sigma = 1")
 
 
-def check_stencil(sigma: float, c: int, d: int | None, I: int, K: int) -> None:
+def check_stencil(sigma: float, c: int, d: int | None, I: int,
+                  K: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, int], tuple[int, int]]:
     """Refuse (UnsupportedStencilError) d = None away from sigma = 1, a pair outside
-    SUPPORTED_PAIRS, and a mesh with fewer x-steps I or y-steps K than its windows need."""
+    SUPPORTED_PAIRS, and a mesh with fewer x-steps I or y-steps K than its windows need;
+    else return S_y's stencil families and the (lower, upper) reach of T_x and of S_y."""
     _check_d(sigma, d)
     if d is None and (2, c) not in STENCIL_WINDOWS:
         raise UnsupportedStencilError(f"Laplacian order c={c} not supported")
@@ -153,11 +155,12 @@ def check_stencil(sigma: float, c: int, d: int | None, I: int, K: int) -> None:
         raise UnsupportedStencilError(
             f"(c, d) = ({c}, {d}) not in the supported set {sorted(SUPPORTED_PAIRS)}")
     families = stencil_families(sigma, c, d)
-    (_, min_i), (_, min_k) = stencil_reach(families[:1]), stencil_reach(families)
+    (x_reach, min_i), (y_reach, min_k) = stencil_reach(families[:1]), stencil_reach(families)
     if I < min_i or K < min_k:
         raise UnsupportedStencilError(
             f"mesh too small for (c={c}, d={d}): need I >= {min_i} and K >= {min_k}, "
             f"got I={I}, K={K}")
+    return families, x_reach, y_reach
 
 
 @dataclass(frozen=True)

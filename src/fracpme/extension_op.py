@@ -43,8 +43,7 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg, sparse
 
-from .core import (STENCIL_WINDOWS, SUPPORTED_PAIRS, Grid, _check_sigma, check_stencil,
-                   stencil_families, stencil_reach)
+from .core import STENCIL_WINDOWS, SUPPORTED_PAIRS, Grid, _check_sigma, check_stencil
 from .errors import ConfigError, SolverError
 
 __all__ = [
@@ -327,11 +326,10 @@ def _build(I: int, K: int, sigma: float, c: int, d: int | None) -> ExtensionOper
 
     The scaled row at (i, k) is -(x weights at i) - (y weights at k): T_x holds
     the x second-derivative rows, S_y the y second-derivative plus (1-sigma)/k
-    first-derivative rows.  No interior matrix is formed, and check_memory
-    refuses a mesh over the budget before any of it is allocated.
+    first-derivative rows.  No interior matrix is formed: check_stencil refuses the
+    key, then check_memory a mesh over the budget, before any of it is allocated.
     """
-    families = stencil_families(sigma, c, d)
-    (x_reach, _), (y_reach, _) = stencil_reach(families[:1]), stencil_reach(families)
+    families, x_reach, y_reach = check_stencil(sigma, c, d, I, K)
     check_memory(_build_bytes(I, K, c, y_reach),
                  f"mesh I={I}, K={K} too large: its operator needs up to")
     T_x, S_y = -_factor((2, c), I), -_factor((2, c), K)
@@ -363,10 +361,9 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
     It depends on nothing else: one frozen operator is built per (I, K, sigma, c, d),
     and every caller gets that same object.  An LRU keeps operators while their
     nbytes total at most _CACHE_BYTES = 64 MiB; a larger one is returned but not kept.
+    Only _build checks a key, so a cache hit is a lookup: a refused key is never kept.
     """
-    sigma = _check_sigma(sigma)
-    check_stencil(sigma, c, d, grid.I, grid.K)
-    key = (grid.I, grid.K, sigma, c, d)
+    key = (grid.I, grid.K, _check_sigma(sigma), c, d)
     op = _cache.pop(key, None) or _build(*key)
     if op.nbytes <= _CACHE_BYTES:
         _cache[key] = op                    # (re)inserted as the most recently used
@@ -479,20 +476,19 @@ def discrete_max_location(values) -> tuple[int, int]:
 
 
 def dump_matrix(op: ExtensionOperator, path) -> None:
-    """Write A as `row col value` triplets, 0-based, sorted row-major.
+    """Write A as `row col value` triplets, 0-based, row-major: its canonical CSR's order.
 
     One %-format per block of _DUMP_BLOCK lines, over the block's triplets
     interleaved into one list; the text is that of f"{r} {c} {v:.17e}".
     """
-    coo = op.A.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+    A = op.A
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(order), _DUMP_BLOCK):
+        for start in range(0, A.nnz, _DUMP_BLOCK):
             block = slice(start, start + _DUMP_BLOCK)
-            n = len(vals[block])
+            n = len(A.data[block])
             fields = [None] * (3 * n)
             fields[0::3] = rows[block].tolist()
-            fields[1::3] = cols[block].tolist()
-            fields[2::3] = vals[block].tolist()
+            fields[1::3] = A.indices[block].tolist()
+            fields[2::3] = A.data[block].tolist()
             fh.write(("%d %d %.17e\n" * n) % tuple(fields))

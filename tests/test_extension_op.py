@@ -581,6 +581,35 @@ def test_cache_hit_equals_a_fresh_build():
         assert fresh.nbytes == _distinct_bytes(_parts(fresh)), (c, d, sigma)
 
 
+def _count_stencil_checks(monkeypatch):
+    calls = []
+    real = extension_op.check_stencil
+    monkeypatch.setattr(extension_op, "check_stencil", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_a_key_is_checked_when_built_and_a_cache_hit_is_a_lookup(monkeypatch):
+    checks = _count_stencil_checks(monkeypatch)
+    grid = make_grid(I=12, K=6)
+    op = assemble(grid, 0.7, c=3, d=4)
+    assert checks == [(0.7, 3, 4, 12, 6)]
+    checks.clear()
+    assert assemble(grid, 0.7, c=3, d=4) is op and checks == []
+
+
+@pytest.mark.parametrize("grid,c,d", [(make_grid(), 4, 3), (make_grid(I=8, K=4), 4, 4),
+                                      (Grid(X=1.0, Y=0.5, I=4, K=1), 2, 1)])
+def test_a_refused_key_is_refused_again_with_one_message(monkeypatch, grid, c, d):
+    # a refused key is never cached, so the second call checks it afresh
+    checks = _count_stencil_checks(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(UnsupportedStencilError) as refusal:
+            assemble(grid, 0.5, c=c, d=d)
+        messages.append(str(refusal.value))
+    assert len(checks) == 2 and messages[0] == messages[1] and not _cache
+
+
 def test_c2_entry_counts_its_shared_basis_once():
     # V and V^-1 of a c = 2 operator are views of one array: the entry's bytes
     # are the sum over its distinct buffers, so the cache does not evict early
@@ -1199,6 +1228,23 @@ def _reference_dump(op):
     coo = op.A.tocoo()
     entries = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
     return "".join(f"{r} {c_} {v:.17e}\n" for r, c_, v in entries).encode("utf-8")
+
+
+@pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS) + [(c, None) for c in (2, 3, 4)])
+def test_dump_matrix_writes_the_canonical_csr_in_row_major_order(tmp_path, c, d):
+    # the dump writes A's CSR as stored; stored order is row-major only because A is canonical
+    for sigma, (I, K) in ((0.3, (13, 7)), (1.0, (16, 8)), (1.9, (12, 12))):
+        sigma = 1.0 if d is None else sigma
+        op = assemble(make_grid(I=I, K=K), sigma, c=c, d=d)
+        A = op.A
+        assert A.has_canonical_format, (c, d, sigma)
+        coo = A.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        want = "".join(f"{r} {c_} {v:.17e}\n" for r, c_, v in zip(
+            coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()))
+        path = tmp_path / "A.txt"
+        dump_matrix(op, path)
+        assert path.read_bytes() == want.encode("utf-8"), (c, d, sigma)
 
 
 @pytest.mark.parametrize("c,d,sigma,I,K", [(2, 1, 0.5, 64, 32), (3, 4, 1.5, 13, 7)])

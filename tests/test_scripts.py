@@ -45,14 +45,15 @@ def test_bench_ladder_script(child_env, tmp_path):
         report["machine"]["src_lines"])
     assert [(r["I"], r["K"], r["c"], r["d"], r["sigma"]) for r in report["rungs"]] == [
         (64, 32, 2, 1, 0.5), (64, 32, 3, 4, 1.5), (128, 64, 2, 1, 0.5), (128, 64, 3, 4, 1.5)]
-    figures = ("assemble_s", "assemble_peak_mib", "solve_ms_p50", "solve_ms_p99", "step_ms_p50")
+    figures = ("assemble_s", "assemble_peak_mib", "solve_ms_p50", "solve_ms_p99", "step_ms_p50",
+               "csv_ms")
     for r in report["rungs"]:
         # each figure's median over the passes lies between its quartiles
         assert set(r) == {"I", "K", "c", "d", "sigma"} | {
             f"{f}{q}" for f in figures for q in ("", "_q1", "_q3")}
         assert all(r[f"{f}_q1"] <= r[f] <= r[f"{f}_q3"] for f in figures)
         assert 0.0 < r["assemble_s"] and 0.0 < r["solve_ms_p50"] <= r["solve_ms_p99"]
-        assert 0.0 < r["step_ms_p50"]
+        assert 0.0 < r["step_ms_p50"] and 0.0 < r["csv_ms"]
         # the traced peak of a build lies within the bound _build checks the budget against
         reach = stencil_reach(stencil_families(r["sigma"], r["c"], r["d"]))[0]
         bound = extension_op._build_bytes(r["I"], r["K"], r["c"], reach)
