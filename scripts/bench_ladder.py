@@ -18,9 +18,15 @@ it as <figure>_q1 and <figure>_q3, its lower and upper quartile: on a shared
 machine the speed drifts over seconds to minutes, rungs timed at five
 different moments are less at its mercy than one, and whether a change's
 median lies outside the other run's quartiles can be read from the committed
-files alone.  The machine facts (the package's line count src_lines among
-them, split into the scheme's scheme_lines and the verification half's
-oracle_lines) go with them into OUTDIR/BENCH_<tag>.json.  BLAS runs on one
+files alone.  Each rung also records, once (they are deterministic), the
+mode-1 accuracy split of that march: with s1 = nu_sigma (1 - G[0, 0]) / dx^sigma
+the scheme's mode-1 symbol and d1 = oracles.box_symbol(1, X, Y, sigma) the
+exact one, space_err = |e^(-s1 T) - e^(-d1 T)| and time_err =
+|(1 - lam (1 - G[0, 0]))^J - e^(-s1 T)|, lam = nu_sigma dt / dx^sigma, so a
+change that moves the accuracy shows beside its timings.  The machine facts
+(the package's line count src_lines among them, split into the scheme's
+scheme_lines and the verification half's oracle_lines) go with them into
+OUTDIR/BENCH_<tag>.json.  BLAS runs on one
 thread unless the BLAS thread variables are set.
 
 Usage: PYTHONPATH=src python3 scripts/bench_ladder.py TAG [OUTDIR] [RUNGS]
@@ -30,6 +36,7 @@ Usage: PYTHONPATH=src python3 scripts/bench_ladder.py TAG [OUTDIR] [RUNGS]
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import platform
@@ -48,7 +55,7 @@ import scipy            # noqa: E402
 
 import fracpme          # noqa: E402
 from fracpme.core import Grid, SolverConfig, cfl_max_dt, initial_data_preset  # noqa: E402
-from fracpme import extension_op, marcher       # noqa: E402
+from fracpme import extension_op, marcher, oracles      # noqa: E402
 from fracpme.extension_op import assemble, solve_interior      # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -58,6 +65,7 @@ PASSES = 5
 SOLVES = 50
 STEPS = 50
 M = 2.0
+EXACT = ("space_err", "time_err")      # recorded once, without quartiles
 HALVES = {"scheme_lines": ("__init__", "cli", "core", "errors", "extension_op", "marcher"),
           "oracle_lines": ("harness", "oracles", "sigma_deriv")}
 
@@ -118,7 +126,8 @@ def rung(I: int, c: int, d: int, sigma: float) -> dict:
 def march_figures(op, grid, trace) -> dict:
     """step_ms_p50, the p50 in ms of STEPS consecutive steps of one march on grid with
     op's sigma and pair from the datum whose interior trace is trace (b_max = max
-    trace^M), and csv_ms, the ms write_trace_csv takes to write that march."""
+    trace^M), csv_ms, the ms write_trace_csv takes to write that march, and the
+    march's mode-1 accuracy split."""
     J = STEPS + 1
     T = J * 0.5 * cfl_max_dt(M, float(trace.max()) ** M, op.sigma, grid.dx)
     config = SolverConfig(sigma=op.sigma, m=M, X=grid.X, Y=grid.Y, T=T, I=grid.I, K=grid.K,
@@ -138,7 +147,18 @@ def march_figures(op, grid, trace) -> dict:
         start = time.perf_counter()
         marcher.write_trace_csv(traj, pathlib.Path(tmp) / "trace.csv")
         csv_ms = (time.perf_counter() - start) * 1e3
-    return {"step_ms_p50": float(np.percentile(np.diff(ticks), 50)) * 1e3, "csv_ms": csv_ms}
+    return {"step_ms_p50": float(np.percentile(np.diff(ticks), 50)) * 1e3, "csv_ms": csv_ms,
+            **mode_1_split(op, config)}
+
+
+def mode_1_split(op, config) -> dict:
+    """space_err and time_err of config's march on op (see the module docstring)."""
+    g = 1.0 - float(op.G[0, 0])         # mode 1 is the first: the x-modes ascend
+    lam = marcher._lambda(config.dt, config.dx, op.sigma)
+    s1, d1 = lam * g / config.dt, oracles.box_symbol(1, config.X, config.Y, op.sigma)
+    decay = math.exp(-s1 * config.T)
+    return {"space_err": abs(decay - math.exp(-d1 * config.T)),
+            "time_err": abs((1.0 - lam * g) ** config.J - decay)}
 
 
 def main() -> int:
@@ -153,7 +173,8 @@ def main() -> int:
     rungs = []
     for (I, c, d, sigma), timed in zip(cases, zip(*passes)):
         r = {"I": I, "K": I // 2, "c": c, "d": d, "sigma": sigma}
-        for key in timed[0]:
+        r.update({key: timed[0][key] for key in EXACT})
+        for key in (key for key in timed[0] if key not in EXACT):
             q1, r[key], q3 = np.percentile([t[key] for t in timed], [25, 50, 75]).tolist()
             r[f"{key}_q1"], r[f"{key}_q3"] = q1, q3
         rungs.append(r)
@@ -161,7 +182,8 @@ def main() -> int:
               f"{r['assemble_s']:.3f} s (peak {r['assemble_peak_mib']:.1f} MiB), "
               f"solve p50 {r['solve_ms_p50']:.3f} ms, "
               f"p99 {r['solve_ms_p99']:.3f} ms, step p50 {r['step_ms_p50']:.3f} ms, "
-              f"csv {r['csv_ms']:.3f} ms")
+              f"csv {r['csv_ms']:.3f} ms, mode-1 space_err {r['space_err']:.2e}, "
+              f"time_err {r['time_err']:.2e}")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"BENCH_{tag}.json"
     path.write_text(json.dumps({"tag": tag, "passes": PASSES, "solve_calls": SOLVES,

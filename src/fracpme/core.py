@@ -199,9 +199,8 @@ class Grid:
 @dataclass(frozen=True, eq=False)
 class Field:
     """Values of the extended variable w on all (I+1) x (K+1) nodes, [i, k] indexed, read-only:
-    a checked copy keeping its input's memory order (height-major for initialize and step),
-    except that a march snapshot holds its step's finite node array itself, which the
-    march made read-only and writes no more."""
+    a checked copy keeping its input's memory order (height-major for initialize, step
+    and every march snapshot)."""
     values: np.ndarray
     time_index: int = 0
 
@@ -214,12 +213,6 @@ class Field:
             raise ValueError(f"non-finite field value at node (i={bad[0]}, k={bad[1]})")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _wrap(cls, values: np.ndarray, time_index: int) -> Field:   # no copy, no checks
-        fld = object.__new__(cls)
-        fld.__dict__.update(values=values, time_index=time_index)
-        return fld
 
     @property
     def trace(self) -> np.ndarray:

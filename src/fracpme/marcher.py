@@ -152,9 +152,9 @@ class Trajectory:
         return self.trace_history[-1]
 
 
-def _capture_steps(capture, J: int, dt: float) -> set[int]:
-    """Steps of the times in capture (None: no step), each rounded to the nearest;
-    ConfigError for any other capture, a time not a number, or a step not in 0 ... J."""
+def _capture_steps(capture, J: int, T: float) -> set[int]:
+    """Steps of the times in capture (None: no step), each rounded to the nearest; ConfigError
+    for any other capture, a time not a number, or one outside [0, T] by over 1e-12 T."""
     if capture is None:
         return set()
     try:
@@ -168,10 +168,9 @@ def _capture_steps(capture, J: int, dt: float) -> set[int]:
         if not isinstance(t, numbers.Real) or isinstance(t, bool):
             raise ConfigError(f"snapshot time must be a number, got {t!r}")
         t = float(t)
-        j = int(round(t / dt)) if np.isfinite(t / dt) else -1     # t / dt overflows far past T
-        if not (0 <= j <= J):
+        if not -1e-12 <= t / T <= 1.0 + 1e-12:        # a NaN fails too
             raise ConfigError(f"snapshot time {t} outside [0, T]")
-        steps.add(j)
+        steps.add(min(max(round(t / (T / J)), 0), J))      # a rounded J dt may pass T
     return steps
 
 
@@ -196,7 +195,7 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
             f"dt = {dt:.6e} exceeds cfl_safety * C(m,f) * dx^sigma = "
             f"{config.cfl_safety * bound:.6e}; increase J to at least {least:.0f}")
 
-    wanted = _capture_steps(capture, config.J, dt)
+    wanted = _capture_steps(capture, config.J, config.T)
     # before allocating: overcommit may grant what a cgroup kills later
     J, I, K = config.J, config.I, config.K
     need = (J + 1) * (8 * (I + 2) + _RECORD_BYTES) + 8 * len(wanted) * (K + 1) * (I + 1)
@@ -212,14 +211,13 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     snapshots: list[tuple[float, Field]] = []
     diags: list[StepDiagnostics] = []
 
-    # an uncaptured step's node array is handed back to the next solve to fill; a
-    # captured one is made read-only, its snapshot's, and never written again.  No
-    # row is rescanned: _solve returns finite arrays, and the bracket checks row 1
-    spare, width = None, I + 1
+    # one node array, refilled by every solve; no row is rescanned: _solve returns
+    # finite arrays, and the bracket checks row 1
+    P, width = None, I + 1
     for j in range(J + 1):
         if j > 0:
             row = _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, config.m, j)
-        P = extension_op._solve(op, row, spare)
+        P = extension_op._solve(op, row, P)
         w_min = float(P.min())
         k, i = divmod(int(np.argmax(P)), width)     # discrete_max_location's (i, k)
         w_max = float(P[k, i])
@@ -230,9 +228,7 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
         w_hist[j] = P[0]
         diags.append(StepDiagnostics(j, float(times[j]), w_min, w_max, (i, k)))
         if j in wanted:
-            P.setflags(write=False)
-            snapshots.append((float(times[j]), Field._wrap(P.T, j)))
-        spare = P if P.flags.writeable else None
+            snapshots.append((float(times[j]), Field(P.T, j)))
 
     trace_hist = np.maximum(w_hist, 0.0, out=w_hist)    # u = w^(1/m) over w's rows, in place
     trace_hist **= 1.0 / config.m

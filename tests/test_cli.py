@@ -147,6 +147,19 @@ def test_refused_solve_writes_no_file(tmp_path, monkeypatch, capsys):
     assert builds == []
 
 
+@pytest.mark.parametrize("t", ["-0.01", "0.112"])
+def test_snapshot_time_outside_0_T_exits_2_though_its_nearest_step_is_in_range(
+        tmp_path, monkeypatch, capsys, t):
+    # T = 0.1, dt = 0.025: -0.01 rounds to step 0 and 0.112 to step 4, yet both lie outside [0, T]
+    builds = count_builds(monkeypatch)
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
+                 f"--snapshots={t}"]) == 2
+    assert f"snapshot time {float(t)} outside [0, T]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    assert builds == []
+
+
 def test_snapshot_time_whose_step_overflows_exits_2(tmp_path, monkeypatch, capsys):
     # 1e300 / dt = 1e300 / 1e-300 overflows; it is refused like any time past T
     builds = count_builds(monkeypatch)

@@ -585,15 +585,12 @@ def test_march_snapshots_are_read_only_and_keep_their_values():
         assert not any(np.shares_memory(fld.values, other.values) for other in snapshots[n + 1:])
 
 
-@pytest.mark.parametrize("steps,arrays", [
-    (list(range(11)), 10),
-    ([0, 3, 6, 9, 10], 4),
-], ids=["every-step", "every-third"])
-def test_march_snapshots_own_their_arrays_while_other_steps_share_one(
-        monkeypatch, steps, arrays):
-    # an uncaptured step's node array is handed back to the next solve; a captured
-    # one is its snapshot's alone.  Each snapshot is distinct and read-only, still
-    # holds the bits its solve gave it, and those are a fresh solve's of its trace
+@pytest.mark.parametrize("steps", [list(range(11)), [0, 3, 6, 9, 10]],
+                         ids=["every-step", "every-third"])
+def test_march_snapshots_own_their_arrays_while_other_steps_share_one(monkeypatch, steps):
+    # every solve fills the march's one node array.  Each snapshot is a read-only,
+    # height-major copy that shares memory with neither that array nor another
+    # snapshot, and holds the bits its solve gave, which a fresh solve of its trace gives too
     cfg = make_config(m=2.0, J=10, T=1.0)
     op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
     real, made = extension_op._solve, []
@@ -606,20 +603,21 @@ def test_march_snapshots_own_their_arrays_while_other_steps_share_one(
     monkeypatch.setattr(extension_op, "_solve", recording)
     traj = march(cfg, GAUSS, capture=[j * cfg.dt for j in steps])
     assert [fld.time_index for _, fld in traj.snapshots] == steps
-    assert len({id(out) for out, _ in made[1:]}) == arrays     # solves 2 .. J+1 are steps 1 .. J
+    P = made[0][0]
+    assert len(made) == cfg.J + 1 and all(out is P for out, _ in made)
     values = [fld.values for _, fld in traj.snapshots]
     for n, (j, vals) in enumerate(zip(steps, values)):
-        owner = vals if vals.base is None else vals.base
-        assert not vals.flags.writeable and not owner.flags.writeable
+        assert not vals.flags.writeable and vals.T.flags.c_contiguous
+        assert not np.shares_memory(vals, P)
         assert vals.T.tobytes() == made[j][1]
         assert vals.T.tobytes() == real(op, vals[1:-1, 0].copy()).tobytes()
         assert not any(np.shares_memory(vals, other) for other in values[n + 1:])
 
 
 def test_march_solves_step_0_like_every_step(monkeypatch):
-    # step 0 is the solve of the data's trace row.  Captured, its snapshot holds
-    # that solve's node array itself, read-only, with initialize's bytes and
-    # strides, and step 1 gets a new array; uncaptured, step 1 refills it
+    # step 0 is the solve of the data's trace row into a new node array, and every
+    # later step refills that array, captured or not.  Step 0's snapshot is a copy
+    # with initialize's bytes and strides
     cfg = make_config(m=2.0, J=3, T=0.3)
     want = initialize(cfg, GAUSS).values
     real, calls = extension_op._solve, []
@@ -629,13 +627,15 @@ def test_march_solves_step_0_like_every_step(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(extension_op, "_solve", recording)
+    for capture in ((0.0,), (0.0, 0.1), None):
+        calls.clear()
+        traj = march(cfg, GAUSS, capture=capture)
+        assert calls[0][0] is None and all(P is calls[0][1] for P, _ in calls[1:])
+        assert len(calls) == cfg.J + 1
+        for _, fld in traj.snapshots:
+            assert not np.shares_memory(fld.values, calls[0][1])
     fld = march(cfg, GAUSS, capture=(0.0,)).snapshots[0][1]
     assert fld.time_index == 0 and _bits(fld.values) == _bits(want)
-    assert fld.values.base is calls[0][1] and not calls[0][1].flags.writeable
-    assert calls[0][0] is None and calls[1][0] is None
-    calls.clear()
-    march(cfg, GAUSS)
-    assert calls[0][0] is None and all(P is calls[0][1] for P, _ in calls[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +752,21 @@ def test_capture_validation():
         march(cfg, GAUSS, capture=(0.9,))   # beyond T = 0.5
     with pytest.raises(ConfigError, match=r"^snapshot time 1e\+308 outside \[0, T\]$"):
         march(cfg, GAUSS, capture=(1e308,))     # t / dt overflows to inf
+
+
+@pytest.mark.parametrize("t", [-0.01, 0.112, -1e-12, 0.1 * (1.0 + 1e-11), -math.inf, math.nan])
+def test_capture_refuses_a_time_outside_0_T_whose_nearest_step_is_in_range(t):
+    # T = 0.1, J = 4: each time but the last two rounds to step 0 or 4
+    with pytest.raises(ConfigError, match=rf"^snapshot time {re.escape(str(t))} outside \[0, T\]$"):
+        march(make_config(T=0.1, J=4), GAUSS, capture=(t,))
+
+
+def test_capture_takes_the_ends_of_0_T_to_a_relative_1e_12():
+    # 11 (0.1 / 11) exceeds T = 0.1 by 1.4e-17; it, -0.0 and T (1 + 1e-13) are the ends
+    cfg = make_config(T=0.1, J=11)
+    assert 11 * (0.1 / 11) > 0.1
+    traj = march(cfg, GAUSS, capture=(11 * (0.1 / 11), -0.0, 0.1 * (1.0 + 1e-13), -1e-14))
+    assert [fld.time_index for _, fld in traj.snapshots] == [0, 11]
 
 
 @pytest.mark.parametrize("capture", ["all", 3, np.int64(3), np.array(3)])

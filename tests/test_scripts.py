@@ -2,6 +2,7 @@
 with the package on PYTHONPATH."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -49,8 +50,10 @@ def test_bench_ladder_script(child_env, tmp_path):
                "csv_ms")
     for r in report["rungs"]:
         # each figure's median over the passes lies between its quartiles
-        assert set(r) == {"I", "K", "c", "d", "sigma"} | {
+        assert set(r) == {"I", "K", "c", "d", "sigma", "space_err", "time_err"} | {
             f"{f}{q}" for f in figures for q in ("", "_q1", "_q3")}
+        # the mode-1 accuracy split is recorded once, finite and >= 0
+        assert all(math.isfinite(r[f]) and r[f] >= 0.0 for f in ("space_err", "time_err"))
         assert all(r[f"{f}_q1"] <= r[f] <= r[f"{f}_q3"] for f in figures)
         assert 0.0 < r["assemble_s"] and 0.0 < r["solve_ms_p50"] <= r["solve_ms_p99"]
         assert 0.0 < r["step_ms_p50"] and 0.0 < r["csv_ms"]
