@@ -251,6 +251,8 @@ class SolverConfig:
         if (self.J + 1) * (self.I + 1) > np.iinfo(np.intp).max // 8:
             raise ConfigError(f"J = {self.J} too large: the (J+1) x (I+1) trace history must "
                               f"hold at most {np.iinfo(np.intp).max // 8} float64 values")
+        if not self.T / self.J > 0.0:        # J is below 2^60 here, so T / J is a float
+            raise ConfigError(f"time step dt = T/J underflows to 0 at T = {self.T}, J = {self.J}")
 
     def grid(self) -> Grid:
         return self._grid
@@ -276,17 +278,15 @@ class InitialData:
     samples: tuple[float, ...] | None = None
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        if self.samples is not None:
-            if len(self.samples) != len(xs):
-                raise ConfigError(
-                    f"inline initial data has {len(self.samples)} samples, mesh needs {len(xs)}")
-            out = np.array(self.samples, dtype=float)
-        else:
-            out = np.asarray(self.fn(np.asarray(xs, dtype=float)), dtype=float)
-            if out.shape != np.shape(xs):
-                raise ConfigError("initial data callable must map xs elementwise")
+        """The datum at the nodes xs: ConfigError unless one finite value >= 0 per node."""
+        out = np.asarray(self.fn(np.asarray(xs, dtype=float)) if self.samples is None
+                         else self.samples, dtype=float)
+        if out.shape != np.shape(xs):
+            raise ConfigError(f"initial data must have {np.size(xs)} samples, got {out.shape}")
         if not np.isfinite(out).all():
             raise ConfigError(f"initial data {self.name!r} has non-finite samples")
+        if (out < 0.0).any():
+            raise ConfigError("nonnegative initial data required")
         return out
 
 

@@ -144,8 +144,8 @@ class StudySetup:
             raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
         if int(self.base_i) != self.base_i or self.base_i < 1:
             raise ConfigError(f"base_i must be a positive integer, got {self.base_i}")
-        if not self.cfl_safety > 0.0:
-            raise ConfigError(f"cfl_safety must be positive, got {self.cfl_safety}")
+        if not (0.0 < self.cfl_safety <= 1.0):     # SolverConfig's rule, refused before any level
+            raise ConfigError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
 
 @dataclass(frozen=True)

@@ -27,19 +27,10 @@ _RECORD_BYTES = 320     # >= 312 B a step: StepDiagnostics 72, tuple 56, 3 float
 
 
 def _data_samples(f, grid) -> np.ndarray:
-    """Initial datum as a sample vector on grid.xs; rejects negative data."""
-    if isinstance(f, InitialData):
-        samples = f.sample(grid.xs)
-    else:
-        samples = np.asarray(f(grid.xs) if callable(f) else f, dtype=float)
-        if samples.shape != grid.xs.shape:
-            raise ConfigError(
-                f"initial data must have {grid.xs.size} samples, got {samples.shape}")
-    if not np.isfinite(samples).all():
-        raise ConfigError("initial data must be finite")
-    if samples.min() < 0.0:
-        raise ConfigError("nonnegative initial data required")
-    return samples
+    """InitialData.sample of f on grid.xs, a bare callable or array wrapped as 'data'."""
+    if not isinstance(f, InitialData):
+        f = InitialData("data", fn=f if callable(f) else lambda xs, v=f: v)
+    return f.sample(grid.xs)
 
 
 def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
@@ -180,7 +171,8 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     capture: None (trace history only) or an iterable of times, each rounded to the
     nearest step.  The data, lambda, the CFL bound, capture and the memory of the history,
     its times, the step records and the snapshots are checked, in that order, before the
-    operator is built; a step raises only NegativeBracketError, SolverError or MaxPrincipleError.
+    operator is built, and that memory with the operator's and two node arrays' after it;
+    a step raises only NegativeBracketError, SolverError or MaxPrincipleError.
     """
     row = initial_trace_w(config, f)[1:-1]
     b_max = float(row.max())
@@ -200,14 +192,18 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     J, I, K = config.J, config.I, config.K
     need = (J + 1) * (8 * (I + 2) + _RECORD_BYTES) + 8 * len(wanted) * (K + 1) * (I + 1)
     held = (f"J = {J} too large at I = {I}, K = {K}: the (J+1) x (I+1) trace history, "
-            f"its times, J+1 step records and {len(wanted)} (K+1) x (I+1) snapshots need")
-    extension_op.check_memory(need, held)
+            f"its times, J+1 step records and {len(wanted)} (K+1) x (I+1) snapshots")
+    extension_op.check_memory(need, f"{held} need")
     op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-    try:                        # after the build: its peak never sits on the history's
+    # after the build, whose peak never sits on the history's: the operator kept,
+    # _solve's node array and its residual sit beside the history
+    extension_op.check_memory(need + op.nbytes + 16 * (K + 1) * (I + 1),
+                              f"{held}, with the operator and two node arrays, need")
+    try:
         w_hist = np.empty((J + 1, I + 1))
         times = np.arange(J + 1) * dt
     except MemoryError:
-        raise ConfigError(f"{held} {need} bytes, which cannot be allocated") from None
+        raise ConfigError(f"{held} need {need} bytes, which cannot be allocated") from None
     snapshots: list[tuple[float, Field]] = []
     diags: list[StepDiagnostics] = []
 

@@ -15,6 +15,7 @@ import fracpme.extension_op as extension_op
 import fracpme.harness as harness
 import fracpme.marcher as marcher
 from fracpme.cli import main
+from fracpme.errors import NegativeBracketError, SolverError
 
 
 GOOD_CONFIG = """\
@@ -241,6 +242,7 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     ["solve", "--config", "{cfg}", "--out-prefix", "{nodir}/run"],
     ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--levels", "2",
      "--plot", "{nodir}/study.svg"],
+    ["solve", "--config", "{dt_underflow}", "--snapshots", "0.0"],
 ], ids=["sigma", "ys-increasing", "ys-single", "snapshot-after-T",
         "snapshot-not-a-number", "negative-inline-data", "convergence-sigma",
         "convergence-m", "convergence-base-i", "convergence-cfl-safety", "convergence-x",
@@ -253,7 +255,7 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
         "config-mesh-overflow", "config-mesh-underflow", "config-mesh-too-big",
         "config-mesh-not-square-unallocatable",
         "sigma-table-out-unwritable",
-        "solve-out-prefix-unwritable", "convergence-plot-unwritable"])
+        "solve-out-prefix-unwritable", "convergence-plot-unwritable", "config-dt-underflow"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"sigma = 0.5\n\xff\xfe\n")
@@ -265,6 +267,9 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv):
                                   name="huge.cfg"),
              "huge_J": write_config(tmp_path, GOOD_CONFIG.replace("J = 4", f"J = {10**30}"),
                                     name="huge_J.cfg"),
+             # T = 5e-324 is positive, but T / 2 rounds to 0
+             "dt_underflow": write_config(tmp_path, GOOD_CONFIG.replace("T = 0.1", "T = 5e-324")
+                                          .replace("J = 4", "J = 2"), name="dt_underflow.cfg"),
              # a 640 PiB trace history: numpy refuses it without touching memory
              "J_unallocatable": write_config(
                  tmp_path, GOOD_CONFIG.replace("J = 4", f"J = {10**16}"),
@@ -338,6 +343,56 @@ def test_snapshots_over_the_memory_budget_exit_2_and_write_no_file(tmp_path, mon
     assert "201 (K+1) x (I+1) snapshots need" in err and "bytes of physical memory" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
     assert builds == []
+
+
+def test_operator_and_node_arrays_over_the_memory_budget_exit_2_before_the_first_step(
+        tmp_path, monkeypatch, capsys):
+    # 20001 steps at I = 8 need 8.0 MB for the history and records; a budget of that
+    # need passes the check before the build, not the one after it, which adds the
+    # operator and the node and residual arrays the march holds beside them
+    def never(*_args):
+        raise AssertionError("a step was solved")
+
+    cfg = write_mesh_config(tmp_path, "run", 2.0, 1.0, 8, 2, J=20000)
+    config, _ = core.load_config(cfg)
+    J, I, K = config.J, config.I, config.K
+    need = (J + 1) * (8 * (I + 2) + marcher._RECORD_BYTES)
+    key = (I, K, config.sigma, config.c, config.d)
+    kept = need + extension_op._build(*key).nbytes + 16 * (K + 1) * (I + 1)
+    builds = count_builds(monkeypatch)
+    monkeypatch.setattr(extension_op, "_physical_memory", lambda: need)
+    monkeypatch.setattr(extension_op, "_solve", never)
+    assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
+                 "--dump-matrix", str(tmp_path / "op.txt")]) == 2
+    err = capsys.readouterr().err
+    assert (f"with the operator and two node arrays, need {kept} bytes, more than the "
+            f"{need} bytes of physical memory") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    assert builds == [key]
+
+
+@pytest.mark.parametrize("module,name,error", [
+    (extension_op, "_solve", SolverError("solve residual 1e-3 exceeds 1e-10 * ||rhs||_inf")),
+    (marcher, "_bracket_update", NegativeBracketError("pressure bracket reached -1e-3", step=2)),
+], ids=["solver", "negative-bracket"])
+def test_run_that_fails_mid_march_exits_1_and_writes_no_file(tmp_path, monkeypatch, capsys,
+                                                            module, name, error):
+    # the third call fails: step 2's solve, or step 3's trace update
+    calls, real = [], getattr(module, name)
+
+    def fail_third(*args):
+        calls.append(name)
+        if len(calls) == 3:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(module, name, fail_third)
+    assert main(["solve", "--config", write_config(tmp_path), "--out-prefix",
+                 str(tmp_path / "out"), "--snapshots", "0.0",
+                 "--dump-matrix", str(tmp_path / "op.txt")]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert len(calls) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 @pytest.mark.parametrize("extra,message", [

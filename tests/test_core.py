@@ -423,6 +423,13 @@ def test_config_rejects_invalid(over):
         make_config(**over)
 
 
+def test_config_refuses_a_step_that_underflows_to_0():
+    # T = 5e-324 is positive and finite, but T / 2 rounds to 0; the march would divide by it
+    with pytest.raises(ConfigError, match=r"^time step dt = T/J underflows to 0 at T = 5e-324, J = 2$"):
+        make_config(sigma=0.5, m=2.0, T=5e-324, J=2)
+    assert make_config(sigma=0.5, m=2.0, T=5e-324, J=1).dt == 5e-324
+
+
 # ---------------------------------------------------------------------------
 # initial data
 
@@ -463,7 +470,7 @@ def test_constant_initial_data():
 def test_inline_initial_data():
     f = parse_initial_data("inline:0, 0.5, 1.0, 0.5, 0")
     assert f.sample(np.zeros(5)).tolist() == [0.0, 0.5, 1.0, 0.5, 0.0]
-    with pytest.raises(ConfigError, match="5 samples"):
+    with pytest.raises(ConfigError, match=r"^initial data must have 4 samples, got \(5,\)$"):
         f.sample(np.zeros(4))
     with pytest.raises(ConfigError):
         parse_initial_data("inline:")
@@ -476,6 +483,15 @@ def test_initial_data_rejects_non_finite_and_bad_shape():
     scalar = InitialData(name="scalar", fn=lambda xs: 1.0)
     with pytest.raises(ConfigError):
         scalar.sample(np.zeros(3))
+
+
+@pytest.mark.parametrize("data", [InitialData(name="fn", fn=lambda xs: xs),
+                                  InitialData(name="inline", samples=(0.0, -1e-300, 1.0))],
+                         ids=["callable", "inline"])
+def test_initial_data_refuses_a_negative_sample_itself(data):
+    # the sign rule lives in sample, not in its callers
+    with pytest.raises(ConfigError, match="^nonnegative initial data required$"):
+        data.sample(np.array([-1.0, 0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,19 @@ def test_convergence_guards():
         run_convergence(1.0, 1.0, PRACTICAL, levels=2, setup=bad_geometry)
 
 
+@pytest.mark.parametrize("cfl_safety", [1.5, 0.0, -0.5, math.nan])
+def test_study_setup_refuses_a_cfl_safety_each_level_would(cfl_safety):
+    # every level's SolverConfig takes cfl_safety in (0, 1] only; 1.5 once got as far
+    # as run_convergence's first level
+    with pytest.raises(ConfigError) as by_config:
+        core.SolverConfig(sigma=1.0, m=1.0, X=2.0, Y=2.0, T=0.25, I=8, K=8, J=4,
+                          cfl_safety=cfl_safety)
+    with pytest.raises(ConfigError, match=r"^cfl_safety must lie in \(0, 1\], got ") as by_setup:
+        StudySetup(cfl_safety=cfl_safety)
+    assert str(by_setup.value) == str(by_config.value)
+    assert StudySetup(cfl_safety=1.0).cfl_safety == 1.0
+
+
 def test_convergence_refuses_spectral_reference_data_before_marching(monkeypatch):
     calls = []
     march = harness.marcher.march

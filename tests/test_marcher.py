@@ -249,6 +249,21 @@ def test_march_refuses_a_callable_of_the_wrong_shape(f):
         march(make_config(), f)
 
 
+@pytest.mark.parametrize("wrap,name", [
+    (lambda v: v, "data"),
+    (lambda v: lambda xs: v, "data"),
+    (lambda v: parse_initial_data("inline:" + ",".join(map(str, v))), "inline"),
+], ids=["array", "callable", "inline"])
+def test_every_datum_is_refused_by_one_gate_with_one_message(wrap, name):
+    # InitialData.sample refuses a bare array or callable as it refuses InitialData:
+    # the same shape, sign and, up to the datum's name, non-finite messages
+    for values, message in ((np.ones(5), r"^initial data must have 9 samples, got \(5,\)$"),
+                            (np.r_[np.ones(8), np.nan], rf"^initial data '{name}' has non-finite"),
+                            (np.r_[np.ones(8), -1.0], "^nonnegative initial data required$")):
+        with pytest.raises(ConfigError, match=message):
+            march(make_config(), wrap(values))
+
+
 # ---------------------------------------------------------------------------
 # single step
 
@@ -392,7 +407,13 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
         march(cfg, GAUSS)
     with pytest.raises(ConfigError, match="capture must be"):   # capture is checked first
         march(cfg, GAUSS, capture="some")
-    fake_budget(monkeypatch, need)
+    # after the build, the operator and the node and residual arrays count too
+    kept = need + assemble(cfg.grid(), cfg.sigma).nbytes + 16 * (cfg.K + 1) * (cfg.I + 1)
+    fake_budget(monkeypatch, kept - 1)
+    with pytest.raises(ConfigError, match=rf"snapshots, with the operator and two node arrays, "
+                                          rf"need {kept} bytes, more than the {kept - 1} bytes"):
+        march(cfg, GAUSS)
+    fake_budget(monkeypatch, kept)
     with pytest.raises(FirstStep):          # a budget of exactly the need passes
         march(cfg, GAUSS)
 
