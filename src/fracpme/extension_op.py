@@ -85,15 +85,15 @@ def fd_weights(offsets: Sequence[float], deriv: int) -> np.ndarray:
 
 def _factor(family: tuple[int, int], n: int) -> sparse.csr_matrix:
     """(n-1) x (n+1) matrix whose row j-1 holds the weights of the stencil family
-    (deriv, order) at node j of 0..n, from its STENCIL_WINDOWS entry; weights are
-    computed once per distinct window, and check_stencil has seen that they fit."""
+    (deriv, order) at node j of 0..n: STENCIL_WINDOWS' first window at node 1, its
+    middle one at nodes 2..n-2, its last at n-1; check_stencil has seen that they fit."""
     first, middle, last = STENCIL_WINDOWS[family]
-    offsets = [first] + [middle] * (n - 3) + [last] if n > 2 else [first]
-    weights = {o: fd_weights(o, family[0]) for o in set(offsets)}
-    cols = np.concatenate([np.add(j, o) for j, o in enumerate(offsets, start=1)])
-    rows = np.repeat(np.arange(n - 1), [len(o) for o in offsets])
-    vals = np.concatenate([weights[o] for o in offsets])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n - 1, n + 1))
+    spans = ((first, 1, 2), (middle, 2, n - 1), (last, n - 1, n))[:1 if n == 2 else 3]
+    rows, cols, vals = zip(*((np.repeat(np.arange(lo - 1, hi - 1), len(w)),
+                              np.add.outer(np.arange(lo, hi), w).ravel(),
+                              np.tile(fd_weights(w, family[0]), hi - lo)) for w, lo, hi in spans))
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n - 1, n + 1))
 
 
 def _sine_basis(I: int) -> tuple[np.ndarray, np.ndarray]:

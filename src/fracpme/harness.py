@@ -207,46 +207,41 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
                     setup: StudySetup | None = None) -> ConvergenceReport:
     """Mesh-halving study of the trace error at t = T.
 
-    Reference: the whole-space spectral solution for m = 1 (gaussian data
-    required; the truncation floor of the bounded domain is part of the
-    measured error), or a run two halvings finer than the finest level for
-    m > 1, whose nodes contain every coarse node.
+    Reference: the whole-space spectral solution for m = 1 (the gaussian
+    preset required; the bounded domain's truncation floor is part of the
+    measured error), or for m > 1 the ladder's last rung, a run two halvings
+    finer than the finest level, whose nodes contain every coarse node.
     """
     if not isinstance(levels, numbers.Integral) or levels < 2:
         raise ConfigError(f"need an integer of at least 2 refinement levels, got {levels!r}")
     setup = setup or StudySetup()
     params = select_scheme_params(sigma, mode)
-    if m == 1.0 and setup.data.name != "gaussian":
+    if m == 1.0 and setup.data != initial_data_preset("gaussian"):
         raise ConfigError("the m = 1 spectral reference supports gaussian data only")
 
     sizes = [setup.base_i * 2 ** lev for lev in range(levels)]
+    if m != 1.0:
+        sizes.append(setup.base_i * 2 ** (levels + 1))      # the fine-grid reference, last
+    capture = None if m == 1.0 else (setup.T,)      # only err_field, m != 1, reads a field
     runs = []
     for I in sizes:
         cfg = _study_config(sigma, m, params, setup, I)
-        runs.append((cfg, marcher.march(cfg, setup.data, capture=(setup.T,))))
+        runs.append((cfg, marcher.march(cfg, setup.data, capture=capture)))
 
     if m == 1.0:
-        reference = "spectral"
+        reference, ref_field = "spectral", None
         # one oracle call: the finest level's nodes contain every level's nodes
         ref_trace = oracles.fractional_heat_solution(
             oracles.gaussian_hat, runs[-1][0].grid().xs, setup.T, sigma, tol=1e-9)
-        errs_trace = [float(np.abs(traj.final_trace - ref_trace[::sizes[-1] // cfg.I]).max())
-                      for cfg, traj in runs]
-        errs_field: list[float | None] = [None] * len(runs)
     else:
-        reference = "fine-grid"
-        ref_i = setup.base_i * 2 ** (levels + 1)
-        ref_cfg = _study_config(sigma, m, params, setup, ref_i)
-        ref_traj = marcher.march(ref_cfg, setup.data, capture=(setup.T,))
-        ref_trace = ref_traj.final_trace
-        ref_field = ref_traj.snapshots[-1][1].values
-        errs_trace = []
-        errs_field = []
-        for cfg, traj in runs:
-            r = ref_i // cfg.I
-            errs_trace.append(float(np.abs(traj.final_trace - ref_trace[::r]).max()))
-            fld = traj.snapshots[-1][1].values
-            errs_field.append(float(np.abs(fld - ref_field[::r, ::r]).max()))
+        reference, ref_traj = "fine-grid", runs.pop()[1]
+        ref_trace, ref_field = ref_traj.final_trace, ref_traj.snapshots[-1][1].values
+    errs_trace, errs_field = [], []
+    for cfg, traj in runs:
+        r = sizes[-1] // cfg.I
+        errs_trace.append(float(np.abs(traj.final_trace - ref_trace[::r]).max()))
+        errs_field.append(None if ref_field is None else float(
+            np.abs(traj.snapshots[-1][1].values - ref_field[::r, ::r]).max()))
 
     degenerate = all(e <= 1e-14 for e in errs_trace)
     rows = []
@@ -255,9 +250,8 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
         if lev > 0 and not degenerate and errs_trace[lev - 1] > 0 and errs_trace[lev] > 0:
             order = estimate_order(errs_trace[lev - 1], errs_trace[lev],
                                    rows[lev - 1].dx, cfg.dx)
-        rows.append(LevelRow(I=cfg.I, dx=cfg.dx, dt=cfg.dt, J=cfg.J,
-                             err_trace=errs_trace[lev], err_field=errs_field[lev],
-                             order=order))
+        rows.append(LevelRow(I=cfg.I, dx=cfg.dx, dt=cfg.dt, J=cfg.J, err_trace=errs_trace[lev],
+                             err_field=errs_field[lev], order=order))
 
     # optimal mode's p is never below 2 - sigma; only minimal mode has a delta
     target = min(params.p, 2.0 - sigma, math.inf if mode.delta is None else mode.delta)

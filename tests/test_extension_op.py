@@ -409,6 +409,22 @@ def _tridiagonal(F):
     return not np.any((coo.col < coo.row) | (coo.col > coo.row + 2))
 
 
+@pytest.mark.parametrize("family", sorted(STENCIL_WINDOWS))
+def test_factor_rows_are_their_windows_weights(family):
+    # row j-1 of the factor over nodes 0..n holds fd_weights of node j's window
+    # (the first at node 1, the last at n-1, the middle one between) at columns
+    # j + window, in canonical CSR; from the family's fewest steps to 40
+    first, middle, last = STENCIL_WINDOWS[family]
+    for n in range(stencil_reach((family,))[1], 41):
+        F = extension_op._factor(family, n)
+        assert F.shape == (n - 1, n + 1) and F.has_canonical_format, n
+        for j in range(1, n):
+            w = first if j == 1 else last if j == n - 1 else middle
+            row = F.getrow(j - 1)
+            assert row.indices.tolist() == [j + o for o in w], (n, j)
+            assert row.data.tobytes() == fd_weights(w, family[0]).tobytes(), (n, j)
+
+
 @pytest.mark.parametrize("c,d", sorted(SUPPORTED_PAIRS) + [(c, None) for c in _LAPLACIAN_ORDERS])
 def test_band_structure_is_the_built_factors_band(c, d):
     # the stencil table's reach, clipped to K - 2, is the band S_y's interior block

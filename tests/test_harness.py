@@ -380,6 +380,54 @@ def test_convergence_refuses_spectral_reference_data_before_marching(monkeypatch
     assert calls == []
 
 
+def test_convergence_spectral_reference_refuses_a_datum_only_named_gaussian():
+    # the oracle solves for the preset exp(-x^2) itself; 2 exp(-x^2) under the
+    # same name would be measured against another datum's solution
+    doubled = core.InitialData("gaussian", fn=lambda xs: 2.0 * np.exp(-xs ** 2))
+    with pytest.raises(ConfigError, match="^the m = 1 spectral reference supports gaussian "
+                                          "data only$"):
+        run_convergence(1.0, 1.0, PRACTICAL, 2, StudySetup(data=doubled))
+    parsed = StudySetup(X=16.0, Y=16.0, T=0.5, base_i=16, data=core.parse_initial_data("gaussian"))
+    assert run_convergence(1.0, 1.0, PRACTICAL, 2, parsed).reference == "spectral"
+
+
+# each study's to_csv(), frozen: the ladder's shape moves no digit of a report
+_FROZEN_LINEAR_CSV = (
+    "# sigma=1 m=1 mode=practical\n"
+    "# stencil c=2 d=None a=2 p=1\n"
+    "# reference=spectral target_order=1 degenerate=false\n"
+    "dx,dt,err_trace,err_field,order\n"
+    "2.0000000000000000e+00,5.0000000000000000e-01,2.2529056601432862e-01,,\n"
+    "1.0000000000000000e+00,5.0000000000000000e-01,1.1643291865431593e-01,,0.9523\n")
+_FROZEN_NONLINEAR_CSV = (
+    "# sigma=0.5 m=2 mode=practical\n"
+    "# stencil c=2 d=3 a=1 p=0.5\n"
+    "# reference=fine-grid target_order=0.5 degenerate=false\n"
+    "dx,dt,err_trace,err_field,order\n"
+    "5.0000000000000000e-01,2.5000000000000000e-01,3.3481495662811556e-02,"
+    "5.4020955262076176e-02,\n"
+    "2.5000000000000000e-01,1.2500000000000000e-01,1.3091426420811292e-02,"
+    "2.5193870101343829e-02,1.3547\n")
+
+
+@pytest.mark.parametrize("sigma,m,setup,ladder,capture,frozen", [
+    (1.0, 1.0, small_linear_setup(), [(16, 1), (32, 1)], None, _FROZEN_LINEAR_CSV),
+    (0.5, 2.0, StudySetup(X=2.0, Y=2.0, T=0.25, base_i=8, data=initial_data_preset("bump")),
+     [(8, 1), (16, 2), (64, 3)], (0.25,), _FROZEN_NONLINEAR_CSV),
+], ids=["spectral", "fine-grid"])
+def test_convergence_marches_one_ladder(monkeypatch, sigma, m, setup, ladder, capture, frozen):
+    # the levels coarse to fine, then for m != 1 the fine-grid reference two
+    # halvings past the finest level; only that study reads a field at T
+    marches = []
+    march = harness.marcher.march
+    monkeypatch.setattr(harness.marcher, "march", lambda cfg, data, capture=None: (
+        marches.append((cfg.I, cfg.J, capture)) or march(cfg, data, capture=capture)))
+    rep = run_convergence(sigma, m, PRACTICAL, 2, setup)
+    assert marches == [(I, J, capture) for I, J in ladder]
+    assert [r.I for r in rep.rows] == [I for I, _ in ladder[:2]]
+    assert rep.to_csv() == frozen
+
+
 def test_convergence_csv_is_deterministic_and_parseable():
     rep = run_convergence(1.0, 1.0, PRACTICAL, levels=2, setup=small_linear_setup())
     text = rep.to_csv()
