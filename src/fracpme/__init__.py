@@ -6,7 +6,7 @@ from . import core, errors, extension_op, harness, marcher, oracles, sigma_deriv
 from .core import (Field, Grid, InitialData, SolverConfig, cfl_max_dt,
                    effective_order, load_config, mu_sigma, nu_sigma,
                    riesz_constant)
-from .extension_op import assemble, solve_interior, verify_monotone_structure
+from .extension_op import assemble, solve_interior
 from .harness import (OPTIMAL, PRACTICAL, SchemeMode, run_convergence,
                       run_sigma_table, run_validate, select_scheme_params)
 from .marcher import Trajectory, boundary_update, initialize, march, step

@@ -28,7 +28,9 @@ staircase), and one product per block.  The residual of the whole interior
 checks every solve: where both factors' windows reach one node each way (c = 2
 with d = 1, 2 or no drift), A's rows are five offsets of the height-major nodes,
 so one DIA product L @ P.ravel() over all nodes forms it; other pairs apply
-each factor in turn.  assemble builds this once per key.
+each factor in turn.  assemble builds this once per key.  The sign test of the
+M-structure reads only the two factors too: offending_factor_rows lists the rows
+of each that hold a positive off-diagonal entry.
 """
 
 from __future__ import annotations
@@ -48,12 +50,12 @@ from .errors import ConfigError, SolverError
 
 __all__ = [
     "SUPPORTED_PAIRS", "fd_weights", "ExtensionOperator",
-    "assemble", "solve_interior", "full_grid_values", "MonotoneReport",
-    "verify_monotone_structure", "discrete_max_location", "dump_matrix", "check_memory",
+    "assemble", "solve_interior", "full_grid_values", "discrete_max_location",
+    "dump_matrix", "check_memory",
 ]
 
 _DUMP_BLOCK = 4096                      # dump_matrix lines per format call
-_MONOTONE_TOL = 1e-12                   # verify_monotone_structure's sign margin
+_MONOTONE_TOL = 1e-12                   # offending_factor_rows' sign margin
 _CACHE_BYTES = 64 * 2**20               # budget of the operator cache, in array bytes
 _TAIL_BOUND = 2.0**-60                  # bound on a row's dropped modes, per unit max|trace|
 _BLOCK_SAVING = 2**18                   # multiply-adds a new row block must save per step
@@ -233,11 +235,25 @@ class ExtensionOperator:
         return tuple((self.G[k0:k1, :n], self.V[:, :n].T,
                       (slice(1 + k0, 1 + k1), slice(1, self.I)), n) for k0, k1, n in self.blocks)
 
+    @cached_property
+    def offending_factor_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The rows of T_x and of S_y that hold an off-diagonal entry (towards interior
+        and boundary nodes alike) above _MONOTONE_TOL: the sign test of Varga's
+        M-matrix conditions, read from the two factors.
+
+        Every scaled row sums to zero, so a row whose off-diagonal entries are <= 0
+        has diagonal sum |off-diagonal| > 0: it is weakly diagonally dominant, and
+        strictly so where its stencil reaches the boundary.  Node row (i, k) is T_x's
+        row i-1 plus S_y's row k-1, so it offends exactly when i-1 is in the first
+        tuple or k-1 in the second, and A has M-structure exactly when both are empty.
+        """
+        return tuple(tuple(np.unique(F.row[(F.col != F.row + 1) & (F.data > _MONOTONE_TOL)]).tolist())
+                     for F in (self.T_x.tocoo(), self.S_y.tocoo()))
+
     @property
     def A(self) -> sparse.csr_matrix:
         """I (x) T_x,int + S_y,int (x) I from the factors, for dump_matrix and tests."""
-        return (sparse.kron(sparse.eye(self.K - 1), self.T_x[:, 1:self.I], format="csr")
-                + sparse.kron(self.S_y[:, 1:self.K], sparse.eye(self.I - 1), format="csr"))
+        return sparse.kronsum(self.T_x[:, 1:self.I], self.S_y[:, 1:self.K], format="csr")
 
     def condition_estimate(self) -> float:
         """kappa_1(V) = ||V||_1 * ||V^-1||_1 >= 1 of the x-mode basis: the factor by
@@ -435,37 +451,6 @@ def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,
     vals[0, 1:-1] = trace_row
     vals[1:-1, 1:-1] = interior.T
     return vals.T
-
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    is_m_structure: bool
-    offending_rows: tuple[int, ...]
-
-
-def _positive_off_diagonal(F: sparse.csr_matrix) -> np.ndarray:
-    """Per row j-1 of a 1-D factor over nodes 0..n (diagonal at column j): does
-    it hold an off-diagonal entry above _MONOTONE_TOL?"""
-    coo = F.tocoo()
-    flag = np.zeros(F.shape[0], dtype=bool)
-    flag[coo.row[(coo.col != coo.row + 1) & (coo.data > _MONOTONE_TOL)]] = True
-    return flag
-
-
-def verify_monotone_structure(op: ExtensionOperator) -> MonotoneReport:
-    """Check the sign pattern sufficient for the discrete maximum principle.
-
-    Every scaled row sums to zero, so a row whose off-diagonal entries
-    (towards interior and boundary nodes alike) are <= 0 has diagonal
-    sum |off-diagonal| > 0: it is weakly diagonally dominant, and strictly so
-    where its stencil reaches the boundary (Varga's M-matrix conditions).  The
-    sign pattern alone therefore decides the check.  Row n = (k-1)(I-1) + (i-1)
-    offends when T_x's row i-1 or S_y's row k-1 holds an off-diagonal entry
-    above _MONOTONE_TOL.  Diagnostic only; offenders are reported, never raised.
-    """
-    bad = _positive_off_diagonal(op.S_y)[:, None] | _positive_off_diagonal(op.T_x)
-    offenders = tuple(int(r) for r in np.flatnonzero(bad))
-    return MonotoneReport(is_m_structure=not offenders, offending_rows=offenders)
 
 
 def discrete_max_location(values) -> tuple[int, int]:

@@ -142,8 +142,9 @@ class StudySetup:
                               f"got X={self.X}, Y={self.Y}")
         if not 0.0 < self.T < math.inf:
             raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
-        if int(self.base_i) != self.base_i or self.base_i < 1:
+        if not (self.base_i % 1 == 0 and self.base_i >= 1):     # nan and inf fail too
             raise ConfigError(f"base_i must be a positive integer, got {self.base_i}")
+        self.__dict__.update(base_i=int(self.base_i))       # 8.0 passes: store 8, as Grid does
         if not (0.0 < self.cfl_safety <= 1.0):     # SolverConfig's rule, refused before any level
             raise ConfigError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 

@@ -256,12 +256,14 @@ class BarenblattExponents:
 
 
 def barenblatt_exponents(n_dim: int, m: float, sigma: float) -> BarenblattExponents:
-    """alpha = N / (N(m+1) + sigma), beta = 1 / (N(m+1) + sigma)."""
+    """alpha = N / (N(m-1) + sigma), beta = 1 / (N(m-1) + sigma): the exponents of
+    u = t^-alpha F(x t^-beta), from the equation's balance alpha + 1 = m alpha + sigma beta
+    and mass conservation alpha = N beta (Vazquez 2014)."""
     if int(n_dim) != n_dim or n_dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {n_dim}")
     _check_m(m)
     sigma = _check_sigma(sigma)
-    beta = 1.0 / (n_dim * (m + 1.0) + sigma)
+    beta = 1.0 / (n_dim * (m - 1.0) + sigma)
     return BarenblattExponents(alpha=n_dim * beta, beta=beta)
 
 
@@ -297,7 +299,9 @@ def _require_positive(**vals: float) -> None:
 
 def lateral_bound(X: float, T: float, n_dim: int, m: float, sigma: float,
                   C: float = 1.0) -> float:
-    """Tail bound C * T^(beta sigma) / X^(N+sigma) on the solution at |x| = X.
+    """Tail bound C * T^(beta sigma) / X^(N+sigma) on the solution at |x| = X, where
+    beta sigma = sigma / (N(m-1) + sigma): 1 at m = 1, the fractional heat kernel's
+    t |x|^-(N+sigma) tail.
 
     The profile constant is not derivable here; C is a caller input (default
     1) and only the power law is meaningful.

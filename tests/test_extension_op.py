@@ -12,8 +12,8 @@ Independent checks used here:
     the boundary columns of the operator's 1-D factors T_x and S_y;
   * the mode staircase's dropped tails against sums recomputed from G, and
     its solve against the full product (G o V^-1 t) V^T of the same parts;
-  * the monotone-structure report against a dense scan of the full-node
-    operator built from the matrix-free application;
+  * the operator's offending factor rows, expanded to node rows, against a
+    dense scan of the full-node operator built from the matrix-free application;
   * the assembled rows against the matrix-free pointwise application via the
     known row scaling, and that application against a node-by-node loop;
   * measured truncation order on a smooth product field against the formal
@@ -51,7 +51,6 @@ from fracpme.extension_op import (
     fd_weights,
     full_grid_values,
     solve_interior,
-    verify_monotone_structure,
 )
 from fracpme.marcher import march
 from fracpme.oracles import dense_extension_solve
@@ -916,23 +915,28 @@ def test_cgroup_limit_is_the_lowest_over_ancestors_and_hierarchies(monkeypatch, 
 # monotone structure and the discrete maximum principle
 
 
-@pytest.mark.parametrize("sigma", [0.3, 0.7, 1.0, 1.3, 1.9])
+@pytest.mark.parametrize("sigma", [round(0.05 * j, 2) for j in range(1, 40)])
 @pytest.mark.parametrize("c,d", [(2, 1), (2, 2)])
 def test_low_order_pairs_have_m_structure(sigma, c, d):
-    rep = verify_monotone_structure(assemble(make_grid(I=10, K=6), sigma, c=c, d=d))
-    assert rep.is_m_structure
-    assert rep.offending_rows == ()
+    # README: (2, 1) and (2, 2) pass the sign test at every sigma in (0, 2)
+    for grid in (make_grid(I=10, K=6), make_grid(I=64, K=32)):
+        assert assemble(grid, sigma, c=c, d=d).offending_factor_rows == ((), ())
 
 
 def test_pure_laplacian_stencil_has_m_structure_at_sigma_one():
-    rep = verify_monotone_structure(assemble(make_grid(), 1.0, c=2, d=None))
-    assert rep.is_m_structure
+    assert assemble(make_grid(), 1.0, c=2, d=None).offending_factor_rows == ((), ())
 
 
 def test_high_order_pair_lacks_m_structure():
-    rep = verify_monotone_structure(assemble(make_grid(I=12, K=8), 0.5, c=4, d=4))
-    assert not rep.is_m_structure
-    assert len(rep.offending_rows) > 0
+    x_rows, y_rows = assemble(make_grid(I=12, K=8), 0.5, c=4, d=4).offending_factor_rows
+    assert x_rows and y_rows
+
+
+def _node_rows(op):
+    # the factor rows expanded to the node rows n = (k-1)(I-1) + (i-1) they offend
+    x_rows, y_rows = op.offending_factor_rows
+    return tuple(n for n in range((op.I - 1) * (op.K - 1))
+                 if n % (op.I - 1) in x_rows or n // (op.I - 1) in y_rows)
 
 
 def _dense_offending_rows(grid, sigma, c, d):
@@ -968,8 +972,8 @@ def _dense_offending_rows(grid, sigma, c, d):
                          + [(c, None, 1.0) for c in _LAPLACIAN_ORDERS])
 def test_monotone_report_matches_a_dense_scan(c, d, sigma):
     for grid in (make_grid(I=10, K=6), make_grid(I=7, K=5)):
-        rep = verify_monotone_structure(assemble(grid, sigma, c=c, d=d))
-        assert rep.offending_rows == _dense_offending_rows(grid, sigma, c, d)
+        op = assemble(grid, sigma, c=c, d=d)
+        assert _node_rows(op) == _dense_offending_rows(grid, sigma, c, d)
 
 
 @pytest.mark.parametrize("factor", ["T_x", "S_y"])
@@ -980,11 +984,14 @@ def test_monotone_margin_admits_entries_up_to_the_tolerance(factor):
     I, K = op.I, op.K
     rows = (tuple((k - 1) * (I - 1) + 2 for k in range(1, K)) if factor == "T_x"
             else tuple(range(2 * (I - 1), 3 * (I - 1))))
-    for value, offenders in ((_MONOTONE_TOL, ()), (np.nextafter(_MONOTONE_TOL, 1.0), rows)):
+    flagged = ((2,), ()) if factor == "T_x" else ((), (2,))
+    for value, factor_rows, offenders in ((_MONOTONE_TOL, ((), ()), ()),
+                                          (np.nextafter(_MONOTONE_TOL, 1.0), flagged, rows)):
         F = getattr(op, factor).tolil()
         F[2, 2] = value                     # left neighbour of factor row 2 (diagonal: column 3)
-        rep = verify_monotone_structure(dataclasses.replace(op, **{factor: F.tocsr()}))
-        assert rep.offending_rows == offenders
+        changed = dataclasses.replace(op, **{factor: F.tocsr()})
+        assert changed.offending_factor_rows == factor_rows
+        assert _node_rows(changed) == offenders
 
 
 def test_unit_trace_solution_lies_in_unit_interval():

@@ -369,6 +369,19 @@ def test_study_setup_refuses_a_cfl_safety_each_level_would(cfl_safety):
     assert StudySetup(cfl_safety=1.0).cfl_safety == 1.0
 
 
+@pytest.mark.parametrize("sigma,m,data", [(1.0, 1.0, "gaussian"), (0.5, 2.0, "bump")])
+def test_study_setup_stores_an_integral_base_i_as_an_int(sigma, m, data):
+    # 8.0 passes as 8, as Grid stores I and K; it once reached ref_trace[::r]
+    # as a float stride; nan and inf are refused, not raised from int()
+    reports = [run_convergence(sigma, m, PRACTICAL, 2, StudySetup(
+        X=2.0, Y=2.0, T=0.25, base_i=base_i, data=initial_data_preset(data)))
+        for base_i in (8, 8.0)]
+    assert reports[0].to_csv() == reports[1].to_csv()
+    for bad in (math.nan, math.inf, 0, 8.5):
+        with pytest.raises(ConfigError, match="base_i must be a positive integer"):
+            StudySetup(base_i=bad)
+
+
 def test_convergence_refuses_spectral_reference_data_before_marching(monkeypatch):
     calls = []
     march = harness.marcher.march

@@ -7,9 +7,11 @@ that compare the two.  Nor does the package carry a sparse direct solver:
 every solve goes through the x-modes of the operator's two 1-D factors.  And
 no module imports scipy.integrate: the oracles run on their own adaptive
 Gauss-Kronrod engine, so the tests' QUADPACK references stay independent.
+Every name a module exports in __all__ resolves to one of its attributes.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -106,3 +108,11 @@ def test_integrate_scan_sees_every_form(source, hit):
                          ids=lambda p: p.name)
 def test_package_imports_no_quadpack(path):
     assert _module_uses(path.read_text(), "scipy.integrate") == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(fracpme.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    # a name left in __all__ after its definition is gone is a stale export
+    module = importlib.import_module("fracpme" if path.stem == "__init__" else f"fracpme.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []

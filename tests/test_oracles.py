@@ -318,13 +318,16 @@ def test_gaussian_hat_values():
 
 
 def test_barenblatt_known_values():
+    # beta = 1/(N(m-1) + sigma), alpha = N beta (Vazquez 2014)
     e = barenblatt_exponents(1, 1.0, 1.0)
-    assert e.alpha == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert e.beta == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert (e.alpha, e.beta) == (1.0, 1.0)
     e = barenblatt_exponents(1, 2.0, 1.0)
-    assert e.beta == pytest.approx(0.25, rel=1e-15)
+    assert (e.alpha, e.beta) == (0.5, 0.5)
     e = barenblatt_exponents(2, 1.0, 1.0)
-    assert e.alpha == pytest.approx(2.0 * e.beta, rel=1e-15)
+    assert (e.alpha, e.beta) == (2.0, 1.0)
+    e = barenblatt_exponents(3, 3.0, 0.5)
+    assert e.beta == pytest.approx(1.0 / 6.5, rel=1e-15)
+    assert e.alpha == pytest.approx(3.0 / 6.5, rel=1e-15)
 
 
 @given(n_dim=st.integers(1, 3), m=st.floats(1.0, 4.0), sigma=st.floats(0.05, 1.95))
@@ -334,6 +337,24 @@ def test_barenblatt_scaling_identity(n_dim, m, sigma):
     e = barenblatt_exponents(n_dim, m, sigma)
     assert -e.alpha + e.beta * (n_dim + sigma) == pytest.approx(
         e.beta * sigma, rel=1e-12, abs=1e-15)
+
+
+@given(n_dim=st.integers(1, 3), m=st.floats(1.0, 4.0), sigma=st.floats(0.05, 1.95))
+def test_barenblatt_exponents_balance_the_equation(n_dim, m, sigma):
+    # u = t^-alpha F(x t^-beta) in u_t + (-Lap)^(sigma/2) u^m = 0: u_t scales as
+    # t^-(alpha+1), the fractional term as t^-(m alpha + sigma beta)
+    e = barenblatt_exponents(n_dim, m, sigma)
+    assert e.alpha + 1.0 == pytest.approx(m * e.alpha + sigma * e.beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
+def test_barenblatt_alpha_matches_the_heat_kernel_decay(sigma):
+    # at m = 1, N = 1 near-delta data decay as the fractional heat kernel,
+    # u(0, t) ~ t^-alpha, read off fractional_heat_solution at t = 1 and 2
+    f_hat = lambda xi: np.exp(-1e-6 * xi ** 2)
+    decay = -math.log2(fractional_heat_solution(f_hat, 0.0, 2.0, sigma)
+                       / fractional_heat_solution(f_hat, 0.0, 1.0, sigma))
+    assert decay == pytest.approx(barenblatt_exponents(1, 1.0, sigma).alpha, abs=1e-3)
 
 
 def test_barenblatt_guards():
