@@ -10,10 +10,11 @@ trace (after one untimed call), and the p50 of STEPS march steps: one march
 of STEPS + 1 steps at m = 2 and half the CFL bound from the gaussian datum,
 each step timed from its trace update to the next step's (the clock is read
 in a wrapper around marcher._bracket_update); the march finds the rung's
-freshly built operator in the cache.  It also times csv_ms, the ms
+freshly built operator in the cache.  It also times march_ms, the ms of that
+whole marcher.march call (end to end), and csv_ms, the ms
 marcher.write_trace_csv takes to write that march into a temporary directory
 (the CSV output layer).  It makes PASSES passes over the whole ladder and
-records, per rung, the median over the passes of each of the six and, beside
+records, per rung, the median over the passes of each of the seven and, beside
 it as <figure>_q1 and <figure>_q3, its lower and upper quartile: on a shared
 machine the speed drifts over seconds to minutes, rungs timed at five
 different moments are less at its mercy than one, and whether a change's
@@ -126,8 +127,8 @@ def rung(I: int, c: int, d: int, sigma: float) -> dict:
 def march_figures(op, grid, trace) -> dict:
     """step_ms_p50, the p50 in ms of STEPS consecutive steps of one march on grid with
     op's sigma and pair from the datum whose interior trace is trace (b_max = max
-    trace^M), csv_ms, the ms write_trace_csv takes to write that march, and the
-    march's mode-1 accuracy split."""
+    trace^M), march_ms, the ms of that whole march call, csv_ms, the ms
+    write_trace_csv takes to write that march, and the march's mode-1 accuracy split."""
     J = STEPS + 1
     T = J * 0.5 * cfl_max_dt(M, float(trace.max()) ** M, op.sigma, grid.dx)
     config = SolverConfig(sigma=op.sigma, m=M, X=grid.X, Y=grid.Y, T=T, I=grid.I, K=grid.K,
@@ -140,15 +141,17 @@ def march_figures(op, grid, trace) -> dict:
 
     marcher._bracket_update = ticking
     try:
+        start = time.perf_counter()
         traj = marcher.march(config, np.r_[0.0, trace, 0.0])
+        march_ms = (time.perf_counter() - start) * 1e3
     finally:
         marcher._bracket_update = update
     with tempfile.TemporaryDirectory() as tmp:
         start = time.perf_counter()
         marcher.write_trace_csv(traj, pathlib.Path(tmp) / "trace.csv")
         csv_ms = (time.perf_counter() - start) * 1e3
-    return {"step_ms_p50": float(np.percentile(np.diff(ticks), 50)) * 1e3, "csv_ms": csv_ms,
-            **mode_1_split(op, config)}
+    return {"step_ms_p50": float(np.percentile(np.diff(ticks), 50)) * 1e3, "march_ms": march_ms,
+            "csv_ms": csv_ms, **mode_1_split(op, config)}
 
 
 def mode_1_split(op, config) -> dict:
@@ -182,8 +185,8 @@ def main() -> int:
               f"{r['assemble_s']:.3f} s (peak {r['assemble_peak_mib']:.1f} MiB), "
               f"solve p50 {r['solve_ms_p50']:.3f} ms, "
               f"p99 {r['solve_ms_p99']:.3f} ms, step p50 {r['step_ms_p50']:.3f} ms, "
-              f"csv {r['csv_ms']:.3f} ms, mode-1 space_err {r['space_err']:.2e}, "
-              f"time_err {r['time_err']:.2e}")
+              f"march {r['march_ms']:.3f} ms, csv {r['csv_ms']:.3f} ms, "
+              f"mode-1 space_err {r['space_err']:.2e}, time_err {r['time_err']:.2e}")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"BENCH_{tag}.json"
     path.write_text(json.dumps({"tag": tag, "passes": PASSES, "solve_calls": SOLVES,

@@ -45,13 +45,12 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg, sparse
 
-from .core import STENCIL_WINDOWS, SUPPORTED_PAIRS, Grid, _check_sigma, check_stencil
+from .core import STENCIL_WINDOWS, Grid, _check_sigma, check_stencil
 from .errors import ConfigError, SolverError
 
 __all__ = [
-    "SUPPORTED_PAIRS", "fd_weights", "ExtensionOperator",
-    "assemble", "solve_interior", "full_grid_values", "discrete_max_location",
-    "dump_matrix", "check_memory",
+    "fd_weights", "ExtensionOperator", "assemble", "solve_interior", "full_grid_values",
+    "discrete_max_location", "dump_matrix", "check_memory",
 ]
 
 _DUMP_BLOCK = 4096                      # dump_matrix lines per format call

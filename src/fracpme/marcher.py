@@ -26,20 +26,13 @@ __all__ = [
 _RECORD_BYTES = 320     # >= 312 B a step: StepDiagnostics 72, tuple 56, 3 floats, 3 ints, 2 slots
 
 
-def _data_samples(f, grid) -> np.ndarray:
-    """InitialData.sample of f on grid.xs, a bare callable or array wrapped as 'data'."""
+def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
+    """f^m at the I - 1 interior trace nodes at t = 0 (the corners are homogeneous
+    Dirichlet data), f sampled by InitialData.sample, a bare callable or array as 'data'."""
     if not isinstance(f, InitialData):
         f = InitialData("data", fn=f if callable(f) else lambda xs, v=f: v)
-    return f.sample(grid.xs)
-
-
-def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
-    """Trace row of w at t = 0: f^m at the interior trace nodes, 0 at the corners."""
-    grid = config.grid()
-    samples = _data_samples(f, grid)
-    row = np.zeros(grid.I + 1)
     with np.errstate(over="ignore"):
-        row[1:-1] = samples[1:-1] ** config.m
+        row = f.sample(config.grid().xs)[1:-1] ** config.m
     if not np.isfinite(row).all():
         raise ConfigError(f"initial data too large: f^m overflows at m = {config.m:g}")
     return row
@@ -47,7 +40,7 @@ def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
 
 def initialize(config: SolverConfig, f) -> Field:
     """Starting field: trace row f^m, homogeneous lateral data, interior solved."""
-    row = initial_trace_w(config, f)[1:-1]
+    row = initial_trace_w(config, f)
     op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     return Field(values=extension_op._solve(op, row).T, time_index=0)
 
@@ -174,7 +167,7 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     operator is built, and that memory with the operator's and two node arrays' after it;
     a step raises only NegativeBracketError, SolverError or MaxPrincipleError.
     """
-    row = initial_trace_w(config, f)[1:-1]
+    row = initial_trace_w(config, f)
     b_max = float(row.max())
 
     dt = config.dt

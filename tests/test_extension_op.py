@@ -35,14 +35,13 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import spsolve
 
 from fracpme import extension_op
-from fracpme.core import (STENCIL_WINDOWS, Field, Grid, SolverConfig, effective_order,
-                          initial_data_preset, stencil_families, stencil_reach)
+from fracpme.core import (STENCIL_WINDOWS, SUPPORTED_PAIRS, Field, Grid, SolverConfig,
+                          effective_order, initial_data_preset, stencil_families, stencil_reach)
 from fracpme.errors import ConfigError, SolverError, UnsupportedStencilError
 from fracpme.extension_op import (
     _MONOTONE_TOL,
     _build,
     _cache,
-    SUPPORTED_PAIRS,
     ExtensionOperator,
     _x_modes,
     assemble,

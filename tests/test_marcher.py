@@ -210,8 +210,25 @@ def test_initial_trace_is_data_to_the_m():
     cfg = make_config(m=2.0)
     row = initial_trace_w(cfg, GAUSS)
     xs = cfg.grid().xs
-    assert row[0] == 0.0 and row[-1] == 0.0
-    assert row[1:-1] == pytest.approx(np.exp(-xs[1:-1] ** 2) ** 2, rel=1e-14)
+    assert row.shape == (cfg.I - 1,)
+    assert row == pytest.approx(np.exp(-xs[1:-1] ** 2) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.5])
+def test_initial_trace_is_one_row_for_every_form_of_the_datum(m):
+    # an InitialData, its bare callable and its sampled array give bitwise the same row
+    cfg = make_config(m=m)
+    rows = [initial_trace_w(cfg, f) for f in (GAUSS, GAUSS.fn, GAUSS.fn(cfg.grid().xs))]
+    assert all(r.tobytes() == rows[0].tobytes() for r in rows[1:])
+
+
+def test_initial_trace_refuses_an_overflowing_f_to_the_m():
+    cfg = make_config(m=2.0)
+    with pytest.raises(ConfigError, match="f\\^m overflows at m = 2"):
+        initial_trace_w(cfg, np.full(cfg.I + 1, 1e200))
+    # only the interior is raised to the m-th power: a huge corner value is Dirichlet data
+    data = np.r_[1e200, np.ones(cfg.I - 1), 1e200]
+    assert np.array_equal(initial_trace_w(cfg, data), np.ones(cfg.I - 1))
 
 
 def test_initialize_solves_interior():
@@ -219,7 +236,7 @@ def test_initialize_solves_interior():
     field = initialize(cfg, GAUSS)
     assert field.time_index == 0
     assert field.values.shape == (9, 3)
-    assert np.array_equal(field.values[1:-1, 0], initial_trace_w(cfg, GAUSS)[1:-1])
+    assert np.array_equal(field.values[1:-1, 0], initial_trace_w(cfg, GAUSS))
     inner = field.values[1:-1, 1]
     assert inner.min() > 0.0
     assert inner.max() < 1.0
@@ -554,7 +571,7 @@ def test_linear_march_is_the_closed_form_mode_decay(sigma, d):
     bump = initial_data_preset("bump")
     op = assemble(cfg.grid(), sigma, c=2, d=d)
     B, lam = op.V_inv, marcher._lambda(cfg.dt, cfg.dx, sigma)
-    want = B.T @ ((1.0 - lam * (1.0 - op.G[0])) ** cfg.J * (B @ initial_trace_w(cfg, bump)[1:-1]))
+    want = B.T @ ((1.0 - lam * (1.0 - op.G[0])) ** cfg.J * (B @ initial_trace_w(cfg, bump)))
     got = march(cfg, bump).trace_history[-1, 1:-1]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
