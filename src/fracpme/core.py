@@ -272,15 +272,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Nonnegative initial datum u(x, 0) = f(x), as a callable or a sample list."""
+    """Nonnegative initial datum u(x, 0) = f(x): a name and the sampler fn."""
     name: str
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
-    samples: tuple[float, ...] | None = None
+    fn: Callable[[np.ndarray], np.ndarray]
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """The datum at the nodes xs: ConfigError unless one finite value >= 0 per node."""
-        out = np.asarray(self.fn(np.asarray(xs, dtype=float)) if self.samples is None
-                         else self.samples, dtype=float)
+        out = np.asarray(self.fn(np.asarray(xs, dtype=float)), dtype=float)
         if out.shape != np.shape(xs):
             raise ConfigError(f"initial data must have {np.size(xs)} samples, got {out.shape}")
         if not np.isfinite(out).all():
@@ -319,8 +317,8 @@ def initial_data_preset(name: str) -> InitialData:
 def parse_initial_data(text: str) -> InitialData:
     """Parse a config-file initial_data value.
 
-    Accepts a preset name (gaussian | bump | zero), constant:VALUE, or
-    inline:v0,v1,...,vI (exactly I+1 comma-separated samples).
+    Accepts a preset name (gaussian | bump | zero), constant:VALUE, or inline:v0,v1,...,vI
+    (I+1 comma-separated samples); only text that does not parse is refused: sample judges.
     """
     text = text.strip()
     if text.startswith("constant:"):
@@ -328,18 +326,14 @@ def parse_initial_data(text: str) -> InitialData:
             val = float(text.partition(":")[2])
         except ValueError:
             raise ConfigError(f"bad constant initial data {text!r}") from None
-        if val < 0:
-            raise ConfigError("constant initial data must be nonnegative")
         return InitialData(name=text, fn=lambda xs, v=val: np.full_like(xs, v, dtype=float))
     if text.startswith("inline:"):
-        body = text.partition(":")[2]
         try:
-            vals = tuple(float(tok) for tok in body.split(",") if tok.strip())
+            vals = np.array([float(v) for v in text.partition(":")[2].split(",") if v.strip()])
         except ValueError:
             raise ConfigError(f"bad inline initial data {text!r}") from None
-        if not vals:
-            raise ConfigError("inline initial data needs at least one sample")
-        return InitialData(name="inline", samples=vals)
+        vals.setflags(write=False)
+        return InitialData(name="inline", fn=lambda xs, v=vals: v)
     return initial_data_preset(text)
 
 

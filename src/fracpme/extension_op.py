@@ -400,6 +400,13 @@ def _residual(op: ExtensionOperator, P: np.ndarray) -> float:
     return float(np.abs(R, out=R).max())
 
 
+def _solve_bytes(op: ExtensionOperator) -> int:
+    """Bytes a _solve into a new node array holds beyond op and its trace: P and a row block's
+    G c and product (or L's product) on the L path; P, R, T_x's product and scipy's C-ordered
+    copy of P[1:K].T on the factor path; each at most a node array, and 8 trace-length vectors."""
+    return 8 * (op.K + 1) * (op.I + 1) * (3 if op.L is not None else 4) + 64 * (op.I + 1)
+
+
 def _solve(op: ExtensionOperator, trace_row: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
     """The height-major (K+1) x (I+1) node array P[k, i] for the trace data trace_row
     and homogeneous lateral/top data: trace_row at k = 0, the solve inside, 0 elsewhere.

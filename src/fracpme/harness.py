@@ -189,19 +189,17 @@ class ConvergenceReport:
 
 def _study_config(sigma: float, m: float, params: SchemeParams,
                   setup: StudySetup, I: int) -> SolverConfig:
-    dx = 2.0 * setup.X / I
-    K = setup.Y / dx
-    if abs(K - round(K)) > 1e-9:
-        raise ConfigError(
-            f"study geometry not meshable: Y/dx = {K} must be an integer at I = {I}")
-    cfg = SolverConfig(sigma=sigma, m=m, X=setup.X, Y=setup.Y, T=setup.T, I=I,
-                       K=int(round(K)), J=1, c=params.c, d=params.d, cfl_safety=setup.cfl_safety)
+    # K = Y/dx rounded, dx = 2X/I: Grid refuses a mesh that is not square (or has dx = 0)
+    cfg = SolverConfig(sigma=sigma, m=m, X=setup.X, Y=setup.Y, T=setup.T, I=I, J=1, c=params.c,
+                       d=params.d, K=round(setup.Y / (2.0 * setup.X) * I, 0),
+                       cfl_safety=setup.cfl_safety)
     b_max = float(marcher.initial_trace_w(cfg, setup.data).max())
-    c_mf_dt = core.cfl_max_dt(m, b_max, sigma, dx)          # C(m,f) * dx^sigma
-    dt_target = setup.cfl_safety * min(
-        c_mf_dt, c_mf_dt * dx ** params.p / dx ** sigma)    # accuracy rule capped by CFL
-    J = 1 if math.isinf(dt_target) else max(1, int(math.ceil(setup.T / dt_target - 1e-12)))
-    return replace(cfg, J=J)
+    c_mf_dt = core.cfl_max_dt(m, b_max, sigma, cfg.dx)      # C(m,f) * dx^sigma, inf for f = 0
+    # the accuracy rule dx^p capped by CFL; dx^p / dx^sigma is one power, 1 at p = sigma and at
+    # dx >= 1 (p >= sigma).  A step of 0 or a T/dt of inf leaves J = inf: SolverConfig refuses it
+    dt_target = setup.cfl_safety * min(c_mf_dt, c_mf_dt * min(cfg.dx, 1.0) ** (params.p - sigma))
+    steps = setup.T / dt_target if dt_target > 0.0 else math.inf
+    return replace(cfg, J=max(1, math.ceil(steps - 1e-12)) if steps < math.inf else steps)
 
 
 def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,

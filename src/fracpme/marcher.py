@@ -164,7 +164,7 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     capture: None (trace history only) or an iterable of times, each rounded to the
     nearest step.  The data, lambda, the CFL bound, capture and the memory of the history,
     its times, the step records and the snapshots are checked, in that order, before the
-    operator is built, and that memory with the operator's and two node arrays' after it;
+    operator is built, and that memory with the operator's and a solve's after it;
     a step raises only NegativeBracketError, SolverError or MaxPrincipleError.
     """
     row = initial_trace_w(config, f)
@@ -188,10 +188,9 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
             f"its times, J+1 step records and {len(wanted)} (K+1) x (I+1) snapshots")
     extension_op.check_memory(need, f"{held} need")
     op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-    # after the build, whose peak never sits on the history's: the operator kept,
-    # _solve's node array and its residual sit beside the history
-    extension_op.check_memory(need + op.nbytes + 16 * (K + 1) * (I + 1),
-                              f"{held}, with the operator and two node arrays, need")
+    # after the build, whose peak never sits on the history's: the operator and a solve's arrays
+    extension_op.check_memory(need + op.nbytes + extension_op._solve_bytes(op),
+                              f"{held}, with the operator and a solve's arrays, need")
     try:
         w_hist = np.empty((J + 1, I + 1))
         times = np.arange(J + 1) * dt

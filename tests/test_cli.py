@@ -243,6 +243,16 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
     ["convergence", "--sigma", "1.0", "--m", "1.0", "--mode", "practical", "--levels", "2",
      "--plot", "{nodir}/study.svg"],
     ["solve", "--config", "{dt_underflow}", "--snapshots", "0.0"],
+    ["convergence", "--sigma", "1.5", "--m", "2", "--mode", "practical", "--levels", "2",
+     "--base-i", "16", "--x", "1e-150", "--y", "1e-150", "--data", "bump"],
+    ["convergence", "--sigma", "0.3", "--m", "2", "--mode", "optimal", "--levels", "2",
+     "--base-i", "16", "--x", "1e-200", "--y", "1e-200", "--data", "bump"],
+    ["convergence", "--sigma", "0.5", "--m", "10", "--mode", "optimal", "--levels", "2",
+     "--base-i", "16", "--x", "1e-25", "--y", "1e-25", "--data", "constant:1e30"],
+    ["convergence", "--sigma", "1.0", "--m", "2", "--mode", "practical", "--levels", "2",
+     "--base-i", "16", "--x", "1e-300", "--y", "1e10", "--data", "bump"],
+    ["convergence", "--sigma", "1.0", "--m", "2", "--mode", "practical", "--levels", "2",
+     "--base-i", "16", "--x", "5e-324", "--y", "1e-20", "--data", "bump"],
 ], ids=["sigma", "ys-increasing", "ys-single", "snapshot-after-T",
         "snapshot-not-a-number", "negative-inline-data", "convergence-sigma",
         "convergence-m", "convergence-base-i", "convergence-cfl-safety", "convergence-x",
@@ -255,7 +265,9 @@ def test_solve_cfl_violation_exits_2(tmp_path, capsys):
         "config-mesh-overflow", "config-mesh-underflow", "config-mesh-too-big",
         "config-mesh-not-square-unallocatable",
         "sigma-table-out-unwritable",
-        "solve-out-prefix-unwritable", "convergence-plot-unwritable", "config-dt-underflow"])
+        "solve-out-prefix-unwritable", "convergence-plot-unwritable", "config-dt-underflow",
+        "convergence-cfl-step-J-huge", "convergence-step-underflow", "convergence-step-subnormal",
+        "convergence-K-overflow", "convergence-dx-underflow"])
 def test_rejected_input_exits_2(tmp_path, capsys, argv):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"sigma = 0.5\n\xff\xfe\n")
@@ -349,7 +361,7 @@ def test_operator_and_node_arrays_over_the_memory_budget_exit_2_before_the_first
         tmp_path, monkeypatch, capsys):
     # 20001 steps at I = 8 need 8.0 MB for the history and records; a budget of that
     # need passes the check before the build, not the one after it, which adds the
-    # operator and the node and residual arrays the march holds beside them
+    # operator and the working arrays of a solve (extension_op._solve_bytes)
     def never(*_args):
         raise AssertionError("a step was solved")
 
@@ -358,14 +370,15 @@ def test_operator_and_node_arrays_over_the_memory_budget_exit_2_before_the_first
     J, I, K = config.J, config.I, config.K
     need = (J + 1) * (8 * (I + 2) + marcher._RECORD_BYTES)
     key = (I, K, config.sigma, config.c, config.d)
-    kept = need + extension_op._build(*key).nbytes + 16 * (K + 1) * (I + 1)
+    op = extension_op._build(*key)
+    kept = need + op.nbytes + extension_op._solve_bytes(op)
     builds = count_builds(monkeypatch)
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: need)
     monkeypatch.setattr(extension_op, "_solve", never)
     assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
                  "--dump-matrix", str(tmp_path / "op.txt")]) == 2
     err = capsys.readouterr().err
-    assert (f"with the operator and two node arrays, need {kept} bytes, more than the "
+    assert (f"with the operator and a solve's arrays, need {kept} bytes, more than the "
             f"{need} bytes of physical memory") in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
     assert builds == [key]

@@ -461,8 +461,9 @@ def test_unknown_preset():
 def test_constant_initial_data():
     f = parse_initial_data("constant:0.75")
     assert np.all(f.sample(np.zeros(5)) == 0.75)
-    with pytest.raises(ConfigError):
-        parse_initial_data("constant:-1")
+    # the parser refuses only text; sample judges the value
+    with pytest.raises(ConfigError, match="^nonnegative initial data required$"):
+        parse_initial_data("constant:-1").sample(np.zeros(5))
     with pytest.raises(ConfigError):
         parse_initial_data("constant:xyz")
 
@@ -472,8 +473,19 @@ def test_inline_initial_data():
     assert f.sample(np.zeros(5)).tolist() == [0.0, 0.5, 1.0, 0.5, 0.0]
     with pytest.raises(ConfigError, match=r"^initial data must have 4 samples, got \(5,\)$"):
         f.sample(np.zeros(4))
-    with pytest.raises(ConfigError):
-        parse_initial_data("inline:")
+    with pytest.raises(ConfigError, match=r"^initial data must have 5 samples, got \(0,\)$"):
+        parse_initial_data("inline:").sample(np.zeros(5))
+    with pytest.raises(ConfigError, match="^bad inline initial data"):
+        parse_initial_data("inline:0, x")
+
+
+def test_initial_data_is_a_name_and_a_sampler():
+    # inline: samples are one more sampler, which returns them read-only
+    assert [f.name for f in dataclasses.fields(InitialData)] == ["name", "fn"]
+    f = parse_initial_data("inline:0, 0.5, 0")
+    assert f.name == "inline"
+    out = f.sample(np.zeros(3))
+    assert out.tolist() == [0.0, 0.5, 0.0] and not out.flags.writeable
 
 
 def test_initial_data_rejects_non_finite_and_bad_shape():
@@ -486,7 +498,7 @@ def test_initial_data_rejects_non_finite_and_bad_shape():
 
 
 @pytest.mark.parametrize("data", [InitialData(name="fn", fn=lambda xs: xs),
-                                  InitialData(name="inline", samples=(0.0, -1e-300, 1.0))],
+                                  parse_initial_data("inline:0.0, -1e-300, 1.0")],
                          ids=["callable", "inline"])
 def test_initial_data_refuses_a_negative_sample_itself(data):
     # the sign rule lives in sample, not in its callers

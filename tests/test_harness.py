@@ -352,8 +352,54 @@ def test_convergence_guards():
     with pytest.raises(ConfigError, match="gaussian"):
         run_convergence(1.0, 1.0, PRACTICAL, levels=2, setup=setup)
     bad_geometry = StudySetup(X=2.0, Y=1.7, T=0.25, base_i=8)
-    with pytest.raises(ConfigError, match="meshable"):
+    with pytest.raises(ConfigError, match="mesh must be square"):
         run_convergence(1.0, 1.0, PRACTICAL, levels=2, setup=bad_geometry)
+
+
+@pytest.mark.parametrize("X,Y,message", [
+    (2.0, 0.1, r"^need integer I >= 2 and K >= 1, got I=8, K=0"),
+    # Y/dx overflows to inf, which round() once raised OverflowError on
+    (1e-300, 1e10, r"^need integer I >= 2 and K >= 1, got I=8, K=inf$"),
+    # dx = 2X/I underflows to 0, which Y/dx once divided by (ZeroDivisionError)
+    (5e-324, 1.0, r"^need integer I >= 2 and K >= 1, got I=8, K=inf$"),
+    (5e-324, 1e-20, r"^mesh must be square with a finite width dx > 0: dx = 2X/I = 0\.0"),
+])
+def test_study_rung_mesh_is_judged_by_grid(monkeypatch, X, Y, message):
+    calls = []
+    monkeypatch.setattr(harness.marcher, "march", lambda *args, **kwargs: calls.append(args))
+    setup = StudySetup(X=X, Y=Y, T=0.25, base_i=8, data=initial_data_preset("bump"))
+    with pytest.raises(ConfigError, match=message):
+        run_convergence(1.0, 2.0, PRACTICAL, levels=2, setup=setup)
+    assert calls == []
+
+
+@pytest.mark.parametrize("sigma,m,mode,extent,data,message", [
+    # p = sigma: dx^p / dx^sigma once underflowed to 0 / 0 (ZeroDivisionError); as one
+    # power it is 1, and the CFL step itself needs a J beyond the trace history's bound
+    (1.5, 2.0, PRACTICAL, 1e-150, "bump", r"^J = \d+ too large: the \(J\+1\) x \(I\+1\)"),
+    # the capped step, about 1e-341, underflows to 0 (ZeroDivisionError)
+    (0.3, 2.0, OPTIMAL, 1e-200, "bump", r"^J must be a positive integer, got inf$"),
+    # a subnormal step whose T/dt overflows to inf (OverflowError from ceil)
+    (0.5, 10.0, OPTIMAL, 1e-25, "constant:1e30", r"^J must be a positive integer, got inf$"),
+])
+def test_study_step_too_small_to_count_is_refused_before_the_first_march(
+        monkeypatch, sigma, m, mode, extent, data, message):
+    calls = []
+    monkeypatch.setattr(harness.marcher, "march", lambda *args, **kwargs: calls.append(args))
+    setup = StudySetup(X=extent, Y=extent, base_i=16, data=core.parse_initial_data(data))
+    with pytest.raises(ConfigError, match=message):
+        run_convergence(sigma, m, mode, levels=2, setup=setup)
+    assert calls == []
+
+
+def test_study_on_a_huge_domain_takes_the_cfl_step():
+    # dx = 2^-3 * 1e300: dx^p once overflowed (OverflowError); the accuracy rule's
+    # ratio dx^(p - sigma) is at least 1 here, so the CFL step is the study's step
+    setup = StudySetup(X=1e300, Y=1e300, base_i=16, data=initial_data_preset("bump"))
+    cfg = harness._study_config(0.3, 2.0, harness.select_scheme_params(0.3, OPTIMAL), setup, 16)
+    b_max = float(harness.marcher.initial_trace_w(cfg, setup.data).max())
+    dt = setup.cfl_safety * core.cfl_max_dt(2.0, b_max, 0.3, cfg.dx)
+    assert cfg.J == max(1, math.ceil(setup.T / dt - 1e-12))
 
 
 @pytest.mark.parametrize("cfl_safety", [1.5, 0.0, -0.5, math.nan])

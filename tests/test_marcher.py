@@ -424,10 +424,11 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
         march(cfg, GAUSS)
     with pytest.raises(ConfigError, match="capture must be"):   # capture is checked first
         march(cfg, GAUSS, capture="some")
-    # after the build, the operator and the node and residual arrays count too
-    kept = need + assemble(cfg.grid(), cfg.sigma).nbytes + 16 * (cfg.K + 1) * (cfg.I + 1)
+    # after the build, the operator and a solve's working arrays count too
+    op = assemble(cfg.grid(), cfg.sigma)
+    kept = need + op.nbytes + extension_op._solve_bytes(op)
     fake_budget(monkeypatch, kept - 1)
-    with pytest.raises(ConfigError, match=rf"snapshots, with the operator and two node arrays, "
+    with pytest.raises(ConfigError, match=rf"snapshots, with the operator and a solve's arrays, "
                                           rf"need {kept} bytes, more than the {kept - 1} bytes"):
         march(cfg, GAUSS)
     fake_budget(monkeypatch, kept)
@@ -468,6 +469,27 @@ def test_counted_need_covers_what_the_march_holds():
     peaks = {J: peak(J) for J in cfg}
     assert peaks[2000] <= 2001 * per_step
     assert peaks[2000] - peaks[1000] <= 1000 * per_step, (peaks[2000] - peaks[1000]) / 1000
+
+
+@pytest.mark.parametrize("sigma,c,d,on_L", [(0.5, 2, 1, True), (1.5, 3, 4, False)],
+                         ids=["L-path", "factor-path"])
+def test_counted_need_covers_a_solves_working_arrays(monkeypatch, sigma, c, d, on_L):
+    # J = 4 at I = 128, K = 64: node arrays dominate the peak.  The factor residual
+    # holds 4 with P (R, T_x's product, scipy's C-ordered copy of P's rows), the L
+    # path up to 3 (a row block's G c and its product beside P); a count of 2 node
+    # arrays fails both cases
+    cfg = make_config(sigma=sigma, c=c, d=d, X=4.0, Y=4.0, I=128, K=64, T=1e-4, J=4)
+    op = assemble(cfg.grid(), sigma, c, d)      # cached before tracing: none of it is traced
+    assert (op.L is not None) == on_L
+    counted = []
+    monkeypatch.setattr(extension_op, "check_memory", lambda need, _what: counted.append(need))
+    tracemalloc.start()
+    try:
+        march(cfg, GAUSS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[-1] - op.nbytes, (peak, counted[-1] - op.nbytes)
 
 
 def test_small_march_reads_no_memory_limit(monkeypatch):

@@ -485,7 +485,7 @@ def test_scheme_symbol_converges_to_the_box_symbol_at_sigma_1():
     # Diagnostic.  For c = 2, column n-1 of V is the box mode phi_n, so the scheme's
     # symbol is nu_sigma (1 - G[0, n-1]) / dx^sigma, the two-point quotient of the
     # trace phi_n.  At sigma = 1 with (2, None) its error halves with dx.  At
-    # sigma != 1 it does not converge (README, known defect): not asserted here
+    # sigma != 1 it does not converge: the next test pins README's known defect
     X = Y = 2.0
     errors = {n: [] for n in (1, 2, 3)}
     for I in (32, 64, 128, 256, 512):
@@ -496,3 +496,22 @@ def test_scheme_symbol_converges_to_the_box_symbol_at_sigma_1():
     for n, errs in errors.items():
         orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
         assert all(abs(p - 1.0) <= 0.1 for p in orders), (n, orders)
+
+
+# README, "Known defect at sigma != 1": the mode-1 relative symbol error in %, as printed
+_KNOWN_DEFECT = {
+    (0.5, 2, 1): (-34.2, -36.7, -38.7, -40.1, -41.1),
+    (0.5, 2, 2): (-25.3, -27.2, -28.7, -29.8, -30.6),
+    (1.5, 2, 1): (-19.4, -17.2, -16.2, -15.8, -15.6),
+}
+
+
+@pytest.mark.parametrize("sigma,c,d", list(_KNOWN_DEFECT))
+def test_scheme_symbol_known_defect_at_sigma_other_than_1(sigma, c, d):
+    # the scheme's mode-1 symbol nu_sigma (1 - G[0, 0]) / dx^sigma against box_symbol,
+    # X = Y = 2, K = I/2: each README entry to its printed 0.1 %
+    exact = box_symbol(1, 2.0, 2.0, sigma)
+    for I, printed in zip((32, 64, 128, 256, 512), _KNOWN_DEFECT[sigma, c, d]):
+        op = extension_op.assemble(Grid(2.0, 2.0, I, I // 2), sigma, c, d)
+        rel = (nu_sigma(sigma) * (1.0 - op.G[0, 0]) / (4.0 / I) ** sigma - exact) / exact
+        assert abs(100.0 * rel - printed) <= 0.05, (I, 100.0 * rel, printed)
