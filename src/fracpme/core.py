@@ -176,7 +176,8 @@ class Grid:
 
     def __post_init__(self):
         if not (0.0 < self.X < math.inf and 0.0 < self.Y < math.inf):
-            raise ConfigError("domain extents X, Y must be positive and finite")
+            raise ConfigError(f"domain extents X, Y must be positive and finite, "
+                              f"got X={self.X}, Y={self.Y}")
         if not (self.I % 1 == 0 and self.I >= 2 and self.K % 1 == 0 and self.K >= 1):
             raise ConfigError(f"need integer I >= 2 and K >= 1, got I={self.I}, K={self.K}")
         self.__dict__.update(I=int(self.I), K=int(self.K))     # 64.0 passes: store 64

@@ -201,13 +201,13 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
 
     # one node array, refilled by every solve; no row is rescanned: _solve returns
     # finite arrays, and the bracket checks row 1
-    P, width = None, I + 1
+    P = None
     for j in range(J + 1):
         if j > 0:
             row = _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, config.m, j)
         P = extension_op._solve(op, row, P)
         w_min = float(P.min())
-        k, i = divmod(int(np.argmax(P)), width)     # discrete_max_location's (i, k)
+        i, k = extension_op.discrete_max_location(P.T)
         w_max = float(P[k, i])
         if not (w_min >= -1e-10 and w_max <= b_max + 1e-10):
             raise MaxPrincipleError(

@@ -274,19 +274,28 @@ def box_symbol(n: int, X: float, Y: float, sigma: float) -> float:
 
         d_n = a^sigma [1 + (2 sin(pi s)/pi) K_s(aY)/I_s(aY)],  a = n pi/2X, s = sigma/2.
 
-    It is a coth(aY) at sigma = 1 and tends to a^sigma as Y grows.  K_s/I_s is
-    kve/ive e^(-2aY), which does not overflow.  scipy.special is imported here, not
-    with the module: it would add about 40 ms and 2.5 MB to every process.
+    It is a coth(aY) at sigma = 1 and tends to a^sigma as Y grows.  K_s/I_s is kve/ive
+    e^(-2aY), and d_n is a^sigma once e^(-2aY) underflows (kve, ive are nan from aY near
+    1e9 on); an a^sigma past the floats is a ValueError.  scipy.special is imported
+    here, not with the module: it would add about 40 ms and 2.5 MB to every process.
     """
     sigma = _check_sigma(sigma)
     if not (n >= 1 and n % 1 == 0):        # nan and inf fail too
         raise ValueError(f"mode number must be a positive integer, got {n}")
     _require_positive(X=X, Y=Y)
+    a, s = n * math.pi / (2.0 * X), sigma / 2.0
+    try:
+        whole = a ** sigma
+    except OverflowError:               # a float power past the range raises
+        whole = math.inf
+    _require_positive(a_sigma=whole)
+    decay = math.exp(-2.0 * a * Y)
+    if decay == 0.0:
+        return whole
     from scipy.special import ive, kve
 
-    a, s = n * math.pi / (2.0 * X), sigma / 2.0
-    ratio = float(kve(s, a * Y) / ive(s, a * Y)) * math.exp(-2.0 * a * Y)
-    return a ** sigma * (1.0 + 2.0 * math.sin(math.pi * s) / math.pi * ratio)
+    ratio = float(kve(s, a * Y) / ive(s, a * Y)) * decay
+    return whole * (1.0 + 2.0 * math.sin(math.pi * s) / math.pi * ratio)
 
 
 def _require_positive(**vals: float) -> None:

@@ -922,6 +922,19 @@ def test_low_order_pairs_have_m_structure(sigma, c, d):
         assert assemble(grid, sigma, c=c, d=d).offending_factor_rows == ((), ())
 
 
+@pytest.mark.parametrize("sigma,c,d", [
+    *((round(0.05 * j, 2), 2, d) for d in (1, 2) for j in range(1, 40)), (1.0, 2, None)])
+def test_m_structure_row_one_map_is_positive_and_sub_stochastic(sigma, c, d):
+    # P1 = V diag(G[0]) V^-1 maps a trace to row k = 1 of its solve.  P1 >= 0 with
+    # P1 1 <= 1 keeps row 1 in [0, max trace], the ground of the trace band's bound
+    op = assemble(make_grid(I=64, K=32), sigma, c=c, d=d)
+    P1 = op.V @ (op.G[0][:, None] * op.V_inv)
+    assert P1.min() > 0.0
+    assert P1.sum(axis=1).max() < 1.0
+    t = np.random.default_rng(7).uniform(0.0, 1.0, op.I - 1)
+    assert np.abs(P1 @ t - extension_op._solve(op, t)[1, 1:-1]).max() <= 1e-13 * np.abs(t).max()
+
+
 def test_pure_laplacian_stencil_has_m_structure_at_sigma_one():
     assert assemble(make_grid(), 1.0, c=2, d=None).offending_factor_rows == ((), ())
 

@@ -57,6 +57,18 @@ def test_scheme_mode_rejects_bad_specs():
         SchemeMode.parse("minimal:nope")
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("minimal:-1", "^minimal mode needs delta > 0$"),
+    ("minimal:0", "^minimal mode needs delta > 0$"),
+    ("minimal:nan", "^minimal mode needs delta > 0$"),
+    ("minimal:nope", "^bad minimal mode spec 'minimal:nope'$"),
+])
+def test_scheme_mode_parse_leaves_the_delta_to_scheme_mode(spec, message):
+    # parse refuses only text that is not a number; SchemeMode judges the number
+    with pytest.raises(ConfigError, match=message):
+        SchemeMode.parse(spec)
+
+
 OPTIMAL_ROWS = [
     # sigma -> (a, c, d, p, has_note)
     (0.3, 3.4, 4, 4, 1.7, False),
@@ -403,29 +415,63 @@ def test_study_on_a_huge_domain_takes_the_cfl_step():
 
 
 @pytest.mark.parametrize("cfl_safety", [1.5, 0.0, -0.5, math.nan])
-def test_study_setup_refuses_a_cfl_safety_each_level_would(cfl_safety):
-    # every level's SolverConfig takes cfl_safety in (0, 1] only; 1.5 once got as far
-    # as run_convergence's first level
+def test_study_setup_refuses_a_cfl_safety_each_level_would(monkeypatch, cfl_safety):
+    # StudySetup holds cfl_safety as given; the first rung's SolverConfig refuses it
+    # with its own message, before any march (1.5 once got as far as the first march)
     with pytest.raises(ConfigError) as by_config:
         core.SolverConfig(sigma=1.0, m=1.0, X=2.0, Y=2.0, T=0.25, I=8, K=8, J=4,
                           cfl_safety=cfl_safety)
-    with pytest.raises(ConfigError, match=r"^cfl_safety must lie in \(0, 1\], got ") as by_setup:
-        StudySetup(cfl_safety=cfl_safety)
-    assert str(by_setup.value) == str(by_config.value)
-    assert StudySetup(cfl_safety=1.0).cfl_safety == 1.0
+    calls = []
+    monkeypatch.setattr(harness.marcher, "march", lambda *args, **kwargs: calls.append(args))
+    setup = StudySetup(cfl_safety=cfl_safety)
+    with pytest.raises(ConfigError, match=r"^cfl_safety must lie in \(0, 1\], got ") as by_study:
+        run_convergence(1.0, 1.0, PRACTICAL, 2, setup)
+    assert str(by_study.value) == str(by_config.value)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sigma,m,data", [(1.0, 1.0, "gaussian"), (0.5, 2.0, "bump")])
-def test_study_setup_stores_an_integral_base_i_as_an_int(sigma, m, data):
-    # 8.0 passes as 8, as Grid stores I and K; it once reached ref_trace[::r]
-    # as a float stride; nan and inf are refused, not raised from int()
+def test_study_setup_stores_an_integral_base_i_as_an_int(monkeypatch, sigma, m, data):
+    # 8.0 runs as 8: Grid stores I as an int, and the stride comes from the last
+    # rung's I (a float stride once reached ref_trace[::r]); nan, inf, 0 and 8.5
+    # are Grid's to refuse, before any march
     reports = [run_convergence(sigma, m, PRACTICAL, 2, StudySetup(
         X=2.0, Y=2.0, T=0.25, base_i=base_i, data=initial_data_preset(data)))
         for base_i in (8, 8.0)]
     assert reports[0].to_csv() == reports[1].to_csv()
+    calls = []
+    monkeypatch.setattr(harness.marcher, "march", lambda *args, **kwargs: calls.append(args))
     for bad in (math.nan, math.inf, 0, 8.5):
-        with pytest.raises(ConfigError, match="base_i must be a positive integer"):
-            StudySetup(base_i=bad)
+        setup = StudySetup(X=2.0, Y=2.0, T=0.25, base_i=bad, data=initial_data_preset(data))
+        with pytest.raises(ConfigError, match=r"^need integer I >= 2 and K >= 1, got I="):
+            run_convergence(sigma, m, PRACTICAL, 2, setup)
+    assert calls == []
+
+
+_EXTENTS = r"^domain extents X, Y must be positive and finite, got X="
+
+
+@pytest.mark.parametrize("name,value,message", [
+    *((name, v, _EXTENTS) for name in ("X", "Y") for v in (0.0, -2.0, math.nan, math.inf)),
+    *(("T", v, r"^horizon T must be positive and finite, got ")
+      for v in (0.0, -1.0, math.nan, math.inf)),
+    *(("cfl_safety", v, r"^cfl_safety must lie in \(0, 1\], got ")
+      for v in (1.5, 0.0, -0.5, math.nan)),
+    *(("base_i", v, r"^need integer I >= 2 and K >= 1, got I=")
+      for v in (0, 8.5, math.nan, math.inf)),
+])
+def test_study_values_are_judged_by_the_first_rung_before_any_march(
+        monkeypatch, name, value, message):
+    # StudySetup holds every value as given; the first rung's SolverConfig (T,
+    # cfl_safety) and its Grid (X, Y, I = base_i) refuse a bad one with their own message
+    calls = []
+    monkeypatch.setattr(harness.marcher, "march", lambda *args, **kwargs: calls.append(args))
+    setup = StudySetup(**{"X": 2.0, "Y": 2.0, "T": 0.25, "base_i": 8,
+                          "data": initial_data_preset("bump"), name: value})
+    assert getattr(setup, name) is value
+    with pytest.raises(ConfigError, match=message):
+        run_convergence(0.5, 2.0, PRACTICAL, 2, setup)
+    assert calls == []
 
 
 def test_convergence_refuses_spectral_reference_data_before_marching(monkeypatch):

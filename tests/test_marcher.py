@@ -698,6 +698,24 @@ def test_march_solves_step_0_like_every_step(monkeypatch):
     assert fld.time_index == 0 and _bits(fld.values) == _bits(want)
 
 
+def test_march_reads_each_steps_argmax_from_discrete_max_location(monkeypatch):
+    # one tie rule for the argmax: every step's (i, k) is discrete_max_location's,
+    # J + 1 calls a march, and the diagnostics are those of an unwrapped march
+    cfg = make_config(m=2.0, J=5, T=0.5)
+    want = march(cfg, GAUSS).diagnostics
+    real, calls = extension_op.discrete_max_location, []
+
+    def counted(values):
+        calls.append(real(values))
+        return calls[-1]
+
+    monkeypatch.setattr(extension_op, "discrete_max_location", counted)
+    traj = march(cfg, GAUSS)
+    assert len(calls) == cfg.J + 1
+    assert traj.diagnostics == want
+    assert [d.argmax for d in traj.diagnostics] == calls
+
+
 # ---------------------------------------------------------------------------
 # the march's checks at a failing step
 

@@ -481,6 +481,23 @@ def test_box_symbol_refuses_bad_input(args):
         box_symbol(*args)
 
 
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.7])
+def test_box_symbol_is_a_to_the_sigma_where_the_top_term_underflows(sigma):
+    # kve and ive are nan from aY near 1e9 on, and nan * 0 is nan; once e^(-2aY)
+    # underflows to 0 the term K_s/I_s e^(-2aY) is 0, so d_n is a^sigma to the bit
+    values = [box_symbol(1, math.pi / 2.0, 10.0 ** k, sigma) for k in range(-3, 301)]
+    assert all(math.isfinite(v) for v in values)
+    assert values[6:] == [1.0] * 298                    # a = 1, aY >= 1000
+    for n, X, Y in ((1, 2.0, 1e10), (10 ** 9, 1.0, 1.0), (1, 1e-12, 2.0)):
+        assert box_symbol(n, X, Y, sigma) == (n * math.pi / (2.0 * X)) ** sigma
+
+
+def test_box_symbol_refuses_an_a_to_the_sigma_past_the_floats():
+    # a = 1e300 pi / 4: a^1.9 overflows, which once raised OverflowError
+    with pytest.raises(ValueError, match="^a_sigma must be finite and positive, got inf$"):
+        box_symbol(1e300, 2.0, 2.0, 1.9)
+
+
 def test_scheme_symbol_converges_to_the_box_symbol_at_sigma_1():
     # Diagnostic.  For c = 2, column n-1 of V is the box mode phi_n, so the scheme's
     # symbol is nu_sigma (1 - G[0, n-1]) / dx^sigma, the two-point quotient of the
