@@ -52,7 +52,7 @@ def main() -> int:
                 samples = data.sample(grid.xs)
                 b_max = float((samples[1:-1] ** m).max())
                 bound = cfl_max_dt(m, b_max, sigma, grid.dx)
-                J = max(1, math.ceil(T / (0.95 * bound)))
+                J = max(1, math.ceil(T / (SolverConfig.cfl_safety * bound)))
                 cfg = SolverConfig(sigma=sigma, m=m, X=X, Y=Y, T=T, I=I, K=K, J=J)
                 try:
                     traj = march(cfg, data)

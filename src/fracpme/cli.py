@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -78,9 +79,10 @@ def _cmd_solve(args) -> int:
 def _cmd_convergence(args) -> int:
     _check_writable(args.out, args.plot)
     mode = harness.SchemeMode.parse(args.mode)
-    data = core.parse_initial_data(args.data)
-    setup = harness.StudySetup(X=args.x, Y=args.y, T=args.t, base_i=args.base_i,
-                               data=data, cfl_safety=args.cfl_safety)
+    given = {f.name: getattr(args, f.name) for f in fields(harness.StudySetup) if f.name in args}
+    if "data" in given:
+        given["data"] = core.parse_initial_data(given["data"])
+    setup = harness.StudySetup(**given)
     report = harness.run_convergence(args.sigma, args.m, mode, args.levels, setup)
     csv = report.to_csv()
     if args.out:
@@ -135,12 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True,
                    help="practical | optimal | minimal:DELTA")
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--base-i", type=int, default=16, dest="base_i")
-    p.add_argument("--x", type=float, default=16.0)
-    p.add_argument("--y", type=float, default=16.0)
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--data", default="gaussian")
-    p.add_argument("--cfl-safety", type=float, default=0.95, dest="cfl_safety")
+    unset = argparse.SUPPRESS               # an option not given takes StudySetup's default
+    p.add_argument("--base-i", type=int, dest="base_i", default=unset)
+    p.add_argument("--x", type=float, dest="X", default=unset)
+    p.add_argument("--y", type=float, dest="Y", default=unset)
+    p.add_argument("--t", type=float, dest="T", default=unset)
+    p.add_argument("--data", dest="data", default=unset)
+    p.add_argument("--cfl-safety", type=float, dest="cfl_safety", default=unset)
     p.add_argument("--out", default=None, help="CSV path (stdout if omitted)")
     p.add_argument("--plot", default=None, help="write a log-log SVG to this path")
     p.set_defaults(fn=_cmd_convergence)

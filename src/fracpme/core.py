@@ -10,7 +10,7 @@ homogeneous Dirichlet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -260,7 +260,7 @@ class SolverConfig:
 
     @property
     def dx(self) -> float:
-        return 2.0 * self.X / self.I
+        return self._grid.dx
 
     @property
     def dt(self) -> float:
@@ -341,14 +341,10 @@ def parse_initial_data(text: str) -> InitialData:
 # ---------------------------------------------------------------------------
 # flat key-value configuration files
 
-_INT_KEYS = {"I", "K", "J", "c", "d"}
-_FLOAT_KEYS = {"sigma", "m", "X", "Y", "T", "cfl_safety"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | {"initial_data"}
-_REQUIRED_KEYS = {"sigma", "m", "X", "Y", "T", "I", "K", "J"}
-
-
 def parse_config_text(text: str) -> tuple[SolverConfig, InitialData]:
-    """Parse `key = value` lines ('#' comments allowed). Unknown keys are errors."""
+    """Parse `key = value` lines ('#' comments allowed): SolverConfig's init fields, each
+    required unless it has a default, and initial_data.  Unknown keys are errors."""
+    keys = {f.name: f for f in fields(SolverConfig) if f.init}
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -358,7 +354,7 @@ def parse_config_text(text: str) -> tuple[SolverConfig, InitialData]:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _ALL_KEYS:
+        if key not in keys and key != "initial_data":
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
@@ -366,22 +362,23 @@ def parse_config_text(text: str) -> tuple[SolverConfig, InitialData]:
             raise ConfigError(f"config line {lineno}: empty value for {key!r}")
         entries[key] = val
 
-    missing = sorted(_REQUIRED_KEYS - entries.keys())
+    missing = sorted(k for k, f in keys.items() if f.default is MISSING and k not in entries)
     if missing:
         raise ConfigError(f"config missing required keys: {', '.join(missing)}")
 
+    data_text = entries.pop("initial_data", "gaussian")
     kwargs: dict = {}
     for key, val in entries.items():
-        if key == "d" and val.lower() == "none":
+        typ = keys[key].type                          # "float", "int" or "int | None"
+        kind, parse = ("an integer", int) if typ.startswith("int") else ("a number", float)
+        if val.lower() == "none" and typ.endswith("None"):
             kwargs[key] = None
-        elif key != "initial_data":
-            kind, parse = ("an integer", int) if key in _INT_KEYS else ("a number", float)
-            try:
-                kwargs[key] = parse(val)
-            except ValueError:
-                raise ConfigError(f"config key {key!r} must be {kind}, got {val!r}") from None
-
-    data = parse_initial_data(entries.get("initial_data", "gaussian"))
+            continue
+        try:
+            kwargs[key] = parse(val)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} must be {kind}, got {val!r}") from None
+    data = parse_initial_data(data_text)
     return SolverConfig(**kwargs), data
 
 

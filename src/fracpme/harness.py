@@ -135,7 +135,7 @@ class StudySetup:
     T: float = 0.5
     base_i: int = 16
     data: InitialData = field(default_factory=lambda: initial_data_preset("gaussian"))
-    cfl_safety: float = 0.95
+    cfl_safety: float = SolverConfig.cfl_safety
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,8 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
 # within 1e-9 of a tie, products below 1e16 or rounding to 1e17 (log10 one off,
 # a carry into the next decade) and |v| outside [1e-99, 1e99) take "%.16e" % v
 # one by one; 0.0 and every sign stay on the fast path.  A field is _WIDTH bytes
-# (sign, "d.dddddddddddddddde+dd", third exponent digit), 0 where unwritten.  A
+# (sign, "d.dddddddddddddddde+dd", third exponent digit), 0 where unwritten, built
+# as three little-endian 8-byte words from the digits of N in two 8-digit halves.  A
 # block's lines are one byte matrix without the sign and third-digit columns no
 # line uses; any 0 byte left is dropped.  The bytes are those of "%.16e" % v.
 
@@ -247,7 +248,7 @@ _BLOCK, _WIDTH = 4096, 24
 @functools.cache
 def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """hi, lo with hi + lo = 10^q to 2^-106 relative (q = -83 ... 116), and the
-    4-digit text of 0 ... 9999 as uint32 items."""
+    4-digit text of 0 ... 9999 as the low 4 bytes of little-endian uint64 items."""
     rows = []
     for q in range(-83, 117):
         num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
@@ -255,7 +256,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n, d = hi.as_integer_ratio()
         rows.append((hi, (num * d - n * den) / (den * d)))
     digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
-    return (*np.array(rows).T, digits.view(np.uint32).ravel())
+    return (*np.array(rows).T, digits.view("<u4").ravel().astype("<u8"))
 
 
 def _text(values) -> np.ndarray:
@@ -282,21 +283,18 @@ def _text(values) -> np.ndarray:
     n[zero] = e10[zero] = 0
     fast |= zero
 
-    lead = n // 10 ** 16
-    quad = np.empty((v.size, 4), np.int64)                      # the 16 digits after the point
-    quad[:, 3] = n - lead * 10 ** 16
-    for c, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4)):
-        quad[:, c] = quad[:, 3] // scale
-        quad[:, 3] -= quad[:, c] * scale
-    out = np.empty((v.size, _WIDTH), np.uint8)
-    out[:, 0] = np.where(np.signbit(v), ord("-"), 0)
-    out[:, 1] = lead + ord("0")
-    out[:, 2] = ord(".")
-    out[:, 3:19] = quads.take(quad).view(np.uint8).reshape(v.size, 16)
-    out[:, 19:21] = [ord("e"), ord("+")]
-    out[e10 < 0, 20] = ord("-")
-    out[:, 21:23] = quads.take(np.abs(e10)).view(np.uint8).reshape(v.size, 4)[:, 2:]
-    out[:, 23] = 0
+    n = n.astype("<u8")                 # uint64 throughout: numpy < 2 refuses int64 | uint64
+    top = n // 10 ** 8                  # the lead digit and the 8 digits d1-d8 after it
+    lead = top // 10 ** 8
+    h1, h2 = (quads[h // 10 ** 4] | quads[h % 10 ** 4] << 32      # 8 digits, one per byte
+              for h in (top - lead * 10 ** 8, n - top * 10 ** 8))
+    words = np.empty((v.size, 3), "<u8")    # [sign lead . d1-d5] [d6-d13] [d14-d16 e +- e1 e2 0]
+    words[:, 0] = (np.signbit(v).astype("<u8") * ord("-") | (lead + ord("0")) << 8
+                   | ord(".") << 16 | h1 << 24)
+    words[:, 1] = h1 >> 40 | h2 << 24
+    words[:, 2] = (h2 >> 40 | ord("e") << 24 | quads[np.abs(e10)] >> 16 << 40
+                   | np.where(e10 < 0, ord("-"), ord("+")).astype("<u8") << 32)
+    out = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:                       # "% -24.16e": the sign or a space, then the text
         text = b"% -24.16e" * slow.size % tuple(v[slow].tolist())

@@ -5,8 +5,10 @@ Exit-code contract: 0 success, 1 check/solver failure, 2 rejected input
 an internal fault propagates instead of being reported as a configuration error.
 """
 
+import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ import fracpme.extension_op as extension_op
 import fracpme.harness as harness
 import fracpme.marcher as marcher
 from fracpme.cli import main
-from fracpme.errors import NegativeBracketError, SolverError
+from fracpme.errors import ConfigError, NegativeBracketError, SolverError
 
 
 GOOD_CONFIG = """\
@@ -102,6 +104,16 @@ def test_sigma_table_mismatch_exits_1(monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # solve
+
+
+def test_readme_config_block_documents_every_key_and_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {line.split("#", 1)[0].partition("=")[0].strip() for line in block.splitlines()}
+    parser_keys = {f.name for f in dataclasses.fields(core.SolverConfig) if f.init}
+    assert keys - {""} == parser_keys | {"initial_data"}
+    assert main(["solve", "--config", write_config(tmp_path, block),
+                 "--out-prefix", str(tmp_path / "readme")]) == 0
 
 
 def test_solve_writes_outputs(tmp_path, capsys):
@@ -458,6 +470,36 @@ def test_convergence_run_with_outputs(tmp_path, capsys):
     assert svg_path.read_text().startswith("<svg ")
     out = capsys.readouterr().out
     assert "final order estimate" in out and "reference spectral" in out
+
+
+def study_setup_given(monkeypatch, *flags):
+    """The StudySetup `fracpme convergence` hands run_convergence for these options."""
+    seen = []
+
+    def stop(sigma, m, mode, levels, setup):
+        seen.append(setup)
+        raise ConfigError("stopped before the study")
+
+    monkeypatch.setattr(harness, "run_convergence", stop)
+    assert main(["convergence", "--sigma", "1", "--m", "1", "--mode", "optimal", *flags]) == 2
+    return seen[0]
+
+
+def test_convergence_without_options_takes_study_setup_defaults(monkeypatch):
+    assert study_setup_given(monkeypatch) == harness.StudySetup()
+
+
+@pytest.mark.parametrize("flag,value,name,expected", [
+    ("--x", "4", "X", 4.0),
+    ("--y", "2", "Y", 2.0),
+    ("--t", "0.25", "T", 0.25),
+    ("--base-i", "8", "base_i", 8),
+    ("--data", "bump", "data", core.initial_data_preset("bump")),
+    ("--cfl-safety", "0.5", "cfl_safety", 0.5),
+])
+def test_convergence_option_sets_only_its_field(monkeypatch, flag, value, name, expected):
+    assert (study_setup_given(monkeypatch, flag, value)
+            == dataclasses.replace(harness.StudySetup(), **{name: expected}))
 
 
 def test_convergence_bad_mode_exits_2(capsys):

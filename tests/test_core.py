@@ -532,6 +532,17 @@ def test_parse_config_round_trip():
     assert data.name == "bump"
 
 
+def test_parse_config_takes_every_solver_config_field():
+    # the keys are SolverConfig's init fields: one written for each parses back equal
+    cfg = SolverConfig(sigma=1.0, m=2.0, X=2.0, Y=1.0, T=0.5, I=16, K=4, J=10, c=3, d=None,
+                       cfl_safety=0.5)
+    names = [f.name for f in dataclasses.fields(SolverConfig) if f.init]
+    assert {"c", "d", "cfl_safety"} <= set(names)
+    values = {name: getattr(cfg, name) for name in names}
+    text = "".join(f"{k} = {'none' if v is None else repr(v)}\n" for k, v in values.items())
+    assert parse_config_text(text)[0] == cfg
+
+
 def test_parse_config_defaults_to_gaussian():
     text = "sigma=1\nm=1\nX=2\nY=1\nT=0.5\nI=8\nK=2\nJ=10\n"
     _, data = parse_config_text(text)
