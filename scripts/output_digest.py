@@ -38,12 +38,17 @@ def _array(h, a) -> None:
     h.update(repr(a.shape).encode() + a.tobytes())
 
 
+def snapshot_step(traj, t: float) -> int:
+    """The step of the snapshot taken at time t: its index in traj.times."""
+    return int(traj.times.searchsorted(t))
+
+
 def _trajectory(h, traj) -> None:
     _array(h, traj.times)
     _array(h, traj.trace_history)
-    for t, fld in traj.snapshots:
-        h.update(f"{t.hex()} {fld.time_index}".encode())
-        _array(h, fld.values)
+    for t, values in traj.snapshots:
+        h.update(f"{t.hex()} {snapshot_step(traj, t)}".encode())
+        _array(h, values)
     for diag in traj.diagnostics:
         h.update(" ".join(_hex(getattr(diag, f.name)) for f in dataclasses.fields(diag)).encode())
 

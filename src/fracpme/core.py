@@ -1,4 +1,4 @@
-"""Mesh, configuration, field storage, the stencil table and the scheme's scalar constants.
+"""Mesh, configuration, the stencil table and the scheme's scalar constants.
 
 Everything lives on the truncated extended half-plane [-X, X] x [0, Y] with a
 uniform square mesh (dy = dx is enforced at construction; all error estimates
@@ -20,7 +20,7 @@ from .errors import ConfigError, UnsupportedStencilError
 __all__ = [
     "mu_sigma", "nu_sigma", "riesz_constant", "cfl_max_dt", "effective_order",
     "STENCIL_WINDOWS", "SUPPORTED_PAIRS", "stencil_families", "stencil_reach", "check_stencil",
-    "Grid", "Field", "SolverConfig", "InitialData", "initial_data_preset", "parse_initial_data",
+    "Grid", "SolverConfig", "InitialData", "initial_data_preset", "parse_initial_data",
     "parse_config_text", "load_config",
 ]
 
@@ -195,29 +195,6 @@ class Grid:
         xs.setflags(write=False)
         ys.setflags(write=False)
         self.__dict__.update(dx=dx, xs=xs, ys=ys)
-
-
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Values of the extended variable w on all (I+1) x (K+1) nodes, [i, k] indexed, read-only:
-    a checked copy keeping its input's memory order (height-major for initialize, step
-    and every march snapshot)."""
-    values: np.ndarray
-    time_index: int = 0
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] < 2:
-            raise ValueError(f"field values must be (I+1) x (K+1) with I >= 2, got {v.shape}")
-        if not np.isfinite(v).all():
-            bad = np.argwhere(~np.isfinite(v))[0]
-            raise ValueError(f"non-finite field value at node (i={bad[0]}, k={bad[1]})")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def trace(self) -> np.ndarray:
-        return self.values[:, 0]
 
 
 @dataclass(frozen=True)

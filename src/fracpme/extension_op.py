@@ -459,9 +459,9 @@ def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,
     return vals.T
 
 
-def discrete_max_location(values) -> tuple[int, int]:
-    """Argmax node (i, k); ties broken by smallest k, then smallest i."""
-    vals = np.asarray(getattr(values, "values", values), dtype=float)
+def discrete_max_location(values: np.ndarray) -> tuple[int, int]:
+    """Argmax node (i, k) of the node array values[i, k]; ties by smallest k, then i."""
+    vals = np.asarray(values, dtype=float)
     k, i = divmod(int(np.argmax(vals.T)), vals.shape[0])
     return i, k
 

@@ -225,13 +225,13 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
             oracles.gaussian_hat, ref_cfg.grid().xs, setup.T, sigma, tol=1e-9)
     else:
         reference, ref_traj = "fine-grid", runs.pop()[1]
-        ref_trace, ref_field = ref_traj.final_trace, ref_traj.snapshots[-1][1].values
+        ref_trace, ref_field = ref_traj.final_trace, ref_traj.snapshots[-1][1]
     errs_trace, errs_field = [], []
     for cfg, traj in runs:
         r = ref_cfg.I // cfg.I
         errs_trace.append(float(np.abs(traj.final_trace - ref_trace[::r]).max()))
         errs_field.append(None if ref_field is None else float(
-            np.abs(traj.snapshots[-1][1].values - ref_field[::r, ::r]).max()))
+            np.abs(traj.snapshots[-1][1] - ref_field[::r, ::r]).max()))
 
     degenerate = all(e <= 1e-14 for e in errs_trace)
     rows = []

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, extension_op
-from .core import Field, InitialData, SolverConfig
+from .core import InitialData, SolverConfig
 from .errors import CflViolationError, ConfigError, MaxPrincipleError, NegativeBracketError
 
 __all__ = [
-    "StepDiagnostics", "Trajectory", "initialize", "boundary_update", "step",
-    "march", "write_trace_csv", "write_snapshot_csv",
+    "StepDiagnostics", "Trajectory", "boundary_update", "step", "march",
+    "write_trace_csv", "write_snapshot_csv",
 ]
 
 _RECORD_BYTES = 320     # >= 312 B a step: StepDiagnostics 72, tuple 56, 3 floats, 3 ints, 2 slots
@@ -36,13 +36,6 @@ def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
     if not np.isfinite(row).all():
         raise ConfigError(f"initial data too large: f^m overflows at m = {config.m:g}")
     return row
-
-
-def initialize(config: SolverConfig, f) -> Field:
-    """Starting field: trace row f^m, homogeneous lateral data, interior solved."""
-    row = initial_trace_w(config, f)
-    op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-    return Field(values=extension_op._solve(op, row).T, time_index=0)
 
 
 def _bracket_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
@@ -102,13 +95,16 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
     return _bracket_update(row0, row1, _lambda(dt, dx, sigma), m, base=np.maximum(row0, 0.0))
 
 
-def step(state: Field, config: SolverConfig) -> Field:
-    """Advance one time level: trace update, then interior re-solve on config's operator."""
-    vals = state.values
-    new_trace = boundary_update(vals[1:-1, 0], vals[1:-1, 1],
+def step(values: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Advance the (I+1) x (K+1) node array values[i, k] one time level: trace update, then
+    interior re-solve on config's operator; the [i, k] view of the solve's new array."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] < 2:
+        raise ValueError(f"field values must be an (I+1) x (K+1) node array, got {values.shape}")
+    new_trace = boundary_update(values[1:-1, 0], values[1:-1, 1],
                                 config.dt, config.dx, config.sigma, config.m)
     op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-    return Field(values=extension_op._solve(op, new_trace).T, time_index=state.time_index + 1)
+    return extension_op._solve(op, new_trace).T
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,11 +118,12 @@ class StepDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """March output: full trace history, optional field snapshots, diagnostics."""
+    """March output: full trace history, optional field snapshots, diagnostics.  A snapshot
+    is (t, values): values[i, k] is a read-only, height-major copy of step t's node array."""
     config: SolverConfig
     times: np.ndarray                      # (J+1,)
     trace_history: np.ndarray              # (J+1, I+1), u = w^(1/m) at k = 0
-    snapshots: tuple[tuple[float, Field], ...]
+    snapshots: tuple[tuple[float, np.ndarray], ...]
     diagnostics: tuple[StepDiagnostics, ...]
     b_max: float
     cfl_ratio: float                       # dt / cfl_max_dt
@@ -196,7 +193,7 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
         times = np.arange(J + 1) * dt
     except MemoryError:
         raise ConfigError(f"{held} need {need} bytes, which cannot be allocated") from None
-    snapshots: list[tuple[float, Field]] = []
+    snapshots: list[tuple[float, np.ndarray]] = []
     diags: list[StepDiagnostics] = []
 
     # one node array, refilled by every solve; no row is rescanned: _solve returns
@@ -216,7 +213,8 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
         w_hist[j] = P[0]
         diags.append(StepDiagnostics(j, float(times[j]), w_min, w_max, (i, k)))
         if j in wanted:
-            snapshots.append((float(times[j]), Field(P.T, j)))
+            snapshots.append((float(times[j]), np.array(P.T)))     # keeps P's memory order
+            snapshots[-1][1].setflags(write=False)
 
     trace_hist = np.maximum(w_hist, 0.0, out=w_hist)    # u = w^(1/m) over w's rows, in place
     trace_hist **= 1.0 / config.m
@@ -329,5 +327,5 @@ def write_snapshot_csv(traj: Trajectory, path) -> None:
     xy = [_text(grid.xs), _text(grid.ys)]
     with open(path, "wb") as fh:
         fh.write(b"t,x,y,w\n")
-        for t, fld in traj.snapshots:
-            _write_lines(fh, [_text(t), *xy], fld.values[None])
+        for t, values in traj.snapshots:
+            _write_lines(fh, [_text(t), *xy], values[None])

@@ -19,7 +19,7 @@ from .errors import QuadratureError
 
 __all__ = [
     "frac_laplacian_pv", "fractional_heat_solution", "gaussian_hat",
-    "BarenblattExponents", "barenblatt_exponents", "lateral_bound",
+    "BarenblattExponents", "barenblatt_exponents", "barenblatt_profile", "lateral_bound",
     "min_domain_half_width", "dense_extension_solve", "box_symbol",
 ]
 
@@ -265,6 +265,30 @@ def barenblatt_exponents(n_dim: int, m: float, sigma: float) -> BarenblattExpone
     sigma = _check_sigma(sigma)
     beta = 1.0 / (n_dim * (m - 1.0) + sigma)
     return BarenblattExponents(alpha=n_dim * beta, beta=beta)
+
+
+def barenblatt_profile(x, t: float, sigma: float, R: float = 1.0):
+    """Huang's explicit solution of u_t + (-Lap)^(sigma/2)(u^m) = 0 on the line for
+    m = (3 - sigma)/(1 + sigma) (Huang, Bull. London Math. Soc. 2014):
+
+        u = t^-beta F(x t^-beta),  F(xi) = A (1 + (xi/R)^2)^(-(1+sigma)/2),
+
+    beta = 1/(m - 1 + sigma), A^(m-1) = beta R^sigma / c and
+    c = 2^(sigma-1) G((1+sigma)/2) / G((3-sigma)/2).  m >= 1 needs sigma in (0, 1]; at
+    sigma = 1 (m = 1) R must be 1, A = 1 and u = t/(t^2 + x^2).  x is a float (a float is
+    returned) or an array; t and R must be positive and finite."""
+    if not 0.0 < sigma <= 1.0:          # a NaN fails too
+        raise ValueError(f"the explicit profile needs sigma in (0, 1], got {sigma}")
+    _require_positive(t=t, R=R)
+    m = (3.0 - sigma) / (1.0 + sigma)
+    beta = barenblatt_exponents(1, m, sigma).beta
+    if sigma == 1.0 and R != 1.0:
+        raise ValueError(f"at sigma = 1 (m = 1) the profile needs R = 1, got {R}")
+    c = 2.0 ** (sigma - 1.0) * math.gamma((1.0 + sigma) / 2.0) / math.gamma((3.0 - sigma) / 2.0)
+    A = 1.0 if sigma == 1.0 else (beta * R ** sigma / c) ** (1.0 / (m - 1.0))
+    xi = np.asarray(x, dtype=float) * t ** -beta
+    u = A * t ** -beta * (1.0 + (xi / R) ** 2) ** (-(1.0 + sigma) / 2.0)
+    return float(u) if u.ndim == 0 else u
 
 
 def box_symbol(n: int, X: float, Y: float, sigma: float) -> float:

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 
 from fracpme.core import (
     STENCIL_WINDOWS,
-    Field,
     Grid,
     InitialData,
     SolverConfig,
@@ -329,37 +328,6 @@ def test_grids_compare_and_hash_by_extents_and_counts():
     assert a == b and hash(a) == hash(b)
     assert {a: "first", b: "second"} == {a: "second"}
     assert a != Grid(2.0, 2.0, 8, 4) and a != Grid(4.0, 2.0, 8, 2)
-
-
-# ---------------------------------------------------------------------------
-# field storage
-
-
-def test_field_trace_is_first_column():
-    vals = np.arange(15, dtype=float).reshape(5, 3)
-    f = Field(vals)
-    assert np.array_equal(f.trace, vals[:, 0])
-    assert f.time_index == 0
-
-
-def test_field_rejects_non_finite():
-    vals = np.ones((5, 3))
-    vals[2, 1] = np.nan
-    with pytest.raises(ValueError, match=r"i=2, k=1"):
-        Field(vals)
-
-
-def test_field_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        Field(np.ones(6))
-    with pytest.raises(ValueError):
-        Field(np.ones((2, 2)))
-
-
-def test_field_values_read_only():
-    f = Field(np.ones((5, 3)))
-    with pytest.raises(ValueError):
-        f.values[0, 0] = 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import spsolve
 
 from fracpme import extension_op
-from fracpme.core import (STENCIL_WINDOWS, SUPPORTED_PAIRS, Field, Grid, SolverConfig,
+from fracpme.core import (STENCIL_WINDOWS, SUPPORTED_PAIRS, Grid, SolverConfig,
                           effective_order, initial_data_preset, stencil_families, stencil_reach)
 from fracpme.errors import ConfigError, SolverError, UnsupportedStencilError
 from fracpme.extension_op import (
@@ -1037,7 +1037,6 @@ def test_discrete_max_location_tie_break():
     vals[1, 0] = 1.0
     assert discrete_max_location(vals) == (1, 0)      # then smallest i
     assert discrete_max_location(np.asfortranarray(vals)) == (1, 0)
-    assert discrete_max_location(Field(vals)) == (1, 0)
 
 
 # ---------------------------------------------------------------------------

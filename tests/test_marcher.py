@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from fracpme.core import (
-    Field,
     Grid,
     SolverConfig,
     cfl_max_dt,
@@ -32,7 +31,6 @@ from fracpme.marcher import (
     Trajectory,
     boundary_update,
     initial_trace_w,
-    initialize,
     march,
     step,
     write_snapshot_csv,
@@ -54,6 +52,17 @@ GAUSS = initial_data_preset("gaussian")
 def every_step(cfg):
     """Snapshot times of all J + 1 time levels of cfg."""
     return np.arange(cfg.J + 1) * cfg.dt
+
+
+def solved(cfg, f):
+    """The [i, k] node array of f's step-0 solve on cfg's operator: what step 0 of a march holds."""
+    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
+    return extension_op._solve(op, initial_trace_w(cfg, f)).T
+
+
+def snapshot_steps(traj):
+    """The step of each snapshot: the index of its time in traj.times."""
+    return [int(traj.times.searchsorted(t)) for t, _ in traj.snapshots]
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +241,28 @@ def test_initial_trace_refuses_an_overflowing_f_to_the_m():
 
 
 def test_initialize_solves_interior():
+    # a march's starting field is its step 0: the data's trace row, the interior solved
     cfg = make_config()
-    field = initialize(cfg, GAUSS)
-    assert field.time_index == 0
-    assert field.values.shape == (9, 3)
-    assert np.array_equal(field.values[1:-1, 0], initial_trace_w(cfg, GAUSS))
-    inner = field.values[1:-1, 1]
+    (t, values), = march(cfg, GAUSS, capture=(0.0,)).snapshots
+    assert t == 0.0 and values.shape == (9, 3)
+    assert np.array_equal(values[1:-1, 0], initial_trace_w(cfg, GAUSS))
+    inner = values[1:-1, 1]
     assert inner.min() > 0.0
     assert inner.max() < 1.0
 
 
 def test_initialize_rejects_negative_data():
     with pytest.raises(ValueError, match="nonnegative"):
-        initialize(make_config(), lambda xs: -np.ones_like(xs))
+        march(make_config(), lambda xs: -np.ones_like(xs))
 
 
 def test_initialize_accepts_plain_arrays():
     cfg = make_config()
     samples = np.zeros(9)
     samples[4] = 1.0
-    field = initialize(cfg, samples)
-    assert field.values[4, 0] == 1.0
+    assert march(cfg, samples, capture=(0.0,)).snapshots[0][1][4, 0] == 1.0
     with pytest.raises(ValueError):
-        initialize(cfg, np.zeros(5))
+        march(cfg, np.zeros(5))
 
 
 @pytest.mark.parametrize("f", [lambda xs: 1.0, lambda xs: np.ones(3), lambda xs: np.ones((9, 1))],
@@ -286,11 +294,8 @@ def test_every_datum_is_refused_by_one_gate_with_one_message(wrap, name):
 
 
 def test_zero_field_is_fixed_point():
-    cfg = make_config()
-    state = Field(np.zeros((9, 3)))
-    new = step(state, cfg)
-    assert np.all(new.values == 0.0)
-    assert new.time_index == 1
+    new = step(np.zeros((9, 3)), make_config())
+    assert new.shape == (9, 3) and np.all(new == 0.0)
 
 
 def test_step_attaches_no_step_number_outside_march():
@@ -299,31 +304,40 @@ def test_step_attaches_no_step_number_outside_march():
     cfg = make_config(m=2.0, T=40.0, J=1)         # dt = 40
     vals = np.zeros((9, 3))
     vals[4, 0] = 1.0
-    with pytest.raises(NegativeBracketError):
-        step(Field(vals), cfg)
+    with pytest.raises(NegativeBracketError) as ei:
+        step(vals, cfg)
+    assert ei.value.step is None
+
+
+@pytest.mark.parametrize("values", [np.zeros(9), np.zeros((9, 1)), np.zeros((9, 3, 1))],
+                         ids=["1-D", "one-row", "3-D"])
+def test_step_refuses_what_is_not_a_node_array(values):
+    # boundary_update judges the two rows step reads; an array without them is refused first
+    with pytest.raises(ValueError, match=r"node array, got \(9"):
+        step(values, make_config())
 
 
 def test_initialize_and_step_store_fields_height_major():
     # row k of the field (the trace, row 1) is contiguous, and argmax scans in place
     cfg = make_config(m=2.0)
-    state = initialize(cfg, GAUSS)
-    assert state.values.T.flags.c_contiguous
-    assert step(state, cfg).values.T.flags.c_contiguous
+    state = march(cfg, GAUSS, capture=(0.0,)).snapshots[0][1]
+    assert state.T.flags.c_contiguous
+    assert step(state, cfg).T.flags.c_contiguous
 
 
 def test_no_marcher_function_takes_an_operator():
-    # step, like march and initialize, solves on config's own operator, so no
+    # step, like march, solves on config's own operator, so no
     # operator of another sigma or pair can be stepped with under this config
-    assert list(inspect.signature(step).parameters) == ["state", "config"]
+    assert list(inspect.signature(step).parameters) == ["values", "config"]
     for name, fn in inspect.getmembers(marcher, inspect.isfunction):
         if fn.__module__ == marcher.__name__:
             assert "op" not in inspect.signature(fn).parameters, name
     cfg = make_config(m=2.0, sigma=1.0)
-    state = initialize(cfg, GAUSS)
+    state = solved(cfg, GAUSS)
     assemble(cfg.grid(), 0.3, cfg.c, cfg.d)     # another sigma's operator, cached beside it
     want = extension_op._solve(assemble(cfg.grid(), 1.0, cfg.c, cfg.d), boundary_update(
-        state.values[1:-1, 0], state.values[1:-1, 1], cfg.dt, cfg.dx, 1.0, cfg.m))
-    assert np.array_equal(step(state, cfg).values, want.T)
+        state[1:-1, 0], state[1:-1, 1], cfg.dt, cfg.dx, 1.0, cfg.m))
+    assert np.array_equal(step(state, cfg), want.T)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +365,7 @@ def test_march_initial_level_is_the_data():
     want = samples.copy()
     want[0] = want[-1] = 0.0
     assert traj.trace_history[0] == pytest.approx(want, rel=1e-12)
-    assert np.array_equal(traj.snapshots[0][1].values, initialize(cfg, samples).values)
+    assert np.array_equal(traj.snapshots[0][1], solved(cfg, samples))
     # the same power expression the study configs use for b_max
     assert traj.b_max == (samples[1:-1] ** cfg.m).max()
 
@@ -360,10 +374,10 @@ def test_march_artificial_boundary_stays_exactly_zero():
     cfg = make_config(m=2.0, sigma=1.0, J=4)
     traj = march(cfg, GAUSS, capture=every_step(cfg))
     assert len(traj.snapshots) == 5
-    for _, fld in traj.snapshots:
-        assert np.all(fld.values[0, :] == 0.0)
-        assert np.all(fld.values[-1, :] == 0.0)
-        assert np.all(fld.values[:, -1] == 0.0)
+    for _, values in traj.snapshots:
+        assert np.all(values[0, :] == 0.0)
+        assert np.all(values[-1, :] == 0.0)
+        assert np.all(values[:, -1] == 0.0)
 
 
 def test_march_is_deterministic():
@@ -380,7 +394,7 @@ def test_records_holding_arrays_compare_by_identity():
     a, b = (march(cfg, GAUSS, capture=every_step(cfg)) for _ in range(2))
     op = assemble(cfg.grid(), 0.5)
     ops = [op, dataclasses.replace(op)]         # one key's operator is shared: copy it
-    for left, right in ((a, b), (a.snapshots[0][1], b.snapshots[0][1]), ops):
+    for left, right in ((a, b), ops):
         assert left == left and left != right
 
 
@@ -391,7 +405,7 @@ def test_float_counts_march_bitwise_like_ints():
     floats = march(make_config(I=16.0, K=4.0, J=6.0), GAUSS, capture=every_step(cfg))
     assert np.array_equal(floats.trace_history, ints.trace_history)
     assert np.array_equal(floats.times, ints.times)
-    assert all(np.array_equal(a.values, b.values)
+    assert all(np.array_equal(a, b)
                for (_, a), (_, b) in zip(floats.snapshots, ints.snapshots, strict=True))
     with pytest.raises(ConfigError):
         make_config(I=16.5, K=4)
@@ -599,13 +613,13 @@ def test_linear_march_is_the_closed_form_mode_decay(sigma, d):
 
 
 def _step_by_step(cfg, f):
-    """The march's outputs rebuilt from initialize and J public steps."""
-    fields = [initialize(cfg, f)]
+    """The march's outputs rebuilt from the step-0 solve and J public steps."""
+    fields = [solved(cfg, f)]
     for _ in range(cfg.J):
         fields.append(step(fields[-1], cfg))
-    history = np.maximum([fld.values[:, 0] for fld in fields], 0.0) ** (1.0 / cfg.m)
-    diags = [(j, float(j * cfg.dt).hex(), float(fld.values.min()).hex(),
-              float(fld.values.max()).hex(), extension_op.discrete_max_location(fld))
+    history = np.maximum([fld[:, 0] for fld in fields], 0.0) ** (1.0 / cfg.m)
+    diags = [(j, float(j * cfg.dt).hex(), float(fld.min()).hex(),
+              float(fld.max()).hex(), extension_op.discrete_max_location(fld))
              for j, fld in enumerate(fields)]
     return history, diags, fields
 
@@ -618,31 +632,31 @@ def _bits(a):
 @pytest.mark.parametrize("c,d", [(2, 1), (3, 4), (2, None)])
 def test_march_is_the_public_step_bit_for_bit(c, d, m):
     # march advances its own node array; every output must equal, bit for bit and
-    # in memory order, what initialize and J calls of step give
+    # in memory order, what the step-0 solve and J calls of step give
     cfg = SolverConfig(sigma=1.0, m=m, X=3.0, Y=3.0, T=0.6, I=12, K=6, J=6, c=c, d=d)
     traj = march(cfg, GAUSS, capture=every_step(cfg))
     history, diags, fields = _step_by_step(cfg, GAUSS)
     assert _bits(traj.trace_history) == _bits(history)
     assert [(dg.j, dg.t.hex(), dg.w_min.hex(), dg.w_max.hex(), dg.argmax)
             for dg in traj.diagnostics] == diags
-    assert [(t, fld.time_index) for t, fld in traj.snapshots] == [
-        (float(j * cfg.dt), j) for j in range(cfg.J + 1)]
-    assert [_bits(fld.values) for _, fld in traj.snapshots] == [_bits(f.values) for f in fields]
+    assert [t for t, _ in traj.snapshots] == [float(j * cfg.dt) for j in range(cfg.J + 1)]
+    assert snapshot_steps(traj) == list(range(cfg.J + 1))
+    assert [_bits(values) for _, values in traj.snapshots] == [_bits(f) for f in fields]
 
 
 def test_march_snapshots_are_read_only_and_keep_their_values():
     # a snapshot holds its step's node array itself: nothing, not a later step
     # nor a later march, may write to it or to the array it views
     cfg = make_config(m=2.0, J=6, T=0.6)
-    snapshots = [fld for _, fld in march(cfg, GAUSS, capture=every_step(cfg)).snapshots]
+    snapshots = [values for _, values in march(cfg, GAUSS, capture=every_step(cfg)).snapshots]
     march(cfg, GAUSS, capture=every_step(cfg))
-    for n, (fld, want) in enumerate(zip(snapshots, _step_by_step(cfg, GAUSS)[2])):
-        assert _bits(fld.values) == _bits(want.values)
-        owner = fld.values if fld.values.base is None else fld.values.base
-        assert not fld.values.flags.writeable and not owner.flags.writeable
+    for n, (values, want) in enumerate(zip(snapshots, _step_by_step(cfg, GAUSS)[2])):
+        assert _bits(values) == _bits(want)
+        owner = values if values.base is None else values.base
+        assert not values.flags.writeable and not owner.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            fld.values[4, 1] = 7.0
-        assert not any(np.shares_memory(fld.values, other.values) for other in snapshots[n + 1:])
+            values[4, 1] = 7.0
+        assert not any(np.shares_memory(values, other) for other in snapshots[n + 1:])
 
 
 @pytest.mark.parametrize("steps", [list(range(11)), [0, 3, 6, 9, 10]],
@@ -662,10 +676,10 @@ def test_march_snapshots_own_their_arrays_while_other_steps_share_one(monkeypatc
 
     monkeypatch.setattr(extension_op, "_solve", recording)
     traj = march(cfg, GAUSS, capture=[j * cfg.dt for j in steps])
-    assert [fld.time_index for _, fld in traj.snapshots] == steps
+    assert snapshot_steps(traj) == steps
     P = made[0][0]
     assert len(made) == cfg.J + 1 and all(out is P for out, _ in made)
-    values = [fld.values for _, fld in traj.snapshots]
+    values = [vals for _, vals in traj.snapshots]
     for n, (j, vals) in enumerate(zip(steps, values)):
         assert not vals.flags.writeable and vals.T.flags.c_contiguous
         assert not np.shares_memory(vals, P)
@@ -677,9 +691,9 @@ def test_march_snapshots_own_their_arrays_while_other_steps_share_one(monkeypatc
 def test_march_solves_step_0_like_every_step(monkeypatch):
     # step 0 is the solve of the data's trace row into a new node array, and every
     # later step refills that array, captured or not.  Step 0's snapshot is a copy
-    # with initialize's bytes and strides
+    # with a fresh solve's bytes and strides
     cfg = make_config(m=2.0, J=3, T=0.3)
-    want = initialize(cfg, GAUSS).values
+    want = solved(cfg, GAUSS)
     real, calls = extension_op._solve, []
 
     def recording(op, trace, P=None):
@@ -692,10 +706,10 @@ def test_march_solves_step_0_like_every_step(monkeypatch):
         traj = march(cfg, GAUSS, capture=capture)
         assert calls[0][0] is None and all(P is calls[0][1] for P, _ in calls[1:])
         assert len(calls) == cfg.J + 1
-        for _, fld in traj.snapshots:
-            assert not np.shares_memory(fld.values, calls[0][1])
-    fld = march(cfg, GAUSS, capture=(0.0,)).snapshots[0][1]
-    assert fld.time_index == 0 and _bits(fld.values) == _bits(want)
+        for _, values in traj.snapshots:
+            assert not np.shares_memory(values, calls[0][1])
+    traj = march(cfg, GAUSS, capture=(0.0,))
+    assert snapshot_steps(traj) == [0] and _bits(traj.snapshots[0][1]) == _bits(want)
 
 
 def test_march_reads_each_steps_argmax_from_discrete_max_location(monkeypatch):
@@ -723,7 +737,7 @@ def test_march_reads_each_steps_argmax_from_discrete_max_location(monkeypatch):
 def test_march_reports_the_step_of_a_negative_bracket(monkeypatch):
     # with the CFL bound lifted, dt = 40 drives the bracket negative at step 1
     cfg = make_config(m=2.0, T=40.0, J=1)
-    vals = initialize(cfg, GAUSS).values
+    vals = solved(cfg, GAUSS)
     with pytest.raises(NegativeBracketError) as direct:
         boundary_update(vals[1:-1, 0], vals[1:-1, 1], cfg.dt, cfg.dx, cfg.sigma, cfg.m)
     monkeypatch.setattr(marcher.core, "cfl_max_dt", lambda *_args: math.inf)
@@ -844,7 +858,7 @@ def test_capture_takes_the_ends_of_0_T_to_a_relative_1e_12():
     cfg = make_config(T=0.1, J=11)
     assert 11 * (0.1 / 11) > 0.1
     traj = march(cfg, GAUSS, capture=(11 * (0.1 / 11), -0.0, 0.1 * (1.0 + 1e-13), -1e-14))
-    assert [fld.time_index for _, fld in traj.snapshots] == [0, 11]
+    assert snapshot_steps(traj) == [0, 11]
 
 
 @pytest.mark.parametrize("capture", ["all", 3, np.int64(3), np.array(3)])
@@ -866,9 +880,11 @@ def test_capture_refuses_a_float_stride():
         march(make_config(J=4), GAUSS, capture=2.0)
 
 
-def test_capture_refuses_a_string_other_than_all():
-    with pytest.raises(ConfigError, match="'x'"):
-        march(make_config(J=4), GAUSS, capture="x")
+@pytest.mark.parametrize("capture", ["x", "all"])
+def test_capture_refuses_a_string(capture):
+    # a string is never a list of times, "all" included
+    with pytest.raises(ConfigError, match=repr(capture)):
+        march(make_config(J=4), GAUSS, capture=capture)
 
 
 def test_capture_refuses_a_non_iterable():
@@ -908,7 +924,7 @@ def test_snapshot_csv_layout(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,x,y,w"
     assert len(lines) == 1 + 9 * 3
-    vals = traj.snapshots[0][1].values
+    vals = traj.snapshots[0][1]
     t, x, y, w = (float(tok) for tok in lines[1].split(","))
     assert (t, x, y) == (0.5, -2.0, 0.0)
     assert w == vals[0, 0]
@@ -931,10 +947,10 @@ def _reference_trace_csv(traj):
 def _reference_snapshot_csv(traj):
     grid = traj.config.grid()
     lines = ["t,x,y,w\n"]
-    for t, fld in traj.snapshots:
+    for t, values in traj.snapshots:
         for i, x in enumerate(grid.xs):
             for k, y in enumerate(grid.ys):
-                lines.append(f"{t:.16e},{x:.16e},{y:.16e},{fld.values[i, k]:.16e}\n")
+                lines.append(f"{t:.16e},{x:.16e},{y:.16e},{values[i, k]:.16e}\n")
     return "".join(lines).encode("utf-8")
 
 
@@ -952,8 +968,7 @@ def test_csv_writers_match_per_line_formatting(tmp_path, I, n_snapshots):
         return rng.permutation(flat).reshape(shape)
 
     times = np.arange(J + 1) * 0.1
-    snapshots = tuple((float(times[j]), Field(values=values((I + 1, K + 1)), time_index=j))
-                      for j in range(n_snapshots))
+    snapshots = tuple((float(times[j]), values((I + 1, K + 1))) for j in range(n_snapshots))
     traj = Trajectory(config=cfg, times=times, trace_history=values((J + 1, I + 1)),
                       snapshots=snapshots, diagnostics=(), b_max=1.0, cfl_ratio=0.5)
     trace_path, snap_path = tmp_path / "trace.csv", tmp_path / "snap.csv"
@@ -989,7 +1004,7 @@ def _random_trajectory(I, K, J, history, snapshot):
     cfg = SolverConfig(sigma=0.5, m=2.0, X=0.15 * I, Y=0.3 * K, T=0.1 * J, I=I, K=K, J=J)
     assert history.shape == (J + 1, I + 1) and snapshot.shape == (I + 1, K + 1)
     return Trajectory(config=cfg, times=np.arange(J + 1) * 0.1, trace_history=history,
-                      snapshots=((0.1 * J, Field(values=snapshot, time_index=J)),),
+                      snapshots=((0.1 * J, snapshot),),
                       diagnostics=(), b_max=1.0, cfl_ratio=0.5)
 
 

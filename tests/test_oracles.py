@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
-from fracpme import extension_op, oracles
-from fracpme.core import Grid, nu_sigma, riesz_constant
+from fracpme import extension_op, marcher, oracles
+from fracpme.core import Grid, SolverConfig, cfl_max_dt, nu_sigma, riesz_constant
 from fracpme.errors import QuadratureError
 from fracpme.oracles import (
     barenblatt_exponents,
+    barenblatt_profile,
     box_symbol,
     dense_extension_solve,
     frac_laplacian_pv,
@@ -366,6 +367,40 @@ def test_barenblatt_guards():
         barenblatt_exponents(1, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("sigma", [1.0 / 3.0, 0.5, 0.8, 1.0])
+def test_barenblatt_profile_solves_the_profile_equation(sigma):
+    # u = t^-beta F(x t^-beta) solves u_t + (-Lap)^(sigma/2)(u^m) = 0 exactly when
+    # (-Lap)^(sigma/2)(F^m) = beta (xi F)': the PV quadrature of F^m against a central
+    # difference of xi F (tol 1e-6: the quadrature refuses 1e-10 on these algebraic tails)
+    m = (3.0 - sigma) / (1.0 + sigma)
+    beta = barenblatt_exponents(1, m, sigma).beta
+    F = lambda s: barenblatt_profile(s, 1.0, sigma)
+    h = 1e-4
+    for x in range(8):
+        lhs = frac_laplacian_pv(lambda s: F(s) ** m, float(x), sigma, tol=1e-6)
+        rhs = beta * ((x + h) * F(x + h) - (x - h) * F(x - h)) / (2.0 * h)
+        assert abs(lhs - rhs) <= 1e-6, (x, lhs, rhs)
+
+
+def test_barenblatt_profile_at_sigma_1_is_the_linear_solution():
+    # m = 1: from the t = 1 profile 1/(1 + x^2), whose transform is pi e^-|xi|, the
+    # spectral solution after an elapsed time 1 is the t = 2 profile 2/(4 + x^2)
+    x = np.arange(-7.0, 8.0)
+    u = fractional_heat_solution(lambda xi: math.pi * np.exp(-np.abs(xi)), x, 1.0, 1.0)
+    assert np.abs(u - barenblatt_profile(x, 2.0, 1.0)).max() <= 1e-12
+    assert barenblatt_profile(3.0, 2.0, 1.0) == pytest.approx(2.0 / 13.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((0.0, 1.0, 0.0), r"sigma in \(0, 1\], got 0.0"), ((0.0, 1.0, 1.5), r"sigma in \(0, 1\]"),
+    ((0.0, 1.0, math.nan), r"sigma in \(0, 1\]"), ((0.0, 1.0, 1.0, 2.0), "needs R = 1, got 2.0"),
+    ((0.0, 0.0, 0.5), "t must be finite and positive"),
+    ((0.0, 1.0, 0.5, -1.0), "R must be finite and positive")])
+def test_barenblatt_profile_refuses_bad_input(args, message):
+    with pytest.raises(ValueError, match=message):
+        barenblatt_profile(*args)
+
+
 def test_lateral_bound_power_laws():
     base = lateral_bound(4.0, 1.0, 1, 1.0, 1.0)
     assert lateral_bound(8.0, 1.0, 1, 1.0, 1.0) == pytest.approx(
@@ -532,3 +567,27 @@ def test_scheme_symbol_known_defect_at_sigma_other_than_1(sigma, c, d):
         op = extension_op.assemble(Grid(2.0, 2.0, I, I // 2), sigma, c, d)
         rel = (nu_sigma(sigma) * (1.0 - op.G[0, 0]) / (4.0 / I) ** sigma - exact) / exact
         assert abs(100.0 * rel - printed) <= 0.05, (I, 100.0 * rel, printed)
+
+
+# README, "Known defect at sigma != 1", against the exact m > 1 solution: the max relative
+# error on |x| <= 4 of a (2, 1) march from Huang's profile at t = 1 to t = 2, X = Y = 16,
+# K = I/2, J = ceil(T / (0.9 cfl_max_dt)), at I = 32, 64, 128, as printed
+_PROFILE_DEFECT = {0.5: (7.40e-2, 8.96e-2, 1.12e-1), 1.0 / 3.0: (6.56e-2, 1.11e-1, 1.39e-1)}
+
+
+@pytest.mark.parametrize("sigma", list(_PROFILE_DEFECT), ids=["m=5/3", "m=2"])
+def test_march_error_against_the_explicit_profile_grows(sigma):
+    # the same defect in a nonlinear march: refining I moves the trace away from the
+    # exact m = (3 - sigma)/(1 + sigma) solution at every rung
+    m = (3.0 - sigma) / (1.0 + sigma)
+    b_max = barenblatt_profile(0.0, 1.0, sigma) ** m
+    errors = []
+    for I in (32, 64, 128):
+        J = math.ceil(1.0 / (0.9 * cfl_max_dt(m, b_max, sigma, 32.0 / I)))
+        cfg = SolverConfig(sigma=sigma, m=m, X=16.0, Y=16.0, T=1.0, I=I, K=I // 2, J=J)
+        trace = marcher.march(cfg, lambda xs: barenblatt_profile(xs, 1.0, sigma)).final_trace
+        near = np.abs(cfg.grid().xs) <= 4.0
+        exact = barenblatt_profile(cfg.grid().xs[near], 2.0, sigma)
+        errors.append(float(np.abs(trace[near] - exact).max() / exact.max()))
+    assert errors[0] < errors[1] < errors[2], errors
+    assert errors == pytest.approx(_PROFILE_DEFECT[sigma], rel=0.01)
