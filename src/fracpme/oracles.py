@@ -267,27 +267,25 @@ def barenblatt_exponents(n_dim: int, m: float, sigma: float) -> BarenblattExpone
     return BarenblattExponents(alpha=n_dim * beta, beta=beta)
 
 
-def barenblatt_profile(x, t: float, sigma: float, R: float = 1.0):
+def barenblatt_profile(x, t: float, sigma: float):
     """Huang's explicit solution of u_t + (-Lap)^(sigma/2)(u^m) = 0 on the line for
-    m = (3 - sigma)/(1 + sigma) (Huang, Bull. London Math. Soc. 2014):
+    m = (3 - sigma)/(1 + sigma) (Huang, Bull. London Math. Soc. 2014), at unit scale:
 
-        u = t^-beta F(x t^-beta),  F(xi) = A (1 + (xi/R)^2)^(-(1+sigma)/2),
+        u = t^-beta F(x t^-beta),  F(xi) = A (1 + xi^2)^(-(1+sigma)/2),
 
-    beta = 1/(m - 1 + sigma), A^(m-1) = beta R^sigma / c and
+    beta = 1/(m - 1 + sigma), A^(m-1) = beta / c and
     c = 2^(sigma-1) G((1+sigma)/2) / G((3-sigma)/2).  m >= 1 needs sigma in (0, 1]; at
-    sigma = 1 (m = 1) R must be 1, A = 1 and u = t/(t^2 + x^2).  x is a float (a float is
-    returned) or an array; t and R must be positive and finite."""
+    sigma = 1 (m = 1) A = 1 and u = t/(t^2 + x^2).  x is a float (a float is returned)
+    or an array; t must be positive and finite."""
     if not 0.0 < sigma <= 1.0:          # a NaN fails too
         raise ValueError(f"the explicit profile needs sigma in (0, 1], got {sigma}")
-    _require_positive(t=t, R=R)
+    _require_positive(t=t)
     m = (3.0 - sigma) / (1.0 + sigma)
     beta = barenblatt_exponents(1, m, sigma).beta
-    if sigma == 1.0 and R != 1.0:
-        raise ValueError(f"at sigma = 1 (m = 1) the profile needs R = 1, got {R}")
     c = 2.0 ** (sigma - 1.0) * math.gamma((1.0 + sigma) / 2.0) / math.gamma((3.0 - sigma) / 2.0)
-    A = 1.0 if sigma == 1.0 else (beta * R ** sigma / c) ** (1.0 / (m - 1.0))
+    A = 1.0 if sigma == 1.0 else (beta / c) ** (1.0 / (m - 1.0))
     xi = np.asarray(x, dtype=float) * t ** -beta
-    u = A * t ** -beta * (1.0 + (xi / R) ** 2) ** (-(1.0 + sigma) / 2.0)
+    u = A * t ** -beta * (1.0 + xi ** 2) ** (-(1.0 + sigma) / 2.0)
     return float(u) if u.ndim == 0 else u
 
 

@@ -60,11 +60,6 @@ def solved(cfg, f):
     return extension_op._solve(op, initial_trace_w(cfg, f)).T
 
 
-def snapshot_steps(traj):
-    """The step of each snapshot: the index of its time in traj.times."""
-    return [int(traj.times.searchsorted(t)) for t, _ in traj.snapshots]
-
-
 # ---------------------------------------------------------------------------
 # boundary update
 
@@ -640,7 +635,7 @@ def test_march_is_the_public_step_bit_for_bit(c, d, m):
     assert [(dg.j, dg.t.hex(), dg.w_min.hex(), dg.w_max.hex(), dg.argmax)
             for dg in traj.diagnostics] == diags
     assert [t for t, _ in traj.snapshots] == [float(j * cfg.dt) for j in range(cfg.J + 1)]
-    assert snapshot_steps(traj) == list(range(cfg.J + 1))
+    assert [t for t, _ in traj.snapshots] == traj.times.tolist()
     assert [_bits(values) for _, values in traj.snapshots] == [_bits(f) for f in fields]
 
 
@@ -676,7 +671,7 @@ def test_march_snapshots_own_their_arrays_while_other_steps_share_one(monkeypatc
 
     monkeypatch.setattr(extension_op, "_solve", recording)
     traj = march(cfg, GAUSS, capture=[j * cfg.dt for j in steps])
-    assert snapshot_steps(traj) == steps
+    assert [t for t, _ in traj.snapshots] == traj.times[steps].tolist()
     P = made[0][0]
     assert len(made) == cfg.J + 1 and all(out is P for out, _ in made)
     values = [vals for _, vals in traj.snapshots]
@@ -709,7 +704,8 @@ def test_march_solves_step_0_like_every_step(monkeypatch):
         for _, values in traj.snapshots:
             assert not np.shares_memory(values, calls[0][1])
     traj = march(cfg, GAUSS, capture=(0.0,))
-    assert snapshot_steps(traj) == [0] and _bits(traj.snapshots[0][1]) == _bits(want)
+    assert [t for t, _ in traj.snapshots] == [traj.times[0]]
+    assert _bits(traj.snapshots[0][1]) == _bits(want)
 
 
 def test_march_reads_each_steps_argmax_from_discrete_max_location(monkeypatch):
@@ -858,7 +854,7 @@ def test_capture_takes_the_ends_of_0_T_to_a_relative_1e_12():
     cfg = make_config(T=0.1, J=11)
     assert 11 * (0.1 / 11) > 0.1
     traj = march(cfg, GAUSS, capture=(11 * (0.1 / 11), -0.0, 0.1 * (1.0 + 1e-13), -1e-14))
-    assert snapshot_steps(traj) == [0, 11]
+    assert [t for t, _ in traj.snapshots] == traj.times[[0, 11]].tolist()
 
 
 @pytest.mark.parametrize("capture", ["all", 3, np.int64(3), np.array(3)])

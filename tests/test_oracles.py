@@ -393,9 +393,7 @@ def test_barenblatt_profile_at_sigma_1_is_the_linear_solution():
 
 @pytest.mark.parametrize("args,message", [
     ((0.0, 1.0, 0.0), r"sigma in \(0, 1\], got 0.0"), ((0.0, 1.0, 1.5), r"sigma in \(0, 1\]"),
-    ((0.0, 1.0, math.nan), r"sigma in \(0, 1\]"), ((0.0, 1.0, 1.0, 2.0), "needs R = 1, got 2.0"),
-    ((0.0, 0.0, 0.5), "t must be finite and positive"),
-    ((0.0, 1.0, 0.5, -1.0), "R must be finite and positive")])
+    ((0.0, 1.0, math.nan), r"sigma in \(0, 1\]"), ((0.0, 0.0, 0.5), "t must be finite and positive")])
 def test_barenblatt_profile_refuses_bad_input(args, message):
     with pytest.raises(ValueError, match=message):
         barenblatt_profile(*args)

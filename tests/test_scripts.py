@@ -66,26 +66,23 @@ def test_bench_ladder_script(child_env, tmp_path):
 
 
 def test_output_digest_script(child_env):
-    # two runs of one workload print the same "<workload> <sha256>" line
-    lines = []
-    for _ in range(2):
-        proc = run_script(child_env, "output_digest.py", "convergence")
-        assert proc.returncode == 0, proc.stderr
-        lines.append(proc.stdout)
-    name, digest = lines[0].split()
-    assert name == "convergence" and len(digest) == 64 and lines[1] == lines[0]
-    assert run_script(child_env, "output_digest.py", "no_such_workload").returncode == 2
-
-
-def test_output_digest_hashes_each_snapshot_with_its_step(child_env):
-    # a snapshot is (t, values); the digest names its step as the index of t in the
-    # march's times.  0.26 rounds to step 3 of the 5 steps of dt = 0.1
-    code = ("import output_digest; from fracpme import core, marcher\n"
+    # a run of the script and a run of its main() print the same "<workload> <sha256>"
+    # line.  Before main(), that child prints the step the digest hashes for each
+    # snapshot, the index of its time in the march's times: of the 5 steps of
+    # dt = 0.1, a capture at 0.26 and 0.1 keeps steps 1 and 3
+    proc = run_script(child_env, "output_digest.py", "convergence")
+    assert proc.returncode == 0, proc.stderr
+    code = ("import sys, output_digest; from fracpme import core, marcher\n"
             "cfg = core.SolverConfig(sigma=0.5, m=2.0, X=2.0, Y=1.0, T=0.5, I=8, K=2, J=5)\n"
             "traj = marcher.march(cfg, core.initial_data_preset('gaussian'), capture=(0.26, 0.1))\n"
             "print([(bool(t == traj.times[j]), j) for t, _ in traj.snapshots\n"
-            "       for j in [output_digest.snapshot_step(traj, t)]])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=300, env=child_env, cwd=ROOT / "scripts")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[(True, 1), (True, 3)]"
+            "       for j in [output_digest.snapshot_step(traj, t)]])\n"
+            "sys.exit(output_digest.main(['convergence']))")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=300, env=child_env, cwd=ROOT / "scripts")
+    assert child.returncode == 0, child.stderr
+    steps, line = child.stdout.splitlines()
+    assert steps == "[(True, 1), (True, 3)]"
+    name, digest = proc.stdout.split()
+    assert name == "convergence" and len(digest) == 64 and line + "\n" == proc.stdout
+    assert run_script(child_env, "output_digest.py", "no_such_workload").returncode == 2
