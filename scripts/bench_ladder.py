@@ -5,11 +5,12 @@ For I = 64, 128, 256, 512, 1024 with K = I/2 (X = Y = 8, so dx = 16/I) and for
 the pairs (c, d) = (2, 1) at sigma = 0.5 and (3, 4) at sigma = 1.5, times one
 `assemble` (a fresh build: the operator cache is emptied first), records the
 tracemalloc peak of another fresh, untimed build in MiB, and times the p50
-and p99 of SOLVES direct calls of `solve_interior` on the gaussian datum's
-trace (after one untimed call), and the p50 of STEPS march steps: one march
-of STEPS + 1 steps at m = 2 and half the CFL bound from the gaussian datum,
-each step timed from its trace update to the next step's (the clock is read
-in a wrapper around marcher._bracket_update); the march finds the rung's
+and p99 of SOLVES direct calls of `solve_interior`, the solve every march
+step runs, on the gaussian datum's trace (after one untimed call), and the
+p50 of STEPS march steps: one march of STEPS + 1 steps at m = 2 and half the
+CFL bound from the gaussian datum, each step timed from its start to the next
+step's (the clock is read in a wrapper around marcher.step, the step perfbench
+ticks its calibration clock from); the march finds the rung's
 freshly built operator in the cache.  It also times march_ms, the ms of that
 whole marcher.march call (end to end), and csv_ms, the ms
 marcher.write_trace_csv takes to write that march into a temporary directory
@@ -133,19 +134,19 @@ def march_figures(op, grid, trace) -> dict:
     T = J * 0.5 * cfl_max_dt(M, float(trace.max()) ** M, op.sigma, grid.dx)
     config = SolverConfig(sigma=op.sigma, m=M, X=grid.X, Y=grid.Y, T=T, I=grid.I, K=grid.K,
                           J=J, c=op.c, d=op.d)
-    update, ticks = marcher._bracket_update, []
+    step, ticks = marcher.step, []
 
     def ticking(*args, **kwargs):
         ticks.append(time.perf_counter())
-        return update(*args, **kwargs)
+        return step(*args, **kwargs)
 
-    marcher._bracket_update = ticking
+    marcher.step = ticking
     try:
         start = time.perf_counter()
         traj = marcher.march(config, np.r_[0.0, trace, 0.0])
         march_ms = (time.perf_counter() - start) * 1e3
     finally:
-        marcher._bracket_update = update
+        marcher.step = step
     with tempfile.TemporaryDirectory() as tmp:
         start = time.perf_counter()
         marcher.write_trace_csv(traj, pathlib.Path(tmp) / "trace.csv")

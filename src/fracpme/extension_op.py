@@ -401,19 +401,20 @@ def _residual(op: ExtensionOperator, P: np.ndarray) -> float:
 
 
 def _solve_bytes(op: ExtensionOperator) -> int:
-    """Bytes a _solve into a new node array holds beyond op and its trace: P and a row block's
+    """Bytes a solve into a new node array holds beyond op and its trace: P and a row block's
     G c and product (or L's product) on the L path; P, R, T_x's product and scipy's C-ordered
     copy of P[1:K].T on the factor path; each at most a node array, and 8 trace-length vectors."""
     return 8 * (op.K + 1) * (op.I + 1) * (3 if op.L is not None else 4) + 64 * (op.I + 1)
 
 
-def _solve(op: ExtensionOperator, trace_row: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
+                   P: np.ndarray | None = None) -> np.ndarray:
     """The height-major (K+1) x (I+1) node array P[k, i] for the trace data trace_row
     and homogeneous lateral/top data: trace_row at k = 0, the solve inside, 0 elsewhere.
 
     P, if given, is filled in place and returned: only its trace row and interior
     are written, so its lateral and top boundary must already be 0, as in any
-    array _solve returned.  The mode profiles scaled by c = V^-1 trace and
+    array solve_interior returned.  The mode profiles scaled by c = V^-1 trace and
     mapped back through V fill P's interior, each row block from its own leading
     modes (op.block_products); the residual of the whole interior, one product
     with op.L or else one with each 1-D factor, catches a non-finite or
@@ -441,12 +442,6 @@ def _solve(op: ExtensionOperator, trace_row: np.ndarray, P: np.ndarray | None = 
             f"solve residual {resid:.3e} exceeds 1e-10 * ||rhs||_inf = {1e-10 * norm_rhs:.3e}; "
             f"x-mode basis condition estimate {op.condition_estimate():.3e}")
     return P
-
-
-def solve_interior(op: ExtensionOperator, trace_row: np.ndarray) -> np.ndarray:
-    """Interior values, shape (I-1, K-1) indexed [i-1, k-1], for the trace data
-    trace_row and homogeneous lateral/top data: _solve's interior transposed, not a copy."""
-    return _solve(op, np.asarray(trace_row, dtype=float))[1:-1, 1:-1].T
 
 
 def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,

@@ -416,7 +416,7 @@ def run_validate() -> ValidationResult:
         grid = core.Grid(X=I * dx / 2.0, Y=K * dx, I=I, K=K)
         trace = rng.uniform(0.0, 1.0, I - 1)
         op = extension_op.assemble(grid, sigma, c, d)
-        sparse_vals = extension_op._solve(op, trace).T
+        sparse_vals = extension_op.solve_interior(op, trace).T
         dense_vals = oracles.dense_extension_solve(I, K, dx, sigma, trace, c, d)
         rel = float(np.abs(sparse_vals - dense_vals).max() / np.abs(dense_vals).max())
         worst_rel = max(worst_rel, rel)

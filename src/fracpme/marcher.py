@@ -95,16 +95,12 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
     return _bracket_update(row0, row1, _lambda(dt, dx, sigma), m, base=np.maximum(row0, 0.0))
 
 
-def step(values: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Advance the (I+1) x (K+1) node array values[i, k] one time level: trace update, then
-    interior re-solve on config's operator; the [i, k] view of the solve's new array."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] < 2:
-        raise ValueError(f"field values must be an (I+1) x (K+1) node array, got {values.shape}")
-    new_trace = boundary_update(values[1:-1, 0], values[1:-1, 1],
-                                config.dt, config.dx, config.sigma, config.m)
-    op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
-    return extension_op._solve(op, new_trace).T
+def step(op: extension_op.ExtensionOperator, P: np.ndarray, lam: float, m: float, j: int) -> None:
+    """Advance the height-major node array P[k, i] from step j - 1 to step j in place: the
+    trace update of rows 0 and 1 with lam = nu_sigma dt / dx^sigma, then the solve on op."""
+    if np.ndim(P) != 2 or len(P) < 2:
+        raise ValueError(f"P must be a (K+1) x (I+1) node array, got shape {np.shape(P)}")
+    extension_op.solve_interior(op, _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, m, j), P)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,13 +192,13 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     snapshots: list[tuple[float, np.ndarray]] = []
     diags: list[StepDiagnostics] = []
 
-    # one node array, refilled by every solve; no row is rescanned: _solve returns
-    # finite arrays, and the bracket checks row 1
-    P = None
+    # one node array, refilled by every step; no row is rescanned: solve_interior returns
+    # finite arrays, and the bracket checks row 1.  The solve and step are looked up as module
+    # attributes at each call, where the benchmark's tracer and calibration clock hook them
+    P = extension_op.solve_interior(op, row)
     for j in range(J + 1):
         if j > 0:
-            row = _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, config.m, j)
-        P = extension_op._solve(op, row, P)
+            step(op, P, lam, config.m, j)
         w_min = float(P.min())
         i, k = extension_op.discrete_max_location(P.T)
         w_max = float(P[k, i])

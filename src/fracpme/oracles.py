@@ -20,7 +20,7 @@ from .errors import QuadratureError
 __all__ = [
     "frac_laplacian_pv", "fractional_heat_solution", "gaussian_hat",
     "BarenblattExponents", "barenblatt_exponents", "barenblatt_profile", "lateral_bound",
-    "min_domain_half_width", "dense_extension_solve", "box_symbol",
+    "min_domain_half_width", "dense_extension_solve", "box_symbol", "box_symbol_at",
 ]
 
 
@@ -290,22 +290,29 @@ def barenblatt_profile(x, t: float, sigma: float):
 
 
 def box_symbol(n: int, X: float, Y: float, sigma: float) -> float:
-    """The exact trace symbol d_n of the truncated problem for the mode
-    sin(n pi (x + X)/2X) on (-X, X) with zero data at |x| = X and y = Y (Stinga and
-    Torrea 2010), in the scheme's mu_sigma/nu_sigma normalization:
+    """The exact trace symbol d_n = box_symbol_at(n pi/2X, Y, sigma) of the truncated
+    problem for the mode sin(n pi (x + X)/2X) on (-X, X) with zero data at |x| = X."""
+    if not (n >= 1 and n % 1 == 0):        # nan and inf fail too
+        raise ValueError(f"mode number must be a positive integer, got {n}")
+    _require_positive(X=X)
+    return box_symbol_at(n * math.pi / (2.0 * X), Y, sigma)
 
-        d_n = a^sigma [1 + (2 sin(pi s)/pi) K_s(aY)/I_s(aY)],  a = n pi/2X, s = sigma/2.
+
+def box_symbol_at(a: float, Y: float, sigma: float) -> float:
+    """The exact trace symbol d(a) of the wavenumber a > 0 on the strip 0 < y < Y with
+    zero data at y = Y (Stinga and Torrea 2010), in the scheme's mu_sigma/nu_sigma
+    normalization:
+
+        d(a) = a^sigma [1 + (2 sin(pi s)/pi) K_s(aY)/I_s(aY)],  s = sigma/2.
 
     It is a coth(aY) at sigma = 1 and tends to a^sigma as Y grows.  K_s/I_s is kve/ive
-    e^(-2aY), and d_n is a^sigma once e^(-2aY) underflows (kve, ive are nan from aY near
+    e^(-2aY), and d(a) is a^sigma once e^(-2aY) underflows (kve, ive are nan from aY near
     1e9 on); an a^sigma past the floats is a ValueError.  scipy.special is imported
     here, not with the module: it would add about 40 ms and 2.5 MB to every process.
     """
     sigma = _check_sigma(sigma)
-    if not (n >= 1 and n % 1 == 0):        # nan and inf fail too
-        raise ValueError(f"mode number must be a positive integer, got {n}")
-    _require_positive(X=X, Y=Y)
-    a, s = n * math.pi / (2.0 * X), sigma / 2.0
+    _require_positive(a=a, Y=Y)
+    s = sigma / 2.0
     try:
         whole = a ** sigma
     except OverflowError:               # a float power past the range raises

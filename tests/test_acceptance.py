@@ -155,8 +155,8 @@ def test_acceptance_4_max_on_trace(max_principle_matrix):
 def test_acceptance_5_uniqueness_and_determinism(tmp_path):
     grid = core.Grid(2.0, 2.0, 16, 8)
     op = extension_op.assemble(grid, 0.7, 2, 1)
-    interior = extension_op.solve_interior(op, np.zeros(grid.I - 1))
-    assert float(np.abs(interior).max()) <= 1e-12
+    P = extension_op.solve_interior(op, np.zeros(grid.I - 1))
+    assert float(np.abs(P).max()) <= 1e-12
 
     cfg = SolverConfig(sigma=0.7, m=2.0, X=2.0, Y=2.0, T=0.1, I=16, K=8, J=16)
     data = initial_data_preset("bump")
@@ -186,8 +186,7 @@ def test_acceptance_6_oracle_equivalence():
         grid = core.Grid(X=I * dx / 2.0, Y=K * dx, I=I, K=K)
         trace = rng.uniform(0.0, 1.0, I - 1)
         op = extension_op.assemble(grid, sigma, c, d)
-        sparse_vals = extension_op.full_grid_values(
-            op, trace, extension_op.solve_interior(op, trace))
+        sparse_vals = extension_op.solve_interior(op, trace).T
         dense_vals = oracles.dense_extension_solve(I, K, dx, sigma, trace, c, d)
         rel = float(np.abs(sparse_vals - dense_vals).max()
                     / np.abs(dense_vals).max())

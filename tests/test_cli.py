@@ -386,7 +386,7 @@ def test_operator_and_node_arrays_over_the_memory_budget_exit_2_before_the_first
     kept = need + op.nbytes + extension_op._solve_bytes(op)
     builds = count_builds(monkeypatch)
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: need)
-    monkeypatch.setattr(extension_op, "_solve", never)
+    monkeypatch.setattr(extension_op, "solve_interior", never)
     assert main(["solve", "--config", cfg, "--out-prefix", str(tmp_path / "out"),
                  "--dump-matrix", str(tmp_path / "op.txt")]) == 2
     err = capsys.readouterr().err
@@ -397,7 +397,7 @@ def test_operator_and_node_arrays_over_the_memory_budget_exit_2_before_the_first
 
 
 @pytest.mark.parametrize("module,name,error", [
-    (extension_op, "_solve", SolverError("solve residual 1e-3 exceeds 1e-10 * ||rhs||_inf")),
+    (extension_op, "solve_interior", SolverError("solve residual 1e-3 exceeds 1e-10 * ||rhs||_inf")),
     (marcher, "_bracket_update", NegativeBracketError("pressure bracket reached -1e-3", step=2)),
 ], ids=["solver", "negative-bracket"])
 def test_run_that_fails_mid_march_exits_1_and_writes_no_file(tmp_path, monkeypatch, capsys,

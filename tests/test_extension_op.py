@@ -224,8 +224,7 @@ def test_linear_in_x_is_reproduced_exactly():
 
 def test_zero_data_gives_zero_solution():
     op = assemble(make_grid(), 0.7)
-    interior = solve_interior(op, np.zeros(7))
-    assert np.all(interior == 0.0)
+    assert np.all(solve_interior(op, np.zeros(7)) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +239,9 @@ def test_sparse_solve_matches_dense_oracle(sigma, d):
     trace = rng.random(I - 1)
     grid = Grid(X=I * dx / 2.0, Y=K * dx, I=I, K=K)
     op = assemble(grid, sigma, c=2, d=d)
-    got = solve_interior(op, trace)
+    got = solve_interior(op, trace).T
     full = dense_extension_solve(I, K, dx, sigma, trace, c=2, d=d)
-    assert got == pytest.approx(full[1:-1, 1:-1], rel=1e-9, abs=1e-12)
+    assert got == pytest.approx(full, rel=1e-9, abs=1e-12)
     assert full[1:-1, 0] == pytest.approx(trace, rel=1e-12)
 
 
@@ -276,9 +275,9 @@ def test_mode_solve_matches_sparse_direct_solve(c, d, sigma):
         trace = rng.random(grid.I - 1)
         vals = np.zeros((grid.I + 1, grid.K + 1))
         vals[1:grid.I, 0] = trace
-        got = solve_interior(op, trace)
-        assert got.shape == (grid.I - 1, grid.K - 1)
-        assert np.abs(got - _direct_solve(op, vals)).max() <= 1e-12 * np.abs(trace).max()
+        P = solve_interior(op, trace)
+        assert P.shape == (grid.K + 1, grid.I + 1)
+        assert np.abs(P[1:-1, 1:-1].T - _direct_solve(op, vals)).max() <= 1e-12 * np.abs(trace).max()
 
 
 # at sigma != 1, (2, 1) is checked through its five diagonals; (3, 4), on eig's
@@ -304,33 +303,33 @@ def test_residual_check_catches_corrupted_profiles(c, d):
 
 @_RESIDUAL_PATHS
 def test_solve_into_a_reused_node_array_is_a_fresh_solve_bit_for_bit(c, d):
-    # the march hands an array _solve returned back to the next solve: the trace
+    # the march hands an array solve_interior returned back to the next solve: the trace
     # row and the interior are overwritten, the zero boundary is kept, and the
     # residual check still refuses a corrupted operator
     op = assemble(make_grid(I=12, K=6, dx=0.125), 0.6, c=c, d=d)
     assert (op.L is not None) == (d == 1)
     xs = np.linspace(0, math.pi, 11)
-    P = extension_op._solve(op, np.sin(xs))
+    P = extension_op.solve_interior(op, np.sin(xs))
     for trace in (np.sin(2 * xs) ** 2, np.exp(-xs), np.zeros(11)):
-        want = extension_op._solve(op, trace)
-        assert extension_op._solve(op, trace, P) is P
+        want = extension_op.solve_interior(op, trace)
+        assert extension_op.solve_interior(op, trace, P) is P
         assert P.tobytes() == want.tobytes()
         assert not P[:, [0, -1]].any() and not P[-1].any()
     bad = dataclasses.replace(op, G=op.G * (1.0 + 1e-6))
     with pytest.raises(SolverError, match="condition estimate"):
-        extension_op._solve(bad, np.sin(xs), P)
+        extension_op.solve_interior(bad, np.sin(xs), P)
 
 
 def test_residual_check_refuses_inf_where_the_rhs_norm_overflows(monkeypatch):
     # max|s| max|trace| = 1.25 * 1.7e308 overflows, and "resid <= 1e-10 ||rhs||"
-    # let an infinite residual through; a P _solve returns must be finite
+    # let an infinite residual through; a P solve_interior returns must be finite
     op = assemble(make_grid(I=12, K=6), 1.5, c=2, d=2)
     trace = np.zeros(11)
     trace[5] = 1.7e308                      # one node: the solve itself stays finite
     assert op.s_max == 1.25 and op.s_max * float(trace.max()) == np.inf
     monkeypatch.setattr(extension_op, "_residual", lambda *_args: np.inf)
     with pytest.raises(SolverError, match="solve residual inf exceeds"):
-        extension_op._solve(op, trace)
+        extension_op.solve_interior(op, trace)
 
 
 def test_failed_solve_never_builds_the_interior_matrix():
@@ -383,7 +382,7 @@ def test_residual_paths_agree(c, d, sigma, I, K):
     rng = np.random.default_rng([I, c, d or 0, int(10 * sigma)])
     for _ in range(4):
         trace = rng.random(I - 1) * 10.0 ** rng.uniform(-3, 3)
-        P = extension_op._solve(op, trace)
+        P = extension_op.solve_interior(op, trace)
         bound = 1e-15 * op.s_max * trace.max()
         assert abs(extension_op._residual(diagonal, P) - extension_op._residual(factors, P)) <= bound
 
@@ -480,8 +479,8 @@ def test_closed_form_solve_matches_an_eig_built_operator(d, sigma):
         eig_op = _eig_built(op)
         for _ in range(3):
             trace = rng.random(grid.I - 1)
-            want = extension_op._solve(eig_op, trace)
-            got = extension_op._solve(op, trace)
+            want = extension_op.solve_interior(eig_op, trace)
+            got = extension_op.solve_interior(op, trace)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (grid.I, d, sigma)
 
 
@@ -526,7 +525,7 @@ def test_mode_staircase_bounds_what_it_drops(c, d, sigma, I):
         cvec = op.V_inv @ trace
         full = (op.G * cvec) @ op.V.T
         rounding = 2 * (I + 1) * np.finfo(float).eps * ((np.abs(op.G) * np.abs(cvec)) @ np.abs(op.V).T)
-        got = solve_interior(op, trace).T
+        got = solve_interior(op, trace)[1:-1, 1:-1]
         assert np.all(np.abs(got - full) <= tail_bound * trace.max() + rounding)
 
 
@@ -932,7 +931,7 @@ def test_m_structure_row_one_map_is_positive_and_sub_stochastic(sigma, c, d):
     assert P1.min() > 0.0
     assert P1.sum(axis=1).max() < 1.0
     t = np.random.default_rng(7).uniform(0.0, 1.0, op.I - 1)
-    assert np.abs(P1 @ t - extension_op._solve(op, t)[1, 1:-1]).max() <= 1e-13 * np.abs(t).max()
+    assert np.abs(P1 @ t - extension_op.solve_interior(op, t)[1, 1:-1]).max() <= 1e-13 * np.abs(t).max()
 
 
 def test_pure_laplacian_stencil_has_m_structure_at_sigma_one():
@@ -1010,11 +1009,11 @@ def test_unit_trace_solution_lies_in_unit_interval():
     grid = make_grid(I=10, K=6)
     for sigma in (0.4, 1.0, 1.7):
         op = assemble(grid, sigma, c=2, d=1 if sigma != 1.0 else None)
-        interior = solve_interior(op, np.ones(grid.I - 1))
+        interior = solve_interior(op, np.ones(grid.I - 1))[1:-1, 1:-1]
         assert interior.min() > 0.0
         assert interior.max() < 1.0
         # the maximum over the interior sits on the row nearest the trace
-        assert interior.max() == pytest.approx(interior[:, 0].max())
+        assert interior.max() == pytest.approx(interior[0].max())
 
 
 def test_random_trace_respects_discrete_maximum_principle():
@@ -1023,7 +1022,7 @@ def test_random_trace_respects_discrete_maximum_principle():
     rng = np.random.default_rng(99)
     for _ in range(20):
         trace = rng.random(grid.I - 1)
-        interior = solve_interior(op, trace)
+        interior = solve_interior(op, trace)[1:-1, 1:-1]
         assert interior.min() >= -1e-12
         assert interior.max() <= trace.max() + 1e-12
 
@@ -1183,9 +1182,10 @@ def test_full_grid_assembly_layout():
     grid = make_grid(I=6, K=3)
     op = assemble(grid, 0.5, c=2, d=1)
     trace = np.arange(1, 6, dtype=float)
-    interior = solve_interior(op, trace)
+    P = solve_interior(op, trace)
+    interior = P[1:-1, 1:-1].T
     vals = full_grid_values(op, trace, interior)
-    assert vals.shape == (7, 4)
+    assert vals.shape == (7, 4) and np.array_equal(vals, P.T)
     assert np.array_equal(vals[1:-1, 0], trace)
     assert vals[0, 0] == 0.0 and vals[-1, 0] == 0.0            # corners are lateral
     assert np.all(vals[:, -1] == 0.0)                          # top row

@@ -8,7 +8,6 @@ linear special case where the update reduces to plain averaging.
 
 import dataclasses
 import functools
-import inspect
 import io
 import math
 import re
@@ -54,10 +53,17 @@ def every_step(cfg):
     return np.arange(cfg.J + 1) * cfg.dt
 
 
+def operator(cfg):
+    return assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
+
+
+def lam(cfg):
+    return marcher._lambda(cfg.dt, cfg.dx, cfg.sigma)
+
+
 def solved(cfg, f):
     """The [i, k] node array of f's step-0 solve on cfg's operator: what step 0 of a march holds."""
-    op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
-    return extension_op._solve(op, initial_trace_w(cfg, f)).T
+    return extension_op.solve_interior(operator(cfg), initial_trace_w(cfg, f)).T
 
 
 # ---------------------------------------------------------------------------
@@ -289,50 +295,59 @@ def test_every_datum_is_refused_by_one_gate_with_one_message(wrap, name):
 
 
 def test_zero_field_is_fixed_point():
-    new = step(np.zeros((9, 3)), make_config())
-    assert new.shape == (9, 3) and np.all(new == 0.0)
+    cfg = make_config()
+    P = np.zeros((3, 9))
+    step(operator(cfg), P, lam(cfg), cfg.m, 1)
+    assert np.all(P == 0.0)
 
 
-def test_step_attaches_no_step_number_outside_march():
+def test_step_reports_its_step_number_on_a_negative_bracket():
     # step() itself performs no CFL check; a crafted state with a huge dt
-    # surfaces the bracket failure directly
+    # surfaces the bracket failure directly, with the step number step was given
     cfg = make_config(m=2.0, T=40.0, J=1)         # dt = 40
-    vals = np.zeros((9, 3))
-    vals[4, 0] = 1.0
+    P = np.zeros((3, 9))
+    P[0, 4] = 1.0
     with pytest.raises(NegativeBracketError) as ei:
-        step(vals, cfg)
-    assert ei.value.step is None
+        step(operator(cfg), P, lam(cfg), cfg.m, 7)
+    assert ei.value.step == 7
 
 
-@pytest.mark.parametrize("values", [np.zeros(9), np.zeros((9, 1)), np.zeros((9, 3, 1))],
+@pytest.mark.parametrize("P", [np.zeros(9), np.zeros((1, 9)), np.zeros((3, 9, 1))],
                          ids=["1-D", "one-row", "3-D"])
-def test_step_refuses_what_is_not_a_node_array(values):
-    # boundary_update judges the two rows step reads; an array without them is refused first
-    with pytest.raises(ValueError, match=r"node array, got \(9"):
-        step(values, make_config())
+def test_step_refuses_what_is_not_a_node_array(P):
+    # step reads rows 0 and 1 of a 2-D node array; an array without them is refused first
+    cfg = make_config()
+    with pytest.raises(ValueError, match=r"node array, got shape \("):
+        step(operator(cfg), P, lam(cfg), cfg.m, 1)
 
 
 def test_initialize_and_step_store_fields_height_major():
-    # row k of the field (the trace, row 1) is contiguous, and argmax scans in place
+    # row k of the field (the trace, row 1) is contiguous, and argmax scans in place;
+    # step refills the height-major array it is given and returns nothing
     cfg = make_config(m=2.0)
     state = march(cfg, GAUSS, capture=(0.0,)).snapshots[0][1]
     assert state.T.flags.c_contiguous
-    assert step(state, cfg).T.flags.c_contiguous
+    P = state.T.copy()
+    assert step(operator(cfg), P, lam(cfg), cfg.m, 1) is None
+    assert P.flags.c_contiguous and not np.array_equal(P, state.T)
 
 
-def test_no_marcher_function_takes_an_operator():
-    # step, like march, solves on config's own operator, so no
-    # operator of another sigma or pair can be stepped with under this config
-    assert list(inspect.signature(step).parameters) == ["values", "config"]
-    for name, fn in inspect.getmembers(marcher, inspect.isfunction):
-        if fn.__module__ == marcher.__name__:
-            assert "op" not in inspect.signature(fn).parameters, name
-    cfg = make_config(m=2.0, sigma=1.0)
-    state = solved(cfg, GAUSS)
-    assemble(cfg.grid(), 0.3, cfg.c, cfg.d)     # another sigma's operator, cached beside it
-    want = extension_op._solve(assemble(cfg.grid(), 1.0, cfg.c, cfg.d), boundary_update(
-        state[1:-1, 0], state[1:-1, 1], cfg.dt, cfg.dx, 1.0, cfg.m))
-    assert np.array_equal(step(state, cfg), want.T)
+def test_march_hands_step_the_operator_assemble_returns_for_its_config(monkeypatch):
+    # march steps j = 1 ... J on config's own operator, the object assemble returns
+    # for its grid, sigma and pair, even with another sigma's operator cached beside it
+    cfg = make_config(m=2.0, sigma=1.0, J=3)
+    assemble(cfg.grid(), 0.3, cfg.c, cfg.d)
+    real, calls = marcher.step, []
+
+    def recording(op, P, *args):
+        calls.append((op, *args))
+        real(op, P, *args)
+
+    monkeypatch.setattr(marcher, "step", recording)
+    march(cfg, GAUSS)
+    op = operator(cfg)
+    assert op.sigma == 1.0
+    assert calls == [(op, lam(cfg), cfg.m, j) for j in range(1, cfg.J + 1)]     # op by identity
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +574,11 @@ def test_march_refuses_before_it_builds_or_solves(monkeypatch, refusal, error, m
         fake_budget(monkeypatch, (cfg.J + 1) * (8 * (cfg.I + 2) + marcher._RECORD_BYTES
                                                 + 8 * (cfg.K + 1) * (cfg.I + 1)) - 1)
     calls = []
-    real_build, real_solve = extension_op._build, extension_op._solve
+    real_build, real_solve = extension_op._build, extension_op.solve_interior
     monkeypatch.setattr(extension_op, "_cache", type(extension_op._cache)())    # no cached build
     monkeypatch.setattr(extension_op, "_build",
                         lambda *args: calls.append("build") or real_build(*args))
-    monkeypatch.setattr(extension_op, "_solve",
+    monkeypatch.setattr(extension_op, "solve_interior",
                         lambda *args: calls.append("solve") or real_solve(*args))
     with pytest.raises(error, match=message) as ei:
         march(cfg, f, capture=capture)
@@ -608,10 +623,12 @@ def test_linear_march_is_the_closed_form_mode_decay(sigma, d):
 
 
 def _step_by_step(cfg, f):
-    """The march's outputs rebuilt from the step-0 solve and J public steps."""
+    """The march's outputs rebuilt from the step-0 solve and J public steps, each on a copy."""
     fields = [solved(cfg, f)]
-    for _ in range(cfg.J):
-        fields.append(step(fields[-1], cfg))
+    for j in range(1, cfg.J + 1):
+        P = fields[-1].T.copy()
+        step(operator(cfg), P, lam(cfg), cfg.m, j)
+        fields.append(P.T)
     history = np.maximum([fld[:, 0] for fld in fields], 0.0) ** (1.0 / cfg.m)
     diags = [(j, float(j * cfg.dt).hex(), float(fld.min()).hex(),
               float(fld.max()).hex(), extension_op.discrete_max_location(fld))
@@ -626,8 +643,9 @@ def _bits(a):
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("c,d", [(2, 1), (3, 4), (2, None)])
 def test_march_is_the_public_step_bit_for_bit(c, d, m):
-    # march advances its own node array; every output must equal, bit for bit and
-    # in memory order, what the step-0 solve and J calls of step give
+    # march advances one node array through step and keeps its own records: every
+    # output must equal, bit for bit and in memory order, what the step-0 solve and
+    # J calls of step on fresh copies give
     cfg = SolverConfig(sigma=1.0, m=m, X=3.0, Y=3.0, T=0.6, I=12, K=6, J=6, c=c, d=d)
     traj = march(cfg, GAUSS, capture=every_step(cfg))
     history, diags, fields = _step_by_step(cfg, GAUSS)
@@ -662,14 +680,14 @@ def test_march_snapshots_own_their_arrays_while_other_steps_share_one(monkeypatc
     # snapshot, and holds the bits its solve gave, which a fresh solve of its trace gives too
     cfg = make_config(m=2.0, J=10, T=1.0)
     op = assemble(cfg.grid(), cfg.sigma, cfg.c, cfg.d)
-    real, made = extension_op._solve, []
+    real, made = extension_op.solve_interior, []
 
     def recording(op, trace, P=None):
         out = real(op, trace, P)
         made.append((out, out.tobytes()))
         return out
 
-    monkeypatch.setattr(extension_op, "_solve", recording)
+    monkeypatch.setattr(extension_op, "solve_interior", recording)
     traj = march(cfg, GAUSS, capture=[j * cfg.dt for j in steps])
     assert [t for t, _ in traj.snapshots] == traj.times[steps].tolist()
     P = made[0][0]
@@ -689,13 +707,13 @@ def test_march_solves_step_0_like_every_step(monkeypatch):
     # with a fresh solve's bytes and strides
     cfg = make_config(m=2.0, J=3, T=0.3)
     want = solved(cfg, GAUSS)
-    real, calls = extension_op._solve, []
+    real, calls = extension_op.solve_interior, []
 
     def recording(op, trace, P=None):
         calls.append((P, real(op, trace, P)))
         return calls[-1][1]
 
-    monkeypatch.setattr(extension_op, "_solve", recording)
+    monkeypatch.setattr(extension_op, "solve_interior", recording)
     for capture in ((0.0,), (0.0, 0.1), None):
         calls.clear()
         traj = march(cfg, GAUSS, capture=capture)
@@ -745,17 +763,17 @@ def test_march_reports_the_step_of_a_negative_bracket(monkeypatch):
 
 
 def _fake_solve(monkeypatch, fake):
-    """Replace extension_op._solve by fake(n, real_solve, op, trace), n numbering
+    """Replace extension_op.solve_interior by fake(n, real_solve, op, trace), n numbering
     the calls from step 0's, 1; returns the list of call numbers.  real_solve
-    is the real _solve with the node array march passes it, if any, bound.  No
+    is the real solve_interior with the node array march passes it, if any, bound.  No
     real input to march reaches these failures, so a fake stands in for the solve."""
-    real, calls = extension_op._solve, []
+    real, calls = extension_op.solve_interior, []
 
     def counted(op, trace, P=None):
         calls.append(len(calls) + 1)
         return fake(calls[-1], functools.partial(real, P=P), op, trace)
 
-    monkeypatch.setattr(extension_op, "_solve", counted)
+    monkeypatch.setattr(extension_op, "solve_interior", counted)
     return calls
 
 

@@ -21,6 +21,7 @@ from fracpme.oracles import (
     barenblatt_exponents,
     barenblatt_profile,
     box_symbol,
+    box_symbol_at,
     dense_extension_solve,
     frac_laplacian_pv,
     fractional_heat_solution,
@@ -565,6 +566,39 @@ def test_scheme_symbol_known_defect_at_sigma_other_than_1(sigma, c, d):
         op = extension_op.assemble(Grid(2.0, 2.0, I, I // 2), sigma, c, d)
         rel = (nu_sigma(sigma) * (1.0 - op.G[0, 0]) / (4.0 / I) ** sigma - exact) / exact
         assert abs(100.0 * rel - printed) <= 0.05, (I, 100.0 * rel, printed)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+def test_box_symbol_at_refuses_a_wavenumber_not_positive_and_finite(a):
+    with pytest.raises(ValueError, match="^a must be finite and positive"):
+        box_symbol_at(a, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("sigma,c,d", [(0.5, 2, 1), (1.5, 2, 1), (1.0, 2, None)])
+def test_scheme_symbol_error_splits_into_an_x_part_and_a_y_part(sigma, c, d):
+    # d(sqrt(mu_1)), mu_1 = 4 sin^2(pi/2I)/dx^2 the x-factor's mode-1 eigenvalue over
+    # dx^2, is the exact symbol of the x-discrete problem, so (s_1 - d_1)/d_1 is the
+    # x-part (d(sqrt(mu_1)) - d_1)/d_1 plus the y-part (s_1 - d(sqrt(mu_1)))/d_1.
+    # X = Y = 2, K = I/2: the x-part falls at order 2, and README's known defect is
+    # all in the y-part, to each printed 0.1 %; at sigma = 1 the y-part falls at order 1
+    exact = box_symbol(1, 2.0, 2.0, sigma)
+    x_part, y_part = [], []
+    for I in (64, 128, 256, 512):
+        dx = 4.0 / I
+        op = extension_op.assemble(Grid(2.0, 2.0, I, I // 2), sigma, c, d)
+        s1 = nu_sigma(sigma) * (1.0 - op.G[0, 0]) / dx ** sigma
+        discrete = box_symbol_at(2.0 * math.sin(math.pi / (2 * I)) / dx, 2.0, sigma)
+        x_part.append(abs(discrete - exact) / exact)
+        y_part.append((s1 - discrete) / exact)
+    assert max(x_part) < 2e-4
+    orders = [math.log2(e0 / e1) for e0, e1 in zip(x_part, x_part[1:])]
+    assert all(abs(p - 2.0) <= 0.1 for p in orders), orders
+    if sigma == 1.0:
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(y_part, y_part[1:])]
+        assert all(abs(p - 1.0) <= 0.05 for p in orders), orders
+    else:
+        for rel, printed in zip(y_part, _KNOWN_DEFECT[sigma, c, d][1:]):
+            assert abs(100.0 * rel - printed) <= 0.05, (100.0 * rel, printed)
 
 
 # README, "Known defect at sigma != 1", against the exact m > 1 solution: the max relative
