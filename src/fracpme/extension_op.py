@@ -444,14 +444,12 @@ def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
     return P
 
 
-def full_grid_values(op: ExtensionOperator, trace_row: np.ndarray,
-                     interior: np.ndarray) -> np.ndarray:
-    """The (I+1) x (K+1) node array [i, k], trace_row at k = 0, interior inside, 0 on
-    the lateral and top boundary: the transpose, not a copy, of a new height-major array."""
-    vals = np.zeros((op.K + 1, op.I + 1))
-    vals[0, 1:-1] = trace_row
-    vals[1:-1, 1:-1] = interior.T
-    return vals.T
+def full_grid_values(P: np.ndarray) -> np.ndarray:
+    """The march's snapshot of the height-major node array P[k, i]: a read-only [i, k]
+    copy, P.T in P's memory order, that shares no memory with P."""
+    vals = np.array(P.T)
+    vals.setflags(write=False)
+    return vals
 
 
 def discrete_max_location(values: np.ndarray) -> tuple[int, int]:

@@ -370,8 +370,7 @@ def bridge_order_fit(sigma: float) -> tuple[float, list[float]]:
     errs = []
     for y in BRIDGE_YS:
         vy = sigma_deriv.poisson_extension(_bridge_data, _BRIDGE_X, y, sigma, tol=1e-11)
-        F = float(sigma_deriv.discrete_sigma_derivative(v0, vy, y, sigma))
-        normalized = core.mu_sigma(sigma) * F
+        normalized = float(sigma_deriv.normalized_sigma_derivative(v0, vy, y, sigma))
         errs.append(max(abs(normalized + ref), 1e-300))
     slope = float(np.polyfit(np.log(BRIDGE_YS), np.log(errs), 1)[0])
     return slope, errs

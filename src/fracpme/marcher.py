@@ -38,15 +38,33 @@ def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
     return row
 
 
-def _bracket_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
-                    level: int | None = None, base: np.ndarray | None = None) -> np.ndarray:
-    """boundary_update with lam = nu_sigma dt / dx^sigma, for rows it would accept;
-    the m-th root of base (default row0, which the march keeps >= 0) enters the
-    bracket, so it must be >= 0.  level is the time level a NegativeBracketError
-    reports as its step."""
+def _lambda(dt: float, dx: float, sigma: float) -> float:
+    """lam = nu_sigma dt / dx^sigma of the trace update, for dt > 0 and dx > 0 finite;
+    ConfigError where dx^sigma underflows to 0 or overflows, or lam overflows."""
+    lam = core.nu_sigma(sigma) * dt / core._dx_power(dx, sigma)
+    if not lam < np.inf:
+        raise ConfigError(f"lambda = nu_sigma dt / dx^sigma overflows at dt = {dt}, dx = {dx}, "
+                         f"sigma = {sigma}")
+    return lam
+
+
+def boundary_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
+                    level: int | None = None) -> np.ndarray:
+    """One explicit trace step, the one every march step runs:
+
+        new = [ lam * (row1 - row0) + row0^(1/m) ]^m,   lam = nu_sigma dt / dx^sigma
+
+    The bracket is nonnegative under the CFL precondition; excursions below
+    -1e-12 abort with a NegativeBracketError reporting level as its step (CFL
+    violation or corrupted state), smaller ones are rounding and clamp to 0.
+    Nothing is validated: the rows must be finite and of equal shape, row0 >= 0,
+    lam >= 0 and m >= 1.  A march ensures them: SolverConfig checks m (and
+    dt > 0), InitialData.sample makes step 0's row0 finite and >= 0 and later
+    row0s are this function's output, _lambda makes lam finite, and the solve's
+    finite check (its residual) keeps row1 finite.
+    """
     bracket = lam * (row1 - row0)
-    root = row0 if base is None else base
-    bracket += root if m == 1.0 else root ** (1.0 / m)
+    bracket += row0 if m == 1.0 else row0 ** (1.0 / m)
     low = bracket.min() if bracket.size else 0.0
     if low < 0.0:
         if low < -1e-12:
@@ -60,47 +78,12 @@ def _bracket_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
     return bracket
 
 
-def _lambda(dt: float, dx: float, sigma: float) -> float:
-    """lam = nu_sigma dt / dx^sigma of the trace update, for dt > 0 and dx > 0 finite;
-    ConfigError where dx^sigma underflows to 0 or overflows, or lam overflows."""
-    lam = core.nu_sigma(sigma) * dt / core._dx_power(dx, sigma)
-    if not lam < np.inf:
-        raise ConfigError(f"lambda = nu_sigma dt / dx^sigma overflows at dt = {dt}, dx = {dx}, "
-                         f"sigma = {sigma}")
-    return lam
-
-
-def boundary_update(row0: np.ndarray, row1: np.ndarray, dt: float, dx: float,
-                    sigma: float, m: float) -> np.ndarray:
-    """One explicit trace step:
-
-        new = [ nu_sigma * (dt/dx^sigma) * (row1 - row0) + row0^(1/m) ]^m
-
-    The bracket is nonnegative under the CFL precondition; excursions below
-    -1e-12 abort (CFL violation or corrupted state), smaller ones are rounding
-    and clamp to 0.  Rows down to -1e-12 are accepted, and row0 enters the root
-    clamped at 0.  A dx^sigma that is 0 or not finite, or a lambda that
-    overflows, is refused (ConfigError, a ValueError).
-    """
-    row0, row1 = np.asarray(row0, dtype=float), np.asarray(row1, dtype=float)
-    if row0.shape != row1.shape:
-        raise ValueError("trace rows must have equal shape")
-    if not (np.isfinite(row0).all() and np.isfinite(row1).all()):
-        raise ValueError("trace rows must be finite")
-    if row0.size and min(row0.min(), row1.min()) < -1e-12:
-        raise ValueError("trace rows must be nonnegative")
-    core._check_m(m)
-    if not (0.0 < dt < np.inf and 0.0 < dx < np.inf):
-        raise ValueError(f"dt and dx must be positive and finite, got dt = {dt}, dx = {dx}")
-    return _bracket_update(row0, row1, _lambda(dt, dx, sigma), m, base=np.maximum(row0, 0.0))
-
-
 def step(op: extension_op.ExtensionOperator, P: np.ndarray, lam: float, m: float, j: int) -> None:
     """Advance the height-major node array P[k, i] from step j - 1 to step j in place: the
     trace update of rows 0 and 1 with lam = nu_sigma dt / dx^sigma, then the solve on op."""
     if np.ndim(P) != 2 or len(P) < 2:
         raise ValueError(f"P must be a (K+1) x (I+1) node array, got shape {np.shape(P)}")
-    extension_op.solve_interior(op, _bracket_update(P[0, 1:-1], P[1, 1:-1], lam, m, j), P)
+    extension_op.solve_interior(op, boundary_update(P[0, 1:-1], P[1, 1:-1], lam, m, j), P)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,8 +176,9 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     diags: list[StepDiagnostics] = []
 
     # one node array, refilled by every step; no row is rescanned: solve_interior returns
-    # finite arrays, and the bracket checks row 1.  The solve and step are looked up as module
-    # attributes at each call, where the benchmark's tracer and calibration clock hook them
+    # finite arrays, and the bracket checks row 1.  Each step (and, in step, boundary_update),
+    # solve and snapshot copy is looked up as a module attribute at each call, where the
+    # benchmark's tracer and calibration clock hook them
     P = extension_op.solve_interior(op, row)
     for j in range(J + 1):
         if j > 0:
@@ -209,8 +193,7 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
         w_hist[j] = P[0]
         diags.append(StepDiagnostics(j, float(times[j]), w_min, w_max, (i, k)))
         if j in wanted:
-            snapshots.append((float(times[j]), np.array(P.T)))     # keeps P's memory order
-            snapshots[-1][1].setflags(write=False)
+            snapshots.append((float(times[j]), extension_op.full_grid_values(P)))
 
     trace_hist = np.maximum(w_hist, 0.0, out=w_hist)    # u = w^(1/m) over w's rows, in place
     trace_hist **= 1.0 / config.m

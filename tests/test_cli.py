@@ -398,7 +398,7 @@ def test_operator_and_node_arrays_over_the_memory_budget_exit_2_before_the_first
 
 @pytest.mark.parametrize("module,name,error", [
     (extension_op, "solve_interior", SolverError("solve residual 1e-3 exceeds 1e-10 * ||rhs||_inf")),
-    (marcher, "_bracket_update", NegativeBracketError("pressure bracket reached -1e-3", step=2)),
+    (marcher, "boundary_update", NegativeBracketError("pressure bracket reached -1e-3", step=2)),
 ], ids=["solver", "negative-bracket"])
 def test_run_that_fails_mid_march_exits_1_and_writes_no_file(tmp_path, monkeypatch, capsys,
                                                             module, name, error):

@@ -30,7 +30,6 @@ from fracpme.core import (
     stencil_reach,
 )
 from fracpme.errors import ConfigError
-from fracpme.marcher import boundary_update
 from fracpme.oracles import barenblatt_exponents
 
 mpmath.mp.dps = 50
@@ -178,15 +177,6 @@ def test_effective_order_requires_d_away_from_one():
 
 
 _SCALAR_CASES = [
-    (boundary_update, "m", math.nan, "m must be finite"),
-    (boundary_update, "m", math.inf, "m must be finite"),
-    (boundary_update, "dt", math.nan, "dt and dx"),
-    (boundary_update, "dt", math.inf, "dt and dx"),
-    (boundary_update, "dt", 0.0, "dt and dx"),
-    (boundary_update, "dt", -0.01, "dt and dx"),
-    (boundary_update, "dx", 0.0, "dt and dx"),
-    (boundary_update, "dx", math.nan, "dt and dx"),
-    (boundary_update, "dx", math.inf, "dt and dx"),
     (cfl_max_dt, "b_max", math.nan, "b_max must be nonnegative and finite"),
     (cfl_max_dt, "b_max", math.inf, "b_max must be nonnegative and finite"),
     (cfl_max_dt, "dx", math.nan, "dx must be positive and finite"),
@@ -197,7 +187,6 @@ _SCALAR_CASES = [
     (barenblatt_exponents, "m", 0.5, "m must be finite"),
 ]
 _SCALAR_ARGS = {
-    boundary_update: dict(row0=np.ones(3), row1=np.ones(3), dt=0.01, dx=0.5, sigma=0.5, m=2.0),
     cfl_max_dt: dict(m=2.0, b_max=1.0, sigma=0.5, dx=0.1),
     barenblatt_exponents: dict(n_dim=1, m=2.0, sigma=0.5),
 }

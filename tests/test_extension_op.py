@@ -1179,17 +1179,18 @@ def test_solve_validates_boundary_data():
 
 
 def test_full_grid_assembly_layout():
+    # the march's snapshot: P.T, read-only, in P's memory order, sharing no memory with P
     grid = make_grid(I=6, K=3)
     op = assemble(grid, 0.5, c=2, d=1)
     trace = np.arange(1, 6, dtype=float)
     P = solve_interior(op, trace)
-    interior = P[1:-1, 1:-1].T
-    vals = full_grid_values(op, trace, interior)
+    vals = full_grid_values(P)
     assert vals.shape == (7, 4) and np.array_equal(vals, P.T)
+    assert vals.strides == P.T.strides and not vals.flags.writeable
+    assert not np.shares_memory(vals, P)
     assert np.array_equal(vals[1:-1, 0], trace)
     assert vals[0, 0] == 0.0 and vals[-1, 0] == 0.0            # corners are lateral
     assert np.all(vals[:, -1] == 0.0)                          # top row
-    assert np.array_equal(vals[1:-1, 1:-1], interior)
 
 
 def _pointwise_operator(vals, dx, sigma, c, d):

@@ -21,7 +21,6 @@ from fracpme.core import (
     SolverConfig,
     cfl_max_dt,
     initial_data_preset,
-    nu_sigma,
     parse_initial_data,
 )
 from fracpme.errors import (CflViolationError, ConfigError, MaxPrincipleError,
@@ -73,27 +72,23 @@ def solved(cfg, f):
 def test_flat_data_is_stationary():
     for m in (1.0, 2.0, 3.0):
         row = np.full(7, 0.6)
-        new = boundary_update(row, row, dt=0.01, dx=0.5, sigma=0.5, m=m)
+        new = boundary_update(row, row, lam=0.3, m=m)
         assert new == pytest.approx(row, rel=1e-14)
 
 
 def test_linear_case_with_unit_weight_returns_upper_row():
-    # m = 1 and dt = dx^sigma / nu_sigma make lambda = 1, so the update
-    # hands back the row at height dx exactly
-    sigma, dx = 0.7, 0.25
-    dt = dx ** sigma / nu_sigma(sigma)
+    # m = 1 and lambda = 1 (dt = dx^sigma / nu_sigma): the update hands back
+    # the row at height dx exactly
     row0 = np.array([0.0, 0.3, 0.9, 0.1])
     row1 = np.array([0.2, 0.4, 0.5, 0.0])
-    new = boundary_update(row0, row1, dt, dx, sigma, m=1.0)
+    new = boundary_update(row0, row1, lam=1.0, m=1.0)
     assert new == pytest.approx(row1, rel=1e-13, abs=1e-15)
 
 
 def test_linear_case_is_convex_combination():
-    sigma, dx = 0.5, 0.5
-    dt = 0.4 * dx ** sigma / nu_sigma(sigma)      # lambda = 0.4
     row0 = np.array([1.0, 0.0])
     row1 = np.array([0.0, 1.0])
-    new = boundary_update(row0, row1, dt, dx, sigma, m=1.0)
+    new = boundary_update(row0, row1, lam=0.4, m=1.0)
     assert new == pytest.approx([0.6, 0.4], rel=1e-13)
 
 
@@ -110,7 +105,7 @@ def test_update_preserves_range_under_cfl(m, sigma):
         dt = 0.95 * cfl_max_dt(m, b_max, sigma, dx)
         row0 = rng.uniform(0.0, b_max, size=9)
         row1 = rng.uniform(0.0, b_max, size=9)
-        new = boundary_update(row0, row1, dt, dx, sigma, m)
+        new = boundary_update(row0, row1, marcher._lambda(dt, dx, sigma), m)
         assert new.min() >= 0.0
         assert new.max() <= b_max * (1.0 + 1e-12)
 
@@ -126,7 +121,7 @@ def test_cfl_constant_keeps_the_band_below_unit_b_max():
     assert dt == pytest.approx(dx / (m * math.sqrt(b_max)), rel=1e-14)   # nu_1 = 1
     row0 = np.array([b_max ** 2])
     row1 = np.array([b_max])
-    new = boundary_update(row0, row1, dt, dx, sigma, m)
+    new = boundary_update(row0, row1, marcher._lambda(dt, dx, sigma), m)
     assert 0.0 <= new[0] <= b_max
     assert new[0] == pytest.approx(0.348, abs=1e-3)
 
@@ -136,9 +131,9 @@ def test_update_monotone_in_upper_row():
     row0 = rng.uniform(0.0, 1.0, size=11)
     lo = rng.uniform(0.0, 1.0, size=11)
     hi = lo + rng.uniform(0.0, 0.5, size=11)
-    dt = 0.9 * cfl_max_dt(2.0, 1.0, 0.5, 0.25)
-    new_lo = boundary_update(row0, lo, dt, 0.25, 0.5, 2.0)
-    new_hi = boundary_update(row0, hi, dt, 0.25, 0.5, 2.0)
+    lam = marcher._lambda(0.9 * cfl_max_dt(2.0, 1.0, 0.5, 0.25), 0.25, 0.5)
+    new_lo = boundary_update(row0, lo, lam, 2.0)
+    new_hi = boundary_update(row0, hi, lam, 2.0)
     assert np.all(new_hi >= new_lo - 1e-14)
 
 
@@ -147,20 +142,18 @@ def test_genuinely_negative_bracket_raises():
     row1 = np.zeros(3)
     # lambda far beyond the stable range drives the middle bracket negative
     with pytest.raises(NegativeBracketError) as ei:
-        boundary_update(row0, row1, dt=10.0, dx=0.5, sigma=0.5, m=2.0)
+        boundary_update(row0, row1, lam=20.0, m=2.0)
     assert ei.value.index == 1
     assert ei.value.value < -1e-12
     assert ei.value.step is None          # not inside a march
 
 
 def test_roundoff_scale_negative_bracket_clamps_to_zero():
-    # dt chosen so lambda = 6: bracket = 6 * (0 - 1e-13) + 1e-13 = -5e-13,
-    # inside the roundoff band, so the update clamps to 0 instead of raising
-    sigma, dx = 0.5, 1.0
+    # lambda = 6: bracket = 6 * (0 - 1e-13) + 1e-13 = -5e-13, inside the
+    # roundoff band, so the update clamps to 0 instead of raising
     row0 = np.array([1e-13])
     row1 = np.zeros(1)
-    dt = 6.0 / nu_sigma(sigma)
-    new = boundary_update(row0, row1, dt, dx, sigma, m=1.0)
+    new = boundary_update(row0, row1, lam=6.0, m=1.0)
     assert new[0] == 0.0
 
 
@@ -173,19 +166,18 @@ def test_update_in_place_is_the_clipped_power_bit_for_bit(m):
     row0 = np.r_[-0.0, 0.0, -0.0, 1e-13, rest]
     row1 = np.r_[-0.0, -0.0, 0.0, 0.0, rest + rng.random(60)]
     lam = 6.0
-    want = np.clip(lam * (row1 - row0) + np.maximum(row0, 0.0) ** (1.0 / m), 0.0, None) ** m
-    got = boundary_update(row0, row1, lam / nu_sigma(0.5), 1.0, 0.5, m)
+    want = np.clip(lam * (row1 - row0) + row0 ** (1.0 / m), 0.0, None) ** m
+    got = boundary_update(row0, row1, lam, m)
     assert got.tobytes() == want.tobytes()
 
 
 def test_dx_power_underflow_and_lambda_overflow_are_refused():
     # dx > 0 whose dx^sigma underflows to 0, and lambda = nu dt / dx^sigma = inf:
     # these raised ZeroDivisionError or returned NaN rows
-    rows = dict(row0=np.ones(3), row1=np.ones(3), sigma=1.9, m=2.0)
     with pytest.raises(ValueError, match=r"dx\^sigma = 1e-300\^1.9 is not a positive finite"):
-        boundary_update(**rows, dt=0.01, dx=1e-300)
+        marcher._lambda(0.01, 1e-300, 1.9)
     with pytest.raises(ValueError, match="lambda = nu_sigma dt / dx\\^sigma overflows"):
-        boundary_update(**rows, dt=1e300, dx=1e-10)
+        marcher._lambda(1e300, 1e-10, 1.9)
     with pytest.raises(ValueError, match=r"dx\^sigma = 1e-300\^1.9"):
         cfl_max_dt(2.0, 1.0, 1.9, 1e-300)
     cfg = SolverConfig(sigma=1.9, m=2.0, X=1e-300, Y=2e-300, T=0.1, I=2, K=2, J=10)
@@ -199,17 +191,6 @@ def test_march_refuses_a_cfl_bound_that_underflows():
     cfg = SolverConfig(sigma=1.9, m=2.0, X=1e-150, Y=2e-150, T=0.1, I=2, K=2, J=10)
     with pytest.raises(CflViolationError, match="increase J to at least inf$"):
         march(cfg, lambda xs: np.full_like(xs, 1e150))
-
-
-def test_update_validates_inputs():
-    with pytest.raises(ValueError):
-        boundary_update(np.zeros(3), np.zeros(4), 0.1, 0.5, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        boundary_update(np.array([np.nan]), np.zeros(1), 0.1, 0.5, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        boundary_update(np.array([-1.0]), np.zeros(1), 0.1, 0.5, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        boundary_update(np.zeros(1), np.zeros(1), 0.1, 0.5, 0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +422,7 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
     need = (cfg.J + 1) * (8 * (cfg.I + 2) + marcher._RECORD_BYTES)
     assert need > 2**20                     # smaller needs fit any budget unread
     fake_budget(monkeypatch, need - 1)
-    monkeypatch.setattr(marcher, "_bracket_update", first_step)
+    monkeypatch.setattr(marcher, "boundary_update", first_step)
     message = (rf"J = 20000 too large at I = 8, K = 2: .* and 0 \(K\+1\) x \(I\+1\) snapshots "
                rf"need {need} bytes, more than the {need - 1} bytes of the cgroup's memory.max$")
     with pytest.raises(ConfigError, match=message):
@@ -753,7 +734,7 @@ def test_march_reports_the_step_of_a_negative_bracket(monkeypatch):
     cfg = make_config(m=2.0, T=40.0, J=1)
     vals = solved(cfg, GAUSS)
     with pytest.raises(NegativeBracketError) as direct:
-        boundary_update(vals[1:-1, 0], vals[1:-1, 1], cfg.dt, cfg.dx, cfg.sigma, cfg.m)
+        boundary_update(vals[1:-1, 0], vals[1:-1, 1], lam(cfg), cfg.m)
     monkeypatch.setattr(marcher.core, "cfl_max_dt", lambda *_args: math.inf)
     with pytest.raises(NegativeBracketError) as ei:
         march(cfg, GAUSS)
