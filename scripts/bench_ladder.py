@@ -69,7 +69,7 @@ STEPS = 50
 M = 2.0
 EXACT = ("space_err", "time_err")      # recorded once, without quartiles
 HALVES = {"scheme_lines": ("__init__", "cli", "core", "errors", "extension_op", "marcher"),
-          "oracle_lines": ("harness", "oracles", "sigma_deriv")}
+          "oracle_lines": ("harness", "oracles")}
 
 
 def machine_facts() -> dict:

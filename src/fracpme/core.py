@@ -21,37 +21,37 @@ __all__ = [
     "mu_sigma", "nu_sigma", "riesz_constant", "cfl_max_dt", "effective_order",
     "STENCIL_WINDOWS", "SUPPORTED_PAIRS", "stencil_families", "stencil_reach", "check_stencil",
     "Grid", "SolverConfig", "InitialData", "initial_data_preset", "parse_initial_data",
-    "parse_config_text", "load_config",
+    "parse_config_text", "load_config", "check_sigma", "check_m",
 ]
 
-def _check_sigma(sigma: float) -> float:
+def check_sigma(sigma: float) -> float:
     sigma = float(sigma)
     if not (0.0 < sigma < 2.0):
         raise ConfigError(f"sigma must lie in the open interval (0, 2), got {sigma}")
     return sigma
 
 
-def _check_m(m: float) -> None:
+def check_m(m: float) -> None:
     if not 1.0 <= m < math.inf:
         raise ConfigError(f"m must be finite and >= 1, got {m}")
 
 
 def mu_sigma(sigma: float) -> float:
     """Normalization constant of the sigma-derivative: 2^(s-1) G(s/2) / G(1-s/2)."""
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     return 2.0 ** (sigma - 1.0) * math.gamma(sigma / 2.0) / math.gamma(1.0 - sigma / 2.0)
 
 
 def nu_sigma(sigma: float) -> float:
     """sigma * mu_sigma; the constant entering the trace update and the CFL bound."""
-    return _check_sigma(sigma) * mu_sigma(sigma)
+    return check_sigma(sigma) * mu_sigma(sigma)
 
 
 def riesz_constant(n_dim: int, sigma: float) -> float:
     """Constant of the principal-value integral form of the fractional Laplacian."""
     if int(n_dim) != n_dim or n_dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {n_dim}")
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     return (2.0 ** (sigma - 1.0) * sigma * math.gamma((n_dim + sigma) / 2.0)
             / (math.pi ** (n_dim / 2.0) * math.gamma(1.0 - sigma / 2.0)))
 
@@ -67,8 +67,8 @@ def cfl_max_dt(m: float, b_max: float, sigma: float, dx: float) -> float:
     bound is +inf (the update is trivially stable).  sigma and m are scheme
     parameters, so rejecting them is a ConfigError.
     """
-    sigma = _check_sigma(sigma)
-    _check_m(m)
+    sigma = check_sigma(sigma)
+    check_m(m)
     if not 0.0 <= b_max < math.inf:
         raise ValueError(f"b_max must be nonnegative and finite, got {b_max}")
     if not 0.0 < dx < math.inf:
@@ -95,7 +95,7 @@ def effective_order(sigma: float, c: int, d: int | None) -> float:
     of its stencil_families, c for the Laplacian at sigma <= 1 and c + 1 - sigma above,
     d - sigma for the drift, so a = c at sigma = 1.  An a <= 0 means (c, d) cannot converge
     for this sigma; it is returned as-is so callers can flag the configuration."""
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     orders = []
     for deriv, n in stencil_families(sigma, c, d):
         if int(n) != n or n < 1:
@@ -214,8 +214,8 @@ class SolverConfig:
     _grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_sigma(self.sigma)
-        _check_m(self.m)
+        check_sigma(self.sigma)
+        check_m(self.m)
         if not 0.0 < self.T < math.inf:
             raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
         if not (self.J % 1 == 0 and self.J >= 1):

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg, sparse
 
-from .core import STENCIL_WINDOWS, Grid, _check_sigma, check_stencil
+from .core import STENCIL_WINDOWS, Grid, check_sigma, check_stencil
 from .errors import ConfigError, SolverError
 
 __all__ = [
@@ -378,7 +378,7 @@ def assemble(grid: Grid, sigma: float, c: int = 2, d: int | None = 1) -> Extensi
     nbytes total at most _CACHE_BYTES = 64 MiB; a larger one is returned but not kept.
     Only _build checks a key, so a cache hit is a lookup: a refused key is never kept.
     """
-    key = (grid.I, grid.K, _check_sigma(sigma), c, d)
+    key = (grid.I, grid.K, check_sigma(sigma), c, d)
     op = _cache.pop(key, None) or _build(*key)
     if op.nbytes <= _CACHE_BYTES:
         _cache[key] = op                    # (re)inserted as the most recently used

@@ -2,8 +2,8 @@
 
 This is the experiment layer: it picks stencil orders and time-step rules for
 a requested accuracy regime, runs the marcher across a mesh ladder, estimates
-observed orders, and cross-checks the discrete operators against the
-independent oracles.
+observed orders, measures the order of the two-point sigma-quotient, and
+cross-checks the discrete operators against the independent oracles.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from . import core, extension_op, marcher, oracles, sigma_deriv
+from . import core, extension_op, marcher, oracles
 from .core import InitialData, SolverConfig, initial_data_preset
 from .errors import ConfigError, QuadratureError
 
 __all__ = [
     "SchemeMode", "OPTIMAL", "PRACTICAL", "SchemeParams", "select_scheme_params",
     "estimate_order", "StudySetup", "LevelRow", "ConvergenceReport",
-    "run_convergence", "SigmaTableResult", "TableMismatch", "run_sigma_table",
+    "run_convergence", "OrderStudyRow", "deriv_order_study", "order_study_csv",
+    "SigmaTableResult", "TableMismatch", "run_sigma_table",
     "ValidationCheck", "ValidationResult", "run_validate", "bridge_order_fit",
     "write_loglog_svg",
 ]
@@ -96,7 +97,7 @@ def select_scheme_params(sigma: float, mode: SchemeMode) -> SchemeParams:
     3/2) carry a note.  Minimal mode validates that the requested
     a = sigma + delta is actually attainable by the table's pair.
     """
-    sigma = core._check_sigma(sigma)
+    sigma = core.check_sigma(sigma)
     region = bisect.bisect_left(_BREAKPOINTS, sigma) + bisect.bisect_right(_BREAKPOINTS, sigma)
     c, d = _STENCILS[mode.kind][region]
     note = _BREAK_NOTE if sigma == 0.5 or (mode.kind == "minimal" and sigma == 1.5) else None
@@ -251,11 +252,60 @@ def run_convergence(sigma: float, m: float, mode: SchemeMode, levels: int,
 
 
 # ---------------------------------------------------------------------------
-# embedded expected table for the two-point quotient experiment
+# order experiment for the two-point quotient, and its embedded expected table
 
-TABLE_YS = sigma_deriv.DEFAULT_STUDY_YS
+@dataclass(frozen=True)
+class OrderStudyRow:
+    y: float
+    E: float
+    alpha: float | None
+    sigma_e: float | None
 
-# columns per sigma: E, alpha, sigma_e on the dyadic ladder above
+
+DEFAULT_STUDY_YS = (0.5, 0.25, 0.125, 0.0625)
+_MAX_STUDY_Y = math.sqrt(math.log(np.finfo(float).max) - 1.0)   # sigma * exp(y^2) < inf
+
+
+def deriv_order_study(sigma: float, ys: Sequence[float] = DEFAULT_STUDY_YS) -> list[OrderStudyRow]:
+    """Error |F(x, y)| of the two-point quotient on a decreasing ladder of y.
+
+    The test function v = exp(y^2) has zero exact sigma-derivative at y = 0,
+    so the quotient itself is the error, E(y) = sigma * (exp(y^2) - 1) / y^sigma.
+    alpha is the two-point order fit between consecutive rows and
+    sigma_e = 2 - alpha the implied exponent; both are None on the first row.
+    """
+    core.check_sigma(sigma)
+    ys = [float(y) for y in ys]
+    if len(ys) < 2:
+        raise ConfigError("need at least two heights")
+    if (not all(map(math.isfinite, ys)) or ys[-1] <= 0.0 or ys[0] > _MAX_STUDY_Y
+            or any(y2 >= y1 for y1, y2 in zip(ys, ys[1:]))):
+        raise ConfigError(f"heights must be finite, strictly decreasing, positive and at "
+                          f"most {_MAX_STUDY_Y:.4g} (exp(y^2) overflows above)")
+
+    rows: list[OrderStudyRow] = []
+    for y in ys:
+        E = abs(float(oracles.discrete_sigma_derivative(1.0, math.exp(y * y), y, sigma)))
+        if E == 0.0:
+            raise ConfigError(f"height y = {y:g} is too small: E(y) rounds to 0, "
+                              f"so no order can be fitted")
+        alpha = estimate_order(rows[-1].E, E, rows[-1].y, y) if rows else None
+        rows.append(OrderStudyRow(y, E, alpha, None if alpha is None else 2.0 - alpha))
+    return rows
+
+
+def order_study_csv(blocks: Sequence[tuple[float, Sequence[OrderStudyRow]]]) -> str:
+    """CSV with header sigma,y,E,alpha,sigma_e; 4-decimal fixed, empty first-row fits."""
+    lines = ["sigma,y,E,alpha,sigma_e"]
+    for sigma, rows in blocks:
+        for r in rows:
+            alpha = "" if r.alpha is None else f"{r.alpha:.4f}"
+            sigma_e = "" if r.sigma_e is None else f"{r.sigma_e:.4f}"
+            lines.append(f"{sigma:.4f},{r.y:.4f},{r.E:.4f},{alpha},{sigma_e}")
+    return "\n".join(lines) + "\n"
+
+
+# columns per sigma: E, alpha, sigma_e on DEFAULT_STUDY_YS
 TABLE_EXPECTED: dict[float, dict[str, tuple]] = {
     0.5: {"E": (0.2008, 0.0645, 0.0223, 0.0078),
           "alpha": (None, 1.6388, 1.5340, 1.5085),
@@ -292,27 +342,30 @@ class SigmaTableResult:
 
 def run_sigma_table(sigmas: Sequence[float] | None = None,
                     ys: Sequence[float] | None = None) -> SigmaTableResult:
-    """Reproduce the quotient-error table; rows with embedded expected values
-    are checked to TABLE_TOLERANCE, extra rows pass through unchecked."""
+    """Reproduce the quotient-error table, checked to TABLE_TOLERANCE.
+
+    E is checked on every row at a height of the table.  alpha and sigma_e
+    are fits over (previous y, y), so they are checked only where the row
+    before is at the table's previous height.  Other rows and sigmas without
+    an embedded table pass through unchecked.
+    """
     sigmas = tuple(sigmas) if sigmas is not None else (0.5, 1.0, 1.5)
-    ys = tuple(ys) if ys is not None else TABLE_YS
-    blocks = [(s, sigma_deriv.deriv_order_study(s, ys)) for s in sigmas]
-    csv = sigma_deriv.order_study_csv(blocks)
+    ys = tuple(ys) if ys is not None else DEFAULT_STUDY_YS
+    blocks = [(s, deriv_order_study(s, ys)) for s in sigmas]
+    csv = order_study_csv(blocks)
 
     mismatches = []
     for s, rows in blocks:
         expected = TABLE_EXPECTED.get(float(s))
         if expected is None:
             continue
-        for row in rows:
-            if row.y not in TABLE_YS:
+        for prev, row in zip((None, *rows), rows):
+            if row.y not in DEFAULT_STUDY_YS:
                 continue
-            pos = TABLE_YS.index(row.y)
-            for col in ("E", "alpha", "sigma_e"):
-                want = expected[col][pos]
-                got = getattr(row, col)
-                if want is None or got is None:
-                    continue
+            pos = DEFAULT_STUDY_YS.index(row.y)
+            fitted = pos > 0 and prev is not None and prev.y == DEFAULT_STUDY_YS[pos - 1]
+            for col in ("E", "alpha", "sigma_e") if fitted else ("E",):
+                want, got = expected[col][pos], getattr(row, col)
                 if abs(got - want) >= TABLE_TOLERANCE:
                     mismatches.append(TableMismatch(sigma=float(s), y=row.y, column=col,
                                                     computed=float(got), expected=want))
@@ -369,8 +422,8 @@ def bridge_order_fit(sigma: float) -> tuple[float, list[float]]:
     v0 = _bridge_data(_BRIDGE_X)
     errs = []
     for y in BRIDGE_YS:
-        vy = sigma_deriv.poisson_extension(_bridge_data, _BRIDGE_X, y, sigma, tol=1e-11)
-        normalized = float(sigma_deriv.normalized_sigma_derivative(v0, vy, y, sigma))
+        vy = oracles.poisson_extension(_bridge_data, _BRIDGE_X, y, sigma, tol=1e-11)
+        normalized = float(oracles.normalized_sigma_derivative(v0, vy, y, sigma))
         errs.append(max(abs(normalized + ref), 1e-300))
     slope = float(np.polyfit(np.log(BRIDGE_YS), np.log(errs), 1)[0])
     return slope, errs

@@ -2,8 +2,10 @@
 
 Nothing here shares code with the solver path: the fractional Laplacian is a
 principal-value quadrature, the linear-case reference is a Fourier integral,
-and the small-mesh elliptic reference is a dense textbook assembly.  The
-acceptance suite compares the two routes; keep them independent.
+the small-mesh elliptic reference is a dense textbook assembly, and the
+extension at a height y is a Poisson-kernel convolution, where the two-point
+sigma-quotient is read.  The acceptance suite compares the two routes; keep
+them independent.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _check_m, _check_sigma, riesz_constant
+from . import core          # mu_sigma read per call, so a fault injected in core reaches it
+from .core import check_m, check_sigma, riesz_constant
 from .errors import QuadratureError
 
 __all__ = [
     "frac_laplacian_pv", "fractional_heat_solution", "gaussian_hat",
     "BarenblattExponents", "barenblatt_exponents", "barenblatt_profile", "lateral_bound",
     "min_domain_half_width", "dense_extension_solve", "box_symbol", "box_symbol_at",
+    "discrete_sigma_derivative", "normalized_sigma_derivative", "kernel_mass_constant",
+    "poisson_kernel", "poisson_extension",
 ]
 
 
@@ -155,7 +160,7 @@ def frac_laplacian_pv(g: Callable[[float], float], x: float, sigma: float,
     QuadratureError unless the certified estimate is <= tol (a NaN estimate
     never is), and ValueError for a non-finite x.
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     C = riesz_constant(1, sigma)
@@ -221,7 +226,7 @@ def fractional_heat_solution(f_hat: Callable[[np.ndarray], np.ndarray], x, t: fl
     QuadratureError (with .achieved, the largest estimate) is raised unless every
     estimate is <= tol, also when the engine stops short of tol / 2.
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     xa = np.asarray(x, dtype=float)
@@ -261,8 +266,8 @@ def barenblatt_exponents(n_dim: int, m: float, sigma: float) -> BarenblattExpone
     and mass conservation alpha = N beta (Vazquez 2014)."""
     if int(n_dim) != n_dim or n_dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {n_dim}")
-    _check_m(m)
-    sigma = _check_sigma(sigma)
+    check_m(m)
+    sigma = check_sigma(sigma)
     beta = 1.0 / (n_dim * (m - 1.0) + sigma)
     return BarenblattExponents(alpha=n_dim * beta, beta=beta)
 
@@ -310,7 +315,7 @@ def box_symbol_at(a: float, Y: float, sigma: float) -> float:
     1e9 on); an a^sigma past the floats is a ValueError.  scipy.special is imported
     here, not with the module: it would add about 40 ms and 2.5 MB to every process.
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     _require_positive(a=a, Y=Y)
     s = sigma / 2.0
     try:
@@ -360,7 +365,7 @@ def min_domain_half_width(dx: float, a: float, n_dim: int, sigma: float,
     if not (0.0 < dx < 1.0):
         raise ValueError(f"dx must lie in (0, 1), got {dx}")
     _require_positive(a=a, L=L)
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     if int(n_dim) != n_dim or n_dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {n_dim}")
     scale = dx ** (a / (n_dim + sigma))
@@ -382,7 +387,7 @@ def dense_extension_solve(I: int, K: int, dx: float, sigma: float,
     the hand-coded low-order stencils are available (c = 2, d in {1, 2}),
     which keeps this path independent of the production assembler.
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     if c != 2 or d not in (1, 2):
         raise ValueError("dense reference implements c = 2 with d in {1, 2} only")
     trace_row = np.asarray(trace_row, dtype=float)
@@ -420,3 +425,86 @@ def dense_extension_solve(I: int, K: int, dx: float, sigma: float,
                     A[r, idx(i, k + 1)] += 0.5 * w_dy
                     A[r, idx(i, k - 1)] += -0.5 * w_dy
     return np.linalg.solve(A, b).reshape(I + 1, K + 1)
+
+
+# ---------------------------------------------------------------------------
+# two-point sigma-quotient at the trace, and the Poisson extension it reads
+
+def _require_finite(**vals):
+    for name, v in vals.items():
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"non-finite input {name!r}")
+
+
+def discrete_sigma_derivative(v0, vy, y: float, sigma: float):
+    """F(x, y) = sigma * (v(x,y) - v(x,0)) / y^sigma.
+
+    Approximates the (unnormalized) sigma-derivative of v at y = 0.  v0 and vy
+    may be scalars or arrays (mesh row 0 and row at height y); a non-finite
+    value or height is a ValueError.
+    """
+    check_sigma(sigma)
+    if not (y > 0.0):
+        raise ValueError(f"evaluation height must be positive, got {y}")
+    _require_finite(v0=v0, vy=vy, y=y)
+    return sigma * (np.asarray(vy, dtype=float) - np.asarray(v0, dtype=float)) / y ** sigma
+
+
+def normalized_sigma_derivative(v0, vy, y: float, sigma: float):
+    """mu_sigma * F: an O(y^(2-sigma)) approximation of -(-Lap)^(sigma/2) applied
+    to a C^2 trace."""
+    return core.mu_sigma(sigma) * discrete_sigma_derivative(v0, vy, y, sigma)
+
+
+def kernel_mass_constant(sigma: float) -> float:
+    """d_sigma such that the N = 1 kernel d * y^s / (x^2 + y^2)^((1+s)/2) has unit mass.
+
+    The mass integral of (1 + x^2)^(-(1+s)/2) over the line is B(1/2, s/2),
+    so d_sigma = G((1+s)/2) / (sqrt(pi) G(s/2)).
+    """
+    sigma = check_sigma(sigma)
+    return math.gamma((1.0 + sigma) / 2.0) / (math.sqrt(math.pi) * math.gamma(sigma / 2.0))
+
+
+def poisson_kernel(x: float, y: float, sigma: float) -> float:
+    """Extension kernel P(x, y) in one dimension."""
+    check_sigma(sigma)
+    _require_finite(x=x, y=y)
+    if not (y > 0.0):
+        raise ValueError(f"kernel height must be positive, got {y}")
+    d = kernel_mass_constant(sigma)
+    return d * y ** sigma / (x * x + y * y) ** ((1.0 + sigma) / 2.0)
+
+
+def poisson_extension(g: Callable[[float], float], x: float, y: float,
+                      sigma: float, tol: float = 1e-10) -> float:
+    """v(x, y) = (P(., y) * g)(x) for bounded integrable g, abs tolerance tol.
+
+    With xi = x + y*s, then s = cot t folding s onto -s, the convolution is
+        int_0^(pi/2) d_sigma sin(t)^(sigma-1) (g(x + y cot t) + g(x - y cot t)) dt,
+    certified by the adaptive quadrature above; g is called with one float
+    at a time.  For data that oscillate without decay (e.g. cos) the panels
+    near t = 0 stay unresolved: at sigma = 1 a tol of 1e-4 is certified with
+    errors near 2e-5, and a much tighter tol raises QuadratureError.  A
+    non-finite x or y is a ValueError.
+    """
+    check_sigma(sigma)
+    _require_finite(x=x, y=y)
+    if not (y > 0.0):
+        raise ValueError(f"extension height must be positive, got {y}")
+    d = kernel_mass_constant(sigma)
+    g = np.vectorize(g, otypes=[float])
+
+    def integrand(t):
+        s = y / np.tan(t)
+        return d * np.sin(t) ** (sigma - 1.0) * (g(x + s) + g(x - s))
+
+    # starting panels of t graded geometrically toward 0, where s = cot t runs off
+    breaks = np.concatenate([[0.0], math.pi / 2.0 * 0.5 ** np.arange(120, -1, -1)])
+    _, K, E = _gauss_kronrod(integrand, breaks[:-1], breaks[1:], tol)
+    est = float(E.sum())
+    if not est <= tol:                  # a NaN estimate certifies nothing
+        raise QuadratureError(
+            f"poisson_extension reached abs error {est:.3e} > tol {tol:.3e} "
+            f"at (x={x}, y={y}, sigma={sigma})", achieved=est)
+    return float(K.sum())

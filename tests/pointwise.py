@@ -9,7 +9,7 @@ windows (core.STENCIL_WINDOWS, looked up node by node) and their fd_weights.
 
 import numpy as np
 
-from fracpme.core import STENCIL_WINDOWS, _check_sigma, check_stencil, stencil_families
+from fracpme.core import STENCIL_WINDOWS, check_sigma, check_stencil, stencil_families
 from fracpme.extension_op import fd_weights
 
 
@@ -28,7 +28,7 @@ def apply_operator(values: np.ndarray, dx: float, sigma: float,
     production solves.  Stencil sums are taken over array slices: the x sums
     once per distinct x window (at most 3), the y sums once per row k.
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     vals = np.asarray(values, dtype=float)
     I = vals.shape[0] - 1
     K = vals.shape[1] - 1

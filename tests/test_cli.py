@@ -16,6 +16,7 @@ import fracpme.core as core
 import fracpme.extension_op as extension_op
 import fracpme.harness as harness
 import fracpme.marcher as marcher
+import fracpme.oracles as oracles
 from fracpme.cli import main
 from fracpme.errors import ConfigError, NegativeBracketError, SolverError
 
@@ -91,6 +92,21 @@ def test_sigma_table_to_file(tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith("sigma,y,E,alpha,sigma_e\n")
     assert len(text.strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize("args", [["--ys", "0.5", "0.125"],
+                                  ["--sigmas", "0.5", "--ys", "0.25", "0.0625"]])
+def test_sigma_table_on_a_gapped_ladder_exits_0(args, capsys):
+    assert main(["sigma-table", *args]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_sigma_table_gapped_ladder_with_a_wrong_quotient_exits_1(monkeypatch, capsys):
+    quotient = oracles.discrete_sigma_derivative
+    monkeypatch.setattr(oracles, "discrete_sigma_derivative",
+                        lambda v0, vy, y, sigma: 1.01 * quotient(v0, vy, y, sigma))
+    assert main(["sigma-table", "--ys", "0.5", "0.125"]) == 1
+    assert "E: computed" in capsys.readouterr().err
 
 
 def test_sigma_table_mismatch_exits_1(monkeypatch, capsys):
@@ -535,10 +551,10 @@ def test_cli_import_leaves_quadrature_unloaded(child_env):
     # CLI nor calling each of the three oracle integrals loads scipy.integrate
     # (and the scipy.optimize it pulls in)
     code = ("import math, sys, fracpme.cli\n"
-            "from fracpme import oracles, sigma_deriv\n"
+            "from fracpme import oracles\n"
             "oracles.frac_laplacian_pv(math.cos, 0.3, 0.5)\n"
             "oracles.fractional_heat_solution(oracles.gaussian_hat, [0.0, 1.0], 0.5, 1.0)\n"
-            "sigma_deriv.poisson_extension(math.tanh, 0.2, 0.5, 1.0)\n"
+            "oracles.poisson_extension(math.tanh, 0.2, 0.5, 1.0)\n"
             "print('scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120, env=child_env)

@@ -245,6 +245,25 @@ def test_sigma_table_skips_off_ladder_heights():
     assert res.ok and res.mismatches == ()
 
 
+@pytest.mark.parametrize("sigmas,ys,line", [
+    (None, (0.5, 0.125), "0.5000,0.1250,0.0223,1.5864,0.4136"),
+    ((0.5,), (0.25, 0.0625), "0.5000,0.0625,0.0078,1.5213,0.4787"),
+    ((1.5,), (0.5, 0.3, 0.25, 0.125), "1.5000,0.1250,0.5345,0.5340,1.4660")])
+def test_sigma_table_fits_over_a_gap_are_not_checked(sigmas, ys, line):
+    # alpha and sigma_e over a gap differ from the table's consecutive fits; E still matches
+    res = run_sigma_table(sigmas=sigmas, ys=ys)
+    assert res.ok, res.mismatches
+    assert line in res.csv.split("\n")
+
+
+def test_sigma_table_checks_e_on_a_gapped_ladder(monkeypatch):
+    quotient = oracles.discrete_sigma_derivative
+    monkeypatch.setattr(oracles, "discrete_sigma_derivative",
+                        lambda v0, vy, y, sigma: 1.01 * quotient(v0, vy, y, sigma))
+    res = run_sigma_table(sigmas=(0.5,), ys=(0.25, 0.0625))
+    assert [(mm.y, mm.column) for mm in res.mismatches] == [(0.25, "E"), (0.0625, "E")]
+
+
 def test_sigma_table_detects_a_planted_mismatch(monkeypatch):
     bad = {"E": (0.2008, 0.0645, 0.0223, 0.9999),
            "alpha": (None, 1.6388, 1.5340, 1.5085),

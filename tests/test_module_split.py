@@ -1,13 +1,14 @@
 """The scheme and its certifying oracles share no code.
 
 The scheme is `extension_op` and `marcher`; the independent references are
-`oracles` and `sigma_deriv`.  Each side may import `core` and `errors`, never
-a module of the other side, or a fault in shared code could pass the checks
-that compare the two.  Nor does the package carry a sparse direct solver:
-every solve goes through the x-modes of the operator's two 1-D factors.  And
-no module imports scipy.integrate: the oracles run on their own adaptive
-Gauss-Kronrod engine, so the tests' QUADPACK references stay independent.
-Every name a module exports in __all__ resolves to one of its attributes.
+`oracles`.  Each side may import `core` and `errors`, never a module of the
+other side, or a fault in shared code could pass the checks that compare the
+two.  Nor does the package carry a sparse direct solver: every solve goes
+through the x-modes of the operator's two 1-D factors.  And no module imports
+scipy.integrate: the oracles run on their own adaptive Gauss-Kronrod engine,
+so the tests' QUADPACK references stay independent.  Every name a module
+exports in __all__ resolves to one of its attributes, and no module imports
+a private name of another.
 """
 
 import ast
@@ -19,7 +20,7 @@ import pytest
 import fracpme
 
 SCHEME = {"extension_op", "marcher"}
-ORACLES = {"oracles", "sigma_deriv"}
+ORACLES = {"oracles"}
 
 
 def _package_imports(name):
@@ -116,3 +117,27 @@ def test_every_export_resolves(path):
     # a name left in __all__ after its definition is gone is a stale export
     module = importlib.import_module("fracpme" if path.stem == "__init__" else f"fracpme.{path.stem}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def _private_imports(source):
+    # underscore names taken from a package module by `from .x import _y` or `from fracpme...`
+    return [f"{node.module or '.'}:{alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "fracpme")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("source,hit", [
+    ("from .oracles import _gauss_kronrod", True), ("from . import _private", True),
+    ("from .core import Grid, _check as check", True), ("from fracpme.core import _x", True),
+    ("from .core import check_sigma", False), ("from __future__ import annotations", False),
+    ("from numpy import _globals", False)])
+def test_private_import_scan_sees_every_form(source, hit):
+    assert bool(_private_imports(source)) == hit
+
+
+@pytest.mark.parametrize("path", sorted(Path(fracpme.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    # a helper two modules share is public in the module that defines it
+    assert _private_imports(path.read_text()) == []

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts run the way README.md runs them, from the repo root
 with the package on PYTHONPATH."""
 
+import ast
 import json
 import math
 import subprocess
@@ -30,6 +31,16 @@ def test_convergence_study_script(child_env, tmp_path):
     tags = ("linear_sigma1_optimal", "m2_sigma0p5_practical", "m2_sigma1p5_practical")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{tag}.{ext}" for tag in tags for ext in ("csv", "svg"))
+
+
+def test_bench_ladder_halves_list_every_module_once():
+    # machine_facts counts a stale name as 0 lines, which the sum check below cannot see
+    tree = ast.parse((ROOT / "scripts" / "bench_ladder.py").read_text())
+    halves = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "HALVES")
+    listed = [name for modules in halves.values() for name in modules]
+    assert sorted(listed) == sorted(p.stem for p in (ROOT / "src" / "fracpme").glob("*.py"))
 
 
 def test_bench_ladder_script(child_env, tmp_path):

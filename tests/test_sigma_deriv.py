@@ -16,13 +16,11 @@ from scipy import integrate
 
 from fracpme.core import mu_sigma
 from fracpme.errors import QuadratureError
-from fracpme.sigma_deriv import (
-    DEFAULT_STUDY_YS,
-    deriv_order_study,
+from fracpme.harness import DEFAULT_STUDY_YS, deriv_order_study, order_study_csv
+from fracpme.oracles import (
     discrete_sigma_derivative,
     kernel_mass_constant,
     normalized_sigma_derivative,
-    order_study_csv,
     poisson_extension,
     poisson_kernel,
 )
