@@ -57,7 +57,7 @@ import scipy            # noqa: E402
 
 import fracpme          # noqa: E402
 from fracpme.core import Grid, SolverConfig, cfl_max_dt, initial_data_preset  # noqa: E402
-from fracpme import extension_op, marcher, oracles      # noqa: E402
+from fracpme import core, extension_op, marcher, oracles      # noqa: E402
 from fracpme.extension_op import assemble, solve_interior      # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -158,7 +158,7 @@ def march_figures(op, grid, trace) -> dict:
 def mode_1_split(op, config) -> dict:
     """space_err and time_err of config's march on op (see the module docstring)."""
     g = 1.0 - float(op.G[0, 0])         # mode 1 is the first: the x-modes ascend
-    lam = marcher._lambda(config.dt, config.dx, op.sigma)
+    lam = core.trace_lambda(config.dt, config.dx, op.sigma)
     s1, d1 = lam * g / config.dt, oracles.box_symbol(1, config.X, config.Y, op.sigma)
     decay = math.exp(-s1 * config.T)
     return {"space_err": abs(decay - math.exp(-d1 * config.T)),

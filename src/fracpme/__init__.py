@@ -5,7 +5,7 @@ extension problem on a truncated half-plane."""
 from . import core, errors, extension_op, harness, marcher, oracles
 from .core import (Grid, InitialData, SolverConfig, cfl_max_dt,
                    effective_order, load_config, mu_sigma, nu_sigma,
-                   riesz_constant)
+                   riesz_constant, trace_lambda)
 from .extension_op import assemble, solve_interior
 from .harness import (OPTIMAL, PRACTICAL, SchemeMode, deriv_order_study, run_convergence,
                       run_sigma_table, run_validate, select_scheme_params)

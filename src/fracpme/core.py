@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, UnsupportedStencilError
 
 __all__ = [
-    "mu_sigma", "nu_sigma", "riesz_constant", "cfl_max_dt", "effective_order",
+    "mu_sigma", "nu_sigma", "riesz_constant", "cfl_max_dt", "trace_lambda", "effective_order",
     "STENCIL_WINDOWS", "SUPPORTED_PAIRS", "stencil_families", "stencil_reach", "check_stencil",
     "Grid", "SolverConfig", "InitialData", "initial_data_preset", "parse_initial_data",
     "parse_config_text", "load_config", "check_sigma", "check_m",
@@ -88,6 +88,16 @@ def _dx_power(dx: float, sigma: float) -> float:
     if not 0.0 < p < math.inf:
         raise ConfigError(f"dx^sigma = {dx:g}^{sigma:g} is not a positive finite float")
     return p
+
+
+def trace_lambda(dt: float, dx: float, sigma: float) -> float:
+    """lam = nu_sigma dt / dx^sigma of the trace update, for dt > 0 and dx > 0 finite;
+    ConfigError where dx^sigma underflows to 0 or overflows, or lam overflows."""
+    lam = nu_sigma(sigma) * dt / _dx_power(dx, sigma)
+    if not lam < np.inf:
+        raise ConfigError(f"lambda = nu_sigma dt / dx^sigma overflows at dt = {dt}, dx = {dx}, "
+                         f"sigma = {sigma}")
+    return lam
 
 
 def effective_order(sigma: float, c: int, d: int | None) -> float:

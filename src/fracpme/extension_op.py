@@ -53,7 +53,6 @@ __all__ = [
     "discrete_max_location", "dump_matrix", "check_memory",
 ]
 
-_DUMP_BLOCK = 4096                      # dump_matrix lines per format call
 _MONOTONE_TOL = 1e-12                   # offending_factor_rows' sign margin
 _CACHE_BYTES = 64 * 2**20               # budget of the operator cache, in array bytes
 _TAIL_BOUND = 2.0**-60                  # bound on a row's dropped modes, per unit max|trace|
@@ -250,6 +249,14 @@ class ExtensionOperator:
                      for F in (self.T_x.tocoo(), self.S_y.tocoo()))
 
     @property
+    def solve_bytes(self) -> int:
+        """Bytes a solve into a new node array holds beyond the operator and its trace: P and
+        a row block's G c and product (or L's product) on the L path; P, R, T_x's product and
+        scipy's C-ordered copy of P[1:K].T on the factor path; each at most a node array, and
+        8 trace-length vectors."""
+        return 8 * (self.K + 1) * (self.I + 1) * (3 if self.L is not None else 4) + 64 * (self.I + 1)
+
+    @property
     def A(self) -> sparse.csr_matrix:
         """I (x) T_x,int + S_y,int (x) I from the factors, for dump_matrix and tests."""
         return sparse.kronsum(self.T_x[:, 1:self.I], self.S_y[:, 1:self.K], format="csr")
@@ -400,13 +407,6 @@ def _residual(op: ExtensionOperator, P: np.ndarray) -> float:
     return float(np.abs(R, out=R).max())
 
 
-def _solve_bytes(op: ExtensionOperator) -> int:
-    """Bytes a solve into a new node array holds beyond op and its trace: P and a row block's
-    G c and product (or L's product) on the L path; P, R, T_x's product and scipy's C-ordered
-    copy of P[1:K].T on the factor path; each at most a node array, and 8 trace-length vectors."""
-    return 8 * (op.K + 1) * (op.I + 1) * (3 if op.L is not None else 4) + 64 * (op.I + 1)
-
-
 def solve_interior(op: ExtensionOperator, trace_row: np.ndarray,
                    P: np.ndarray | None = None) -> np.ndarray:
     """The height-major (K+1) x (I+1) node array P[k, i] for the trace data trace_row
@@ -460,19 +460,9 @@ def discrete_max_location(values: np.ndarray) -> tuple[int, int]:
 
 
 def dump_matrix(op: ExtensionOperator, path) -> None:
-    """Write A as `row col value` triplets, 0-based, row-major: its canonical CSR's order.
-
-    One %-format per block of _DUMP_BLOCK lines, over the block's triplets
-    interleaved into one list; the text is that of f"{r} {c} {v:.17e}".
-    """
+    """Write A as `row col value` triplets, 0-based, row-major: its canonical CSR's order."""
     A = op.A
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, A.nnz, _DUMP_BLOCK):
-            block = slice(start, start + _DUMP_BLOCK)
-            n = len(A.data[block])
-            fields = [None] * (3 * n)
-            fields[0::3] = rows[block].tolist()
-            fields[1::3] = A.indices[block].tolist()
-            fields[2::3] = A.data[block].tolist()
-            fh.write(("%d %d %.17e\n" * n) % tuple(fields))
+        for r, c, v in zip(rows.tolist(), A.indices.tolist(), A.data.tolist()):
+            fh.write(f"{r} {c} {v:.17e}\n")

@@ -38,16 +38,6 @@ def initial_trace_w(config: SolverConfig, f) -> np.ndarray:
     return row
 
 
-def _lambda(dt: float, dx: float, sigma: float) -> float:
-    """lam = nu_sigma dt / dx^sigma of the trace update, for dt > 0 and dx > 0 finite;
-    ConfigError where dx^sigma underflows to 0 or overflows, or lam overflows."""
-    lam = core.nu_sigma(sigma) * dt / core._dx_power(dx, sigma)
-    if not lam < np.inf:
-        raise ConfigError(f"lambda = nu_sigma dt / dx^sigma overflows at dt = {dt}, dx = {dx}, "
-                         f"sigma = {sigma}")
-    return lam
-
-
 def boundary_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
                     level: int | None = None) -> np.ndarray:
     """One explicit trace step, the one every march step runs:
@@ -60,7 +50,7 @@ def boundary_update(row0: np.ndarray, row1: np.ndarray, lam: float, m: float,
     Nothing is validated: the rows must be finite and of equal shape, row0 >= 0,
     lam >= 0 and m >= 1.  A march ensures them: SolverConfig checks m (and
     dt > 0), InitialData.sample makes step 0's row0 finite and >= 0 and later
-    row0s are this function's output, _lambda makes lam finite, and the solve's
+    row0s are this function's output, core.trace_lambda makes lam finite, and the solve's
     finite check (its residual) keeps row1 finite.
     """
     bracket = lam * (row1 - row0)
@@ -147,7 +137,7 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     b_max = float(row.max())
 
     dt = config.dt
-    lam = _lambda(dt, config.dx, config.sigma)
+    lam = core.trace_lambda(dt, config.dx, config.sigma)
     bound = core.cfl_max_dt(config.m, b_max, config.sigma, config.dx)
     if dt > config.cfl_safety * bound * (1.0 + 1e-12):
         with np.errstate(divide="ignore", over="ignore"):     # a bound that underflows to 0
@@ -165,7 +155,7 @@ def march(config: SolverConfig, f, capture=None) -> Trajectory:
     extension_op.check_memory(need, f"{held} need")
     op = extension_op.assemble(config.grid(), config.sigma, config.c, config.d)
     # after the build, whose peak never sits on the history's: the operator and a solve's arrays
-    extension_op.check_memory(need + op.nbytes + extension_op._solve_bytes(op),
+    extension_op.check_memory(need + op.nbytes + op.solve_bytes,
                               f"{held}, with the operator and a solve's arrays, need")
     try:
         w_hist = np.empty((J + 1, I + 1))

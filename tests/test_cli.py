@@ -389,7 +389,7 @@ def test_operator_and_node_arrays_over_the_memory_budget_exit_2_before_the_first
         tmp_path, monkeypatch, capsys):
     # 20001 steps at I = 8 need 8.0 MB for the history and records; a budget of that
     # need passes the check before the build, not the one after it, which adds the
-    # operator and the working arrays of a solve (extension_op._solve_bytes)
+    # operator and the working arrays of a solve (op.solve_bytes)
     def never(*_args):
         raise AssertionError("a step was solved")
 
@@ -399,7 +399,7 @@ def test_operator_and_node_arrays_over_the_memory_budget_exit_2_before_the_first
     need = (J + 1) * (8 * (I + 2) + marcher._RECORD_BYTES)
     key = (I, K, config.sigma, config.c, config.d)
     op = extension_op._build(*key)
-    kept = need + op.nbytes + extension_op._solve_bytes(op)
+    kept = need + op.nbytes + op.solve_bytes
     builds = count_builds(monkeypatch)
     monkeypatch.setattr(extension_op, "_physical_memory", lambda: need)
     monkeypatch.setattr(extension_op, "solve_interior", never)

@@ -547,6 +547,15 @@ def test_solve_is_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_solve_bytes_is_three_node_arrays_on_the_l_path_and_four_on_the_factor_path():
+    # the working set of one solve, which march adds to its memory check after the build
+    grid = make_grid(I=12, K=6, dx=0.125)
+    for (c, d), arrays in (((2, 1), 3), ((3, 4), 4)):
+        op = assemble(grid, 0.5, c=c, d=d)
+        assert (op.L is not None) == (arrays == 3)
+        assert op.solve_bytes == 8 * (6 + 1) * (12 + 1) * arrays + 64 * (12 + 1)
+
+
 # ---------------------------------------------------------------------------
 # the operator cache
 

@@ -34,7 +34,7 @@ from fracpme.marcher import (
     write_snapshot_csv,
     write_trace_csv,
 )
-from fracpme import extension_op, marcher
+from fracpme import core, extension_op, marcher
 from fracpme.extension_op import assemble
 
 
@@ -57,7 +57,7 @@ def operator(cfg):
 
 
 def lam(cfg):
-    return marcher._lambda(cfg.dt, cfg.dx, cfg.sigma)
+    return core.trace_lambda(cfg.dt, cfg.dx, cfg.sigma)
 
 
 def solved(cfg, f):
@@ -105,7 +105,7 @@ def test_update_preserves_range_under_cfl(m, sigma):
         dt = 0.95 * cfl_max_dt(m, b_max, sigma, dx)
         row0 = rng.uniform(0.0, b_max, size=9)
         row1 = rng.uniform(0.0, b_max, size=9)
-        new = boundary_update(row0, row1, marcher._lambda(dt, dx, sigma), m)
+        new = boundary_update(row0, row1, core.trace_lambda(dt, dx, sigma), m)
         assert new.min() >= 0.0
         assert new.max() <= b_max * (1.0 + 1e-12)
 
@@ -121,7 +121,7 @@ def test_cfl_constant_keeps_the_band_below_unit_b_max():
     assert dt == pytest.approx(dx / (m * math.sqrt(b_max)), rel=1e-14)   # nu_1 = 1
     row0 = np.array([b_max ** 2])
     row1 = np.array([b_max])
-    new = boundary_update(row0, row1, marcher._lambda(dt, dx, sigma), m)
+    new = boundary_update(row0, row1, core.trace_lambda(dt, dx, sigma), m)
     assert 0.0 <= new[0] <= b_max
     assert new[0] == pytest.approx(0.348, abs=1e-3)
 
@@ -131,7 +131,7 @@ def test_update_monotone_in_upper_row():
     row0 = rng.uniform(0.0, 1.0, size=11)
     lo = rng.uniform(0.0, 1.0, size=11)
     hi = lo + rng.uniform(0.0, 0.5, size=11)
-    lam = marcher._lambda(0.9 * cfl_max_dt(2.0, 1.0, 0.5, 0.25), 0.25, 0.5)
+    lam = core.trace_lambda(0.9 * cfl_max_dt(2.0, 1.0, 0.5, 0.25), 0.25, 0.5)
     new_lo = boundary_update(row0, lo, lam, 2.0)
     new_hi = boundary_update(row0, hi, lam, 2.0)
     assert np.all(new_hi >= new_lo - 1e-14)
@@ -175,9 +175,9 @@ def test_dx_power_underflow_and_lambda_overflow_are_refused():
     # dx > 0 whose dx^sigma underflows to 0, and lambda = nu dt / dx^sigma = inf:
     # these raised ZeroDivisionError or returned NaN rows
     with pytest.raises(ValueError, match=r"dx\^sigma = 1e-300\^1.9 is not a positive finite"):
-        marcher._lambda(0.01, 1e-300, 1.9)
+        core.trace_lambda(0.01, 1e-300, 1.9)
     with pytest.raises(ValueError, match="lambda = nu_sigma dt / dx\\^sigma overflows"):
-        marcher._lambda(1e300, 1e-10, 1.9)
+        core.trace_lambda(1e300, 1e-10, 1.9)
     with pytest.raises(ValueError, match=r"dx\^sigma = 1e-300\^1.9"):
         cfl_max_dt(2.0, 1.0, 1.9, 1e-300)
     cfg = SolverConfig(sigma=1.9, m=2.0, X=1e-300, Y=2e-300, T=0.1, I=2, K=2, J=10)
@@ -431,7 +431,7 @@ def test_trace_history_over_the_memory_budget_is_refused_before_the_first_step(m
         march(cfg, GAUSS, capture="some")
     # after the build, the operator and a solve's working arrays count too
     op = assemble(cfg.grid(), cfg.sigma)
-    kept = need + op.nbytes + extension_op._solve_bytes(op)
+    kept = need + op.nbytes + op.solve_bytes
     fake_budget(monkeypatch, kept - 1)
     with pytest.raises(ConfigError, match=rf"snapshots, with the operator and a solve's arrays, "
                                           rf"need {kept} bytes, more than the {kept - 1} bytes"):
@@ -597,7 +597,7 @@ def test_linear_march_is_the_closed_form_mode_decay(sigma, d):
     cfg = SolverConfig(sigma=sigma, m=1.0, X=2.0, Y=2.0, T=1.0, I=128, K=64, J=400, c=2, d=d)
     bump = initial_data_preset("bump")
     op = assemble(cfg.grid(), sigma, c=2, d=d)
-    B, lam = op.V_inv, marcher._lambda(cfg.dt, cfg.dx, sigma)
+    B, lam = op.V_inv, core.trace_lambda(cfg.dt, cfg.dx, sigma)
     want = B.T @ ((1.0 - lam * (1.0 - op.G[0])) ** cfg.J * (B @ initial_trace_w(cfg, bump)))
     got = march(cfg, bump).trace_history[-1, 1:-1]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -636,6 +636,22 @@ def test_march_is_the_public_step_bit_for_bit(c, d, m):
     assert [t for t, _ in traj.snapshots] == [float(j * cfg.dt) for j in range(cfg.J + 1)]
     assert [t for t, _ in traj.snapshots] == traj.times.tolist()
     assert [_bits(values) for _, values in traj.snapshots] == [_bits(f) for f in fields]
+
+
+@pytest.mark.parametrize("sigma,c,d", [(0.5, 2, 1), (1.5, 3, 4)])
+def test_public_step_api_reproduces_the_march_trace(sigma, c, d):
+    # public names only: the step-0 solve of the data's trace row, then J steps on that
+    # one node array with core.trace_lambda's lambda give march's trace history bit for bit
+    cfg = SolverConfig(sigma=sigma, m=2.0, X=2.0, Y=2.0, T=0.3, I=16, K=8, J=6, c=c, d=d)
+    bump = initial_data_preset("bump")
+    op = extension_op.assemble(cfg.grid(), sigma, c, d)
+    P = extension_op.solve_interior(op, marcher.initial_trace_w(cfg, bump))
+    rate = core.trace_lambda(cfg.dt, cfg.dx, sigma)
+    history = march(cfg, bump).trace_history
+    for j in range(cfg.J + 1):
+        if j > 0:
+            marcher.step(op, P, rate, cfg.m, j)
+        assert (np.maximum(P[0], 0.0) ** (1.0 / cfg.m)).tobytes() == history[j].tobytes()
 
 
 def test_march_snapshots_are_read_only_and_keep_their_values():

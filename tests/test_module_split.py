@@ -8,7 +8,7 @@ through the x-modes of the operator's two 1-D factors.  And no module imports
 scipy.integrate: the oracles run on their own adaptive Gauss-Kronrod engine,
 so the tests' QUADPACK references stay independent.  Every name a module
 exports in __all__ resolves to one of its attributes, and no module imports
-a private name of another.
+or reaches a private name of another.
 """
 
 import ast
@@ -21,6 +21,7 @@ import fracpme
 
 SCHEME = {"extension_op", "marcher"}
 ORACLES = {"oracles"}
+MODULES = {p.stem for p in Path(fracpme.__file__).parent.glob("*.py")} - {"__init__"}
 
 
 def _package_imports(name):
@@ -141,3 +142,25 @@ def test_private_import_scan_sees_every_form(source, hit):
 def test_no_module_imports_a_private_name(path):
     # a helper two modules share is public in the module that defines it
     assert _private_imports(path.read_text()) == []
+
+
+def _private_reaches(source):
+    # underscore attributes read through a package module's name: core._x, fracpme.core._x
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and ast.unparse(node.value).split(".")[-1] in MODULES]
+
+
+@pytest.mark.parametrize("source,hit", [
+    ("core._dx_power(1.0, 0.5)", True), ("extension_op._cache.clear()", True),
+    ("fracpme.core._x", True), ("self._cache", False), ("core.trace_lambda", False),
+    ("np._globals", False)])
+def test_private_reach_scan_sees_every_form(source, hit):
+    assert bool(_private_reaches(source)) == hit
+
+
+@pytest.mark.parametrize("path", sorted(Path(fracpme.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reaches_a_private_name(path):
+    # the same rule for an attribute read through another module's name
+    assert _private_reaches(path.read_text()) == []
